@@ -412,16 +412,46 @@ def make_reservoirs(
     )
 
 
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _measure_curve(fn: Callable, stack: np.ndarray) -> tuple[list, list]:
+    """Values and per-row errors (None when fine) of one measure over a stack.
+
+    A stacked call that raises is replayed one matrix at a time, so every
+    row carries the value or the error of its own matrix.
+    """
+    try:
+        values = fn(stack).tolist()
+        return values, [None] * len(values)
+    except Exception:  # replayed below, one row at a time
+        pass
+    values, errors = [], []
+    for rho in stack:
+        try:
+            values.append(fn(rho))
+            errors.append(None)
+        except Exception as exc:  # recorded on its row
+            values.append(math.nan)
+            errors.append(_error_text(exc))
+    return values, errors
+
+
 def run_sweep(grid: SweepGrid, qubits: QubitTriple) -> SweepResult:
     """Evaluate every measure on every grid point, in lexicographic order.
 
-    Individual point failures are recorded on their rows and never abort
-    the sweep.
+    Each curve is evaluated as one (T, 8, 8) stack over the time grid, and
+    the channel of each reservoir set (eta, beta_a, k1, k2) is computed once
+    and shared by every x.  Individual point failures are recorded on their
+    rows and never abort the sweep.
     """
     omegas = (qubits.omega_a, qubits.omega_b, qubits.omega_c)
     times = grid.times()
+    t_list = times.tolist()
     psi = STATES[grid.state]()
     result = SweepResult()
+    channels: dict[tuple, tuple] = {}  # reservoir set -> (factors, error text)
 
     for x, eta, beta_a, k1, k2 in itertools.product(
         grid.xs, grid.etas, grid.beta_as, grid.k1s, grid.k2s
@@ -443,55 +473,43 @@ def run_sweep(grid: SweepGrid, qubits: QubitTriple) -> SweepResult:
             reservoirs = make_reservoirs(eta, grid.omega_c, beta_a, k1, k2, omegas)
             rho0 = werner(psi, x)
         except Exception as exc:  # recorded, not raised
-            msg = f"{type(exc).__name__}: {exc}"
+            msg = _error_text(exc)
             for name in grid.measures:
-                for t in times:
-                    result.measures.append(MeasureResult(name, math.nan, float(t), params, msg))
+                for t in t_list:
+                    result.measures.append(MeasureResult(name, math.nan, t, params, msg))
                 if grid.include_timescales:
                     result.timescales.append(
                         TimescaleResult(math.nan, math.nan, False, [], name, params, msg)
                     )
             continue
 
-        evolved = {}
-        curve_error = None
-        try:
-            for t in times:
-                factors = dephasing_factors(qubits, reservoirs, float(t), grid.method)
-                evolved[float(t)] = evolve(rho0, factors)
-        except Exception as exc:
-            curve_error = f"{type(exc).__name__}: {exc}"
+        key = (eta, beta_a, k1, k2)
+        if key not in channels:
+            try:
+                channels[key] = (dephasing_factors(qubits, reservoirs, times, grid.method), None)
+            except Exception as exc:  # every x of this reservoir set carries it
+                channels[key] = (None, _error_text(exc))
+        factors, curve_error = channels[key]
+        if curve_error is None:
+            try:
+                evolved = evolve(rho0, factors)
+            except Exception as exc:
+                curve_error = _error_text(exc)
 
         for name in grid.measures:
             fn = MEASURES[name]
-            sampled = []
-            measure_error = curve_error
-            for t in times:
-                if curve_error is not None:
-                    result.measures.append(
-                        MeasureResult(name, math.nan, float(t), params, curve_error)
-                    )
-                    continue
-                try:
-                    value = fn(evolved[float(t)])
-                except Exception as exc:
-                    measure_error = measure_error or f"{type(exc).__name__}: {exc}"
-                    result.measures.append(
-                        MeasureResult(
-                            name, math.nan, float(t), params, f"{type(exc).__name__}: {exc}"
-                        )
-                    )
-                    continue
-                sampled.append(value)
-                result.measures.append(MeasureResult(name, value, float(t), params))
+            if curve_error is not None:
+                values, errors = [math.nan] * len(t_list), [curve_error] * len(t_list)
+            else:
+                values, errors = _measure_curve(fn, evolved)
+            for t, value, error in zip(t_list, values, errors):
+                result.measures.append(MeasureResult(name, value, t, params, error))
             if not grid.include_timescales:
                 continue
-            if measure_error is not None or len(sampled) != len(times):
+            measure_error = next((e for e in errors if e is not None), None)
+            if measure_error is not None:
                 result.timescales.append(
-                    TimescaleResult(
-                        math.nan, math.nan, False, [], name, params,
-                        measure_error or "measure failed on this grid point",
-                    )
+                    TimescaleResult(math.nan, math.nan, False, [], name, params, measure_error)
                 )
                 continue
 
@@ -502,15 +520,14 @@ def run_sweep(grid: SweepGrid, qubits: QubitTriple) -> SweepResult:
             try:
                 t_p = preservation_time_numeric(curve, grid.t_stop)
                 t_c, reached = characteristic_time(curve, grid.t_stop, grid.epsilon)
-                freezing = freezing_intervals(times, np.asarray(sampled))
+                freezing = freezing_intervals(times, np.asarray(values))
                 result.timescales.append(
                     TimescaleResult(t_p, t_c, reached, freezing, name, params)
                 )
             except Exception as exc:
                 result.timescales.append(
                     TimescaleResult(
-                        math.nan, math.nan, False, [], name, params,
-                        f"{type(exc).__name__}: {exc}",
+                        math.nan, math.nan, False, [], name, params, _error_text(exc)
                     )
                 )
     return result

@@ -111,6 +111,8 @@ def _as_list(value, key: str) -> list[float]:
 def _as_float(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
     return float(value)
 
 
@@ -119,6 +121,8 @@ def _as_beta(value, key: str) -> float:
         if value.lower() in ("inf", "infinity", "zero_temperature"):
             return math.inf
         raise ConfigError(f"config key {key!r} must be a number or \"inf\", got {value!r}")
+    if value == math.inf:  # JSON Infinity, like "inf", means zero temperature
+        return math.inf
     return _as_float(value, key)
 
 
@@ -233,10 +237,10 @@ def cmd_evolve(config: dict, args) -> int:
     for i in range(8):
         for j in range(8):
             element_fields.extend([f"re_{i}{j}", f"im_{i}{j}"])
+    evolved = evolve(rho0, dephasing_factors(qubits, reservoirs, times, method))
     rows = []
-    for t in times:
-        rho = evolve(rho0, dephasing_factors(qubits, reservoirs, float(t), method))
-        row = {"t": float(t) * omega_c}
+    for t, rho in zip(times.tolist(), evolved):
+        row = {"t": t * omega_c}
         for i in range(8):
             for j in range(8):
                 row[f"re_{i}{j}"] = float(rho[i, j].real)

@@ -53,34 +53,48 @@ def energies(q: QubitTriple) -> np.ndarray:
     )
 
 
+# _FLIPS[X, u, v]: qubit X differs between basis states u and v
+_BITS = (np.arange(DIM)[:, None] >> np.array([2, 1, 0])) & 1
+_FLIPS = np.moveaxis(_BITS[:, None, :] != _BITS[None, :, :], -1, 0)
+
+
 @dataclass(frozen=True)
 class DephasingFactors:
-    """Elementwise damping magnitudes and phase angles at one fixed time."""
+    """Elementwise damping magnitudes and phase angles.
+
+    Shape (8, 8) at one fixed time, or (T, 8, 8) for a time array with one
+    matrix per time.
+    """
 
     damping: np.ndarray
     phase: np.ndarray
 
     def __post_init__(self):
-        if self.damping.shape != (DIM, DIM) or self.phase.shape != (DIM, DIM):
+        if self.damping.shape[-2:] != (DIM, DIM) or self.phase.shape != self.damping.shape:
             raise ParameterError("damping and phase must be 8x8")
-        if not np.array_equal(np.diag(self.damping), np.ones(DIM)):
+        if not np.all(np.diagonal(self.damping, axis1=-2, axis2=-1) == 1.0):
             raise ParameterError("damping diagonal must be exactly 1")
         # exp(-Gamma) underflows to 0.0 for Gamma > ~745, so 0 is admissible
         if np.any(self.damping < 0) or np.any(self.damping > 1):
             raise ParameterError("damping entries must lie in [0, 1]")
-        if not np.array_equal(self.damping, self.damping.T):
+        if not np.array_equal(self.damping, self.damping.swapaxes(-1, -2)):
             raise ParameterError("damping must be symmetric")
-        if not np.array_equal(self.phase, -self.phase.T):
+        if not np.array_equal(self.phase, -self.phase.swapaxes(-1, -2)):
             raise ParameterError("phase must be antisymmetric")
 
 
 def dephasing_factors(
     q: QubitTriple,
     reservoirs: Sequence[ReservoirSpec],
-    t: float,
+    t,
     method: GammaMethod,
 ) -> DephasingFactors:
-    """Damping and phase matrices at time t for three independent reservoirs."""
+    """Damping and phase matrices for three independent reservoirs.
+
+    `t` is one time (8x8 factors) or a 1-d time array ((T, 8, 8) factors,
+    matrix i at t[i]).  Gamma is evaluated per reservoir and time, in time
+    order, so the first failing time raises.
+    """
     if len(reservoirs) != 3:
         raise ParameterError(f"expected three reservoirs, got {len(reservoirs)}")
     for splitting, res, label in zip(
@@ -91,17 +105,29 @@ def dephasing_factors(
                 f"qubit {label} splitting {splitting!r} does not match its reservoir's "
                 f"omega_qubit {res.omega_qubit!r}"
             )
-    blocks = []
-    for res in reservoirs:
-        damp = math.exp(-gamma(res, t, method))
-        blocks.append(np.array([[1.0, damp], [damp, 1.0]]))
-    damping = np.kron(np.kron(blocks[0], blocks[1]), blocks[2])
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ParameterError(f"t must be a scalar or a 1-d time array, got shape {ts.shape}")
+    damps = np.array([
+        [math.exp(-gamma(res, tv, method)) for res in reservoirs]
+        for tv in ts.reshape(-1).tolist()
+    ])
+    # per-qubit factor exp(-Gamma_X) where qubit X flips, 1 elsewhere; the
+    # product order matches np.kron(np.kron(A, B), C)
+    a, b, c = (np.where(_FLIPS[x], damps[:, x, None, None], 1.0) for x in range(3))
+    damping = (a * b) * c
     e = energies(q)
-    phase = -(e[:, None] - e[None, :]) * t
+    phase = -(e[:, None] - e[None, :]) * ts.reshape(-1, 1, 1)
+    if ts.ndim == 0:
+        damping, phase = damping[0], phase[0]
     return DephasingFactors(damping=damping, phase=phase)
 
 
 def evolve(rho0: np.ndarray, factors: DephasingFactors) -> np.ndarray:
-    """Apply the dephasing map; the diagonal is returned bit-for-bit unchanged."""
+    """Apply the dephasing map; the diagonal is returned bit-for-bit unchanged.
+
+    With (T, 8, 8) factors the result is the (T, 8, 8) stack of evolved
+    matrices.
+    """
     rho = assert_density_matrix(rho0)
     return rho * factors.damping * np.exp(1j * factors.phase)

@@ -18,10 +18,38 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m) -> float:
-    """max |M[i,j] - conj(M[j,i])| over all entries."""
-    a = _as_square(m)
-    return float(np.abs(a - a.conj().T).max())
+def _as_square_stack(m) -> np.ndarray:
+    a = np.asarray(m, dtype=complex)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ShapeError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    return a
+
+
+def _dagger(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
+def hermiticity_defect(m):
+    """max |M[i,j] - conj(M[j,i])| over all entries.
+
+    A float for one matrix; for a stack of shape (..., n, n), an array of
+    shape (...) with one defect per matrix.
+    """
+    a = _as_square_stack(m)
+    diff = np.abs(a - _dagger(a))
+    if a.ndim == 2:
+        return float(diff.max())
+    return diff.max(axis=(-2, -1))
+
+
+def _check_hermitian(a: np.ndarray, tol: float) -> None:
+    defect = hermiticity_defect(a)
+    if a.ndim > 2:
+        defect = float(defect.max())
+    if defect > tol:
+        raise HermiticityViolation(
+            f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} > {tol:.1e}"
+        )
 
 
 def hermitian_eigenvalues(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
@@ -29,34 +57,34 @@ def hermitian_eigenvalues(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
 
     The input is symmetrized ((M + M^dagger)/2) before solving so that
     ~1e-16 asymmetries from upstream arithmetic cannot leak into the
-    spectrum; anything beyond `tol` from Hermitian is rejected.
+    spectrum; anything beyond `tol` from Hermitian is rejected.  A stack of
+    shape (..., n, n) gives eigenvalues of shape (..., n), each row equal
+    to the single-matrix result; one matrix beyond `tol` rejects the stack.
     """
-    a = _as_square(m)
-    defect = float(np.abs(a - a.conj().T).max())
-    if defect > tol:
-        raise HermiticityViolation(
-            f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} > {tol:.1e}"
-        )
-    return np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    a = _as_square_stack(m)
+    _check_hermitian(a, tol)
+    return np.linalg.eigvalsh((a + _dagger(a)) / 2.0)
 
 
 def partial_transpose(rho, dims, subsystem: int) -> np.ndarray:
     """Transpose the indices of one subsystem of a composite-system matrix.
 
     `dims` lists the subsystem dimensions in tensor order (most significant
-    first); their product must equal the matrix dimension.
+    first); their product must equal the matrix dimension.  A stack of
+    shape (..., n, n) is transposed matrix by matrix.
     """
-    a = _as_square(rho)
+    a = _as_square_stack(rho)
     dims = [int(d) for d in dims]
-    if math.prod(dims) != a.shape[0]:
+    if math.prod(dims) != a.shape[-1]:
         raise ShapeError(
-            f"subsystem dimensions {dims} do not factor a {a.shape[0]}-dimensional matrix"
+            f"subsystem dimensions {dims} do not factor a {a.shape[-1]}-dimensional matrix"
         )
     if not 0 <= subsystem < len(dims):
         raise ShapeError(f"subsystem index {subsystem} out of range for {len(dims)} subsystems")
+    lead = a.shape[:-2]
     n = len(dims)
-    t = a.reshape(dims + dims)
-    t = t.swapaxes(subsystem, n + subsystem)
+    t = a.reshape(lead + tuple(dims + dims))
+    t = t.swapaxes(len(lead) + subsystem, len(lead) + n + subsystem)
     return np.ascontiguousarray(t.reshape(a.shape))
 
 
@@ -94,11 +122,7 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
 def purity(rho, tol: float = HERMITICITY_TOL) -> float:
     """trace(rho^2) for a Hermitian, unit-trace matrix."""
     a = _as_square(rho)
-    defect = float(np.abs(a - a.conj().T).max())
-    if defect > tol:
-        raise HermiticityViolation(
-            f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} > {tol:.1e}"
-        )
+    _check_hermitian(a, tol)
     tr = complex(np.trace(a))
     if abs(tr - 1.0) > tol:
         raise ParameterError(f"expected unit trace, got {tr!r}")

@@ -40,39 +40,49 @@ def gmc_pure(psi) -> float:
     return best
 
 
+# entries that must vanish in an X-shaped matrix: off both diagonals
+_OFF_X = ~(np.eye(DIM, dtype=bool) | np.eye(DIM, dtype=bool)[::-1])
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    """|z| via hypot, bit-for-bit equal to Python's scalar abs()."""
+    return np.hypot(z.real, z.imag)
+
+
+def _scalar_or_stack(values: np.ndarray, rho):
+    """A float for a single matrix, the (...) array for a stack."""
+    return float(values) if np.ndim(rho) == 2 else values
+
+
 def _assert_x_shaped(rho: np.ndarray) -> None:
-    worst = 0.0
-    worst_idx = None
-    for i in range(DIM):
-        for j in range(DIM):
-            if i == j or i + j == DIM - 1:
-                continue
-            mag = abs(rho[i, j])
-            if mag > worst:
-                worst, worst_idx = mag, (i, j)
+    mags = np.where(_OFF_X, _modulus(rho), 0.0)
+    worst = float(mags.max())
     if worst >= X_SHAPE_TOL:
+        worst_idx = tuple(int(i) for i in np.unravel_index(np.argmax(mags), mags.shape)[-2:])
         raise ShapeError(
             f"matrix is not X-shaped: element {worst_idx} has modulus {worst:.3e}"
         )
 
 
-def gmc_x_state(rho) -> float:
+def gmc_x_state(rho):
     """Closed-form genuine multipartite concurrence for an X-shaped state.
 
     2 max_j max{0, |rho[j, 7-j]| - sum_{k != j} sqrt(rho[k, k] rho[7-k, 7-k])}
-    over the four anti-diagonal pairs.
+    over the four anti-diagonal pairs.  A stack of shape (..., 8, 8) gives
+    an array of shape (...); a single matrix gives a float.
     """
     a = assert_density_matrix(rho)
     _assert_x_shaped(a)
-    diag = np.real(np.diag(a))
+    diag = np.real(np.diagonal(a, axis1=-2, axis2=-1))
+    # fmax, like Python's max(), ignores a NaN second argument
+    roots = np.sqrt(np.fmax(0.0, diag[..., :4] * diag[..., :3:-1]))
     best = 0.0
     for j in range(4):
-        off = abs(a[j, DIM - 1 - j])
-        cross = sum(
-            math.sqrt(max(0.0, diag[k] * diag[DIM - 1 - k])) for k in range(4) if k != j
-        )
-        best = max(best, off - cross)
-    return 2.0 * max(0.0, best)
+        off = _modulus(a[..., j, DIM - 1 - j])
+        others = [k for k in range(4) if k != j]
+        cross = (roots[..., others[0]] + roots[..., others[1]]) + roots[..., others[2]]
+        best = np.fmax(best, off - cross)
+    return _scalar_or_stack(2.0 * np.fmax(0.0, best), a)
 
 
 def gmc_ghz_werner(x: float, gamma_total: float) -> float:
@@ -88,34 +98,50 @@ def gmc_ghz_werner(x: float, gamma_total: float) -> float:
     return max(0.0, x * math.exp(-gamma_total) - 0.75 * (1.0 - x))
 
 
-def negativity(rho, subsystem: int) -> float:
+def negativity(rho, subsystem: int):
     """-2 times the sum of negative partial-transpose eigenvalues.
 
     Eigenvalues with magnitude below 1e-12 are treated as zero, so a PPT
-    state returns exactly 0.0.
+    state returns exactly 0.0.  A stack of shape (..., 8, 8) gives an array
+    of shape (...); a single matrix gives a float.
     """
     a = assert_density_matrix(rho)
     transposed = partial_transpose(a, QUBIT_DIMS, subsystem)
     eigs = hermitian_eigenvalues(transposed)
-    negative = eigs[eigs < -ZERO_EIGENVALUE_TOL]
-    if negative.size == 0:
-        return 0.0
-    return -2.0 * float(negative.sum())
+    if a.ndim == 2:
+        negative = eigs[eigs < -ZERO_EIGENVALUE_TOL]
+        if negative.size == 0:
+            return 0.0
+        return -2.0 * float(negative.sum())
+    # Eigenvalues ascend, so the negative ones lead each row, and there are
+    # at most 7 of them (the trace is 1).  A running sum therefore adds them
+    # in the single-matrix order; the zeros after them add nothing.
+    negative = eigs < -ZERO_EIGENVALUE_TOL
+    total = np.where(negative, eigs, 0.0).cumsum(axis=-1)[..., -1]
+    return np.where(negative.any(axis=-1), -2.0 * total, 0.0)
 
 
-def tripartite_negativity(rho) -> float:
-    """Geometric mean of the three bipartition negativities."""
-    factors = [negativity(rho, subsystem) for subsystem in range(3)]
-    if any(f == 0.0 for f in factors):
-        return 0.0
-    return float(np.cbrt(factors[0] * factors[1] * factors[2]))
+def tripartite_negativity(rho):
+    """Geometric mean of the three bipartition negativities.
+
+    A stack of shape (..., 8, 8) gives an array of shape (...); a single
+    matrix gives a float.
+    """
+    f0, f1, f2 = (negativity(rho, subsystem) for subsystem in range(3))
+    dead = (f0 == 0.0) | (f1 == 0.0) | (f2 == 0.0)
+    return _scalar_or_stack(np.where(dead, 0.0, np.cbrt(f0 * f1 * f2)), rho)
 
 
-def l1_coherence(rho) -> float:
-    """Sum of the moduli of all off-diagonal elements."""
+def l1_coherence(rho):
+    """Sum of the moduli of all off-diagonal elements.
+
+    A stack of shape (..., 8, 8) gives an array of shape (...); a single
+    matrix gives a float.
+    """
     a = assert_density_matrix(rho)
     mags = np.abs(a)
-    return float(mags.sum() - np.trace(mags))
+    total = mags.reshape(a.shape[:-2] + (DIM * DIM,)).sum(axis=-1)
+    return _scalar_or_stack(total - np.trace(mags, axis1=-2, axis2=-1), a)
 
 
 def w_werner_negativity_closed_form(x: float, gamma: float, gamma_c: float):

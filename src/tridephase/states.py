@@ -56,17 +56,28 @@ def werner(psi, x: float) -> np.ndarray:
 
 
 def assert_density_matrix(rho) -> np.ndarray:
-    """Validate Hermiticity, unit trace and positivity; returns the array."""
+    """Validate Hermiticity, unit trace and positivity; returns the array.
+
+    Accepts one 8x8 matrix or a stack of shape (..., 8, 8).  Every matrix
+    of a stack is checked, and the message reports the worst one.
+    """
     a = np.asarray(rho, dtype=complex)
-    if a.shape != (DIM, DIM):
+    if a.shape[-2:] != (DIM, DIM):
         raise ParameterError(f"expected an {DIM}x{DIM} density matrix, got shape {a.shape}")
+    stacked = a.ndim > 2
     defect = hermiticity_defect(a)
+    if stacked:
+        defect = float(defect.max())
     if defect > HERM_TOL:
         raise ParameterError(f"density matrix is not Hermitian (defect {defect:.3e})")
-    tr = complex(np.trace(a))
+    tr = np.diagonal(a, axis1=-2, axis2=-1).sum(axis=-1)
+    if stacked:
+        tr = tr.flat[np.argmax(np.abs(tr - 1.0))]
+    tr = complex(tr)
     if abs(tr - 1.0) > TRACE_TOL:
         raise ParameterError(f"density matrix trace is {tr!r}, expected 1")
-    min_eig = float(hermitian_eigenvalues(a)[0])
+    min_eig = hermitian_eigenvalues(a)[..., 0]
+    min_eig = float(min_eig.min() if stacked else min_eig)
     if min_eig < -PSD_TOL:
         raise ParameterError(f"density matrix has negative eigenvalue {min_eig:.3e}")
     return a

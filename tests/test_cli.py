@@ -219,3 +219,24 @@ def test_selfcheck_detects_corrupted_gamma(capsys, monkeypatch):
     code, out, _ = run(capsys, ["selfcheck"])
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("setting, key", [
+    ("eta=NaN", "eta"),
+    ("x=NaN", "x"),
+    ("t_stop=Infinity", "t_stop"),
+    ("beta_a=-Infinity", "beta_a"),
+])
+def test_non_finite_config_number_names_its_key(capsys, setting, key):
+    code, out, err = run(capsys, ["measure", "--set", setting, "--set", "t_count=3"])
+    assert code == 1
+    assert out == ""
+    assert f"config key {key!r} must be finite" in err
+
+
+def test_beta_a_infinity_still_means_zero_temperature(capsys):
+    code, out, _ = run(capsys, ["measure", "--set", "beta_a=Infinity", "--set", "t_count=3"])
+    assert code == 0
+    _, quoted, _ = run(capsys, ["measure", "--set", "beta_a=inf", "--set", "t_count=3"])
+    assert out == quoted
+    assert all(row["beta_a"] == "inf" and row["error"] == "" for row in read_csv(out))

@@ -29,6 +29,7 @@ from .reservoir import (
     GammaMethod,
     OhmicSpectralDensity,
     ReservoirSpec,
+    _log_sinhc,
     is_zero_temperature,
 )
 from .states import ghz_state, w_state, werner
@@ -88,43 +89,96 @@ def preservation_time_zero_t(x: float, eta: float, omega_sq: float, omega_c: flo
     return math.sqrt(ratio ** (1.0 / (2.0 * eta * omega_sq)) - 1.0) / omega_c
 
 
+def _bisect(
+    curve: Callable[[float], float],
+    alive: Callable[[float], bool],
+    lo: float,
+    hi: float,
+    rel_tol: float,
+) -> float:
+    """Midpoint of [lo, hi] after halving it until hi - lo <= rel_tol * hi.
+
+    The curve is alive at lo and not alive at hi; each step keeps the half
+    where that still holds.
+    """
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if alive(curve(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _doubling_bracket(
+    curve: Callable[[float], float], alive: Callable[[float], bool], t_max: float
+) -> tuple[float, float]:
+    """[lo, hi] around the first crossing found by doubling from t_max 2^-48."""
+    lo = 0.0
+    hi = t_max * 2.0**-48
+    while alive(curve(hi)):
+        lo = hi
+        hi *= 2.0
+        if hi >= t_max:
+            return lo, t_max
+    return lo, hi
+
+
+def _grid_samples(
+    curve: Callable[[float], float], t_max: float, samples: tuple[Sequence, Sequence]
+) -> tuple[list[float], list[float]]:
+    """The sampled curve as lists starting at t = 0 and ending at t_max.
+
+    A grid that starts after 0 gets t = 0 and its evaluated value in front,
+    so a crossing before the first sample is still bracketed.
+    """
+    ts, vs = (list(map(float, seq)) for seq in samples)
+    if len(ts) != len(vs) or not ts or ts[0] < 0.0 or ts[-1] != t_max:
+        raise ParameterError("samples must be matching time and value lists from t >= 0 to t_max")
+    if ts[0] > 0.0:
+        ts.insert(0, 0.0)
+        vs.insert(0, curve(0.0))
+    return ts, vs
+
+
 def preservation_time_numeric(
     measure_curve: Callable[[float], float],
     t_max: float,
     threshold: float = DEAD_THRESHOLD,
     rel_tol: float = ROOT_REL_TOL,
+    *,
+    samples: tuple[Sequence, Sequence] | None = None,
 ) -> float:
-    """Last time the (nonincreasing) curve stays above `threshold`.
+    """Last time the curve stays above `threshold`; +inf if alive at t_max.
 
-    Bracket-doubling from a tiny seed followed by bisection to relative
-    tolerance `rel_tol`; returns +inf when the curve is still alive at
-    t_max.
+    With `samples=(times, values)`, the curve on a time grid ending at
+    t_max, the bracket is [t_i, t_i+1] around the last sample above the
+    threshold, so a curve that dies, revives and dies again gives its last
+    crossing (to grid resolution).  Without samples the bracket comes from
+    doubling a tiny seed time, which finds the first crossing.  Either
+    bracket is bisected to relative width `rel_tol`.
     """
     if t_max <= 0:
         raise ParameterError(f"t_max must be positive, got {t_max!r}")
-    v0 = measure_curve(0.0)
-    if v0 <= 0.0:
+    if samples is not None:
+        ts, vs = _grid_samples(measure_curve, t_max, samples)
+    v0 = measure_curve(0.0) if samples is None else vs[0]
+    if not v0 > 0.0:  # NaN included
         raise NoCorrelationError(f"measure starts at {v0!r}; no preservation time exists")
     if v0 <= threshold:
         return 0.0
-    if measure_curve(t_max) > threshold:
+    if (measure_curve(t_max) if samples is None else vs[-1]) > threshold:
         return math.inf
 
-    lo = 0.0
-    hi = t_max * 2.0**-48
-    while measure_curve(hi) > threshold:
-        lo = hi
-        hi *= 2.0
-        if hi >= t_max:
-            hi = t_max
-            break
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if measure_curve(mid) > threshold:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    def alive(v: float) -> bool:
+        return v > threshold
+
+    if samples is None:
+        lo, hi = _doubling_bracket(measure_curve, alive, t_max)
+    else:
+        i = max(k for k, v in enumerate(vs) if alive(v))
+        lo, hi = ts[i], ts[i + 1]
+    return _bisect(measure_curve, alive, lo, hi, rel_tol)
 
 
 class CharacteristicTime(NamedTuple):
@@ -136,37 +190,38 @@ def characteristic_time(
     measure_curve: Callable[[float], float],
     t_max: float,
     epsilon: float = DEFAULT_EPSILON,
+    *,
+    samples: tuple[Sequence, Sequence] | None = None,
 ) -> CharacteristicTime:
     """Smallest time where the curve falls below (1 - epsilon) of its start.
 
-    Returns (t_max, reached=False) when the curve never crosses.
+    Returns (t_max, reached=False) when the curve never crosses.  With
+    `samples=(times, values)` the bracket is [t_i-1, t_i] around the first
+    sample below the target; without them it comes from doubling a tiny
+    seed time.  Either bracket is bisected to relative width ROOT_REL_TOL.
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if t_max <= 0:
         raise ParameterError(f"t_max must be positive, got {t_max!r}")
-    v0 = measure_curve(0.0)
-    if v0 <= 0.0:
+    if samples is not None:
+        ts, vs = _grid_samples(measure_curve, t_max, samples)
+    v0 = measure_curve(0.0) if samples is None else vs[0]
+    if not v0 > 0.0:  # NaN included
         raise NoCorrelationError(f"measure starts at {v0!r}; no characteristic time exists")
     target = (1.0 - epsilon) * v0
-    if measure_curve(t_max) >= target:
-        return CharacteristicTime(t_max, False)
 
-    lo = 0.0
-    hi = t_max * 2.0**-48
-    while measure_curve(hi) >= target:
-        lo = hi
-        hi *= 2.0
-        if hi >= t_max:
-            hi = t_max
-            break
-    while hi - lo > ROOT_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if measure_curve(mid) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return CharacteristicTime(0.5 * (lo + hi), True)
+    def alive(v: float) -> bool:
+        return v >= target
+
+    if alive(measure_curve(t_max) if samples is None else vs[-1]):
+        return CharacteristicTime(t_max, False)
+    if samples is None:
+        lo, hi = _doubling_bracket(measure_curve, alive, t_max)
+    else:
+        i = next(k for k, v in enumerate(vs) if not alive(v))
+        lo, hi = ts[i - 1], ts[i]
+    return CharacteristicTime(_bisect(measure_curve, alive, lo, hi, ROOT_REL_TOL), True)
 
 
 def freezing_intervals(
@@ -267,18 +322,19 @@ def gmc_ghz_werner_low_t(
         return math.inf if x > 0 else 0.0
     log_bracket = math.log1p((omega_c * t) ** 2) - math.log(math.pi**2 * t * t)
     for beta in betas:
-        z = math.pi * t / beta
-        log_bracket += 2.0 * (math.log(beta) + _log_sinh(z))
+        log_bracket += 2.0 * _log_beta_sinh(beta, t)
     exponent = -2.0 * eta * omega_sq * log_bracket
     if exponent > 700.0:  # bracket -> 0 as t -> 0; the curve diverges there
         return math.inf
     return max(0.0, x * math.exp(exponent) - 0.75 * (1.0 - x))
 
 
-def _log_sinh(z: float) -> float:
+def _log_beta_sinh(beta: float, t: float) -> float:
+    """ln(beta sinh(pi t / beta)) for pi t / beta > 0, via ln sinh z = ln(sinh z / z) + ln z."""
+    z = math.pi * t / beta
     if z <= 0.0:
         raise ParameterError(f"need z > 0, got {z!r}")
-    return z + math.log(-math.expm1(-2.0 * z)) - math.log(2.0)
+    return math.log(beta) + _log_sinhc(z) + math.log(z)
 
 
 def preservation_time_sinh_residual(
@@ -302,7 +358,7 @@ def preservation_time_sinh_residual(
         raise ParameterError(f"t_p must be positive, got {t_p!r}")
     log_lhs = 0.0
     for beta in betas:
-        log_lhs += 2.0 * (math.log(beta) + _log_sinh(math.pi * t_p / beta))
+        log_lhs += 2.0 * _log_beta_sinh(beta, t_p)
     lhs = math.exp(log_lhs)
     ratio = 4.0 * x / (3.0 * (1.0 - x))
     rhs = (
@@ -443,8 +499,10 @@ def run_sweep(grid: SweepGrid, qubits: QubitTriple) -> SweepResult:
 
     Each curve is evaluated as one (T, 8, 8) stack over the time grid, and
     the channel of each reservoir set (eta, beta_a, k1, k2) is computed once
-    and shared by every x.  Individual point failures are recorded on their
-    rows and never abort the sweep.
+    and shared by every x.  Time scales are bracketed on the sampled curve.
+    One Gamma memo per call serves the grid and every root-finder
+    evaluation.  Individual point failures are recorded on their rows and
+    never abort the sweep.
     """
     omegas = (qubits.omega_a, qubits.omega_b, qubits.omega_c)
     times = grid.times()
@@ -452,6 +510,7 @@ def run_sweep(grid: SweepGrid, qubits: QubitTriple) -> SweepResult:
     psi = STATES[grid.state]()
     result = SweepResult()
     channels: dict[tuple, tuple] = {}  # reservoir set -> (factors, error text)
+    gammas: dict[tuple, float] = {}  # (reservoir, t, method) -> Gamma, this call only
 
     for x, eta, beta_a, k1, k2 in itertools.product(
         grid.xs, grid.etas, grid.beta_as, grid.k1s, grid.k2s
@@ -486,7 +545,10 @@ def run_sweep(grid: SweepGrid, qubits: QubitTriple) -> SweepResult:
         key = (eta, beta_a, k1, k2)
         if key not in channels:
             try:
-                channels[key] = (dephasing_factors(qubits, reservoirs, times, grid.method), None)
+                channels[key] = (
+                    dephasing_factors(qubits, reservoirs, times, grid.method, memo=gammas),
+                    None,
+                )
             except Exception as exc:  # every x of this reservoir set carries it
                 channels[key] = (None, _error_text(exc))
         factors, curve_error = channels[key]
@@ -514,12 +576,15 @@ def run_sweep(grid: SweepGrid, qubits: QubitTriple) -> SweepResult:
                 continue
 
             def curve(t: float) -> float:
-                factors = dephasing_factors(qubits, reservoirs, t, grid.method)
+                factors = dephasing_factors(qubits, reservoirs, t, grid.method, memo=gammas)
                 return fn(evolve(rho0, factors))
 
+            samples = (t_list, values)
             try:
-                t_p = preservation_time_numeric(curve, grid.t_stop)
-                t_c, reached = characteristic_time(curve, grid.t_stop, grid.epsilon)
+                t_p = preservation_time_numeric(curve, grid.t_stop, samples=samples)
+                t_c, reached = characteristic_time(
+                    curve, grid.t_stop, grid.epsilon, samples=samples
+                )
                 freezing = freezing_intervals(times, np.asarray(values))
                 result.timescales.append(
                     TimescaleResult(t_p, t_c, reached, freezing, name, params)

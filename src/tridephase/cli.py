@@ -144,7 +144,8 @@ def _parse_common(config: dict):
     return omega_c, omega_sqs, _METHODS[method_name], qubits
 
 
-def _time_grid(config: dict, omega_c: float) -> np.ndarray:
+def _time_range(config: dict) -> tuple[float, float, int]:
+    """Validated (t_start, t_stop, t_count); times in config units of 1/omega_c."""
     t_start = _as_float(config["t_start"], "t_start")
     t_stop = _as_float(config["t_stop"], "t_stop")
     t_count = config["t_count"]
@@ -152,8 +153,7 @@ def _time_grid(config: dict, omega_c: float) -> np.ndarray:
         raise ConfigError("config key 't_count' must be an integer >= 2")
     if not t_stop > t_start >= 0:
         raise ConfigError("config keys 't_start'/'t_stop' must satisfy t_stop > t_start >= 0")
-    # config times are in units of 1/omega_c
-    return np.linspace(t_start, t_stop, t_count) / omega_c
+    return t_start, t_stop, t_count
 
 
 def _check_method_temperature(method: GammaMethod, beta_values: list[float]) -> None:
@@ -227,7 +227,8 @@ def cmd_evolve(config: dict, args) -> int:
     if state not in analysis.STATES:
         raise ConfigError(f"config key 'state' must be one of {sorted(analysis.STATES)}")
     _check_method_temperature(method, [beta_a])
-    times = _time_grid(config, omega_c)
+    t_start, t_stop, t_count = _time_range(config)
+    times = np.linspace(t_start, t_stop, t_count) / omega_c
 
     omegas = (qubits.omega_a, qubits.omega_b, qubits.omega_c)
     reservoirs = analysis.make_reservoirs(eta, omega_c, beta_a, k1, k2, omegas)
@@ -269,11 +270,7 @@ def _build_grid(config: dict, omega_c: float, method: GammaMethod, include_times
     state = config["state"]
     if state not in analysis.STATES:
         raise ConfigError(f"config key 'state' must be one of {sorted(analysis.STATES)}")
-    t_start = _as_float(config["t_start"], "t_start")
-    t_stop = _as_float(config["t_stop"], "t_stop")
-    t_count = config["t_count"]
-    if not isinstance(t_count, int) or t_count < 2:
-        raise ConfigError("config key 't_count' must be an integer >= 2")
+    t_start, t_stop, t_count = _time_range(config)
     epsilon = _as_float(config["epsilon"], "epsilon")
     if not 0 < epsilon < 1:
         raise ConfigError("config key 'epsilon' must lie in (0, 1)")
@@ -366,18 +363,14 @@ def cmd_sweep(config: dict, args) -> int:
     rows = _measure_rows(result, omega_sqs, omega_c)
     fields = list(PARAM_FIELDS) + ["measure", "t", "value", "error"]
     if include_timescales:
-        by_key = {
-            (tuple(sorted(item.parameters.items())), item.name): item
-            for item in result.timescales
-        }
-        for row, item in zip(rows, result.measures):
-            ts = by_key.get((tuple(sorted(item.parameters.items())), item.name))
-            if ts is None:
-                continue
-            row["t_p"] = ts.t_p * omega_c if math.isfinite(ts.t_p) else ts.t_p
-            row["t_c"] = ts.t_c * omega_c if math.isfinite(ts.t_c) else ts.t_c
-            row["t_c_reached"] = ts.t_c_reached
-            row["freezing_count"] = len(ts.freezing)
+        # run_sweep appends the k-th curve's t_count measure rows and its
+        # timescale result in the same order, error curves included
+        for k, ts in enumerate(result.timescales):
+            for row in rows[k * grid.t_count : (k + 1) * grid.t_count]:
+                row["t_p"] = ts.t_p * omega_c if math.isfinite(ts.t_p) else ts.t_p
+                row["t_c"] = ts.t_c * omega_c if math.isfinite(ts.t_c) else ts.t_c
+                row["t_c_reached"] = ts.t_c_reached
+                row["freezing_count"] = len(ts.freezing)
         fields = fields[:-1] + ["t_p", "t_c", "t_c_reached", "freezing_count", "error"]
     _emit(rows, fields, args)
     return 0

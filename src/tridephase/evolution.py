@@ -88,12 +88,16 @@ def dephasing_factors(
     reservoirs: Sequence[ReservoirSpec],
     t,
     method: GammaMethod,
+    memo: dict | None = None,
 ) -> DephasingFactors:
     """Damping and phase matrices for three independent reservoirs.
 
     `t` is one time (8x8 factors) or a 1-d time array ((T, 8, 8) factors,
     matrix i at t[i]).  Gamma is evaluated per reservoir and time, in time
-    order, so the first failing time raises.
+    order, so the first failing time raises.  A `memo` dict, keyed by
+    (reservoir, t, method), is read before and filled after each Gamma
+    call, so callers that pass the same dict share Gamma values; a Gamma
+    that raises is not stored.
     """
     if len(reservoirs) != 3:
         raise ParameterError(f"expected three reservoirs, got {len(reservoirs)}")
@@ -108,10 +112,13 @@ def dephasing_factors(
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise ParameterError(f"t must be a scalar or a 1-d time array, got shape {ts.shape}")
-    damps = np.array([
-        [math.exp(-gamma(res, tv, method)) for res in reservoirs]
-        for tv in ts.reshape(-1).tolist()
-    ])
+    if memo is None:
+        memo = {}
+    keys = [(res, tv, method) for tv in ts.reshape(-1).tolist() for res in reservoirs]
+    for key in keys:
+        if key not in memo:
+            memo[key] = gamma(*key)
+    damps = np.array([math.exp(-memo[key]) for key in keys]).reshape(-1, 3)
     # per-qubit factor exp(-Gamma_X) where qubit X flips, 1 elsewhere; the
     # product order matches np.kron(np.kron(A, B), C)
     a, b, c = (np.where(_FLIPS[x], damps[:, x, None, None], 1.0) for x in range(3))

@@ -1,9 +1,13 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from tridephase import evolution
 from tridephase.analysis import (
+    DEFAULT_EPSILON,
+    ROOT_REL_TOL,
     GradientSpec,
     SweepGrid,
     characteristic_time,
@@ -298,3 +302,148 @@ def test_make_reservoirs_zero_temperature():
     from tridephase.reservoir import is_zero_temperature
 
     assert all(is_zero_temperature(r.beta) for r in reservoirs)
+
+
+def sampled(curve, ts):
+    ts = [float(t) for t in ts]
+    return ts, [curve(t) for t in ts]
+
+
+def test_sampled_bracket_finds_crossing_before_first_sample():
+    # the curve dies near t = 0.646, before the grid starts at t = 1
+    curve = zero_t_curve(0.8, 0.2, 12.0)
+    closed = preservation_time_zero_t(0.8, 0.2, 12.0, 1.0)
+    samples = sampled(curve, np.linspace(1.0, 3.0, 5))
+    assert all(v == 0.0 for v in samples[1])
+    t_p = preservation_time_numeric(curve, 3.0, samples=samples)
+    assert t_p == pytest.approx(closed, rel=1e-8)
+    # the 1% drop happens before t = 0.5, the first sample
+    t_c, reached = characteristic_time(curve, 3.0, samples=sampled(curve, np.linspace(0.5, 3.0, 6)))
+    assert reached
+    assert t_c == pytest.approx(characteristic_time(curve, 3.0).time, rel=ROOT_REL_TOL)
+    assert t_c < 0.5
+
+
+def revival_curve(t):
+    """Alive on [0, 2) and [4, 6), dead elsewhere."""
+    return 0.5 if t < 2.0 or 4.0 <= t < 6.0 else 0.0
+
+
+def test_sampled_bracket_returns_last_crossing_of_a_revival():
+    samples = sampled(revival_curve, np.linspace(0.0, 10.0, 11))
+    assert preservation_time_numeric(revival_curve, 10.0, samples=samples) == pytest.approx(
+        6.0, rel=ROOT_REL_TOL
+    )
+    # T_c is the first drop, with or without samples
+    t_c, reached = characteristic_time(revival_curve, 10.0, samples=samples)
+    assert reached and t_c == pytest.approx(2.0, rel=ROOT_REL_TOL)
+    # the doubling search without samples stops at the first crossing
+    assert preservation_time_numeric(revival_curve, 10.0) == pytest.approx(2.0, rel=ROOT_REL_TOL)
+
+
+@pytest.mark.parametrize("curve, t_max, epsilon", [
+    (zero_t_curve(0.8, 0.2, 12.0), 3.0, DEFAULT_EPSILON),
+    (zero_t_curve(0.95, 0.1, 4.0), 3.0, 0.2),
+    (lambda t: 0.65 if t < 3.0 else 0.0, 10.0, 0.999),
+], ids=["zero_t", "zero_t_slow", "step"])
+@pytest.mark.parametrize("t_start, t_count", [(0.0, 31), (0.0, 2), (0.1, 7)])
+def test_sampled_and_doubling_brackets_agree(curve, t_max, epsilon, t_start, t_count):
+    samples = sampled(curve, np.linspace(t_start, t_max, t_count))
+    t_p = preservation_time_numeric(curve, t_max, samples=samples)
+    assert t_p == pytest.approx(preservation_time_numeric(curve, t_max), rel=ROOT_REL_TOL)
+    t_c, reached = characteristic_time(curve, t_max, epsilon, samples=samples)
+    expected = characteristic_time(curve, t_max, epsilon)
+    assert reached == expected.reached
+    assert t_c == pytest.approx(expected.time, rel=ROOT_REL_TOL)
+
+
+def test_sampled_bracket_reads_end_values_from_samples():
+    curve = zero_t_curve(0.8, 0.2, 12.0)
+    samples = sampled(curve, np.linspace(0.0, 3.0, 31))
+    asked = []
+
+    def watched(t):
+        asked.append(t)
+        return curve(t)
+
+    preservation_time_numeric(watched, 3.0, samples=samples)
+    characteristic_time(watched, 3.0, samples=samples)
+    assert asked and 0.0 not in asked and 3.0 not in asked
+    # a constant curve is settled by its samples alone
+    assert preservation_time_numeric(watched, 2.0, samples=([0.0, 2.0], [0.5, 0.5])) == math.inf
+    assert characteristic_time(watched, 2.0, samples=([0.0, 2.0], [0.5, 0.5])) == (2.0, False)
+    assert 2.0 not in asked
+
+
+def test_sampled_bracket_validation():
+    curve = zero_t_curve(0.8, 0.2, 12.0)
+    for samples in (([0.0, 1.0], [1.0]), ([0.0, 2.0], [1.0, 0.0]), ([-1.0, 1.0], [1.0, 0.0])):
+        with pytest.raises(ParameterError):
+            preservation_time_numeric(curve, 1.0, samples=samples)
+        with pytest.raises(ParameterError):
+            characteristic_time(curve, 1.0, samples=samples)
+    with pytest.raises(NoCorrelationError):
+        preservation_time_numeric(curve, 1.0, samples=([0.0, 1.0], [0.0, 0.0]))
+    with pytest.raises(NoCorrelationError):
+        characteristic_time(curve, 1.0, samples=([0.0, 1.0], [math.nan, 0.0]))
+
+
+def memo_grid(**overrides):
+    settings = dict(
+        xs=[0.6, 0.9], etas=[0.2], beta_as=[0.5], k1s=[1.0, 4.0], k2s=[1.0, 16.0],
+        t_start=0.0, t_stop=3.0, t_count=5, measures=("gmc", "l1_coherence"),
+        method=GammaMethod.LOW_T_CLOSED_FORM, include_timescales=True,
+    )
+    settings.update(overrides)
+    return SweepGrid(**settings)
+
+
+def test_sweep_calls_gamma_once_per_distinct_key(monkeypatch):
+    grid = memo_grid()
+    expected = run_sweep(grid, default_qubits())
+    assert all(row.error is None for row in expected.timescales)
+    real_gamma = evolution.gamma
+    calls = Counter()
+
+    def counting_gamma(res, t, method):
+        calls[(res, t, method)] += 1
+        return real_gamma(res, t, method)
+
+    monkeypatch.setattr(evolution, "gamma", counting_gamma)
+    assert run_sweep(grid, default_qubits()) == expected
+    first = sum(calls.values())
+    assert first > 0 and max(calls.values()) == 1
+    # three distinct inverse temperatures on the grid: 0.5, 2 and 8
+    assert len({key for key in calls if key[1] == 3.0}) == 3
+    calls.clear()
+    assert run_sweep(grid, default_qubits()) == expected
+    assert sum(calls.values()) == first and max(calls.values()) == 1
+
+
+def test_sweep_failing_gamma_is_not_cached_and_marks_its_rows(monkeypatch):
+    grid = memo_grid()
+    real_gamma = evolution.gamma
+    failures = Counter()
+
+    def failing_gamma(res, t, method):
+        if res.beta in (2.0, 8.0):
+            failures[(res, t, method)] += 1
+            raise RuntimeError(f"no Gamma at beta={res.beta}")
+        return real_gamma(res, t, method)
+
+    monkeypatch.setattr(evolution, "gamma", failing_gamma)
+    result = run_sweep(grid, default_qubits())
+    # reservoirs in A, B, C order; the first failing one names the row error
+    expected = {
+        (1.0, 1.0): None,
+        (1.0, 16.0): "RuntimeError: no Gamma at beta=8.0",
+        (4.0, 1.0): "RuntimeError: no Gamma at beta=2.0",
+        (4.0, 16.0): "RuntimeError: no Gamma at beta=2.0",
+    }
+    for row in result.measures + result.timescales:
+        assert row.error == expected[(row.parameters["k1"], row.parameters["k2"])]
+    # a failure is not stored: sets (4, 1) and (4, 16) both ask for beta = 2
+    res_b = make_reservoirs(0.2, 1.0, 0.5, 4.0, 1.0, (2.0,) * 3)[1]
+    res_c = make_reservoirs(0.2, 1.0, 0.5, 1.0, 16.0, (2.0,) * 3)[2]
+    method = GammaMethod.LOW_T_CLOSED_FORM
+    assert failures == Counter({(res_b, 0.0, method): 2, (res_c, 0.0, method): 1})

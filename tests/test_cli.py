@@ -7,7 +7,7 @@ import pytest
 
 import tridephase.reservoir
 from tridephase.analysis import preservation_time_zero_t
-from tridephase.cli import main
+from tridephase.cli import PARAM_FIELDS, main
 from tridephase.states import ghz_state, werner
 
 
@@ -240,3 +240,33 @@ def test_beta_a_infinity_still_means_zero_temperature(capsys):
     _, quoted, _ = run(capsys, ["measure", "--set", "beta_a=inf", "--set", "t_count=3"])
     assert out == quoted
     assert all(row["beta_a"] == "inf" and row["error"] == "" for row in read_csv(out))
+
+
+def test_sweep_timescale_columns_follow_their_curves(capsys):
+    # duplicate x values and per-row errors (GMC of the W state) included
+    settings = [
+        "--set", "state=w", "--set", "x=[0.6, 0.6, 0.9]", "--set", "eta=[0.1, 0.3]",
+        "--set", "method=low_t", "--set", "beta_a=100", "--set", "t_count=5",
+        "--set", "t_stop=3", "--set", 'measures=["gmc", "negativity_a_bc"]',
+    ]
+    code, out, _ = run(capsys, ["sweep", "--set", "timescales=true"] + settings)
+    assert code == 0
+    code, ts_out, _ = run(capsys, ["timescales"] + settings)
+    assert code == 0
+    sweep_rows, ts_rows = read_csv(out), read_csv(ts_out)
+    assert len(ts_rows) == 12 and len(sweep_rows) == 5 * len(ts_rows)
+    assert any(row["error"] for row in ts_rows) and not all(row["error"] for row in ts_rows)
+    columns = list(PARAM_FIELDS) + ["measure", "t_p", "t_c", "t_c_reached", "freezing_count"]
+    for k, ts in enumerate(ts_rows):
+        for row in sweep_rows[5 * k : 5 * k + 5]:
+            assert [row[c] for c in columns] == [ts[c] for c in columns]
+
+
+@pytest.mark.parametrize("command", ["evolve", "measure", "timescales", "sweep"])
+def test_time_grid_errors_name_their_keys(capsys, command):
+    code, _, err = run(capsys, [command, "--set", "t_start=2", "--set", "t_stop=1"])
+    assert code == 1
+    assert "config keys 't_start'/'t_stop' must satisfy t_stop > t_start >= 0" in err
+    code, _, err = run(capsys, [command, "--set", "t_count=1"])
+    assert code == 1
+    assert "config key 't_count' must be an integer >= 2" in err

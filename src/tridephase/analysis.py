@@ -110,34 +110,32 @@ def _bisect(
     return 0.5 * (lo + hi)
 
 
-def _doubling_bracket(
-    curve: Callable[[float], float], alive: Callable[[float], bool], t_max: float
-) -> tuple[float, float]:
-    """[lo, hi] around the first crossing found by doubling from t_max 2^-48."""
-    lo = 0.0
-    hi = t_max * 2.0**-48
-    while alive(curve(hi)):
-        lo = hi
-        hi *= 2.0
-        if hi >= t_max:
-            return lo, t_max
-    return lo, hi
-
-
-def _grid_samples(
-    curve: Callable[[float], float], t_max: float, samples: tuple[Sequence, Sequence]
+def _sampled_curve(
+    curve: Callable[[float], float],
+    t_max: float,
+    samples: tuple[Sequence, Sequence] | None,
+    quantity: str,
 ) -> tuple[list[float], list[float]]:
-    """The sampled curve as lists starting at t = 0 and ending at t_max.
+    """The sampled curve as lists from t = 0 to t_max, checked to start positive.
 
-    A grid that starts after 0 gets t = 0 and its evaluated value in front,
-    so a crossing before the first sample is still bracketed.
+    Without samples the curve is evaluated at 0 and at t_max 2^-k for
+    k = 48 ... 0.  A grid that starts after 0 gets t = 0 and its evaluated
+    value in front, so a crossing before the first sample is still
+    bracketed.
     """
+    if t_max <= 0:
+        raise ParameterError(f"t_max must be positive, got {t_max!r}")
+    if samples is None:
+        grid = [0.0] + [t_max * 2.0**-k for k in range(48, -1, -1)]
+        samples = (grid, [curve(t) for t in grid])
     ts, vs = (list(map(float, seq)) for seq in samples)
     if len(ts) != len(vs) or not ts or ts[0] < 0.0 or ts[-1] != t_max:
         raise ParameterError("samples must be matching time and value lists from t >= 0 to t_max")
     if ts[0] > 0.0:
         ts.insert(0, 0.0)
         vs.insert(0, curve(0.0))
+    if not vs[0] > 0.0:  # NaN included
+        raise NoCorrelationError(f"measure starts at {vs[0]!r}; no {quantity} exists")
     return ts, vs
 
 
@@ -151,34 +149,23 @@ def preservation_time_numeric(
 ) -> float:
     """Last time the curve stays above `threshold`; +inf if alive at t_max.
 
-    With `samples=(times, values)`, the curve on a time grid ending at
-    t_max, the bracket is [t_i, t_i+1] around the last sample above the
-    threshold, so a curve that dies, revives and dies again gives its last
-    crossing (to grid resolution).  Without samples the bracket comes from
-    doubling a tiny seed time, which finds the first crossing.  Either
-    bracket is bisected to relative width `rel_tol`.
+    The curve is sampled as `samples=(times, values)`, a grid ending at
+    t_max, or by default at 0 and t_max 2^-k for k = 48 ... 0.  The bracket
+    [t_i, t_i+1] around the last sample above the threshold is bisected to
+    relative width `rel_tol`, so a curve that dies, revives and dies again
+    gives its last crossing to grid resolution.
     """
-    if t_max <= 0:
-        raise ParameterError(f"t_max must be positive, got {t_max!r}")
-    if samples is not None:
-        ts, vs = _grid_samples(measure_curve, t_max, samples)
-    v0 = measure_curve(0.0) if samples is None else vs[0]
-    if not v0 > 0.0:  # NaN included
-        raise NoCorrelationError(f"measure starts at {v0!r}; no preservation time exists")
-    if v0 <= threshold:
+    ts, vs = _sampled_curve(measure_curve, t_max, samples, "preservation time")
+    if vs[0] <= threshold:
         return 0.0
-    if (measure_curve(t_max) if samples is None else vs[-1]) > threshold:
+    if vs[-1] > threshold:
         return math.inf
 
     def alive(v: float) -> bool:
         return v > threshold
 
-    if samples is None:
-        lo, hi = _doubling_bracket(measure_curve, alive, t_max)
-    else:
-        i = max(k for k, v in enumerate(vs) if alive(v))
-        lo, hi = ts[i], ts[i + 1]
-    return _bisect(measure_curve, alive, lo, hi, rel_tol)
+    i = max(k for k, v in enumerate(vs) if alive(v))
+    return _bisect(measure_curve, alive, ts[i], ts[i + 1], rel_tol)
 
 
 class CharacteristicTime(NamedTuple):
@@ -195,33 +182,23 @@ def characteristic_time(
 ) -> CharacteristicTime:
     """Smallest time where the curve falls below (1 - epsilon) of its start.
 
-    Returns (t_max, reached=False) when the curve never crosses.  With
-    `samples=(times, values)` the bracket is [t_i-1, t_i] around the first
-    sample below the target; without them it comes from doubling a tiny
-    seed time.  Either bracket is bisected to relative width ROOT_REL_TOL.
+    Returns (t_max, reached=False) when the curve never crosses.  The curve
+    is sampled as in `preservation_time_numeric`, and the bracket
+    [t_i-1, t_i] around the first sample below the target is bisected to
+    relative width ROOT_REL_TOL.
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
-    if t_max <= 0:
-        raise ParameterError(f"t_max must be positive, got {t_max!r}")
-    if samples is not None:
-        ts, vs = _grid_samples(measure_curve, t_max, samples)
-    v0 = measure_curve(0.0) if samples is None else vs[0]
-    if not v0 > 0.0:  # NaN included
-        raise NoCorrelationError(f"measure starts at {v0!r}; no characteristic time exists")
-    target = (1.0 - epsilon) * v0
+    ts, vs = _sampled_curve(measure_curve, t_max, samples, "characteristic time")
+    target = (1.0 - epsilon) * vs[0]
 
     def alive(v: float) -> bool:
         return v >= target
 
-    if alive(measure_curve(t_max) if samples is None else vs[-1]):
+    if alive(vs[-1]):
         return CharacteristicTime(t_max, False)
-    if samples is None:
-        lo, hi = _doubling_bracket(measure_curve, alive, t_max)
-    else:
-        i = next(k for k, v in enumerate(vs) if not alive(v))
-        lo, hi = ts[i - 1], ts[i]
-    return CharacteristicTime(_bisect(measure_curve, alive, lo, hi, ROOT_REL_TOL), True)
+    i = next(k for k, v in enumerate(vs) if not alive(v))
+    return CharacteristicTime(_bisect(measure_curve, alive, ts[i - 1], ts[i], ROOT_REL_TOL), True)
 
 
 def freezing_intervals(
@@ -585,7 +562,10 @@ def run_sweep(grid: SweepGrid, qubits: QubitTriple) -> SweepResult:
                 t_c, reached = characteristic_time(
                     curve, grid.t_stop, grid.epsilon, samples=samples
                 )
-                freezing = freezing_intervals(times, np.asarray(values))
+                # a curve already dead at its first sample has nothing to freeze
+                freezing = (
+                    [] if values[0] <= 0.0 else freezing_intervals(times, np.asarray(values))
+                )
                 result.timescales.append(
                     TimescaleResult(t_p, t_c, reached, freezing, name, params)
                 )

@@ -197,19 +197,29 @@ def _emit(rows: list[dict], fieldnames: list[str], args) -> None:
         fh.write(buffer.getvalue())
 
 
-def _param_row(state, x, eta, beta_a, k1, k2, omega_sqs, omega_c, method) -> dict:
+def _config_units(value: float, omega_c: float) -> float:
+    """A time or inverse temperature in units of 1/omega_c; inf and nan pass through."""
+    return value * omega_c if math.isfinite(value) else value
+
+
+def _param_row(params: dict, omega_sqs: tuple[float, float, float]) -> dict:
+    """The PARAM_FIELDS columns of one result row.
+
+    The omega_sq columns echo the config values: the result's parameters
+    hold omega**2, which need not round-trip through the square root.
+    """
+    row = {name: params[name] for name in PARAM_FIELDS}
+    row["beta_a"] = _config_units(params["beta_a"], params["omega_c"])
+    row["omega_sq_a"], row["omega_sq_b"], row["omega_sq_c"] = omega_sqs
+    return row
+
+
+def _timescale_columns(item: analysis.TimescaleResult, omega_c: float) -> dict:
     return {
-        "state": state,
-        "x": x,
-        "eta": eta,
-        "beta_a": beta_a * omega_c if math.isfinite(beta_a) else math.inf,
-        "k1": k1,
-        "k2": k2,
-        "omega_sq_a": omega_sqs[0],
-        "omega_sq_b": omega_sqs[1],
-        "omega_sq_c": omega_sqs[2],
-        "omega_c": omega_c,
-        "method": method.value,
+        "t_p": _config_units(item.t_p, omega_c),
+        "t_c": _config_units(item.t_c, omega_c),
+        "t_c_reached": item.t_c_reached,
+        "freezing_count": len(item.freezing),
     }
 
 
@@ -298,11 +308,7 @@ def _build_grid(config: dict, omega_c: float, method: GammaMethod, include_times
 def _measure_rows(result, omega_sqs, omega_c) -> list[dict]:
     rows = []
     for item in result.measures:
-        p = item.parameters
-        row = _param_row(
-            p["state"], p["x"], p["eta"], p["beta_a"], p["k1"], p["k2"],
-            omega_sqs, omega_c, GammaMethod(p["method"]),
-        )
+        row = _param_row(item.parameters, omega_sqs)
         row.update({
             "measure": item.name,
             "t": item.t * omega_c,
@@ -316,18 +322,11 @@ def _measure_rows(result, omega_sqs, omega_c) -> list[dict]:
 def _timescale_rows(result, omega_sqs, omega_c) -> list[dict]:
     rows = []
     for item in result.timescales:
-        p = item.parameters
-        row = _param_row(
-            p["state"], p["x"], p["eta"], p["beta_a"], p["k1"], p["k2"],
-            omega_sqs, omega_c, GammaMethod(p["method"]),
-        )
+        row = _param_row(item.parameters, omega_sqs)
         intervals = "|".join(f"{a * omega_c:.17g}:{b * omega_c:.17g}" for a, b in item.freezing)
+        row.update(_timescale_columns(item, omega_c))
         row.update({
             "measure": item.name,
-            "t_p": item.t_p * omega_c if math.isfinite(item.t_p) else item.t_p,
-            "t_c": item.t_c * omega_c if math.isfinite(item.t_c) else item.t_c,
-            "t_c_reached": item.t_c_reached,
-            "freezing_count": len(item.freezing),
             "freezing_intervals": intervals,
             "error": item.error or "",
         })
@@ -366,11 +365,9 @@ def cmd_sweep(config: dict, args) -> int:
         # run_sweep appends the k-th curve's t_count measure rows and its
         # timescale result in the same order, error curves included
         for k, ts in enumerate(result.timescales):
+            columns = _timescale_columns(ts, omega_c)
             for row in rows[k * grid.t_count : (k + 1) * grid.t_count]:
-                row["t_p"] = ts.t_p * omega_c if math.isfinite(ts.t_p) else ts.t_p
-                row["t_c"] = ts.t_c * omega_c if math.isfinite(ts.t_c) else ts.t_c
-                row["t_c_reached"] = ts.t_c_reached
-                row["freezing_count"] = len(ts.freezing)
+                row.update(columns)
         fields = fields[:-1] + ["t_p", "t_c", "t_c_reached", "freezing_count", "error"]
     _emit(rows, fields, args)
     return 0

@@ -108,17 +108,12 @@ def negativity(rho, subsystem: int):
     a = assert_density_matrix(rho)
     transposed = partial_transpose(a, QUBIT_DIMS, subsystem)
     eigs = hermitian_eigenvalues(transposed)
-    if a.ndim == 2:
-        negative = eigs[eigs < -ZERO_EIGENVALUE_TOL]
-        if negative.size == 0:
-            return 0.0
-        return -2.0 * float(negative.sum())
     # Eigenvalues ascend, so the negative ones lead each row, and there are
-    # at most 7 of them (the trace is 1).  A running sum therefore adds them
-    # in the single-matrix order; the zeros after them add nothing.
+    # at most 7 of them (the trace is 1).  A running sum adds them in that
+    # order; the zeros after them add nothing.
     negative = eigs < -ZERO_EIGENVALUE_TOL
     total = np.where(negative, eigs, 0.0).cumsum(axis=-1)[..., -1]
-    return np.where(negative.any(axis=-1), -2.0 * total, 0.0)
+    return _scalar_or_stack(np.where(negative.any(axis=-1), -2.0 * total, 0.0), a)
 
 
 def tripartite_negativity(rho):

@@ -337,8 +337,8 @@ def test_sampled_bracket_returns_last_crossing_of_a_revival():
     # T_c is the first drop, with or without samples
     t_c, reached = characteristic_time(revival_curve, 10.0, samples=samples)
     assert reached and t_c == pytest.approx(2.0, rel=ROOT_REL_TOL)
-    # the doubling search without samples stops at the first crossing
-    assert preservation_time_numeric(revival_curve, 10.0) == pytest.approx(2.0, rel=ROOT_REL_TOL)
+    # the default grid without samples has t = 5 alive, so it finds the last crossing too
+    assert preservation_time_numeric(revival_curve, 10.0) == pytest.approx(6.0, rel=ROOT_REL_TOL)
 
 
 @pytest.mark.parametrize("curve, t_max, epsilon", [

@@ -1,12 +1,13 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tridephase.reservoir
-from tridephase.analysis import preservation_time_zero_t
+from tridephase.analysis import ROOT_REL_TOL, preservation_time_zero_t
 from tridephase.cli import PARAM_FIELDS, main
 from tridephase.states import ghz_state, werner
 
@@ -270,3 +271,52 @@ def test_time_grid_errors_name_their_keys(capsys, command):
     code, _, err = run(capsys, [command, "--set", "t_count=1"])
     assert code == 1
     assert "config key 't_count' must be an integer >= 2" in err
+
+
+def test_timescales_kept_for_a_curve_dead_at_its_first_sample(capsys):
+    # the GMC dies before t_start = 2, so every grid sample is 0
+    code, out, _ = run(capsys, [
+        "timescales", "--set", "x=[0.6,0.9]", "--set", "eta=0.4", "--set", "t_start=2",
+        "--set", "t_stop=5", "--set", "t_count=5",
+    ])
+    assert code == 0
+    rows = read_csv(out)
+    assert [float(row["x"]) for row in rows] == [0.6, 0.9]
+    for row in rows:
+        closed = preservation_time_zero_t(float(row["x"]), 0.4, 12.0, 1.0)
+        assert float(row["t_p"]) == pytest.approx(closed, rel=ROOT_REL_TOL)
+        assert row["t_c_reached"] == "true"
+        assert row["freezing_count"] == "0" and row["error"] == ""
+
+
+GOLDEN_DIR = Path(__file__).parent / "data"
+
+# Closed-form Gamma and the gmc / l1_coherence measures only, so no value
+# depends on eigvalsh or quad rounding.
+GOLDEN_RUNS = {
+    "evolve_zero_t.json": [
+        "evolve", "--format", "json", "--set", "x=0.8", "--set", "eta=0.2",
+        "--set", "t_stop=2", "--set", "t_count=3",
+    ],
+    "measure_zero_t.csv": [
+        "measure", "--set", "x=[0.5,0.9]", "--set", "eta=0.2",
+        "--set", 'measures=["gmc","l1_coherence"]', "--set", "t_stop=3", "--set", "t_count=11",
+    ],
+    "timescales_low_t.csv": [
+        "timescales", "--set", "x=[0.6,0.9]", "--set", "eta=[0.1,0.3]", "--set", "method=low_t",
+        "--set", "beta_a=20", "--set", "k1=4", "--set", "k2=16",
+        "--set", 'measures=["gmc","l1_coherence"]', "--set", "t_stop=4", "--set", "t_count=21",
+    ],
+    "sweep_w_timescales.csv": [
+        "sweep", "--set", "state=w", "--set", "timescales=true", "--set", "x=[0.7,0.95]",
+        "--set", "eta=0.2", "--set", 'measures=["gmc","l1_coherence"]', "--set", "t_stop=3",
+        "--set", "t_count=6",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_output_bytes_match_golden_file(capsys, name):
+    code, out, err = run(capsys, GOLDEN_RUNS[name])
+    assert code == 0, err
+    assert out.encode() == (GOLDEN_DIR / name).read_bytes()

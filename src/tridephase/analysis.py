@@ -29,14 +29,16 @@ from .reservoir import (
     GammaMethod,
     OhmicSpectralDensity,
     ReservoirSpec,
-    _log_sinhc,
-    is_zero_temperature,
 )
 from .states import ghz_state, w_state, werner
 
 DEAD_THRESHOLD = 1e-12
 ROOT_REL_TOL = 1e-9
 DEFAULT_EPSILON = 0.01
+FREEZE_VALUE_TOL = 0.01
+FREEZE_VALUE_FLOOR = 0.05
+FREEZE_MIN_POINTS = 6
+FREEZE_SPAN_RATIO = 2.0
 
 MEASURES: dict[str, Callable[[np.ndarray], float]] = {
     "gmc": gmc_x_state,
@@ -94,14 +96,13 @@ def _bisect(
     alive: Callable[[float], bool],
     lo: float,
     hi: float,
-    rel_tol: float,
 ) -> float:
-    """Midpoint of [lo, hi] after halving it until hi - lo <= rel_tol * hi.
+    """Midpoint of [lo, hi] after halving it until hi - lo <= ROOT_REL_TOL * hi.
 
     The curve is alive at lo and not alive at hi; each step keeps the half
     where that still holds.
     """
-    while hi - lo > rel_tol * hi:
+    while hi - lo > ROOT_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if alive(curve(mid)):
             lo = mid
@@ -142,30 +143,28 @@ def _sampled_curve(
 def preservation_time_numeric(
     measure_curve: Callable[[float], float],
     t_max: float,
-    threshold: float = DEAD_THRESHOLD,
-    rel_tol: float = ROOT_REL_TOL,
     *,
     samples: tuple[Sequence, Sequence] | None = None,
 ) -> float:
-    """Last time the curve stays above `threshold`; +inf if alive at t_max.
+    """Last time the curve stays above DEAD_THRESHOLD; +inf if alive at t_max.
 
     The curve is sampled as `samples=(times, values)`, a grid ending at
     t_max, or by default at 0 and t_max 2^-k for k = 48 ... 0.  The bracket
     [t_i, t_i+1] around the last sample above the threshold is bisected to
-    relative width `rel_tol`, so a curve that dies, revives and dies again
+    relative width ROOT_REL_TOL, so a curve that dies, revives and dies again
     gives its last crossing to grid resolution.
     """
     ts, vs = _sampled_curve(measure_curve, t_max, samples, "preservation time")
-    if vs[0] <= threshold:
+    if vs[0] <= DEAD_THRESHOLD:
         return 0.0
-    if vs[-1] > threshold:
+    if vs[-1] > DEAD_THRESHOLD:
         return math.inf
 
     def alive(v: float) -> bool:
-        return v > threshold
+        return v > DEAD_THRESHOLD
 
     i = max(k for k, v in enumerate(vs) if alive(v))
-    return _bisect(measure_curve, alive, ts[i], ts[i + 1], rel_tol)
+    return _bisect(measure_curve, alive, ts[i], ts[i + 1])
 
 
 class CharacteristicTime(NamedTuple):
@@ -198,29 +197,22 @@ def characteristic_time(
     if alive(vs[-1]):
         return CharacteristicTime(t_max, False)
     i = next(k for k, v in enumerate(vs) if not alive(v))
-    return CharacteristicTime(_bisect(measure_curve, alive, ts[i - 1], ts[i], ROOT_REL_TOL), True)
+    return CharacteristicTime(_bisect(measure_curve, alive, ts[i - 1], ts[i]), True)
 
 
-def freezing_intervals(
-    ts: Sequence[float],
-    values: Sequence[float],
-    value_tol: float = 0.01,
-    value_floor: float = 0.05,
-    min_points: int = 6,
-    span_ratio: float = 2.0,
-) -> list[tuple[float, float]]:
+def freezing_intervals(ts: Sequence[float], values: Sequence[float]) -> list[tuple[float, float]]:
     """Maximal intervals where the sampled curve holds its value.
 
     Convention: the grid is split into runs that stay within
-    value_tol * values[0] of the run's entry value.  A run counts as frozen
-    when it (a) spans at least `min_points` samples, (b) never dips below
-    value_floor * values[0] (a near-dead curve cannot freeze), and (c)
-    lasts at least `span_ratio` times longer than some neighbouring run
-    that still starts above the floor -- a plateau must stand out against
-    an adjacent transit, which is what separates a staircase step from
-    steady decay.  Adjacent qualifying runs merge into one reported
-    interval.  Resolving an early plateau requires a grid that samples it
-    (log-spaced times).
+    FREEZE_VALUE_TOL * values[0] of the run's entry value.  A run counts as
+    frozen when it (a) spans at least FREEZE_MIN_POINTS samples, (b) never
+    dips below FREEZE_VALUE_FLOOR * values[0] (a near-dead curve cannot
+    freeze), and (c) lasts at least FREEZE_SPAN_RATIO times longer than
+    some neighbouring run that still starts above the floor -- a plateau
+    must stand out against an adjacent transit, which is what separates a
+    staircase step from steady decay.  Adjacent qualifying runs merge into
+    one reported interval.  Resolving an early plateau requires a grid that
+    samples it (log-spaced times).
     """
     ts = np.asarray(ts, dtype=float)
     vs = np.asarray(values, dtype=float)
@@ -229,8 +221,8 @@ def freezing_intervals(
     v0 = vs[0]
     if v0 <= 0.0:
         raise NoCorrelationError("freezing detection needs a positive initial value")
-    tol = value_tol * v0
-    floor = value_floor * v0
+    tol = FREEZE_VALUE_TOL * v0
+    floor = FREEZE_VALUE_FLOOR * v0
 
     runs: list[tuple[int, int]] = []  # [start, end] inclusive indices
     start = 0
@@ -254,12 +246,12 @@ def freezing_intervals(
         ]
         if not neighbours:
             return True
-        return any(span(runs[pos]) >= span_ratio * span(nb) for nb in neighbours)
+        return any(span(runs[pos]) >= FREEZE_SPAN_RATIO * span(nb) for nb in neighbours)
 
     qualifying = [
         (a, b)
         for pos, (a, b) in enumerate(runs)
-        if b - a + 1 >= min_points
+        if b - a + 1 >= FREEZE_MIN_POINTS
         and vs[a : b + 1].min() >= floor
         and stands_out(pos)
     ]
@@ -270,81 +262,6 @@ def freezing_intervals(
         else:
             merged.append([a, b])
     return [(float(ts[a]), float(ts[b])) for a, b in merged]
-
-
-def gmc_ghz_werner_low_t(
-    x: float,
-    t: float,
-    eta: float,
-    omega_sq: float,
-    omega_c: float,
-    betas: tuple[float, float, float],
-) -> float:
-    """Aggregate-bracket low-temperature GMC curve for the GHZ-Werner family.
-
-    max{0, x [(1 + (w_c t)^2) (b_A b_B b_C)^2 sinh^2(pi t/b_A)
-    sinh^2(pi t/b_B) sinh^2(pi t/b_C) / (pi^2 t^2)]^(-2 eta Omega^2)
-    - 3(1-x)/4}, evaluated in log space to avoid sinh overflow.
-
-    The bracket applies the total Omega^2 to every thermal factor, so this
-    curve is NOT the per-reservoir pipeline result at finite temperature;
-    it is kept because its vanishing time satisfies the implicit relation
-    checked by preservation_time_sinh_residual.  Cross-check only.
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ParameterError(f"mixing parameter must lie in [0, 1], got {x!r}")
-    if t < 0:
-        raise ParameterError(f"time must be >= 0, got {t!r}")
-    if t == 0.0:
-        return math.inf if x > 0 else 0.0
-    log_bracket = math.log1p((omega_c * t) ** 2) - math.log(math.pi**2 * t * t)
-    for beta in betas:
-        log_bracket += 2.0 * _log_beta_sinh(beta, t)
-    exponent = -2.0 * eta * omega_sq * log_bracket
-    if exponent > 700.0:  # bracket -> 0 as t -> 0; the curve diverges there
-        return math.inf
-    return max(0.0, x * math.exp(exponent) - 0.75 * (1.0 - x))
-
-
-def _log_beta_sinh(beta: float, t: float) -> float:
-    """ln(beta sinh(pi t / beta)) for pi t / beta > 0, via ln sinh z = ln(sinh z / z) + ln z."""
-    z = math.pi * t / beta
-    if z <= 0.0:
-        raise ParameterError(f"need z > 0, got {z!r}")
-    return math.log(beta) + _log_sinhc(z) + math.log(z)
-
-
-def preservation_time_sinh_residual(
-    t_p: float,
-    x: float,
-    eta: float,
-    omega_sq: float,
-    omega_c: float,
-    betas: tuple[float, float, float],
-) -> tuple[float, float]:
-    """Both sides of the implicit sinh-product preservation-time relation.
-
-    lhs = (b_A b_B b_C sinh(pi t_p/b_A) sinh(pi t_p/b_B) sinh(pi t_p/b_C))^2
-    rhs = pi^2 t_p^2 / (1 + (w_c t_p)^2) * (4x / 3(1-x))^(1 / (2 eta Omega^2))
-
-    The vanishing time of gmc_ghz_werner_low_t solves lhs = rhs exactly.
-    """
-    if not 0.0 < x < 1.0:
-        raise ParameterError(f"mixing parameter must lie in (0, 1), got {x!r}")
-    if t_p <= 0:
-        raise ParameterError(f"t_p must be positive, got {t_p!r}")
-    log_lhs = 0.0
-    for beta in betas:
-        log_lhs += 2.0 * _log_beta_sinh(beta, t_p)
-    lhs = math.exp(log_lhs)
-    ratio = 4.0 * x / (3.0 * (1.0 - x))
-    rhs = (
-        math.pi**2
-        * t_p**2
-        / (1.0 + (omega_c * t_p) ** 2)
-        * ratio ** (1.0 / (2.0 * eta * omega_sq))
-    )
-    return lhs, rhs
 
 
 @dataclass(frozen=True)
@@ -499,9 +416,6 @@ def run_sweep(grid: SweepGrid, qubits: QubitTriple) -> SweepResult:
             "beta_a": beta_a,
             "k1": k1,
             "k2": k2,
-            "omega_sq_a": qubits.omega_a**2,
-            "omega_sq_b": qubits.omega_b**2,
-            "omega_sq_c": qubits.omega_c**2,
             "omega_c": grid.omega_c,
             "method": grid.method.value,
         }

@@ -18,10 +18,9 @@ import sys
 
 import numpy as np
 
-from . import analysis, reservoir
+from . import analysis, oracles
 from .evolution import QubitTriple, dephasing_factors, evolve
-from .measures import gmc_ghz_werner, gmc_x_state
-from .reservoir import GammaMethod, OhmicSpectralDensity, ReservoirSpec, ZERO_TEMPERATURE
+from .reservoir import GammaMethod
 from .states import werner
 
 DEFAULT_CONFIG = {
@@ -50,6 +49,8 @@ PARAM_FIELDS = (
     "state", "x", "eta", "beta_a", "k1", "k2",
     "omega_sq_a", "omega_sq_b", "omega_sq_c", "omega_c", "method",
 )
+# the PARAM_FIELDS a sweep result records; the qubit splittings come from the config
+_RESULT_PARAM_FIELDS = tuple(name for name in PARAM_FIELDS if not name.startswith("omega_sq_"))
 
 
 class ConfigError(Exception):
@@ -203,12 +204,8 @@ def _config_units(value: float, omega_c: float) -> float:
 
 
 def _param_row(params: dict, omega_sqs: tuple[float, float, float]) -> dict:
-    """The PARAM_FIELDS columns of one result row.
-
-    The omega_sq columns echo the config values: the result's parameters
-    hold omega**2, which need not round-trip through the square root.
-    """
-    row = {name: params[name] for name in PARAM_FIELDS}
+    """The PARAM_FIELDS columns of one result row; the omega_sq columns echo the config."""
+    row = {name: params[name] for name in _RESULT_PARAM_FIELDS}
     row["beta_a"] = _config_units(params["beta_a"], params["omega_c"])
     row["omega_sq_a"], row["omega_sq_b"], row["omega_sq_c"] = omega_sqs
     return row
@@ -373,93 +370,9 @@ def cmd_sweep(config: dict, args) -> int:
     return 0
 
 
-def _selfcheck_quadrature_vs_zero_t() -> float:
-    worst = 0.0
-    for wct in (0.01, 0.1, 1.0, 5.0, 20.0):
-        for eta in (0.1, 0.4):
-            for omega in (1.0, 2.0):
-                res = ReservoirSpec(OhmicSpectralDensity(eta, 1.0), ZERO_TEMPERATURE, omega)
-                quad = reservoir.gamma(res, wct, GammaMethod.NUMERIC_QUADRATURE)
-                closed = reservoir.gamma_zero_t(res, wct)
-                worst = max(worst, abs(quad - closed) / abs(closed))
-    return worst
-
-
-def _selfcheck_quadrature_vs_low_t() -> float:
-    worst = 0.0
-    for beta in (100.0, 1000.0):
-        res = ReservoirSpec(OhmicSpectralDensity(0.2, 1.0), beta, 2.0)
-        for t in np.geomspace(0.01, 5.0, 9):
-            quad = reservoir.gamma(res, float(t), GammaMethod.NUMERIC_QUADRATURE)
-            closed = reservoir.gamma_low_t(res, float(t))
-            worst = max(worst, abs(quad - closed) / abs(quad))
-    return worst
-
-
-def _selfcheck_pipeline_vs_scalar() -> float:
-    rng = np.random.default_rng(20240817)
-    omega = math.sqrt(12.0 / 3.0)
-    qubits = QubitTriple(omega, omega, omega)
-    omegas = (omega, omega, omega)
-    worst = 0.0
-    for _ in range(50):
-        x = float(rng.uniform(0.0, 1.0))
-        t = float(rng.uniform(0.0, 3.0))
-        eta = float(rng.uniform(0.05, 0.5))
-        beta_a = float(rng.uniform(1e-3, 10.0))
-        k1 = float(rng.uniform(0.5, 64.0))
-        k2 = float(rng.uniform(0.5, 64.0))
-        reservoirs = analysis.make_reservoirs(eta, 1.0, beta_a, k1, k2, omegas)
-        total = sum(reservoir.gamma(r, t, GammaMethod.LOW_T_CLOSED_FORM) for r in reservoirs)
-        scalar = gmc_ghz_werner(x, total)
-        rho0 = werner(analysis.STATES["ghz"](), x)
-        factors = dephasing_factors(qubits, reservoirs, t, GammaMethod.LOW_T_CLOSED_FORM)
-        matrix = gmc_x_state(evolve(rho0, factors))
-        worst = max(worst, abs(matrix - scalar))
-    return worst
-
-
-def _selfcheck_preservation_time() -> float:
-    worst = 0.0
-    for x in (0.5, 0.7, 0.9):
-        for eta in (0.1, 0.4):
-            for omega_sq in (4.0, 12.0):
-                closed = analysis.preservation_time_zero_t(x, eta, omega_sq, 1.0)
-
-                def curve(t: float) -> float:
-                    return gmc_ghz_werner(x, 2.0 * eta * omega_sq * math.log1p(t * t))
-
-                numeric = analysis.preservation_time_numeric(curve, 1e4)
-                worst = max(worst, abs(numeric - closed) / closed)
-    return worst
-
-
-def _selfcheck_sinh_residual() -> float:
-    worst = 0.0
-    for x, eta, omega_sq, beta in ((0.8, 0.2, 36.0, 0.004), (0.7, 0.4, 36.0, 0.002)):
-        betas = (beta, beta, beta)
-
-        def curve(t: float) -> float:
-            return analysis.gmc_ghz_werner_low_t(x, t, eta, omega_sq, 1.0, betas)
-
-        t_p = analysis.preservation_time_numeric(curve, 10.0)
-        lhs, rhs = analysis.preservation_time_sinh_residual(t_p, x, eta, omega_sq, 1.0, betas)
-        worst = max(worst, abs(lhs / rhs - 1.0))
-    return worst
-
-
-SELFCHECKS = (
-    ("quadrature vs zero-T closed form", _selfcheck_quadrature_vs_zero_t, 1e-6),
-    ("quadrature vs low-T closed form", _selfcheck_quadrature_vs_low_t, 1e-2),
-    ("matrix pipeline vs scalar GMC", _selfcheck_pipeline_vs_scalar, 1e-12),
-    ("numeric vs closed-form preservation time", _selfcheck_preservation_time, 1e-8),
-    ("implicit preservation-time residual", _selfcheck_sinh_residual, 1e-6),
-)
-
-
 def cmd_selfcheck(args) -> int:
     failures = 0
-    for name, check, tolerance in SELFCHECKS:
+    for name, check, tolerance in oracles.SELFCHECKS:
         try:
             achieved = check()
             ok = achieved < tolerance

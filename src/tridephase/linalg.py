@@ -42,27 +42,28 @@ def hermiticity_defect(m):
     return diff.max(axis=(-2, -1))
 
 
-def _check_hermitian(a: np.ndarray, tol: float) -> None:
+def _check_hermitian(a: np.ndarray) -> None:
     defect = hermiticity_defect(a)
     if a.ndim > 2:
         defect = float(defect.max())
-    if defect > tol:
+    if defect > HERMITICITY_TOL:
         raise HermiticityViolation(
-            f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} > {tol:.1e}"
+            f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} > {HERMITICITY_TOL:.1e}"
         )
 
 
-def hermitian_eigenvalues(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def hermitian_eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending and real.
 
     The input is symmetrized ((M + M^dagger)/2) before solving so that
     ~1e-16 asymmetries from upstream arithmetic cannot leak into the
-    spectrum; anything beyond `tol` from Hermitian is rejected.  A stack of
-    shape (..., n, n) gives eigenvalues of shape (..., n), each row equal
-    to the single-matrix result; one matrix beyond `tol` rejects the stack.
+    spectrum; anything beyond HERMITICITY_TOL from Hermitian is rejected.
+    A stack of shape (..., n, n) gives eigenvalues of shape (..., n), each
+    row equal to the single-matrix result; one matrix beyond the tolerance
+    rejects the stack.
     """
     a = _as_square_stack(m)
-    _check_hermitian(a, tol)
+    _check_hermitian(a)
     return np.linalg.eigvalsh((a + _dagger(a)) / 2.0)
 
 
@@ -119,11 +120,11 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     return np.ascontiguousarray(t.reshape(d_red, d_red))
 
 
-def purity(rho, tol: float = HERMITICITY_TOL) -> float:
-    """trace(rho^2) for a Hermitian, unit-trace matrix."""
+def purity(rho) -> float:
+    """trace(rho^2) for a Hermitian, unit-trace matrix (both to HERMITICITY_TOL)."""
     a = _as_square(rho)
-    _check_hermitian(a, tol)
+    _check_hermitian(a)
     tr = complex(np.trace(a))
-    if abs(tr - 1.0) > tol:
+    if abs(tr - 1.0) > HERMITICITY_TOL:
         raise ParameterError(f"expected unit trace, got {tr!r}")
     return float(np.real(np.trace(a @ a)))

@@ -1,0 +1,213 @@
+"""Exact cross-checks of the numerical paths, and the paper-only closed forms.
+
+Each oracle returns its worst error over its acceptance criterion's grid;
+`tridephase selfcheck` compares it with SELFCHECKS.  Gamma is looked up as
+`reservoir.gamma` at call time, so a replaced Gamma fails the checks.  The
+closed forms below the oracles are cross-checks only, not pipeline results.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from . import reservoir
+from .analysis import make_reservoirs, preservation_time_numeric, preservation_time_zero_t
+from .evolution import QubitTriple, dephasing_factors, evolve
+from .exceptions import ParameterError
+from .measures import gmc_ghz_werner, gmc_x_state
+from .reservoir import ZERO_TEMPERATURE, GammaMethod, OhmicSpectralDensity, ReservoirSpec
+from .states import ghz_state, werner
+
+
+def quadrature_vs_zero_t() -> float:
+    """Quadrature Gamma vs the zero-T closed form: worst relative error (criterion 01)."""
+    worst = 0.0
+    for wct in (0.01, 0.1, 1.0, 5.0, 20.0):
+        for eta in (0.1, 0.4):
+            for omega in (1.0, 2.0):
+                res = ReservoirSpec(OhmicSpectralDensity(eta, 1.0), ZERO_TEMPERATURE, omega)
+                quad = reservoir.gamma(res, wct, GammaMethod.NUMERIC_QUADRATURE)
+                closed = reservoir.gamma_zero_t(res, wct)
+                worst = max(worst, abs(quad - closed) / abs(closed))
+    return worst
+
+
+def quadrature_vs_low_t() -> float:
+    """Low-T closed form vs quadrature Gamma: worst relative deviation (criterion 02)."""
+    worst = 0.0
+    for beta in (100.0, 1000.0):
+        res = ReservoirSpec(OhmicSpectralDensity(0.2, 1.0), beta, 2.0)
+        for t in np.geomspace(0.01, 5.0, 15).tolist():
+            quad = reservoir.gamma(res, t, GammaMethod.NUMERIC_QUADRATURE)
+            closed = reservoir.gamma_low_t(res, t)
+            worst = max(worst, abs(quad - closed) / abs(quad))
+    return worst
+
+
+def pipeline_vs_scalar() -> float:
+    """Low-T GHZ-Werner matrix GMC vs the scalar GMC: worst |difference| (criterion 03)."""
+    rng = np.random.default_rng(1234)
+    omega = 2.0
+    qubits = QubitTriple(omega, omega, omega)
+    worst = 0.0
+    for _ in range(1000):
+        x = float(rng.uniform(0.0, 1.0))
+        t = float(rng.uniform(0.0, 3.0))
+        eta = float(rng.uniform(0.05, 0.5))
+        beta_a = float(rng.uniform(1e-3, 10.0))
+        k1 = float(rng.uniform(0.5, 64.0))
+        k2 = float(rng.uniform(0.5, 64.0))
+        reservoirs = make_reservoirs(eta, 1.0, beta_a, k1, k2, (omega, omega, omega))
+        factors = dephasing_factors(qubits, reservoirs, t, GammaMethod.LOW_T_CLOSED_FORM)
+        matrix = gmc_x_state(evolve(werner(ghz_state(), x), factors))
+        total = sum(reservoir.gamma(r, t, GammaMethod.LOW_T_CLOSED_FORM) for r in reservoirs)
+        worst = max(worst, abs(matrix - gmc_ghz_werner(x, total)))
+    return worst
+
+
+def preservation_time_vs_closed_form() -> float:
+    """Numeric zero-T GHZ-Werner t_p vs its closed form: worst relative error (criterion 05)."""
+    worst = 0.0
+    for x in (0.5, 0.6, 0.7, 0.8, 0.9):
+        for eta in (0.1, 0.2, 0.4):
+            for omega_sq in (1.0, 4.0, 12.0):
+                closed = preservation_time_zero_t(x, eta, omega_sq, 1.0)
+
+                def curve(t, x=x, eta=eta, omega_sq=omega_sq):
+                    return gmc_ghz_werner(x, 2.0 * eta * omega_sq * math.log1p(t * t))
+
+                numeric = preservation_time_numeric(curve, 1e4)
+                worst = max(worst, abs(numeric - closed) / closed)
+    return worst
+
+
+def sinh_residual() -> float:
+    """Sinh-product relation at the numeric root of gmc_ghz_werner_low_t: worst |lhs/rhs - 1|.
+
+    Four equal-temperature points (criterion 06).
+    """
+    worst = 0.0
+    for x, eta, omega_sq, beta in (
+        (0.8, 0.2, 36.0, 0.004),
+        (0.7, 0.4, 36.0, 0.002),
+        (0.8, 0.2, 36.0, 0.002),
+        (0.6, 0.3, 36.0, 0.004),
+    ):
+        betas = (beta, beta, beta)
+
+        def curve(t, x=x, eta=eta, omega_sq=omega_sq, betas=betas):
+            return gmc_ghz_werner_low_t(x, t, eta, omega_sq, 1.0, betas)
+
+        t_p = preservation_time_numeric(curve, 10.0)
+        lhs, rhs = preservation_time_sinh_residual(t_p, x, eta, omega_sq, 1.0, betas)
+        worst = max(worst, abs(lhs / rhs - 1.0))
+    return worst
+
+
+SELFCHECKS = (
+    ("quadrature vs zero-T closed form", quadrature_vs_zero_t, 1e-6),
+    ("quadrature vs low-T closed form", quadrature_vs_low_t, 1e-2),
+    ("matrix pipeline vs scalar GMC", pipeline_vs_scalar, 1e-12),
+    ("numeric vs closed-form preservation time", preservation_time_vs_closed_form, 1e-8),
+    ("implicit preservation-time residual", sinh_residual, 1e-6),
+)
+
+
+def gmc_ghz_werner_low_t(
+    x: float,
+    t: float,
+    eta: float,
+    omega_sq: float,
+    omega_c: float,
+    betas: tuple[float, float, float],
+) -> float:
+    """Aggregate-bracket low-temperature GMC curve for the GHZ-Werner family.
+
+    max{0, x [(1 + (w_c t)^2) (b_A b_B b_C)^2 sinh^2(pi t/b_A)
+    sinh^2(pi t/b_B) sinh^2(pi t/b_C) / (pi^2 t^2)]^(-2 eta Omega^2)
+    - 3(1-x)/4}, evaluated in log space to avoid sinh overflow.
+
+    The bracket applies the total Omega^2 to every thermal factor, so this
+    curve is NOT the per-reservoir pipeline result at finite temperature;
+    it is kept because its vanishing time satisfies the implicit relation
+    checked by preservation_time_sinh_residual.  Cross-check only.
+    """
+    if not 0.0 <= x <= 1.0:
+        raise ParameterError(f"mixing parameter must lie in [0, 1], got {x!r}")
+    if t < 0:
+        raise ParameterError(f"time must be >= 0, got {t!r}")
+    if t == 0.0:
+        return math.inf if x > 0 else 0.0
+    log_bracket = math.log1p((omega_c * t) ** 2) - math.log(math.pi**2 * t * t)
+    for beta in betas:
+        log_bracket += 2.0 * _log_beta_sinh(beta, t)
+    exponent = -2.0 * eta * omega_sq * log_bracket
+    if exponent > 700.0:  # bracket -> 0 as t -> 0; the curve diverges there
+        return math.inf
+    return max(0.0, x * math.exp(exponent) - 0.75 * (1.0 - x))
+
+
+def _log_beta_sinh(beta: float, t: float) -> float:
+    """ln(beta sinh(pi t / beta)) for pi t / beta > 0, via ln sinh z = ln(sinh z / z) + ln z."""
+    z = math.pi * t / beta
+    if z <= 0.0:
+        raise ParameterError(f"need z > 0, got {z!r}")
+    return math.log(beta) + reservoir._log_sinhc(z) + math.log(z)
+
+
+def preservation_time_sinh_residual(
+    t_p: float,
+    x: float,
+    eta: float,
+    omega_sq: float,
+    omega_c: float,
+    betas: tuple[float, float, float],
+) -> tuple[float, float]:
+    """Both sides of the implicit sinh-product preservation-time relation.
+
+    lhs = (b_A b_B b_C sinh(pi t_p/b_A) sinh(pi t_p/b_B) sinh(pi t_p/b_C))^2
+    rhs = pi^2 t_p^2 / (1 + (w_c t_p)^2) * (4x / 3(1-x))^(1 / (2 eta Omega^2))
+
+    The vanishing time of gmc_ghz_werner_low_t solves lhs = rhs exactly.
+    """
+    if not 0.0 < x < 1.0:
+        raise ParameterError(f"mixing parameter must lie in (0, 1), got {x!r}")
+    if t_p <= 0:
+        raise ParameterError(f"t_p must be positive, got {t_p!r}")
+    log_lhs = 0.0
+    for beta in betas:
+        log_lhs += 2.0 * _log_beta_sinh(beta, t_p)
+    lhs = math.exp(log_lhs)
+    ratio = 4.0 * x / (3.0 * (1.0 - x))
+    rhs = (
+        math.pi**2
+        * t_p**2
+        / (1.0 + (omega_c * t_p) ** 2)
+        * ratio ** (1.0 / (2.0 * eta * omega_sq))
+    )
+    return lhs, rhs
+
+
+def w_werner_negativity_closed_form(x: float, gamma: float, gamma_c: float):
+    """Closed-form candidates for the three W-Werner bipartition negativities.
+
+    Assumes Gamma_A = Gamma_B = `gamma`.  Provided as a flagged cross-check
+    only: the outer (A|BC, C|AB) lines reproduce the numeric
+    partial-transpose negativity, but the middle (B|AC) radical expression
+    mixes scales and does not, so the numeric route stays authoritative.
+    """
+    if not 0.0 <= x <= 1.0:
+        raise ParameterError(f"mixing parameter must lie in [0, 1], got {x!r}")
+    eg = math.exp(-gamma)
+    egc = math.exp(-gamma_c)
+    n_a_bc = 2.0 * max(0.0, (x * eg / 3.0) * math.sqrt(egc * egc + eg * eg) - (1.0 - x) / 8.0)
+    m = x * math.exp(-(gamma_c + gamma)) / 3.0
+    n = x * math.exp(-2.0 * gamma) / 3.0
+    radical = math.sqrt(
+        36.0 * m * m * n * n + 4.0 * m * m * x * x + 9.0 * n * n + n * n / 2.0 + x * x / 36.0
+    )
+    n_b_ac = 2.0 * max(0.0, x * x * math.exp(-2.0 * (gamma + gamma_c)) / 9.0 - radical - (x + 3.0) / 24.0)
+    n_c_ab = 2.0 * max(0.0, math.sqrt(2.0) * x * math.exp(-(gamma + gamma_c)) / 3.0 - (1.0 - x) / 8.0)
+    return n_a_bc, n_b_ac, n_c_ab

@@ -8,17 +8,13 @@ import math
 import time
 
 import numpy as np
-import pytest
 
+from tridephase import oracles
 from tridephase.analysis import (
     freezing_intervals,
-    gmc_ghz_werner_low_t,
     make_reservoirs,
     preservation_time_numeric,
-    preservation_time_sinh_residual,
     preservation_time_zero_t,
-    run_sweep,
-    SweepGrid,
 )
 from tridephase.cli import main
 from tridephase.evolution import QubitTriple, dephasing_factors, evolve
@@ -36,7 +32,6 @@ from tridephase.reservoir import (
     GammaMethod,
     OhmicSpectralDensity,
     ReservoirSpec,
-    gamma,
     gamma_low_t,
     gamma_zero_t,
 )
@@ -50,14 +45,7 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_zero_t_quadrature_oracle():
     start = time.perf_counter()
-    worst = 0.0
-    for wct in (0.01, 0.1, 1.0, 5.0, 20.0):
-        for eta in (0.1, 0.4):
-            for omega in (1.0, 2.0):
-                res = ReservoirSpec(OhmicSpectralDensity(eta, 1.0), ZERO_TEMPERATURE, omega)
-                quad = gamma(res, wct, GammaMethod.NUMERIC_QUADRATURE)
-                closed = gamma_zero_t(res, wct)
-                worst = max(worst, abs(quad - closed) / abs(closed))
+    worst = oracles.quadrature_vs_zero_t()
     elapsed = time.perf_counter() - start
     ok = worst < 1e-6 and elapsed < 1.0
     report(1, ok, f"quadrature vs zero-T closed form, max rel err {worst:.3e}, {elapsed:.2f}s")
@@ -65,13 +53,7 @@ def test_criterion_01_zero_t_quadrature_oracle():
 
 def test_criterion_02_low_t_consistency():
     start = time.perf_counter()
-    worst = 0.0
-    for beta in (100.0, 1000.0):
-        res = ReservoirSpec(OhmicSpectralDensity(0.2, 1.0), beta, 2.0)
-        for t in np.geomspace(0.01, 5.0, 15):
-            quad = gamma(res, float(t), GammaMethod.NUMERIC_QUADRATURE)
-            closed = gamma_low_t(res, float(t))
-            worst = max(worst, abs(quad - closed) / abs(quad))
+    worst = oracles.quadrature_vs_low_t()
     cold = ReservoirSpec(OhmicSpectralDensity(0.2, 1.0), ZERO_TEMPERATURE, 2.0)
     nearly_cold = ReservoirSpec(OhmicSpectralDensity(0.2, 1.0), 1e6, 2.0)
     worst_limit = 0.0
@@ -90,22 +72,7 @@ def test_criterion_02_low_t_consistency():
 
 def test_criterion_03_gmc_pipeline_equivalence():
     start = time.perf_counter()
-    rng = np.random.default_rng(1234)
-    omega = 2.0
-    qubits = QubitTriple(omega, omega, omega)
-    worst = 0.0
-    for _ in range(1000):
-        x = float(rng.uniform(0.0, 1.0))
-        t = float(rng.uniform(0.0, 3.0))
-        eta = float(rng.uniform(0.05, 0.5))
-        beta_a = float(rng.uniform(1e-3, 10.0))
-        k1 = float(rng.uniform(0.5, 64.0))
-        k2 = float(rng.uniform(0.5, 64.0))
-        reservoirs = make_reservoirs(eta, 1.0, beta_a, k1, k2, (omega, omega, omega))
-        factors = dephasing_factors(qubits, reservoirs, t, GammaMethod.LOW_T_CLOSED_FORM)
-        matrix_value = gmc_x_state(evolve(werner(ghz_state(), x), factors))
-        total = sum(gamma_low_t(r, t) for r in reservoirs)
-        worst = max(worst, abs(matrix_value - gmc_ghz_werner(x, total)))
+    worst = oracles.pipeline_vs_scalar()
     elapsed = time.perf_counter() - start
     ok = worst < 1e-12 and elapsed < 10.0
     report(3, ok, f"matrix vs scalar GMC over 10^3 tuples, max |diff| {worst:.3e}, {elapsed:.2f}s")
@@ -140,17 +107,7 @@ def test_criterion_04_sudden_death_threshold():
 
 def test_criterion_05_preservation_time_closed_form():
     start = time.perf_counter()
-    worst = 0.0
-    for x in (0.5, 0.6, 0.7, 0.8, 0.9):
-        for eta in (0.1, 0.2, 0.4):
-            for omega_sq in (1.0, 4.0, 12.0):
-                closed = preservation_time_zero_t(x, eta, omega_sq, 1.0)
-
-                def curve(t, x=x, eta=eta, omega_sq=omega_sq):
-                    return gmc_ghz_werner(x, 2.0 * eta * omega_sq * math.log1p(t * t))
-
-                numeric = preservation_time_numeric(curve, 1e4)
-                worst = max(worst, abs(numeric - closed) / closed)
+    worst = oracles.preservation_time_vs_closed_form()
     boundary_ok = (
         preservation_time_zero_t(1.0, 0.2, 12.0, 1.0) == math.inf
         and preservation_time_zero_t(3.0 / 7.0, 0.2, 12.0, 1.0) == 0.0
@@ -163,21 +120,7 @@ def test_criterion_05_preservation_time_closed_form():
 
 
 def test_criterion_06_implicit_relation_residual():
-    worst = 0.0
-    for x, eta, omega_sq, beta in (
-        (0.8, 0.2, 36.0, 0.004),
-        (0.7, 0.4, 36.0, 0.002),
-        (0.8, 0.2, 36.0, 0.002),
-        (0.6, 0.3, 36.0, 0.004),
-    ):
-        betas = (beta, beta, beta)
-
-        def curve(t, x=x, eta=eta, omega_sq=omega_sq, betas=betas):
-            return gmc_ghz_werner_low_t(x, t, eta, omega_sq, 1.0, betas)
-
-        t_p = preservation_time_numeric(curve, 10.0)
-        lhs, rhs = preservation_time_sinh_residual(t_p, x, eta, omega_sq, 1.0, betas)
-        worst = max(worst, abs(lhs / rhs - 1.0))
+    worst = oracles.sinh_residual()
     ok = worst < 1e-6
     report(6, ok, f"equal-temperature implicit-relation residual, max {worst:.3e} (tol 1e-6)")
 

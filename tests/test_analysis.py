@@ -12,16 +12,15 @@ from tridephase.analysis import (
     SweepGrid,
     characteristic_time,
     freezing_intervals,
-    gmc_ghz_werner_low_t,
     make_reservoirs,
     preservation_time_numeric,
-    preservation_time_sinh_residual,
     preservation_time_zero_t,
     run_sweep,
 )
 from tridephase.evolution import QubitTriple
 from tridephase.exceptions import NoCorrelationError, ParameterError
 from tridephase.measures import gmc_ghz_werner
+from tridephase.oracles import gmc_ghz_werner_low_t
 from tridephase.reservoir import GammaMethod
 
 
@@ -59,16 +58,6 @@ def test_preservation_time_zero_t_against_bisection_oracle():
     value = preservation_time_zero_t(0.8, 0.2, 12.0, 1.0)
     assert value == pytest.approx(0.6459782224702452, rel=1e-12)
     assert value == pytest.approx(bisect_zero_t_root(0.8, 0.2, 12.0), rel=1e-10)
-
-
-def test_preservation_time_numeric_matches_closed_form():
-    worst = 0.0
-    for x in (0.5, 0.6, 0.7, 0.8, 0.9):
-        for eta in (0.1, 0.2, 0.4):
-            closed = preservation_time_zero_t(x, eta, 12.0, 1.0)
-            numeric = preservation_time_numeric(zero_t_curve(x, eta, 12.0), 1e4)
-            worst = max(worst, abs(numeric - closed) / closed)
-    assert worst < 1e-8
 
 
 def test_preservation_time_numeric_constant_curve():
@@ -158,15 +147,6 @@ def test_sinh_curve_monotone_and_rootable():
     assert all(b <= a for a, b in zip(finite, finite[1:]))
 
 
-def test_sinh_residual_at_numeric_root():
-    for x, eta, omega_sq, beta in ((0.8, 0.2, 36.0, 0.004), (0.7, 0.4, 36.0, 0.002)):
-        betas = (beta, beta, beta)
-        curve = lambda t: gmc_ghz_werner_low_t(x, t, eta, omega_sq, 1.0, betas)
-        t_p = preservation_time_numeric(curve, 10.0)
-        lhs, rhs = preservation_time_sinh_residual(t_p, x, eta, omega_sq, 1.0, betas)
-        assert abs(lhs / rhs - 1.0) < 1e-6
-
-
 def test_freezing_synthetic_staircase():
     ts = np.linspace(0.0, 10.0, 1001)
     values = np.where(ts < 3.0, 1.0, np.where(ts < 3.2, 1.0 - (ts - 3.0) / 0.2 * 0.6, 0.4))
@@ -238,6 +218,16 @@ def test_sweep_is_deterministic_and_ordered():
         for row in first.measures
     ]
     assert keys == sorted(keys)
+
+
+def test_sweep_records_no_squared_splitting():
+    # sqrt(12)**2 == 11.999999999999998: a sweep must not record it as Omega^2
+    grid = SweepGrid(xs=[0.8], etas=[0.2], beta_as=[0.01], k1s=[1.0], k2s=[1.0], t_start=0.0,
+                     t_stop=1.0, t_count=3, method=GammaMethod.LOW_T_CLOSED_FORM,
+                     include_timescales=True)
+    result = run_sweep(grid, QubitTriple(*[math.sqrt(12.0)] * 3))
+    for row in result.measures + result.timescales:
+        assert all(v == 12.0 for v in row.parameters.values() if v == pytest.approx(12.0))
 
 
 def test_sweep_records_row_errors_without_aborting():

@@ -1,0 +1,39 @@
+"""Every name a module imports is used in that module.
+
+`__init__.py` only re-exports, so it is skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tridephase"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_checker_flags_an_unused_name():
+    assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == [
+        "line 1: os", "line 2: b",
+    ]
+    assert unused_imports("from __future__ import annotations\nimport os.path\nos.sep\n") == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text()) == []

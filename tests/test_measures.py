@@ -13,8 +13,8 @@ from tridephase.measures import (
     l1_coherence,
     negativity,
     tripartite_negativity,
-    w_werner_negativity_closed_form,
 )
+from tridephase.oracles import w_werner_negativity_closed_form
 from tridephase.reservoir import GammaMethod, OhmicSpectralDensity, ReservoirSpec
 from tridephase.states import ghz_state, maximally_mixed, w_state, werner
 

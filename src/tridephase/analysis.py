@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -318,29 +318,27 @@ class SweepGrid:
 
 
 @dataclass(frozen=True)
-class MeasureResult:
-    name: str
-    value: float
-    t: float
-    parameters: dict
-    error: str | None = None
-
-
-@dataclass(frozen=True)
 class TimescaleResult:
     t_p: float
     t_c: float
     t_c_reached: bool
     freezing: list[tuple[float, float]]
-    name: str
-    parameters: dict
     error: str | None = None
 
 
 @dataclass(frozen=True)
-class SweepResult:
-    measures: list[MeasureResult] = field(default_factory=list)
-    timescales: list[TimescaleResult] = field(default_factory=list)
+class CurveResult:
+    """One measure over the time grid at one parameter tuple.
+
+    values[i] and errors[i] (None when fine) belong to grid.times()[i];
+    timescales is None unless the grid includes them.
+    """
+
+    name: str
+    parameters: dict
+    values: list[float]
+    errors: list[str | None]
+    timescales: TimescaleResult | None
 
 
 def make_reservoirs(
@@ -388,22 +386,47 @@ def _measure_curve(fn: Callable, stack: np.ndarray) -> tuple[list, list]:
     return values, errors
 
 
-def run_sweep(grid: SweepGrid, qubits: QubitTriple) -> SweepResult:
-    """Evaluate every measure on every grid point, in lexicographic order.
+def _timescales(
+    curve: Callable[[float], float],
+    grid: SweepGrid,
+    times: np.ndarray,
+    values: list,
+    errors: list,
+) -> TimescaleResult:
+    """t_p, T_c and freezing of one sampled curve.
+
+    A failed setup, a failed row or a failed root search all end here, as
+    the error of the curve's time scales (the first row error wins).
+    """
+    error = next((e for e in errors if e is not None), None)
+    if error is None:
+        try:
+            samples = (times, values)
+            t_p = preservation_time_numeric(curve, grid.t_stop, samples=samples)
+            t_c, reached = characteristic_time(curve, grid.t_stop, grid.epsilon, samples=samples)
+            # a curve already dead at its first sample has nothing to freeze
+            freezing = [] if values[0] <= 0.0 else freezing_intervals(times, np.asarray(values))
+            return TimescaleResult(t_p, t_c, reached, freezing)
+        except Exception as exc:  # recorded, not raised
+            error = _error_text(exc)
+    return TimescaleResult(math.nan, math.nan, False, [], error)
+
+
+def run_sweep(grid: SweepGrid, qubits: QubitTriple) -> list[CurveResult]:
+    """Every measure's curve at every parameter tuple, in lexicographic order.
 
     Each curve is evaluated as one (T, 8, 8) stack over the time grid, and
     the channel of each reservoir set (eta, beta_a, k1, k2) is computed once
     and shared by every x.  Time scales are bracketed on the sampled curve.
     One Gamma memo per call serves the grid and every root-finder
-    evaluation.  Individual point failures are recorded on their rows and
-    never abort the sweep.
+    evaluation.  Failures are recorded on their curves and never abort the
+    sweep.
     """
     omegas = (qubits.omega_a, qubits.omega_b, qubits.omega_c)
     times = grid.times()
-    t_list = times.tolist()
     psi = STATES[grid.state]()
-    result = SweepResult()
-    channels: dict[tuple, tuple] = {}  # reservoir set -> (factors, error text)
+    curves: list[CurveResult] = []
+    channels: dict[tuple, object] = {}  # reservoir set -> factors or the exception raised
     gammas: dict[tuple, float] = {}  # (reservoir, t, method) -> Gamma, this call only
 
     for x, eta, beta_a, k1, k2 in itertools.product(
@@ -422,71 +445,35 @@ def run_sweep(grid: SweepGrid, qubits: QubitTriple) -> SweepResult:
         try:
             reservoirs = make_reservoirs(eta, grid.omega_c, beta_a, k1, k2, omegas)
             rho0 = werner(psi, x)
-        except Exception as exc:  # recorded, not raised
-            msg = _error_text(exc)
-            for name in grid.measures:
-                for t in t_list:
-                    result.measures.append(MeasureResult(name, math.nan, t, params, msg))
-                if grid.include_timescales:
-                    result.timescales.append(
-                        TimescaleResult(math.nan, math.nan, False, [], name, params, msg)
+            key = (eta, beta_a, k1, k2)
+            if key not in channels:
+                try:
+                    channels[key] = dephasing_factors(
+                        qubits, reservoirs, times, grid.method, memo=gammas
                     )
-            continue
-
-        key = (eta, beta_a, k1, k2)
-        if key not in channels:
-            try:
-                channels[key] = (
-                    dephasing_factors(qubits, reservoirs, times, grid.method, memo=gammas),
-                    None,
-                )
-            except Exception as exc:  # every x of this reservoir set carries it
-                channels[key] = (None, _error_text(exc))
-        factors, curve_error = channels[key]
-        if curve_error is None:
-            try:
-                evolved = evolve(rho0, factors)
-            except Exception as exc:
-                curve_error = _error_text(exc)
+                except Exception as exc:  # every x of this reservoir set carries it
+                    channels[key] = exc
+            factors = channels[key]
+            if isinstance(factors, Exception):
+                raise factors.with_traceback(None)
+            evolved = evolve(rho0, factors)
+            setup_error = None
+        except Exception as exc:  # every row of this tuple carries it
+            setup_error = _error_text(exc)
 
         for name in grid.measures:
             fn = MEASURES[name]
-            if curve_error is not None:
-                values, errors = [math.nan] * len(t_list), [curve_error] * len(t_list)
-            else:
+            if setup_error is None:
                 values, errors = _measure_curve(fn, evolved)
-            for t, value, error in zip(t_list, values, errors):
-                result.measures.append(MeasureResult(name, value, t, params, error))
-            if not grid.include_timescales:
-                continue
-            measure_error = next((e for e in errors if e is not None), None)
-            if measure_error is not None:
-                result.timescales.append(
-                    TimescaleResult(math.nan, math.nan, False, [], name, params, measure_error)
-                )
-                continue
+            else:
+                values, errors = [math.nan] * times.size, [setup_error] * times.size
+            timescales = None
+            if grid.include_timescales:
 
-            def curve(t: float) -> float:
-                factors = dephasing_factors(qubits, reservoirs, t, grid.method, memo=gammas)
-                return fn(evolve(rho0, factors))
+                def curve(t: float) -> float:
+                    factors = dephasing_factors(qubits, reservoirs, t, grid.method, memo=gammas)
+                    return fn(evolve(rho0, factors))
 
-            samples = (t_list, values)
-            try:
-                t_p = preservation_time_numeric(curve, grid.t_stop, samples=samples)
-                t_c, reached = characteristic_time(
-                    curve, grid.t_stop, grid.epsilon, samples=samples
-                )
-                # a curve already dead at its first sample has nothing to freeze
-                freezing = (
-                    [] if values[0] <= 0.0 else freezing_intervals(times, np.asarray(values))
-                )
-                result.timescales.append(
-                    TimescaleResult(t_p, t_c, reached, freezing, name, params)
-                )
-            except Exception as exc:
-                result.timescales.append(
-                    TimescaleResult(
-                        math.nan, math.nan, False, [], name, params, _error_text(exc)
-                    )
-                )
-    return result
+                timescales = _timescales(curve, grid, times, values, errors)
+            curves.append(CurveResult(name, params, values, errors, timescales))
+    return curves

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import analysis, oracles
 from .evolution import QubitTriple, dephasing_factors, evolve
+from .exceptions import ParameterError
 from .reservoir import GammaMethod
 from .states import werner
 
@@ -49,12 +50,10 @@ PARAM_FIELDS = (
     "state", "x", "eta", "beta_a", "k1", "k2",
     "omega_sq_a", "omega_sq_b", "omega_sq_c", "omega_c", "method",
 )
-# the PARAM_FIELDS a sweep result records; the qubit splittings come from the config
-_RESULT_PARAM_FIELDS = tuple(name for name in PARAM_FIELDS if not name.startswith("omega_sq_"))
 
 
 class ConfigError(Exception):
-    """Raised with a message naming the offending configuration key."""
+    """A configuration the run cannot use; the message names the key where it can."""
 
 
 def _fmt(value) -> str:
@@ -64,8 +63,6 @@ def _fmt(value) -> str:
         if value == 0.0:
             value = 0.0  # canonicalize -0.0
         return f"{value:.17g}"
-    if isinstance(value, (int, np.integer)):
-        return str(value)
     return str(value)
 
 
@@ -127,6 +124,18 @@ def _as_beta(value, key: str) -> float:
     return _as_float(value, key)
 
 
+def _as_choice(value, key: str, choices) -> str:
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(f"config key {key!r} must be one of {sorted(choices)}, got {value!r}")
+    return value
+
+
+def _as_bool(value, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
+    return value
+
+
 def _parse_common(config: dict):
     omega_c = _as_float(config["omega_c"], "omega_c")
     if omega_c <= 0:
@@ -136,13 +145,9 @@ def _parse_common(config: dict):
     )
     if any(v <= 0 for v in omega_sqs):
         raise ConfigError("config keys 'omega_sq_*' must be positive")
-    method_name = config["method"]
-    if method_name not in _METHODS:
-        raise ConfigError(
-            f"config key 'method' must be one of {sorted(_METHODS)}, got {method_name!r}"
-        )
+    method = _METHODS[_as_choice(config["method"], "method", _METHODS)]
     qubits = QubitTriple(*(math.sqrt(v) for v in omega_sqs))
-    return omega_c, omega_sqs, _METHODS[method_name], qubits
+    return omega_c, omega_sqs, method, qubits
 
 
 def _time_range(config: dict) -> tuple[float, float, int]:
@@ -164,23 +169,25 @@ def _check_method_temperature(method: GammaMethod, beta_values: list[float]) -> 
         raise ConfigError("config key 'method': low_t requires a finite beta_a")
 
 
-def _write_rows(rows: list[dict], fieldnames: list[str], out, fmt: str) -> None:
+def _write_rows(rows, fieldnames: list[str], out, fmt: str) -> None:
+    """Write (prefix, rest) rows; a curve's rows share one prefix object."""
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow([_fmt(row.get(name, "")) for name in fieldnames])
+        prefix, cells = None, []
+        for head, rest in rows:
+            if head is not prefix:
+                prefix, cells = head, [_fmt(value) for value in head]
+            writer.writerow(cells + [_fmt(value) for value in rest])
     else:
         payload = []
-        for row in rows:
+        for head, rest in rows:
             item = {}
-            for name in fieldnames:
-                value = row.get(name)
-                if isinstance(value, float) and math.isinf(value):
+            for name, value in zip(fieldnames, head + rest):
+                if isinstance(value, float) and not math.isfinite(value):
                     item[name] = None
-                    item[name + "_infinite"] = True
-                elif isinstance(value, float) and math.isnan(value):
-                    item[name] = None
+                    if math.isinf(value):
+                        item[name + "_infinite"] = True
                 else:
                     item[name] = value
             payload.append(item)
@@ -188,7 +195,7 @@ def _write_rows(rows: list[dict], fieldnames: list[str], out, fmt: str) -> None:
         out.write("\n")
 
 
-def _emit(rows: list[dict], fieldnames: list[str], args) -> None:
+def _emit(rows, fieldnames: list[str], args) -> None:
     if args.out is None:
         _write_rows(rows, fieldnames, sys.stdout, args.format)
         return
@@ -203,23 +210,6 @@ def _config_units(value: float, omega_c: float) -> float:
     return value * omega_c if math.isfinite(value) else value
 
 
-def _param_row(params: dict, omega_sqs: tuple[float, float, float]) -> dict:
-    """The PARAM_FIELDS columns of one result row; the omega_sq columns echo the config."""
-    row = {name: params[name] for name in _RESULT_PARAM_FIELDS}
-    row["beta_a"] = _config_units(params["beta_a"], params["omega_c"])
-    row["omega_sq_a"], row["omega_sq_b"], row["omega_sq_c"] = omega_sqs
-    return row
-
-
-def _timescale_columns(item: analysis.TimescaleResult, omega_c: float) -> dict:
-    return {
-        "t_p": _config_units(item.t_p, omega_c),
-        "t_c": _config_units(item.t_c, omega_c),
-        "t_c_reached": item.t_c_reached,
-        "freezing_count": len(item.freezing),
-    }
-
-
 def cmd_evolve(config: dict, args) -> int:
     omega_c, omega_sqs, method, qubits = _parse_common(config)
     for key in ("x", "eta", "beta_a", "k1", "k2"):
@@ -230,31 +220,23 @@ def cmd_evolve(config: dict, args) -> int:
     beta_a = _as_beta(config["beta_a"], "beta_a") / omega_c
     k1 = _as_float(config["k1"], "k1")
     k2 = _as_float(config["k2"], "k2")
-    state = config["state"]
-    if state not in analysis.STATES:
-        raise ConfigError(f"config key 'state' must be one of {sorted(analysis.STATES)}")
+    state = _as_choice(config["state"], "state", analysis.STATES)
     _check_method_temperature(method, [beta_a])
     t_start, t_stop, t_count = _time_range(config)
     times = np.linspace(t_start, t_stop, t_count) / omega_c
 
     omegas = (qubits.omega_a, qubits.omega_b, qubits.omega_c)
-    reservoirs = analysis.make_reservoirs(eta, omega_c, beta_a, k1, k2, omegas)
-    rho0 = werner(analysis.STATES[state](), x)
-
-    element_fields = []
-    for i in range(8):
-        for j in range(8):
-            element_fields.extend([f"re_{i}{j}", f"im_{i}{j}"])
-    evolved = evolve(rho0, dephasing_factors(qubits, reservoirs, times, method))
-    rows = []
-    for t, rho in zip(times.tolist(), evolved):
-        row = {"t": t * omega_c}
-        for i in range(8):
-            for j in range(8):
-                row[f"re_{i}{j}"] = float(rho[i, j].real)
-                row[f"im_{i}{j}"] = float(rho[i, j].imag)
-        rows.append(row)
-    _emit(rows, ["t"] + element_fields, args)
+    try:
+        reservoirs = analysis.make_reservoirs(eta, omega_c, beta_a, k1, k2, omegas)
+        rho0 = werner(analysis.STATES[state](), x)
+        evolved = evolve(rho0, dephasing_factors(qubits, reservoirs, times, method))
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+    # re_ij and im_ij side by side, row-major over (i, j)
+    elements = np.stack([evolved.real, evolved.imag], axis=-1).reshape(len(times), 128)
+    fields = ["t"] + [f"{part}_{i}{j}" for i in range(8) for j in range(8) for part in ("re", "im")]
+    rows = [((), (t * omega_c, *row)) for t, row in zip(times.tolist(), elements.tolist())]
+    _emit(rows, fields, args)
     return 0
 
 
@@ -269,14 +251,8 @@ def _build_grid(config: dict, omega_c: float, method: GammaMethod, include_times
     if not isinstance(measures, list) or not measures:
         raise ConfigError("config key 'measures' must be a nonempty list")
     for name in measures:
-        if name not in analysis.MEASURES:
-            raise ConfigError(
-                f"config key 'measures': unknown measure {name!r}; "
-                f"choose from {sorted(analysis.MEASURES)}"
-            )
-    state = config["state"]
-    if state not in analysis.STATES:
-        raise ConfigError(f"config key 'state' must be one of {sorted(analysis.STATES)}")
+        _as_choice(name, "measures", analysis.MEASURES)
+    state = _as_choice(config["state"], "state", analysis.STATES)
     t_start, t_stop, t_count = _time_range(config)
     epsilon = _as_float(config["epsilon"], "epsilon")
     if not 0 < epsilon < 1:
@@ -302,72 +278,59 @@ def _build_grid(config: dict, omega_c: float, method: GammaMethod, include_times
         raise ConfigError(str(exc)) from exc
 
 
-def _measure_rows(result, omega_sqs, omega_c) -> list[dict]:
-    rows = []
-    for item in result.measures:
-        row = _param_row(item.parameters, omega_sqs)
-        row.update({
-            "measure": item.name,
-            "t": item.t * omega_c,
-            "value": item.value,
-            "error": item.error or "",
-        })
-        rows.append(row)
-    return rows
+def _curve_table(config: dict, args, per_time: bool, timescales: bool) -> int:
+    """Write one row per curve, or per curve and time, from one run_sweep call.
 
+    A row is (prefix, rest): the prefix holds the parameter columns and the
+    measure name and is shared by every row of its curve.
+    """
+    omega_c, omega_sqs, method, qubits = _parse_common(config)
+    grid = _build_grid(config, omega_c, method, include_timescales=timescales)
+    curves = analysis.run_sweep(grid, qubits)
+    times = [t * omega_c for t in grid.times().tolist()]
+    fields = [*PARAM_FIELDS, "measure"] + (["t", "value"] if per_time else [])
+    if timescales:
+        fields += ["t_p", "t_c", "t_c_reached", "freezing_count"]
+    fields += ["error"] if per_time else ["freezing_intervals", "error"]
 
-def _timescale_rows(result, omega_sqs, omega_c) -> list[dict]:
-    rows = []
-    for item in result.timescales:
-        row = _param_row(item.parameters, omega_sqs)
-        intervals = "|".join(f"{a * omega_c:.17g}:{b * omega_c:.17g}" for a, b in item.freezing)
-        row.update(_timescale_columns(item, omega_c))
-        row.update({
-            "measure": item.name,
-            "freezing_intervals": intervals,
-            "error": item.error or "",
-        })
-        rows.append(row)
-    return rows
+    def rows():
+        for curve in curves:
+            p = curve.parameters
+            prefix = (
+                p["state"], p["x"], p["eta"], _config_units(p["beta_a"], omega_c),
+                p["k1"], p["k2"], *omega_sqs, p["omega_c"], p["method"], curve.name,
+            )
+            columns = ()
+            if timescales:
+                ts = curve.timescales
+                columns = (
+                    _config_units(ts.t_p, omega_c), _config_units(ts.t_c, omega_c),
+                    ts.t_c_reached, len(ts.freezing),
+                )
+            if per_time:
+                for t, value, error in zip(times, curve.values, curve.errors):
+                    yield prefix, (t, value, *columns, error or "")
+            else:
+                intervals = "|".join(
+                    f"{a * omega_c:.17g}:{b * omega_c:.17g}" for a, b in ts.freezing
+                )
+                yield prefix, (*columns, intervals, ts.error or "")
+
+    _emit(rows(), fields, args)
+    return 0
 
 
 def cmd_measure(config: dict, args) -> int:
-    omega_c, omega_sqs, method, qubits = _parse_common(config)
-    grid = _build_grid(config, omega_c, method, include_timescales=False)
-    result = analysis.run_sweep(grid, qubits)
-    fields = list(PARAM_FIELDS) + ["measure", "t", "value", "error"]
-    _emit(_measure_rows(result, omega_sqs, omega_c), fields, args)
-    return 0
+    return _curve_table(config, args, per_time=True, timescales=False)
 
 
 def cmd_timescales(config: dict, args) -> int:
-    omega_c, omega_sqs, method, qubits = _parse_common(config)
-    grid = _build_grid(config, omega_c, method, include_timescales=True)
-    result = analysis.run_sweep(grid, qubits)
-    fields = list(PARAM_FIELDS) + [
-        "measure", "t_p", "t_c", "t_c_reached", "freezing_count", "freezing_intervals", "error",
-    ]
-    _emit(_timescale_rows(result, omega_sqs, omega_c), fields, args)
-    return 0
+    return _curve_table(config, args, per_time=False, timescales=True)
 
 
 def cmd_sweep(config: dict, args) -> int:
-    omega_c, omega_sqs, method, qubits = _parse_common(config)
-    include_timescales = bool(config["timescales"])
-    grid = _build_grid(config, omega_c, method, include_timescales=include_timescales)
-    result = analysis.run_sweep(grid, qubits)
-    rows = _measure_rows(result, omega_sqs, omega_c)
-    fields = list(PARAM_FIELDS) + ["measure", "t", "value", "error"]
-    if include_timescales:
-        # run_sweep appends the k-th curve's t_count measure rows and its
-        # timescale result in the same order, error curves included
-        for k, ts in enumerate(result.timescales):
-            columns = _timescale_columns(ts, omega_c)
-            for row in rows[k * grid.t_count : (k + 1) * grid.t_count]:
-                row.update(columns)
-        fields = fields[:-1] + ["t_p", "t_c", "t_c_reached", "freezing_count", "error"]
-    _emit(rows, fields, args)
-    return 0
+    timescales = _as_bool(config["timescales"], "timescales")
+    return _curve_table(config, args, per_time=True, timescales=timescales)
 
 
 def cmd_selfcheck(args) -> int:

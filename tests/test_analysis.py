@@ -199,9 +199,9 @@ def test_sweep_single_point_x0_is_zero():
         t_start=0.0, t_stop=2.0, t_count=5,
         measures=("gmc",), method=GammaMethod.ZERO_T_CLOSED_FORM,
     )
-    result = run_sweep(grid, default_qubits())
-    assert len(result.measures) == 5
-    assert all(row.value == 0.0 and row.error is None for row in result.measures)
+    [curve] = run_sweep(grid, default_qubits())
+    assert len(curve.values) == len(curve.errors) == 5
+    assert all(value == 0.0 and error is None for value, error in zip(curve.values, curve.errors))
 
 
 def test_sweep_is_deterministic_and_ordered():
@@ -214,8 +214,8 @@ def test_sweep_is_deterministic_and_ordered():
     second = run_sweep(grid, default_qubits())
     assert first == second
     keys = [
-        (row.parameters["x"], row.parameters["beta_a"], row.parameters["k2"])
-        for row in first.measures
+        (curve.parameters["x"], curve.parameters["beta_a"], curve.parameters["k2"])
+        for curve in first
     ]
     assert keys == sorted(keys)
 
@@ -225,9 +225,10 @@ def test_sweep_records_no_squared_splitting():
     grid = SweepGrid(xs=[0.8], etas=[0.2], beta_as=[0.01], k1s=[1.0], k2s=[1.0], t_start=0.0,
                      t_stop=1.0, t_count=3, method=GammaMethod.LOW_T_CLOSED_FORM,
                      include_timescales=True)
-    result = run_sweep(grid, QubitTriple(*[math.sqrt(12.0)] * 3))
-    for row in result.measures + result.timescales:
-        assert all(v == 12.0 for v in row.parameters.values() if v == pytest.approx(12.0))
+    curves = run_sweep(grid, QubitTriple(*[math.sqrt(12.0)] * 3))
+    assert curves and all(curve.timescales is not None for curve in curves)
+    for curve in curves:
+        assert all(v == 12.0 for v in curve.parameters.values() if v == pytest.approx(12.0))
 
 
 def test_sweep_records_row_errors_without_aborting():
@@ -238,12 +239,11 @@ def test_sweep_records_row_errors_without_aborting():
         measures=("gmc", "l1_coherence"), method=GammaMethod.ZERO_T_CLOSED_FORM,
         state="w",
     )
-    result = run_sweep(grid, default_qubits())
-    gmc_rows = [r for r in result.measures if r.name == "gmc"]
-    coh_rows = [r for r in result.measures if r.name == "l1_coherence"]
-    assert all(r.error is not None and "ShapeError" in r.error for r in gmc_rows)
-    assert all(r.error is None for r in coh_rows)
-    assert coh_rows[0].value == pytest.approx(1.2, abs=1e-12)
+    gmc, coh = run_sweep(grid, default_qubits())
+    assert (gmc.name, coh.name) == ("gmc", "l1_coherence")
+    assert all(e is not None and "ShapeError" in e for e in gmc.errors)
+    assert all(e is None for e in coh.errors)
+    assert coh.values[0] == pytest.approx(1.2, abs=1e-12)
 
 
 def test_sweep_timescales_gradient_monotonicity():
@@ -258,9 +258,9 @@ def test_sweep_timescales_gradient_monotonicity():
             measures=("gmc",), method=GammaMethod.LOW_T_CLOSED_FORM,
             include_timescales=True,
         )
-        result = run_sweep(g, qubits)
-        assert len(result.timescales) == 1
-        row = result.timescales[0]
+        curves = run_sweep(g, qubits)
+        assert len(curves) == 1
+        row = curves[0].timescales
         assert row.error is None
         assert row.t_c <= row.t_p
         tps.append(row.t_p)
@@ -391,7 +391,7 @@ def memo_grid(**overrides):
 def test_sweep_calls_gamma_once_per_distinct_key(monkeypatch):
     grid = memo_grid()
     expected = run_sweep(grid, default_qubits())
-    assert all(row.error is None for row in expected.timescales)
+    assert all(curve.timescales.error is None for curve in expected)
     real_gamma = evolution.gamma
     calls = Counter()
 
@@ -430,8 +430,9 @@ def test_sweep_failing_gamma_is_not_cached_and_marks_its_rows(monkeypatch):
         (4.0, 1.0): "RuntimeError: no Gamma at beta=2.0",
         (4.0, 16.0): "RuntimeError: no Gamma at beta=2.0",
     }
-    for row in result.measures + result.timescales:
-        assert row.error == expected[(row.parameters["k1"], row.parameters["k2"])]
+    for curve in result:
+        for error in curve.errors + [curve.timescales.error]:
+            assert error == expected[(curve.parameters["k1"], curve.parameters["k2"])]
     # a failure is not stored: sets (4, 1) and (4, 16) both ask for beta = 2
     res_b = make_reservoirs(0.2, 1.0, 0.5, 4.0, 1.0, (2.0,) * 3)[1]
     res_c = make_reservoirs(0.2, 1.0, 0.5, 1.0, 16.0, (2.0,) * 3)[2]

@@ -3,7 +3,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import tridephase.reservoir
@@ -69,6 +68,36 @@ def test_evolve_rejects_list_parameters(capsys):
     code, _, err = run(capsys, ["evolve", "--set", "x=[0.1,0.2]"])
     assert code == 1
     assert "x" in err
+
+
+@pytest.mark.parametrize("settings, message", [
+    (["x=1.5"], "mixing parameter must lie in [0, 1], got 1.5"),
+    (["eta=-1"], "coupling constant eta must be >= 0, got -1.0"),
+    (["k1=0", "beta_a=1", "method=low_t"], "k1 and k2 must be positive, got 0.0, 1.0"),
+])
+def test_evolve_bad_physical_input_is_a_config_error(capsys, settings, message):
+    argv = ["evolve"]
+    for setting in settings:
+        argv += ["--set", setting]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("setting, key", [
+    ("timescales=False", "timescales"),
+    ('timescales="off"', "timescales"),
+    ("timescales=1", "timescales"),
+    ('state=["ghz"]', "state"),
+    ('method=["zero_t"]', "method"),
+    ('measures=[["gmc"]]', "measures"),
+])
+def test_config_value_of_the_wrong_type_names_its_key(capsys, setting, key):
+    code, out, err = run(capsys, ["sweep", "--set", setting, "--set", "t_count=3"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: config key {key!r} must be ")
 
 
 def test_measure_gmc_below_threshold_all_zero(capsys):
@@ -311,6 +340,17 @@ GOLDEN_RUNS = {
         "sweep", "--set", "state=w", "--set", "timescales=true", "--set", "x=[0.7,0.95]",
         "--set", "eta=0.2", "--set", 'measures=["gmc","l1_coherence"]', "--set", "t_stop=3",
         "--set", "t_count=6",
+    ],
+    # the gmc rows of the W state carry ShapeError and null values
+    "sweep_w_timescales.json": [
+        "sweep", "--format", "json", "--set", "state=w", "--set", "timescales=true",
+        "--set", "x=[0.7,0.95]", "--set", "eta=0.2", "--set", 'measures=["gmc","l1_coherence"]',
+        "--set", "t_stop=3", "--set", "t_count=6",
+    ],
+    # t_p is infinite at x = 1: null plus t_p_infinite
+    "timescales_x1.json": [
+        "timescales", "--format", "json", "--set", "x=1.0",
+        "--set", 'measures=["gmc","l1_coherence"]', "--set", "t_stop=2", "--set", "t_count=5",
     ],
 }
 

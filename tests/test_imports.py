@@ -1,6 +1,6 @@
-"""Every name a module imports is used in that module.
+"""Every name a module or a test file imports is used in that file.
 
-`__init__.py` only re-exports, so it is skipped.
+The package's `__init__.py` only re-exports, so it is skipped.
 """
 
 import ast
@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tridephase"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "tridephase"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,7 +34,9 @@ def test_checker_flags_an_unused_name():
 
 
 @pytest.mark.parametrize(
-    "path", sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"), ids=lambda p: p.name
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(TESTS.glob("*.py")),
+    ids=lambda p: p.name,
 )
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []

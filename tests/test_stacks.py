@@ -171,11 +171,12 @@ def test_run_sweep_rows_equal_per_point_evaluation(state, xs, beta_as, method):
         t_start=0.0, t_stop=30.0, t_count=13, measures=tuple(MEASURES),
         method=method, state=state,
     )
-    result = run_sweep(grid, QUBITS)
+    curves = run_sweep(grid, QUBITS)
     got = [
-        (r.name, r.t, r.parameters["x"], r.parameters["eta"], r.parameters["beta_a"],
-         r.parameters["k1"], r.parameters["k2"], repr(r.value), r.error)
-        for r in result.measures
+        (c.name, t, c.parameters["x"], c.parameters["eta"], c.parameters["beta_a"],
+         c.parameters["k1"], c.parameters["k2"], repr(value), error)
+        for c in curves
+        for t, value, error in zip(grid.times().tolist(), c.values, c.errors, strict=True)
     ]
     assert got == reference_rows(grid, QUBITS)
 
@@ -186,7 +187,7 @@ def test_w_state_gmc_rows_keep_their_own_shape_errors():
         t_start=0.0, t_stop=3.0, t_count=7, measures=("gmc",),
         method=GammaMethod.ZERO_T_CLOSED_FORM, state="w", include_timescales=True,
     )
-    result = run_sweep(grid, QUBITS)
+    [curve] = run_sweep(grid, QUBITS)
     rho0 = werner(w_state(), 0.6)
     reservoirs = make_reservoirs(0.2, 1.0, math.inf, 1.0, 1.0, (OMEGA, OMEGA, OMEGA))
     expected = []
@@ -194,10 +195,10 @@ def test_w_state_gmc_rows_keep_their_own_shape_errors():
         with pytest.raises(ShapeError) as excinfo:
             gmc_x_state(evolve(rho0, dephasing_factors(QUBITS, reservoirs, t, grid.method)))
         expected.append(f"ShapeError: {excinfo.value}")
-    assert [r.error for r in result.measures] == expected
+    assert curve.errors == expected
     assert len(set(expected)) == len(expected)
-    assert all(math.isnan(r.value) for r in result.measures)
-    assert result.timescales[0].error == expected[0]
+    assert len(curve.values) == len(expected) and all(math.isnan(v) for v in curve.values)
+    assert curve.timescales.error == expected[0]
 
 
 def gmc_x_state_loop(rho):

@@ -64,9 +64,9 @@ class GradientSpec:
     k2: float
 
     def __post_init__(self):
-        if self.beta_a <= 0:
+        if not self.beta_a > 0:
             raise ParameterError(f"beta_a must be positive, got {self.beta_a!r}")
-        if self.k1 <= 0 or self.k2 <= 0:
+        if not (self.k1 > 0 and self.k2 > 0):
             raise ParameterError(f"k1 and k2 must be positive, got {self.k1!r}, {self.k2!r}")
 
     def betas(self) -> tuple[float, float, float]:
@@ -81,7 +81,7 @@ def preservation_time_zero_t(x: float, eta: float, omega_sq: float, omega_c: flo
     """
     if not 0.0 <= x <= 1.0:
         raise ParameterError(f"mixing parameter must lie in [0, 1], got {x!r}")
-    if eta <= 0 or omega_sq <= 0 or omega_c <= 0:
+    if not (eta > 0 and omega_sq > 0 and omega_c > 0):
         raise ParameterError("eta, omega_sq and omega_c must be positive")
     if x == 1.0:
         return math.inf
@@ -124,8 +124,8 @@ def _sampled_curve(
     value in front, so a crossing before the first sample is still
     bracketed.
     """
-    if t_max <= 0:
-        raise ParameterError(f"t_max must be positive, got {t_max!r}")
+    if not 0.0 < t_max < math.inf:
+        raise ParameterError(f"t_max must be positive and finite, got {t_max!r}")
     if samples is None:
         grid = [0.0] + [t_max * 2.0**-k for k in range(48, -1, -1)]
         samples = (grid, [curve(t) for t in grid])
@@ -301,11 +301,11 @@ class SweepGrid:
                 raise ParameterError(f"{name} must be nonempty")
         if self.t_count < 2:
             raise ParameterError(f"t_count must be >= 2, got {self.t_count!r}")
-        if not self.t_stop > self.t_start >= 0.0:
+        if not math.inf > self.t_stop > self.t_start >= 0.0:
             raise ParameterError(
                 f"need t_stop > t_start >= 0, got {self.t_start!r}, {self.t_stop!r}"
             )
-        if self.omega_c <= 0:
+        if not self.omega_c > 0:
             raise ParameterError(f"omega_c must be positive, got {self.omega_c!r}")
         unknown = set(self.measures) - set(MEASURES)
         if unknown:
@@ -448,9 +448,7 @@ def run_sweep(grid: SweepGrid, qubits: QubitTriple) -> list[CurveResult]:
             key = (eta, beta_a, k1, k2)
             if key not in channels:
                 try:
-                    channels[key] = dephasing_factors(
-                        qubits, reservoirs, times, grid.method, memo=gammas
-                    )
+                    channels[key] = dephasing_factors(reservoirs, times, grid.method, memo=gammas)
                 except Exception as exc:  # every x of this reservoir set carries it
                     channels[key] = exc
             factors = channels[key]
@@ -471,7 +469,7 @@ def run_sweep(grid: SweepGrid, qubits: QubitTriple) -> list[CurveResult]:
             if grid.include_timescales:
 
                 def curve(t: float) -> float:
-                    factors = dephasing_factors(qubits, reservoirs, t, grid.method, memo=gammas)
+                    factors = dephasing_factors(reservoirs, t, grid.method, memo=gammas)
                     return fn(evolve(rho0, factors))
 
                 timescales = _timescales(curve, grid, times, values, errors)

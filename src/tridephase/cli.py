@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis, oracles
 from .evolution import QubitTriple, dephasing_factors, evolve
 from .exceptions import ParameterError
-from .reservoir import GammaMethod
+from .reservoir import GammaMethod, OhmicSpectralDensity
 from .states import werner
 
 DEFAULT_CONFIG = {
@@ -136,7 +136,13 @@ def _as_bool(value, key: str) -> bool:
     return value
 
 
-def _parse_common(config: dict):
+def _parse_run(config: dict, **grid_options):
+    """The keys every command reads, parsed and checked once.
+
+    Returns (grid, (t_start, t_stop, t_count), omega_sqs): the SweepGrid of
+    those keys plus `grid_options`, the time range in config units, and the
+    squared splittings.  A scalar list key becomes a one-item list.
+    """
     omega_c = _as_float(config["omega_c"], "omega_c")
     if omega_c <= 0:
         raise ConfigError("config key 'omega_c' must be positive")
@@ -146,12 +152,8 @@ def _parse_common(config: dict):
     if any(v <= 0 for v in omega_sqs):
         raise ConfigError("config keys 'omega_sq_*' must be positive")
     method = _METHODS[_as_choice(config["method"], "method", _METHODS)]
-    qubits = QubitTriple(*(math.sqrt(v) for v in omega_sqs))
-    return omega_c, omega_sqs, method, qubits
-
-
-def _time_range(config: dict) -> tuple[float, float, int]:
-    """Validated (t_start, t_stop, t_count); times in config units of 1/omega_c."""
+    beta_as = [b / omega_c for b in _as_list(config["beta_a"], "beta_a")]
+    _check_method_temperature(method, beta_as)
     t_start = _as_float(config["t_start"], "t_start")
     t_stop = _as_float(config["t_stop"], "t_stop")
     t_count = config["t_count"]
@@ -159,7 +161,24 @@ def _time_range(config: dict) -> tuple[float, float, int]:
         raise ConfigError("config key 't_count' must be an integer >= 2")
     if not t_stop > t_start >= 0:
         raise ConfigError("config keys 't_start'/'t_stop' must satisfy t_stop > t_start >= 0")
-    return t_start, t_stop, t_count
+    try:
+        grid = analysis.SweepGrid(
+            xs=_as_list(config["x"], "x"),
+            etas=_as_list(config["eta"], "eta"),
+            beta_as=beta_as,
+            k1s=_as_list(config["k1"], "k1"),
+            k2s=_as_list(config["k2"], "k2"),
+            t_start=t_start / omega_c,
+            t_stop=t_stop / omega_c,
+            t_count=t_count,
+            method=method,
+            state=_as_choice(config["state"], "state", analysis.STATES),
+            omega_c=omega_c,
+            **grid_options,
+        )
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from exc
+    return grid, (t_start, t_stop, t_count), omega_sqs
 
 
 def _check_method_temperature(method: GammaMethod, beta_values: list[float]) -> None:
@@ -210,26 +229,33 @@ def _config_units(value: float, omega_c: float) -> float:
     return value * omega_c if math.isfinite(value) else value
 
 
+def _keyed(key: str, build, *args):
+    """build(*args), with a ParameterError reported as a ConfigError naming `key`."""
+    try:
+        return build(*args)
+    except ParameterError as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
+
+
 def cmd_evolve(config: dict, args) -> int:
-    omega_c, omega_sqs, method, qubits = _parse_common(config)
     for key in ("x", "eta", "beta_a", "k1", "k2"):
         if isinstance(config[key], (list, tuple)):
             raise ConfigError(f"config key {key!r} must be a scalar for the evolve command")
-    x = _as_float(config["x"], "x")
-    eta = _as_float(config["eta"], "eta")
-    beta_a = _as_beta(config["beta_a"], "beta_a") / omega_c
-    k1 = _as_float(config["k1"], "k1")
-    k2 = _as_float(config["k2"], "k2")
-    state = _as_choice(config["state"], "state", analysis.STATES)
-    _check_method_temperature(method, [beta_a])
-    t_start, t_stop, t_count = _time_range(config)
+    grid, (t_start, t_stop, t_count), omega_sqs = _parse_run(config)
+    (x,), (eta,), (beta_a,), (k1,), (k2,) = grid.xs, grid.etas, grid.beta_as, grid.k1s, grid.k2s
+    omega_c = grid.omega_c
     times = np.linspace(t_start, t_stop, t_count) / omega_c
 
-    omegas = (qubits.omega_a, qubits.omega_b, qubits.omega_c)
+    rho0 = _keyed("x", werner, analysis.STATES[grid.state](), x)
+    _keyed("eta", OhmicSpectralDensity, eta, omega_c)
+    if math.isfinite(beta_a):  # zero temperature leaves k1 and k2 unused
+        gradient = (("beta_a", beta_a), ("k1", k1), ("k2", k2))
+        key = next((key for key, value in gradient if not value > 0), None)
+        _keyed(key, analysis.GradientSpec, beta_a, k1, k2)
+    omegas = tuple(math.sqrt(v) for v in omega_sqs)
     try:
         reservoirs = analysis.make_reservoirs(eta, omega_c, beta_a, k1, k2, omegas)
-        rho0 = werner(analysis.STATES[state](), x)
-        evolved = evolve(rho0, dephasing_factors(qubits, reservoirs, times, method))
+        evolved = evolve(rho0, dephasing_factors(reservoirs, times, grid.method))
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
     # re_ij and im_ij side by side, row-major over (i, j)
@@ -240,53 +266,25 @@ def cmd_evolve(config: dict, args) -> int:
     return 0
 
 
-def _build_grid(config: dict, omega_c: float, method: GammaMethod, include_timescales: bool):
-    xs = _as_list(config["x"], "x")
-    etas = _as_list(config["eta"], "eta")
-    beta_as = [b / omega_c if math.isfinite(b) else b for b in _as_list(config["beta_a"], "beta_a")]
-    k1s = _as_list(config["k1"], "k1")
-    k2s = _as_list(config["k2"], "k2")
-    _check_method_temperature(method, beta_as)
-    measures = config["measures"]
-    if not isinstance(measures, list) or not measures:
-        raise ConfigError("config key 'measures' must be a nonempty list")
-    for name in measures:
-        _as_choice(name, "measures", analysis.MEASURES)
-    state = _as_choice(config["state"], "state", analysis.STATES)
-    t_start, t_stop, t_count = _time_range(config)
-    epsilon = _as_float(config["epsilon"], "epsilon")
-    if not 0 < epsilon < 1:
-        raise ConfigError("config key 'epsilon' must lie in (0, 1)")
-    try:
-        return analysis.SweepGrid(
-            xs=xs,
-            etas=etas,
-            beta_as=beta_as,
-            k1s=k1s,
-            k2s=k2s,
-            t_start=t_start / omega_c,
-            t_stop=t_stop / omega_c,
-            t_count=t_count,
-            measures=tuple(measures),
-            method=method,
-            state=state,
-            omega_c=omega_c,
-            include_timescales=include_timescales,
-            epsilon=epsilon,
-        )
-    except Exception as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _curve_table(config: dict, args, per_time: bool, timescales: bool) -> int:
     """Write one row per curve, or per curve and time, from one run_sweep call.
 
     A row is (prefix, rest): the prefix holds the parameter columns and the
     measure name and is shared by every row of its curve.
     """
-    omega_c, omega_sqs, method, qubits = _parse_common(config)
-    grid = _build_grid(config, omega_c, method, include_timescales=timescales)
-    curves = analysis.run_sweep(grid, qubits)
+    measures = config["measures"]
+    if not isinstance(measures, list) or not measures:
+        raise ConfigError("config key 'measures' must be a nonempty list")
+    for name in measures:
+        _as_choice(name, "measures", analysis.MEASURES)
+    epsilon = _as_float(config["epsilon"], "epsilon")
+    if not 0 < epsilon < 1:
+        raise ConfigError("config key 'epsilon' must lie in (0, 1)")
+    grid, _, omega_sqs = _parse_run(
+        config, measures=tuple(measures), include_timescales=timescales, epsilon=epsilon
+    )
+    omega_c = grid.omega_c
+    curves = analysis.run_sweep(grid, QubitTriple(*(math.sqrt(v) for v in omega_sqs)))
     times = [t * omega_c for t in grid.times().tolist()]
     fields = [*PARAM_FIELDS, "measure"] + (["t", "value"] if per_time else [])
     if timescales:

@@ -34,8 +34,20 @@ class QubitTriple:
 
     def __post_init__(self):
         for name, value in (("omega_a", self.omega_a), ("omega_b", self.omega_b), ("omega_c", self.omega_c)):
-            if value <= 0:
+            if not value > 0:
                 raise ParameterError(f"{name} must be positive, got {value!r}")
+
+
+# _BITS[u] = (m, n, l) of basis index u = 4m + 2n + l; _FLIPS[X, u, v]:
+# qubit X differs between basis states u and v
+_BITS = (np.arange(DIM)[:, None] >> np.array([2, 1, 0])) & 1
+_FLIPS = np.moveaxis(_BITS[:, None, :] != _BITS[None, :, :], -1, 0)
+_SIGNS = 1.0 - 2.0 * _BITS  # (-1)^bit
+
+
+def _levels(omega_a: float, omega_b: float, omega_c: float) -> np.ndarray:
+    """All eight E_mnl by basis index, each summed A, then B, then C."""
+    return _SIGNS[:, 0] * omega_a + _SIGNS[:, 1] * omega_b + _SIGNS[:, 2] * omega_c
 
 
 def energy(m: int, n: int, l: int, q: QubitTriple) -> float:
@@ -43,19 +55,12 @@ def energy(m: int, n: int, l: int, q: QubitTriple) -> float:
     for bit in (m, n, l):
         if bit not in (0, 1):
             raise ParameterError(f"basis labels must be bits, got ({m}, {n}, {l})")
-    return (-1.0) ** m * q.omega_a + (-1.0) ** n * q.omega_b + (-1.0) ** l * q.omega_c
+    return float(energies(q)[4 * m + 2 * n + l])
 
 
 def energies(q: QubitTriple) -> np.ndarray:
     """All eight E_mnl ordered by basis index 4m + 2n + l."""
-    return np.array(
-        [energy(m, n, l, q) for m in (0, 1) for n in (0, 1) for l in (0, 1)], dtype=float
-    )
-
-
-# _FLIPS[X, u, v]: qubit X differs between basis states u and v
-_BITS = (np.arange(DIM)[:, None] >> np.array([2, 1, 0])) & 1
-_FLIPS = np.moveaxis(_BITS[:, None, :] != _BITS[None, :, :], -1, 0)
+    return _levels(q.omega_a, q.omega_b, q.omega_c)
 
 
 @dataclass(frozen=True)
@@ -84,31 +89,24 @@ class DephasingFactors:
 
 
 def dephasing_factors(
-    q: QubitTriple,
     reservoirs: Sequence[ReservoirSpec],
     t,
     method: GammaMethod,
     memo: dict | None = None,
 ) -> DephasingFactors:
-    """Damping and phase matrices for three independent reservoirs.
+    """Damping and phase matrices for qubits A, B, C in three independent reservoirs.
 
-    `t` is one time (8x8 factors) or a 1-d time array ((T, 8, 8) factors,
-    matrix i at t[i]).  Gamma is evaluated per reservoir and time, in time
-    order, so the first failing time raises.  A `memo` dict, keyed by
-    (reservoir, t, method), is read before and filled after each Gamma
-    call, so callers that pass the same dict share Gamma values; a Gamma
-    that raises is not stored.
+    Each reservoir carries its qubit's splitting Omega_X, which sets both
+    Gamma_X and the energies E_mnl.  `t` is one time (8x8 factors) or a
+    1-d time array ((T, 8, 8) factors, matrix i at t[i]); a negative or
+    non-finite time is rejected.  Gamma is evaluated per reservoir and
+    time, in time order, so the first failing time raises.  A `memo` dict,
+    keyed by (reservoir, t, method), is read before and filled after each
+    Gamma call, so callers that pass the same dict share Gamma values; a
+    Gamma that raises is not stored.
     """
     if len(reservoirs) != 3:
         raise ParameterError(f"expected three reservoirs, got {len(reservoirs)}")
-    for splitting, res, label in zip(
-        (q.omega_a, q.omega_b, q.omega_c), reservoirs, "ABC"
-    ):
-        if splitting != res.omega_qubit:
-            raise ParameterError(
-                f"qubit {label} splitting {splitting!r} does not match its reservoir's "
-                f"omega_qubit {res.omega_qubit!r}"
-            )
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise ParameterError(f"t must be a scalar or a 1-d time array, got shape {ts.shape}")
@@ -123,7 +121,7 @@ def dephasing_factors(
     # product order matches np.kron(np.kron(A, B), C)
     a, b, c = (np.where(_FLIPS[x], damps[:, x, None, None], 1.0) for x in range(3))
     damping = (a * b) * c
-    e = energies(q)
+    e = _levels(*(res.omega_qubit for res in reservoirs))
     phase = -(e[:, None] - e[None, :]) * ts.reshape(-1, 1, 1)
     if ts.ndim == 0:
         damping, phase = damping[0], phase[0]

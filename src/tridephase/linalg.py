@@ -46,7 +46,7 @@ def _check_hermitian(a: np.ndarray) -> None:
     defect = hermiticity_defect(a)
     if a.ndim > 2:
         defect = float(defect.max())
-    if defect > HERMITICITY_TOL:
+    if not defect <= HERMITICITY_TOL:  # NaN included
         raise HermiticityViolation(
             f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} > {HERMITICITY_TOL:.1e}"
         )
@@ -125,6 +125,6 @@ def purity(rho) -> float:
     a = _as_square(rho)
     _check_hermitian(a)
     tr = complex(np.trace(a))
-    if abs(tr - 1.0) > HERMITICITY_TOL:
+    if not abs(tr - 1.0) <= HERMITICITY_TOL:
         raise ParameterError(f"expected unit trace, got {tr!r}")
     return float(np.real(np.trace(a @ a)))

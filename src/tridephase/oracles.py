@@ -14,7 +14,7 @@ import numpy as np
 
 from . import reservoir
 from .analysis import make_reservoirs, preservation_time_numeric, preservation_time_zero_t
-from .evolution import QubitTriple, dephasing_factors, evolve
+from .evolution import dephasing_factors, evolve
 from .exceptions import ParameterError
 from .measures import gmc_ghz_werner, gmc_x_state
 from .reservoir import ZERO_TEMPERATURE, GammaMethod, OhmicSpectralDensity, ReservoirSpec
@@ -50,7 +50,6 @@ def pipeline_vs_scalar() -> float:
     """Low-T GHZ-Werner matrix GMC vs the scalar GMC: worst |difference| (criterion 03)."""
     rng = np.random.default_rng(1234)
     omega = 2.0
-    qubits = QubitTriple(omega, omega, omega)
     worst = 0.0
     for _ in range(1000):
         x = float(rng.uniform(0.0, 1.0))
@@ -60,7 +59,7 @@ def pipeline_vs_scalar() -> float:
         k1 = float(rng.uniform(0.5, 64.0))
         k2 = float(rng.uniform(0.5, 64.0))
         reservoirs = make_reservoirs(eta, 1.0, beta_a, k1, k2, (omega, omega, omega))
-        factors = dephasing_factors(qubits, reservoirs, t, GammaMethod.LOW_T_CLOSED_FORM)
+        factors = dephasing_factors(reservoirs, t, GammaMethod.LOW_T_CLOSED_FORM)
         matrix = gmc_x_state(evolve(werner(ghz_state(), x), factors))
         total = sum(reservoir.gamma(r, t, GammaMethod.LOW_T_CLOSED_FORM) for r in reservoirs)
         worst = max(worst, abs(matrix - gmc_ghz_werner(x, total)))

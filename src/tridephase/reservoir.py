@@ -65,9 +65,9 @@ class OhmicSpectralDensity:
     omega_c: float
 
     def __post_init__(self):
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise ParameterError(f"coupling constant eta must be >= 0, got {self.eta!r}")
-        if self.omega_c <= 0:
+        if not self.omega_c > 0:
             raise ParameterError(f"cutoff frequency must be positive, got {self.omega_c!r}")
 
     def __call__(self, omega: float) -> float:
@@ -90,7 +90,7 @@ class CustomSpectralDensity:
     support_cutoff: float
 
     def __post_init__(self):
-        if self.support_cutoff <= 0:
+        if not self.support_cutoff > 0:
             raise ParameterError(f"support cutoff must be positive, got {self.support_cutoff!r}")
 
     def __call__(self, omega: float) -> float:
@@ -113,7 +113,7 @@ class ReservoirSpec:
             raise ParameterError(
                 f"inverse temperature must be positive or ZERO_TEMPERATURE, got {self.beta!r}"
             )
-        if self.omega_qubit <= 0:
+        if not self.omega_qubit > 0:
             raise ParameterError(f"qubit splitting must be positive, got {self.omega_qubit!r}")
 
 
@@ -133,6 +133,11 @@ def _log_sinhc(z: float) -> float:
     return z + math.log(-math.expm1(-2.0 * z)) - math.log(2.0 * z)
 
 
+def _check_time(t: float) -> None:
+    if not 0.0 <= t < math.inf:
+        raise ParameterError(f"time must be finite and >= 0, got {t!r}")
+
+
 def _require_ohmic(res: ReservoirSpec, method: GammaMethod) -> OhmicSpectralDensity:
     if not isinstance(res.spectral, OhmicSpectralDensity):
         raise MethodError(f"{method.value} closed form is only available for Ohmic densities")
@@ -144,8 +149,7 @@ def gamma_zero_t(res: ReservoirSpec, t: float) -> float:
     spectral = _require_ohmic(res, GammaMethod.ZERO_T_CLOSED_FORM)
     if not is_zero_temperature(res.beta):
         raise MethodError("zero-temperature closed form requires ZERO_TEMPERATURE")
-    if t < 0:
-        raise ParameterError(f"time must be >= 0, got {t!r}")
+    _check_time(t)
     if t == 0.0:
         return 0.0
     wct = spectral.omega_c * t
@@ -161,8 +165,7 @@ def gamma_low_t(res: ReservoirSpec, t: float) -> float:
     spectral = _require_ohmic(res, GammaMethod.LOW_T_CLOSED_FORM)
     if is_zero_temperature(res.beta):
         raise MethodError("low-temperature closed form requires a finite inverse temperature")
-    if t < 0:
-        raise ParameterError(f"time must be >= 0, got {t!r}")
+    _check_time(t)
     if t == 0.0:
         return 0.0
     wct = spectral.omega_c * t
@@ -222,8 +225,7 @@ def _gamma_quadrature(res: ReservoirSpec, t: float) -> float:
 
 def gamma(res: ReservoirSpec, t: float, method: GammaMethod) -> float:
     """Gamma_X(t) >= 0 via the requested method; Gamma_X(0) = 0 exactly."""
-    if t < 0:
-        raise ParameterError(f"time must be >= 0, got {t!r}")
+    _check_time(t)
     if method is GammaMethod.ZERO_T_CLOSED_FORM:
         return gamma_zero_t(res, t)
     if method is GammaMethod.LOW_T_CLOSED_FORM:

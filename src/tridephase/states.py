@@ -8,13 +8,12 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import ParameterError
-from .linalg import hermitian_eigenvalues, hermiticity_defect
+from .linalg import HERMITICITY_TOL, hermitian_eigenvalues, hermiticity_defect
 
 DIM = 8
 
 NORM_TOL = 1e-12
 TRACE_TOL = 1e-12
-HERM_TOL = 1e-10
 PSD_TOL = 1e-10
 
 
@@ -68,17 +67,17 @@ def assert_density_matrix(rho) -> np.ndarray:
     defect = hermiticity_defect(a)
     if stacked:
         defect = float(defect.max())
-    if defect > HERM_TOL:
+    if not defect <= HERMITICITY_TOL:  # NaN included
         raise ParameterError(f"density matrix is not Hermitian (defect {defect:.3e})")
     tr = np.diagonal(a, axis1=-2, axis2=-1).sum(axis=-1)
     if stacked:
         tr = tr.flat[np.argmax(np.abs(tr - 1.0))]
     tr = complex(tr)
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise ParameterError(f"density matrix trace is {tr!r}, expected 1")
     min_eig = hermitian_eigenvalues(a)[..., 0]
     min_eig = float(min_eig.min() if stacked else min_eig)
-    if min_eig < -PSD_TOL:
+    if not min_eig >= -PSD_TOL:
         raise ParameterError(f"density matrix has negative eigenvalue {min_eig:.3e}")
     return a
 

@@ -17,7 +17,7 @@ from tridephase.analysis import (
     preservation_time_zero_t,
 )
 from tridephase.cli import main
-from tridephase.evolution import QubitTriple, dephasing_factors, evolve
+from tridephase.evolution import dephasing_factors, evolve
 from tridephase.linalg import hermitian_eigenvalues, hermiticity_defect
 from tridephase.measures import (
     gmc_ghz_werner,
@@ -128,14 +128,13 @@ def test_criterion_06_implicit_relation_residual():
 def test_criterion_07_gradient_monotonicity_and_saturation():
     start = time.perf_counter()
     omega = math.sqrt(12.0)
-    qubits = QubitTriple(omega, omega, omega)
     rho0 = werner(ghz_state(), 0.8)
     tps = []
     for k in (1.0, 2.0, 4.0, 8.0):  # k1 k2 in {1, 4, 16, 64}
         reservoirs = make_reservoirs(0.2, 1.0, 0.01, k, k, (omega, omega, omega))
 
         def curve(t, reservoirs=reservoirs):
-            factors = dephasing_factors(qubits, reservoirs, t, GammaMethod.LOW_T_CLOSED_FORM)
+            factors = dephasing_factors(reservoirs, t, GammaMethod.LOW_T_CLOSED_FORM)
             return gmc_x_state(evolve(rho0, factors))
 
         tps.append(preservation_time_numeric(curve, 5.0))
@@ -152,7 +151,6 @@ def test_criterion_08_channel_sanity_suite():
     start = time.perf_counter()
     rng = np.random.default_rng(777)
     omega = 2.0
-    qubits = QubitTriple(omega, omega, omega)
     spectral = OhmicSpectralDensity(0.25, 1.0)
     reservoirs = tuple(ReservoirSpec(spectral, ZERO_TEMPERATURE, omega) for _ in range(3))
     worst_herm, worst_eig = 0.0, 0.0
@@ -162,7 +160,7 @@ def test_criterion_08_channel_sanity_suite():
         rho = a @ a.conj().T
         rho /= np.trace(rho).real
         t = float(rng.uniform(0.0, 20.0))
-        out = evolve(rho, dephasing_factors(qubits, reservoirs, t, GammaMethod.ZERO_T_CLOSED_FORM))
+        out = evolve(rho, dephasing_factors(reservoirs, t, GammaMethod.ZERO_T_CLOSED_FORM))
         exact_trace &= np.trace(out) == np.trace(rho)
         exact_diag &= np.array_equal(np.diag(out), np.diag(rho))
         worst_herm = max(worst_herm, hermiticity_defect(out))
@@ -209,14 +207,13 @@ def test_criterion_09_measure_sanity():
 
 def test_criterion_10_w_werner_dynamics():
     omega = math.sqrt(12.0)
-    qubits = QubitTriple(omega, omega, omega)
     x = 0.6
     rho0 = werner(w_state(), x)
     reservoirs = make_reservoirs(0.4, 1.0, 0.002, 1.0, 1.0, (omega, omega, omega))
 
     worst_l1 = 0.0
     for t in np.linspace(0.0, 1e-3, 21):
-        rho = evolve(rho0, dephasing_factors(qubits, reservoirs, float(t), GammaMethod.LOW_T_CLOSED_FORM))
+        rho = evolve(rho0, dephasing_factors(reservoirs, float(t), GammaMethod.LOW_T_CLOSED_FORM))
         g = [gamma_low_t(r, float(t)) for r in reservoirs]
         expected = (2.0 * x / 3.0) * (
             math.exp(-(g[1] + g[2])) + math.exp(-(g[0] + g[2])) + math.exp(-(g[0] + g[1]))
@@ -226,7 +223,7 @@ def test_criterion_10_w_werner_dynamics():
     death_time = None
     coherence_at_death = None
     for t in np.linspace(0.0, 2e-3, 81):
-        rho = evolve(rho0, dephasing_factors(qubits, reservoirs, float(t), GammaMethod.LOW_T_CLOSED_FORM))
+        rho = evolve(rho0, dephasing_factors(reservoirs, float(t), GammaMethod.LOW_T_CLOSED_FORM))
         if tripartite_negativity(rho) == 0.0:
             death_time = float(t)
             coherence_at_death = l1_coherence(rho)
@@ -244,7 +241,6 @@ def test_criterion_10_w_werner_dynamics():
 
 def test_criterion_11_freezing_detection():
     omega = math.sqrt(12.0)
-    qubits = QubitTriple(omega, omega, omega)
     rho0 = werner(w_state(), 0.6)
     ts = np.concatenate([[0.0], np.geomspace(1e-6, 0.5, 599)])
 
@@ -252,7 +248,7 @@ def test_criterion_11_freezing_detection():
         reservoirs = make_reservoirs(0.4, 1.0, 0.003, k1, k2, (omega, omega, omega))
         return np.array([
             l1_coherence(
-                evolve(rho0, dephasing_factors(qubits, reservoirs, float(t), GammaMethod.LOW_T_CLOSED_FORM))
+                evolve(rho0, dephasing_factors(reservoirs, float(t), GammaMethod.LOW_T_CLOSED_FORM))
             )
             for t in ts
         ])

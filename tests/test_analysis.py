@@ -21,7 +21,12 @@ from tridephase.evolution import QubitTriple
 from tridephase.exceptions import NoCorrelationError, ParameterError
 from tridephase.measures import gmc_ghz_werner
 from tridephase.oracles import gmc_ghz_werner_low_t
-from tridephase.reservoir import GammaMethod
+from tridephase.reservoir import (
+    ZERO_TEMPERATURE,
+    GammaMethod,
+    OhmicSpectralDensity,
+    ReservoirSpec,
+)
 
 
 def zero_t_curve(x, eta, omega_sq):
@@ -438,3 +443,42 @@ def test_sweep_failing_gamma_is_not_cached_and_marks_its_rows(monkeypatch):
     res_c = make_reservoirs(0.2, 1.0, 0.5, 1.0, 16.0, (2.0,) * 3)[2]
     method = GammaMethod.LOW_T_CLOSED_FORM
     assert failures == Counter({(res_b, 0.0, method): 2, (res_c, 0.0, method): 1})
+
+
+def one_point_grid(**changes):
+    fields = dict(
+        xs=[0.9], etas=[0.2], beta_as=[math.inf], k1s=[1.0], k2s=[1.0],
+        t_start=0.0, t_stop=3.0, t_count=5,
+    )
+    return SweepGrid(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: QubitTriple(math.nan, 1.0, 1.0), "omega_a must be positive"),
+    (lambda: OhmicSpectralDensity(math.nan, 1.0), "coupling constant eta must be >= 0"),
+    (lambda: OhmicSpectralDensity(0.2, math.nan), "cutoff frequency must be positive"),
+    (lambda: ReservoirSpec(OhmicSpectralDensity(0.2, 1.0), ZERO_TEMPERATURE, math.nan),
+     "qubit splitting must be positive"),
+    (lambda: GradientSpec(math.nan, 1.0, 1.0), "beta_a must be positive"),
+    (lambda: GradientSpec(1.0, math.nan, 1.0), "k1 and k2 must be positive"),
+    (lambda: one_point_grid(omega_c=math.nan), "omega_c must be positive"),
+    (lambda: one_point_grid(t_stop=math.inf), "need t_stop > t_start >= 0"),
+    (lambda: preservation_time_zero_t(0.9, math.nan, 4.0, 1.0), "must be positive"),
+], ids=[
+    "qubit_triple", "ohmic_eta", "ohmic_omega_c", "reservoir_omega_qubit",
+    "gradient_beta_a", "gradient_k1", "grid_omega_c", "grid_t_stop_inf", "zero_t_eta",
+])
+def test_library_boundary_rejects_nan_and_infinite_t_stop(build, message):
+    with pytest.raises(ParameterError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("t_max", [math.inf, math.nan])
+def test_timescales_reject_non_finite_t_max(t_max):
+    def curve(t):
+        return max(0.0, 1.0 - t)  # dies at t = 1
+
+    with pytest.raises(ParameterError, match="t_max must be positive and finite"):
+        preservation_time_numeric(curve, t_max)
+    with pytest.raises(ParameterError, match="t_max must be positive and finite"):
+        characteristic_time(curve, t_max)

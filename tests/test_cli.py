@@ -82,7 +82,8 @@ def test_evolve_bad_physical_input_is_a_config_error(capsys, settings, message):
     code, out, err = run(capsys, argv)
     assert code == 1
     assert out == ""
-    assert err == f"error: {message}\n"
+    key = settings[0].partition("=")[0]  # the first setting is the bad one
+    assert err == f"error: config key {key!r}: {message}\n"
 
 
 @pytest.mark.parametrize("setting, key", [

@@ -179,3 +179,13 @@ def test_purity_rejects_bad_input():
         purity(np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex))
     with pytest.raises(ParameterError):
         purity(np.eye(2))  # trace 2
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (3, 8, 8)], ids=["matrix", "stack"])
+def test_nan_matrix_is_not_hermitian(shape):
+    nan = np.full(shape, np.nan, dtype=complex)
+    with pytest.raises(HermiticityViolation):
+        hermitian_eigenvalues(nan)
+    if len(shape) == 2:
+        with pytest.raises(HermiticityViolation):
+            purity(nan)

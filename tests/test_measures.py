@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tridephase.evolution import QubitTriple, dephasing_factors, evolve
+from tridephase.evolution import dephasing_factors, evolve
 from tridephase.exceptions import ParameterError, ShapeError
 from tridephase.measures import (
     gmc_ghz_werner,
@@ -136,7 +136,6 @@ def test_l1_coherence_initial_states():
 
 def test_l1_coherence_evolved_w_werner():
     omega = 2.0
-    qubits = QubitTriple(omega, omega, omega)
     spectral = OhmicSpectralDensity(0.3, 1.0)
     betas = (0.5, 1.0, 2.0)
     reservoirs = tuple(ReservoirSpec(spectral, b, omega) for b in betas)
@@ -145,7 +144,7 @@ def test_l1_coherence_evolved_w_werner():
     x, t = 0.7, 0.8
     rho = evolve(
         werner(w_state(), x),
-        dephasing_factors(qubits, reservoirs, t, GammaMethod.LOW_T_CLOSED_FORM),
+        dephasing_factors(reservoirs, t, GammaMethod.LOW_T_CLOSED_FORM),
     )
     g = [gamma_low_t(r, t) for r in reservoirs]
     expected = (2 * x / 3) * (
@@ -187,7 +186,6 @@ def test_tripartite_negativity_bounded_by_factors(seed):
 
 def test_l1_coherence_nonincreasing_under_dephasing():
     omega = 2.0
-    qubits = QubitTriple(omega, omega, omega)
     spectral = OhmicSpectralDensity(0.3, 1.0)
     from tridephase.reservoir import ZERO_TEMPERATURE
 
@@ -195,7 +193,7 @@ def test_l1_coherence_nonincreasing_under_dephasing():
     rho0 = werner(w_state(), 0.9)
     values = [
         l1_coherence(
-            evolve(rho0, dephasing_factors(qubits, reservoirs, float(t), GammaMethod.ZERO_T_CLOSED_FORM))
+            evolve(rho0, dephasing_factors(reservoirs, float(t), GammaMethod.ZERO_T_CLOSED_FORM))
         )
         for t in np.linspace(0.0, 5.0, 60)
     ]
@@ -228,7 +226,6 @@ def test_measures_invariant_under_diagonal_phases(seed):
 def test_gmc_x_state_matches_scalar_form_on_random_tuples():
     rng = np.random.default_rng(33)
     omega = math.sqrt(3.0)
-    qubits = QubitTriple(omega, omega, omega)
     spectral_cache = {}
     from tridephase.reservoir import gamma_low_t
 
@@ -243,7 +240,7 @@ def test_gmc_x_state_matches_scalar_form_on_random_tuples():
         reservoirs = tuple(
             ReservoirSpec(spectral, b, omega) for b in (beta_a, k1 * beta_a, k2 * beta_a)
         )
-        factors = dephasing_factors(qubits, reservoirs, t, GammaMethod.LOW_T_CLOSED_FORM)
+        factors = dephasing_factors(reservoirs, t, GammaMethod.LOW_T_CLOSED_FORM)
         matrix_value = gmc_x_state(evolve(werner(ghz_state(), x), factors))
         total = sum(gamma_low_t(r, t) for r in reservoirs)
         assert abs(matrix_value - gmc_ghz_werner(x, total)) < 1e-12

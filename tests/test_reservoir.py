@@ -173,3 +173,18 @@ def test_spec_validation():
         ReservoirSpec(OhmicSpectralDensity(0.1, 1.0), -2.0, 1.0)
     with pytest.raises(ParameterError):
         ReservoirSpec(OhmicSpectralDensity(0.1, 1.0), 1.0, 0.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+@pytest.mark.parametrize("method", list(GammaMethod), ids=lambda m: m.value)
+def test_gamma_rejects_non_finite_time(method, t):
+    res = ohmic() if method is GammaMethod.ZERO_T_CLOSED_FORM else ohmic(beta=10.0)
+    direct = {
+        GammaMethod.ZERO_T_CLOSED_FORM: gamma_zero_t,
+        GammaMethod.LOW_T_CLOSED_FORM: gamma_low_t,
+    }.get(method)
+    with pytest.raises(ParameterError, match="time must be finite and >= 0"):
+        gamma(res, t, method)
+    if direct is not None:
+        with pytest.raises(ParameterError, match="time must be finite and >= 0"):
+            direct(res, t)

@@ -30,8 +30,8 @@ def stacked_and_singles(key):
     state, x, eta, beta_a, method = CURVES[key]
     reservoirs = make_reservoirs(eta, 1.0, beta_a, 4.0, 16.0, (OMEGA, OMEGA, OMEGA))
     rho0 = werner(STATES[state](), x)
-    factors = dephasing_factors(QUBITS, reservoirs, TIMES, method)
-    singles = [dephasing_factors(QUBITS, reservoirs, t, method) for t in TIMES.tolist()]
+    factors = dephasing_factors(reservoirs, TIMES, method)
+    singles = [dephasing_factors(reservoirs, t, method) for t in TIMES.tolist()]
     return rho0, factors, singles
 
 
@@ -149,7 +149,7 @@ def reference_rows(grid, qubits):
                     if reservoirs is None:
                         error = setup_error
                     else:
-                        factors = dephasing_factors(qubits, reservoirs, t, grid.method)
+                        factors = dephasing_factors(reservoirs, t, grid.method)
                         value = MEASURES[name](evolve(rho0, factors))
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
@@ -193,7 +193,7 @@ def test_w_state_gmc_rows_keep_their_own_shape_errors():
     expected = []
     for t in grid.times().tolist():
         with pytest.raises(ShapeError) as excinfo:
-            gmc_x_state(evolve(rho0, dephasing_factors(QUBITS, reservoirs, t, grid.method)))
+            gmc_x_state(evolve(rho0, dephasing_factors(reservoirs, t, grid.method)))
         expected.append(f"ShapeError: {excinfo.value}")
     assert curve.errors == expected
     assert len(set(expected)) == len(expected)

@@ -93,3 +93,10 @@ def test_density_matrix_validation():
     bad = maximally_mixed()
     bad[0, 1] = 0.5  # breaks positivity and hermiticity
     assert not is_density_matrix(bad)
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (3, 8, 8)], ids=["matrix", "stack"])
+def test_nan_matrix_is_rejected_as_not_hermitian(shape):
+    with pytest.raises(ParameterError, match="not Hermitian"):
+        assert_density_matrix(np.full(shape, np.nan, dtype=complex))
+    assert not is_density_matrix(np.full(shape, np.nan, dtype=complex))

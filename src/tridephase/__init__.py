@@ -4,7 +4,6 @@ qubits coupled to independent thermal bosonic reservoirs."""
 from .analysis import (
     CharacteristicTime,
     CurveResult,
-    GradientSpec,
     SweepGrid,
     TimescaleResult,
     characteristic_time,
@@ -42,7 +41,6 @@ from .reservoir import (
     gamma,
     gamma_low_t,
     gamma_zero_t,
-    is_zero_temperature,
 )
 from .states import ghz_state, maximally_mixed, projector, w_state, werner
 
@@ -54,7 +52,6 @@ __all__ = [
     "CustomSpectralDensity",
     "DephasingFactors",
     "GammaMethod",
-    "GradientSpec",
     "HermiticityViolation",
     "MethodError",
     "NoCorrelationError",
@@ -82,7 +79,6 @@ __all__ = [
     "gmc_pure",
     "gmc_x_state",
     "hermitian_eigenvalues",
-    "is_zero_temperature",
     "l1_coherence",
     "make_reservoirs",
     "maximally_mixed",

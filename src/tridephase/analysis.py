@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -24,12 +25,7 @@ from .measures import (
     negativity,
     tripartite_negativity,
 )
-from .reservoir import (
-    ZERO_TEMPERATURE,
-    GammaMethod,
-    OhmicSpectralDensity,
-    ReservoirSpec,
-)
+from .reservoir import ZERO_TEMPERATURE, GammaMethod, OhmicSpectralDensity, ReservoirSpec
 from .states import ghz_state, w_state, werner
 
 DEAD_THRESHOLD = 1e-12
@@ -53,24 +49,6 @@ STATES: dict[str, Callable[[], np.ndarray]] = {
     "ghz": ghz_state,
     "w": w_state,
 }
-
-
-@dataclass(frozen=True)
-class GradientSpec:
-    """Reservoir temperatures via beta_B = k1 beta_A, beta_C = k2 beta_A."""
-
-    beta_a: float
-    k1: float
-    k2: float
-
-    def __post_init__(self):
-        if not self.beta_a > 0:
-            raise ParameterError(f"beta_a must be positive, got {self.beta_a!r}")
-        if not (self.k1 > 0 and self.k2 > 0):
-            raise ParameterError(f"k1 and k2 must be positive, got {self.k1!r}, {self.k2!r}")
-
-    def betas(self) -> tuple[float, float, float]:
-        return self.beta_a, self.k1 * self.beta_a, self.k2 * self.beta_a
 
 
 def preservation_time_zero_t(x: float, eta: float, omega_sq: float, omega_c: float) -> float:
@@ -299,14 +277,18 @@ class SweepGrid:
         ):
             if len(seq) == 0:
                 raise ParameterError(f"{name} must be nonempty")
-        if self.t_count < 2:
-            raise ParameterError(f"t_count must be >= 2, got {self.t_count!r}")
+        if not isinstance(self.t_count, numbers.Integral) or self.t_count < 2:
+            raise ParameterError(f"t_count must be an integer >= 2, got {self.t_count!r}")
         if not math.inf > self.t_stop > self.t_start >= 0.0:
             raise ParameterError(
                 f"need t_stop > t_start >= 0, got {self.t_start!r}, {self.t_stop!r}"
             )
         if not self.omega_c > 0:
             raise ParameterError(f"omega_c must be positive, got {self.omega_c!r}")
+        if not isinstance(self.method, GammaMethod):
+            raise ParameterError(f"method must be a GammaMethod, got {self.method!r}")
+        if not 0.0 < self.epsilon < 1.0:
+            raise ParameterError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
         unknown = set(self.measures) - set(MEASURES)
         if unknown:
             raise ParameterError(f"unknown measures: {sorted(unknown)}")
@@ -349,12 +331,28 @@ def make_reservoirs(
     k2: float,
     omegas: tuple[float, float, float],
 ) -> tuple[ReservoirSpec, ReservoirSpec, ReservoirSpec]:
-    """Three Ohmic reservoirs with beta_B = k1 beta_A, beta_C = k2 beta_A."""
+    """Three Ohmic reservoirs with beta_B = k1 beta_A, beta_C = k2 beta_A.
+
+    beta_a = ZERO_TEMPERATURE (inf) puts all three at zero temperature and
+    leaves k1 and k2 unused.  Otherwise beta_a, k1 and k2 must be positive,
+    and so must k1 beta_a and k2 beta_a after rounding: a product that
+    underflows to 0 or overflows to inf is rejected by the name of its factor.
+    """
     spectral = OhmicSpectralDensity(eta, omega_c)
-    if math.isinf(beta_a):
-        betas = (ZERO_TEMPERATURE, ZERO_TEMPERATURE, ZERO_TEMPERATURE)
+    if beta_a == ZERO_TEMPERATURE:
+        betas = (beta_a, beta_a, beta_a)
     else:
-        betas = GradientSpec(beta_a, k1, k2).betas()
+        if not beta_a > 0:
+            raise ParameterError(f"beta_a must be positive, got {beta_a!r}")
+        if not (k1 > 0 and k2 > 0):
+            raise ParameterError(f"k1 and k2 must be positive, got {k1!r}, {k2!r}")
+        betas = (beta_a, k1 * beta_a, k2 * beta_a)
+        for key, k, beta in (("k1", k1, betas[1]), ("k2", k2, betas[2])):
+            if not 0.0 < beta < math.inf:
+                raise ParameterError(
+                    f"{key} * beta_a = {k!r} * {beta_a!r} rounds to {beta!r}, "
+                    "not a positive finite inverse temperature"
+                )
     return tuple(
         ReservoirSpec(spectral, beta, omega) for beta, omega in zip(betas, omegas)
     )

@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis, oracles
 from .evolution import QubitTriple, dephasing_factors, evolve
 from .exceptions import ParameterError
-from .reservoir import GammaMethod, OhmicSpectralDensity
+from .reservoir import GammaMethod
 from .states import werner
 
 DEFAULT_CONFIG = {
@@ -139,9 +139,9 @@ def _as_bool(value, key: str) -> bool:
 def _parse_run(config: dict, **grid_options):
     """The keys every command reads, parsed and checked once.
 
-    Returns (grid, (t_start, t_stop, t_count), omega_sqs): the SweepGrid of
-    those keys plus `grid_options`, the time range in config units, and the
-    squared splittings.  A scalar list key becomes a one-item list.
+    Returns (grid, omega_sqs): the SweepGrid of those keys plus
+    `grid_options`, and the squared splittings.  A scalar list key becomes a
+    one-item list.
     """
     omega_c = _as_float(config["omega_c"], "omega_c")
     if omega_c <= 0:
@@ -178,7 +178,7 @@ def _parse_run(config: dict, **grid_options):
         )
     except ParameterError as exc:
         raise ConfigError(str(exc)) from exc
-    return grid, (t_start, t_stop, t_count), omega_sqs
+    return grid, omega_sqs
 
 
 def _check_method_temperature(method: GammaMethod, beta_values: list[float]) -> None:
@@ -229,11 +229,20 @@ def _config_units(value: float, omega_c: float) -> float:
     return value * omega_c if math.isfinite(value) else value
 
 
-def _keyed(key: str, build, *args):
-    """build(*args), with a ParameterError reported as a ConfigError naming `key`."""
+def _keyed(values: dict, build, *args):
+    """build(*args), with a ParameterError reported as a ConfigError naming a key.
+
+    `values` maps the config keys that `args` came from to their values.  Of
+    the keys the message names, in its order, the first one whose value is
+    not positive is named, else the first one named; a message that names
+    none is put on the first key of `values`.
+    """
     try:
         return build(*args)
     except ParameterError as exc:
+        named = [word for word in str(exc).replace(",", " ").split() if word in values]
+        named = named or list(values)
+        key = next((k for k in named if not values[k] > 0), named[0])
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
@@ -241,23 +250,18 @@ def cmd_evolve(config: dict, args) -> int:
     for key in ("x", "eta", "beta_a", "k1", "k2"):
         if isinstance(config[key], (list, tuple)):
             raise ConfigError(f"config key {key!r} must be a scalar for the evolve command")
-    grid, (t_start, t_stop, t_count), omega_sqs = _parse_run(config)
+    grid, omega_sqs = _parse_run(config)
     (x,), (eta,), (beta_a,), (k1,), (k2,) = grid.xs, grid.etas, grid.beta_as, grid.k1s, grid.k2s
     omega_c = grid.omega_c
-    times = np.linspace(t_start, t_stop, t_count) / omega_c
+    times = grid.times()
 
-    rho0 = _keyed("x", werner, analysis.STATES[grid.state](), x)
-    _keyed("eta", OhmicSpectralDensity, eta, omega_c)
-    if math.isfinite(beta_a):  # zero temperature leaves k1 and k2 unused
-        gradient = (("beta_a", beta_a), ("k1", k1), ("k2", k2))
-        key = next((key for key, value in gradient if not value > 0), None)
-        _keyed(key, analysis.GradientSpec, beta_a, k1, k2)
+    rho0 = _keyed({"x": x}, werner, analysis.STATES[grid.state](), x)
     omegas = tuple(math.sqrt(v) for v in omega_sqs)
-    try:
-        reservoirs = analysis.make_reservoirs(eta, omega_c, beta_a, k1, k2, omegas)
-        evolved = evolve(rho0, dephasing_factors(reservoirs, times, grid.method))
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
+    reservoirs = _keyed(
+        {"eta": eta, "beta_a": beta_a, "k1": k1, "k2": k2},
+        analysis.make_reservoirs, eta, omega_c, beta_a, k1, k2, omegas,
+    )
+    evolved = evolve(rho0, dephasing_factors(reservoirs, times, grid.method))
     # re_ij and im_ij side by side, row-major over (i, j)
     elements = np.stack([evolved.real, evolved.imag], axis=-1).reshape(len(times), 128)
     fields = ["t"] + [f"{part}_{i}{j}" for i in range(8) for j in range(8) for part in ("re", "im")]
@@ -280,7 +284,7 @@ def _curve_table(config: dict, args, per_time: bool, timescales: bool) -> int:
     epsilon = _as_float(config["epsilon"], "epsilon")
     if not 0 < epsilon < 1:
         raise ConfigError("config key 'epsilon' must lie in (0, 1)")
-    grid, _, omega_sqs = _parse_run(
+    grid, omega_sqs = _parse_run(
         config, measures=tuple(measures), include_timescales=timescales, epsilon=epsilon
     )
     omega_c = grid.omega_c

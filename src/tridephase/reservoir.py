@@ -6,8 +6,9 @@ governed by
     Gamma_X(t) = 8 Omega_X^2 int_0^inf dw  J(w)/w^2 coth(beta_X w / 2)
                                           sin^2(w t / 2),
 
-with coth -> 1 at zero temperature.  Natural units hbar = k_B = 1: all
-frequencies and inverse temperatures share one inverse-time unit.
+with coth -> 1 at zero temperature, beta_X = inf (ZERO_TEMPERATURE).
+Natural units hbar = k_B = 1: all frequencies and inverse temperatures share
+one inverse-time unit.
 
 For the Ohmic density J(w) = eta w exp(-w/w_c) two closed forms exist:
 
@@ -39,22 +40,7 @@ _CUTOFF_MULTIPLE = 60.0
 _OMEGA_EPS_FACTOR = 1e-8
 
 
-class _ZeroTemperature:
-    """Distinguished T = 0 marker; avoids overflowing coth with a huge float."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "ZERO_TEMPERATURE"
-
-
-ZERO_TEMPERATURE = _ZeroTemperature()
-
-Beta = Union[float, _ZeroTemperature]
-
-
-def is_zero_temperature(beta: Beta) -> bool:
-    return isinstance(beta, _ZeroTemperature)
+ZERO_TEMPERATURE = math.inf  # the inverse temperature of a reservoir at T = 0
 
 
 @dataclass(frozen=True)
@@ -105,11 +91,11 @@ class ReservoirSpec:
     """One reservoir: spectral density, inverse temperature, qubit splitting."""
 
     spectral: SpectralDensity
-    beta: Beta
+    beta: float
     omega_qubit: float
 
     def __post_init__(self):
-        if not is_zero_temperature(self.beta) and not self.beta > 0:
+        if not self.beta > 0:
             raise ParameterError(
                 f"inverse temperature must be positive or ZERO_TEMPERATURE, got {self.beta!r}"
             )
@@ -147,7 +133,7 @@ def _require_ohmic(res: ReservoirSpec, method: GammaMethod) -> OhmicSpectralDens
 def gamma_zero_t(res: ReservoirSpec, t: float) -> float:
     """Zero-temperature Ohmic closed form 2 eta Omega^2 ln(1 + (w_c t)^2)."""
     spectral = _require_ohmic(res, GammaMethod.ZERO_T_CLOSED_FORM)
-    if not is_zero_temperature(res.beta):
+    if res.beta != ZERO_TEMPERATURE:
         raise MethodError("zero-temperature closed form requires ZERO_TEMPERATURE")
     _check_time(t)
     if t == 0.0:
@@ -163,7 +149,7 @@ def gamma_low_t(res: ReservoirSpec, t: float) -> float:
     the t -> 0 limit of the thermal factor is taken analytically.
     """
     spectral = _require_ohmic(res, GammaMethod.LOW_T_CLOSED_FORM)
-    if is_zero_temperature(res.beta):
+    if res.beta == ZERO_TEMPERATURE:
         raise MethodError("low-temperature closed form requires a finite inverse temperature")
     _check_time(t)
     if t == 0.0:
@@ -176,17 +162,14 @@ def gamma_low_t(res: ReservoirSpec, t: float) -> float:
 def _gamma_quadrature(res: ReservoirSpec, t: float) -> float:
     spectral = res.spectral
     omega_sq = res.omega_qubit**2
-    finite_temperature = not is_zero_temperature(res.beta)
-    beta = res.beta if finite_temperature else None
+    beta = res.beta
 
     if isinstance(spectral, OhmicSpectralDensity):
         upper = spectral.support_cutoff
         omega_eps = _OMEGA_EPS_FACTOR * spectral.omega_c
-        if finite_temperature:
-            # J(w)/w^2 coth(beta w/2) sin^2(wt/2) -> eta t^2 / (2 beta) as w -> 0
-            limit = 8.0 * omega_sq * spectral.eta * t * t / (2.0 * beta)
-        else:
-            limit = 0.0
+        # J(w)/w^2 coth(beta w/2) sin^2(wt/2) -> eta t^2 / (2 beta) as w -> 0,
+        # exactly 0.0 at beta = inf
+        limit = 8.0 * omega_sq * spectral.eta * t * t / (2.0 * beta)
     else:
         upper = spectral.support_cutoff
         omega_eps = _OMEGA_EPS_FACTOR * upper / _CUTOFF_MULTIPLE
@@ -200,9 +183,7 @@ def _gamma_quadrature(res: ReservoirSpec, t: float) -> float:
             w = omega_eps
         s = math.sin(0.5 * w * t)
         value = 8.0 * omega_sq * spectral(w) / (w * w) * (s * s)
-        if finite_temperature:
-            value /= math.tanh(0.5 * beta * w)
-        return value
+        return value / math.tanh(0.5 * beta * w)  # tanh(inf) is exactly 1.0
 
     result = integrate.quad(
         integrand,

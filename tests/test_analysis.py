@@ -8,7 +8,6 @@ from tridephase import evolution
 from tridephase.analysis import (
     DEFAULT_EPSILON,
     ROOT_REL_TOL,
-    GradientSpec,
     SweepGrid,
     characteristic_time,
     freezing_intervals,
@@ -184,13 +183,28 @@ def test_freezing_validation():
         freezing_intervals([0.0, 1.0], [0.0, 0.0])
 
 
+def gradient(beta_a, k1, k2):
+    """The three reservoirs of make_reservoirs at eta = 0.2, omega_c = 1, Omega = 2."""
+    return make_reservoirs(0.2, 1.0, beta_a, k1, k2, (2.0, 2.0, 2.0))
+
+
 def test_gradient_spec():
-    spec = GradientSpec(0.01, 2.0, 8.0)
-    assert spec.betas() == (0.01, 0.02, 0.08)
-    with pytest.raises(ParameterError):
-        GradientSpec(-1.0, 1.0, 1.0)
-    with pytest.raises(ParameterError):
-        GradientSpec(1.0, 0.0, 1.0)
+    assert tuple(r.beta for r in gradient(0.01, 2.0, 8.0)) == (0.01, 0.02, 0.08)
+    with pytest.raises(ParameterError, match="beta_a must be positive"):
+        gradient(-1.0, 1.0, 1.0)
+    with pytest.raises(ParameterError, match="k1 and k2 must be positive"):
+        gradient(1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("beta_a, k1, k2, key", [
+    (1e-200, 1e-200, 1.0, "k1"),
+    (1e-200, 1.0, 1e-200, "k2"),
+    (1e200, 1e200, 1.0, "k1"),
+    (1e200, 1.0, 1e200, "k2"),
+])
+def test_gradient_product_that_rounds_out_of_range_names_its_factor(beta_a, k1, k2, key):
+    with pytest.raises(ParameterError, match=rf"^{key} \* beta_a = .* not a positive finite"):
+        gradient(beta_a, k1, k2)
 
 
 def default_qubits():
@@ -293,10 +307,9 @@ def test_sweep_grid_validation():
 
 
 def test_make_reservoirs_zero_temperature():
-    reservoirs = make_reservoirs(0.2, 1.0, math.inf, 1.0, 1.0, (2.0, 2.0, 2.0))
-    from tridephase.reservoir import is_zero_temperature
-
-    assert all(is_zero_temperature(r.beta) for r in reservoirs)
+    assert all(r.beta == ZERO_TEMPERATURE for r in gradient(math.inf, 1.0, 1.0))
+    # zero temperature leaves k1 and k2 unused
+    assert gradient(math.inf, 0.0, math.nan) == gradient(math.inf, 1.0, 1.0)
 
 
 def sampled(curve, ts):
@@ -459,14 +472,21 @@ def one_point_grid(**changes):
     (lambda: OhmicSpectralDensity(0.2, math.nan), "cutoff frequency must be positive"),
     (lambda: ReservoirSpec(OhmicSpectralDensity(0.2, 1.0), ZERO_TEMPERATURE, math.nan),
      "qubit splitting must be positive"),
-    (lambda: GradientSpec(math.nan, 1.0, 1.0), "beta_a must be positive"),
-    (lambda: GradientSpec(1.0, math.nan, 1.0), "k1 and k2 must be positive"),
+    (lambda: ReservoirSpec(OhmicSpectralDensity(0.2, 1.0), math.nan, 2.0),
+     "inverse temperature must be positive or ZERO_TEMPERATURE"),
+    (lambda: gradient(math.nan, 1.0, 1.0), "beta_a must be positive"),
+    (lambda: gradient(1.0, math.nan, 1.0), "k1 and k2 must be positive"),
     (lambda: one_point_grid(omega_c=math.nan), "omega_c must be positive"),
     (lambda: one_point_grid(t_stop=math.inf), "need t_stop > t_start >= 0"),
+    (lambda: one_point_grid(t_count=5.0), "t_count must be an integer >= 2"),
+    (lambda: one_point_grid(method="zero_t"), "method must be a GammaMethod"),
+    (lambda: one_point_grid(epsilon=1.5), r"epsilon must lie in \(0, 1\)"),
+    (lambda: one_point_grid(epsilon=math.nan), r"epsilon must lie in \(0, 1\)"),
     (lambda: preservation_time_zero_t(0.9, math.nan, 4.0, 1.0), "must be positive"),
 ], ids=[
-    "qubit_triple", "ohmic_eta", "ohmic_omega_c", "reservoir_omega_qubit",
-    "gradient_beta_a", "gradient_k1", "grid_omega_c", "grid_t_stop_inf", "zero_t_eta",
+    "qubit_triple", "ohmic_eta", "ohmic_omega_c", "reservoir_omega_qubit", "reservoir_beta",
+    "gradient_beta_a", "gradient_k1", "grid_omega_c", "grid_t_stop_inf",
+    "grid_t_count_float", "grid_method_str", "grid_epsilon_big", "grid_epsilon_nan", "zero_t_eta",
 ])
 def test_library_boundary_rejects_nan_and_infinite_t_stop(build, message):
     with pytest.raises(ParameterError, match=message):

@@ -70,10 +70,15 @@ def test_evolve_rejects_list_parameters(capsys):
     assert "x" in err
 
 
+UNDERFLOW = "k1 * beta_a = 1e-200 * 1e-200 rounds to 0.0, not a positive finite inverse temperature"
+
+
 @pytest.mark.parametrize("settings, message", [
     (["x=1.5"], "mixing parameter must lie in [0, 1], got 1.5"),
     (["eta=-1"], "coupling constant eta must be >= 0, got -1.0"),
     (["k1=0", "beta_a=1", "method=low_t"], "k1 and k2 must be positive, got 0.0, 1.0"),
+    (["k2=0", "beta_a=1", "method=low_t"], "k1 and k2 must be positive, got 1.0, 0.0"),
+    (["k1=1e-200", "beta_a=1e-200", "method=low_t"], UNDERFLOW),
 ])
 def test_evolve_bad_physical_input_is_a_config_error(capsys, settings, message):
     argv = ["evolve"]
@@ -84,6 +89,26 @@ def test_evolve_bad_physical_input_is_a_config_error(capsys, settings, message):
     assert out == ""
     key = settings[0].partition("=")[0]  # the first setting is the bad one
     assert err == f"error: config key {key!r}: {message}\n"
+
+
+def test_grid_rows_carry_the_underflowed_gradient_error(capsys):
+    code, out, _ = run(capsys, [
+        "measure", "--set", "beta_a=1e-200", "--set", "k1=1e-200", "--set", "method=low_t",
+        "--set", "t_count=3",
+    ])
+    assert code == 0
+    assert [r["error"] for r in read_csv(out)] == [f"ParameterError: {UNDERFLOW}"] * 3
+
+
+def test_evolve_and_measure_print_the_same_times(capsys):
+    settings = ["--set", "omega_c=3", "--set", "t_start=0.5", "--set", "t_stop=3.7"]
+    times = []
+    for command in ("evolve", "measure"):
+        code, out, _ = run(capsys, [command, *settings])
+        assert code == 0
+        times.append([row["t"] for row in read_csv(out)])
+    assert len(times[0]) == 121
+    assert times[0] == times[1]
 
 
 @pytest.mark.parametrize("setting, key", [

@@ -1,12 +1,15 @@
 """Every name a module or a test file imports is used in that file.
 
-The package's `__init__.py` only re-exports, so it is skipped.
+The package's `__init__.py` only re-exports, so it is skipped; its
+`__all__` must list exactly the names it imports.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import tridephase
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "tridephase"
@@ -40,3 +43,17 @@ def test_checker_flags_an_unused_name():
 )
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_all_lists_exactly_the_imported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    names = tridephase.__all__
+    assert names == sorted(set(names))
+    assert set(names) == imported
+    assert all(hasattr(tridephase, name) for name in names)

@@ -13,7 +13,6 @@ from tridephase.reservoir import (
     gamma,
     gamma_low_t,
     gamma_zero_t,
-    is_zero_temperature,
 )
 
 
@@ -158,10 +157,16 @@ def test_negative_time_rejected():
         gamma(ohmic(), -1.0, GammaMethod.ZERO_T_CLOSED_FORM)
 
 
-def test_zero_temperature_marker():
-    assert is_zero_temperature(ZERO_TEMPERATURE)
-    assert not is_zero_temperature(1e9)
-    assert repr(ZERO_TEMPERATURE) == "ZERO_TEMPERATURE"
+def test_beta_inf_is_the_one_zero_temperature():
+    assert ZERO_TEMPERATURE is math.inf
+    cold = ohmic(beta=float("inf"))
+    assert cold == ohmic(beta=ZERO_TEMPERATURE)
+    assert hash(cold) == hash(ohmic(beta=ZERO_TEMPERATURE))
+    assert gamma_zero_t(cold, 1.0) == 2.0 * 0.2 * 4.0 * math.log1p(1.0)
+    with pytest.raises(MethodError, match="requires a finite inverse temperature"):
+        gamma_low_t(cold, 1.0)
+    with pytest.raises(MethodError, match="requires ZERO_TEMPERATURE"):
+        gamma_zero_t(ohmic(beta=1e300), 1.0)
 
 
 def test_spec_validation():

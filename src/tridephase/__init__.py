@@ -13,7 +13,7 @@ from .analysis import (
     preservation_time_zero_t,
     run_sweep,
 )
-from .evolution import DephasingFactors, QubitTriple, dephasing_factors, energies, energy, evolve
+from .evolution import DephasingFactors, dephasing_factors, energies, energy, evolve
 from .exceptions import (
     HermiticityViolation,
     MethodError,
@@ -58,7 +58,6 @@ __all__ = [
     "OhmicSpectralDensity",
     "ParameterError",
     "QuadratureError",
-    "QubitTriple",
     "ReservoirSpec",
     "ShapeError",
     "SweepGrid",

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .exceptions import NoCorrelationError, ParameterError
-from .evolution import QubitTriple, dephasing_factors, evolve
+from .evolution import dephasing_factors, evolve
 from .measures import (
     gmc_x_state,
     l1_coherence,
@@ -249,6 +249,8 @@ class SweepGrid:
     Times, inverse temperatures and frequencies share the natural units of
     the reservoir module.  `beta_as` may contain math.inf entries meaning
     zero temperature (only valid with the zero-t or quadrature methods).
+    `omega_sqs` holds the squared splittings (Omega_A^2, Omega_B^2,
+    Omega_C^2) of every run.
     """
 
     xs: Sequence[float]
@@ -259,6 +261,7 @@ class SweepGrid:
     t_start: float
     t_stop: float
     t_count: int
+    omega_sqs: tuple[float, float, float]
     measures: Sequence[str] = ("gmc",)
     method: GammaMethod = GammaMethod.ZERO_T_CLOSED_FORM
     state: str = "ghz"
@@ -283,6 +286,11 @@ class SweepGrid:
             raise ParameterError(
                 f"need t_stop > t_start >= 0, got {self.t_start!r}, {self.t_stop!r}"
             )
+        if len(self.omega_sqs) != 3:
+            raise ParameterError(f"omega_sqs must hold three values, got {self.omega_sqs!r}")
+        for name, value in zip(("omega_sq_a", "omega_sq_b", "omega_sq_c"), self.omega_sqs):
+            if not value > 0:  # NaN included
+                raise ParameterError(f"{name} must be positive, got {value!r}")
         if not self.omega_c > 0:
             raise ParameterError(f"omega_c must be positive, got {self.omega_c!r}")
         if not isinstance(self.method, GammaMethod):
@@ -410,17 +418,18 @@ def _timescales(
     return TimescaleResult(math.nan, math.nan, False, [], error)
 
 
-def run_sweep(grid: SweepGrid, qubits: QubitTriple) -> list[CurveResult]:
+def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     """Every measure's curve at every parameter tuple, in lexicographic order.
 
     Each curve is evaluated as one (T, 8, 8) stack over the time grid, and
     the channel of each reservoir set (eta, beta_a, k1, k2) is computed once
-    and shared by every x.  Time scales are bracketed on the sampled curve.
+    and shared by every x; its splittings Omega_X are the square roots of
+    grid.omega_sqs.  Time scales are bracketed on the sampled curve.
     One Gamma memo per call serves the grid and every root-finder
     evaluation.  Failures are recorded on their curves and never abort the
     sweep.
     """
-    omegas = (qubits.omega_a, qubits.omega_b, qubits.omega_c)
+    omegas = tuple(math.sqrt(v) for v in grid.omega_sqs)
     times = grid.times()
     psi = STATES[grid.state]()
     curves: list[CurveResult] = []

@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import analysis, oracles
-from .evolution import QubitTriple, dephasing_factors, evolve
-from .exceptions import ParameterError
+from .evolution import dephasing_factors, evolve
+from .exceptions import ParameterError, TridephaseError
 from .reservoir import GammaMethod
 from .states import werner
 
@@ -136,49 +136,51 @@ def _as_bool(value, key: str) -> bool:
     return value
 
 
-def _parse_run(config: dict, **grid_options):
-    """The keys every command reads, parsed and checked once.
+def _parse_run(config: dict, **grid_options) -> analysis.SweepGrid:
+    """The SweepGrid of the keys every command reads plus `grid_options`.
 
-    Returns (grid, omega_sqs): the SweepGrid of those keys plus
-    `grid_options`, and the squared splittings.  A scalar list key becomes a
-    one-item list.
+    The CLI parses JSON types and converts config units; SweepGrid owns
+    every range rule, reported by _keyed under its key.  Two checks stay
+    here: omega_c > 0 must hold before the unit division, and
+    t_stop > t_start >= 0 is stated in config units.
     """
     omega_c = _as_float(config["omega_c"], "omega_c")
     if omega_c <= 0:
         raise ConfigError("config key 'omega_c' must be positive")
-    omega_sqs = tuple(
-        _as_float(config[k], k) for k in ("omega_sq_a", "omega_sq_b", "omega_sq_c")
-    )
-    if any(v <= 0 for v in omega_sqs):
-        raise ConfigError("config keys 'omega_sq_*' must be positive")
     method = _METHODS[_as_choice(config["method"], "method", _METHODS)]
-    beta_as = [b / omega_c for b in _as_list(config["beta_a"], "beta_a")]
+    beta_as = [_natural_units(b, "beta_a", omega_c) for b in _as_list(config["beta_a"], "beta_a")]
     _check_method_temperature(method, beta_as)
     t_start = _as_float(config["t_start"], "t_start")
     t_stop = _as_float(config["t_stop"], "t_stop")
-    t_count = config["t_count"]
-    if not isinstance(t_count, int) or t_count < 2:
-        raise ConfigError("config key 't_count' must be an integer >= 2")
     if not t_stop > t_start >= 0:
         raise ConfigError("config keys 't_start'/'t_stop' must satisfy t_stop > t_start >= 0")
-    try:
-        grid = analysis.SweepGrid(
-            xs=_as_list(config["x"], "x"),
-            etas=_as_list(config["eta"], "eta"),
-            beta_as=beta_as,
-            k1s=_as_list(config["k1"], "k1"),
-            k2s=_as_list(config["k2"], "k2"),
-            t_start=t_start / omega_c,
-            t_stop=t_stop / omega_c,
-            t_count=t_count,
-            method=method,
-            state=_as_choice(config["state"], "state", analysis.STATES),
-            omega_c=omega_c,
-            **grid_options,
-        )
-    except ParameterError as exc:
-        raise ConfigError(str(exc)) from exc
-    return grid, omega_sqs
+    omega_keys = ("omega_sq_a", "omega_sq_b", "omega_sq_c")
+    return _keyed(
+        {k: config[k] for k in ("t_count", "epsilon", "t_start", "t_stop", *omega_keys)},
+        analysis.SweepGrid,
+        xs=_as_list(config["x"], "x"),
+        etas=_as_list(config["eta"], "eta"),
+        beta_as=beta_as,
+        k1s=_as_list(config["k1"], "k1"),
+        k2s=_as_list(config["k2"], "k2"),
+        t_start=_natural_units(t_start, "t_start", omega_c),
+        t_stop=_natural_units(t_stop, "t_stop", omega_c),
+        t_count=config["t_count"],
+        omega_sqs=tuple(_as_float(config[key], key) for key in omega_keys),
+        method=method,
+        state=_as_choice(config["state"], "state", analysis.STATES),
+        omega_c=omega_c,
+        **grid_options,
+    )
+
+
+def _natural_units(value: float, key: str, omega_c: float) -> float:
+    """value / omega_c; a finite nonzero value that rounds to 0 or inf is rejected."""
+    quotient = value / omega_c
+    if value != 0 and math.isfinite(value) and not 0 < abs(quotient) < math.inf:
+        message = f"{key} / omega_c = {value!r} / {omega_c!r} rounds to {quotient!r}"
+        raise ConfigError(f"config key {key!r}: {message}")
+    return quotient
 
 
 def _check_method_temperature(method: GammaMethod, beta_values: list[float]) -> None:
@@ -220,8 +222,11 @@ def _emit(rows, fieldnames: list[str], args) -> None:
         return
     buffer = io.StringIO()
     _write_rows(rows, fieldnames, buffer, args.format)
-    with open(args.out, "w", newline="") as fh:
-        fh.write(buffer.getvalue())
+    try:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(buffer.getvalue())
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
 def _config_units(value: float, omega_c: float) -> float:
@@ -229,20 +234,21 @@ def _config_units(value: float, omega_c: float) -> float:
     return value * omega_c if math.isfinite(value) else value
 
 
-def _keyed(values: dict, build, *args):
-    """build(*args), with a ParameterError reported as a ConfigError naming a key.
+def _keyed(values: dict, build, *args, **kwargs):
+    """build(*args, **kwargs), with a ParameterError reported as a ConfigError naming a key.
 
-    `values` maps the config keys that `args` came from to their values.  Of
-    the keys the message names, in its order, the first one whose value is
-    not positive is named, else the first one named; a message that names
-    none is put on the first key of `values`.
+    `values` maps the config keys that the arguments came from to their
+    values.  Of the keys the message names, in its order, the first one
+    whose value is not a positive number is named, else the first one
+    named; a message that names none is put on the first key of `values`.
     """
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ParameterError as exc:
         named = [word for word in str(exc).replace(",", " ").split() if word in values]
         named = named or list(values)
-        key = next((k for k in named if not values[k] > 0), named[0])
+        # False sorts first: the first named key that is not a positive number
+        key = min(named, key=lambda k: isinstance(values[k], (int, float)) and values[k] > 0)
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
@@ -250,13 +256,13 @@ def cmd_evolve(config: dict, args) -> int:
     for key in ("x", "eta", "beta_a", "k1", "k2"):
         if isinstance(config[key], (list, tuple)):
             raise ConfigError(f"config key {key!r} must be a scalar for the evolve command")
-    grid, omega_sqs = _parse_run(config)
+    grid = _parse_run(config)
     (x,), (eta,), (beta_a,), (k1,), (k2,) = grid.xs, grid.etas, grid.beta_as, grid.k1s, grid.k2s
     omega_c = grid.omega_c
     times = grid.times()
 
     rho0 = _keyed({"x": x}, werner, analysis.STATES[grid.state](), x)
-    omegas = tuple(math.sqrt(v) for v in omega_sqs)
+    omegas = tuple(math.sqrt(v) for v in grid.omega_sqs)
     reservoirs = _keyed(
         {"eta": eta, "beta_a": beta_a, "k1": k1, "k2": k2},
         analysis.make_reservoirs, eta, omega_c, beta_a, k1, k2, omegas,
@@ -282,13 +288,11 @@ def _curve_table(config: dict, args, per_time: bool, timescales: bool) -> int:
     for name in measures:
         _as_choice(name, "measures", analysis.MEASURES)
     epsilon = _as_float(config["epsilon"], "epsilon")
-    if not 0 < epsilon < 1:
-        raise ConfigError("config key 'epsilon' must lie in (0, 1)")
-    grid, omega_sqs = _parse_run(
+    grid = _parse_run(
         config, measures=tuple(measures), include_timescales=timescales, epsilon=epsilon
     )
     omega_c = grid.omega_c
-    curves = analysis.run_sweep(grid, QubitTriple(*(math.sqrt(v) for v in omega_sqs)))
+    curves = analysis.run_sweep(grid)
     times = [t * omega_c for t in grid.times().tolist()]
     fields = [*PARAM_FIELDS, "measure"] + (["t", "value"] if per_time else [])
     if timescales:
@@ -300,7 +304,7 @@ def _curve_table(config: dict, args, per_time: bool, timescales: bool) -> int:
             p = curve.parameters
             prefix = (
                 p["state"], p["x"], p["eta"], _config_units(p["beta_a"], omega_c),
-                p["k1"], p["k2"], *omega_sqs, p["omega_c"], p["method"], curve.name,
+                p["k1"], p["k2"], *grid.omega_sqs, p["omega_c"], p["method"], curve.name,
             )
             columns = ()
             if timescales:
@@ -393,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "timescales":
             return cmd_timescales(config, args)
         return cmd_sweep(config, args)
-    except ConfigError as exc:
+    except (ConfigError, TridephaseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

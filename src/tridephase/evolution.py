@@ -24,20 +24,6 @@ from .states import assert_density_matrix
 DIM = 8
 
 
-@dataclass(frozen=True)
-class QubitTriple:
-    """Level splittings Omega_A, Omega_B, Omega_C (inverse time)."""
-
-    omega_a: float
-    omega_b: float
-    omega_c: float
-
-    def __post_init__(self):
-        for name, value in (("omega_a", self.omega_a), ("omega_b", self.omega_b), ("omega_c", self.omega_c)):
-            if not value > 0:
-                raise ParameterError(f"{name} must be positive, got {value!r}")
-
-
 # _BITS[u] = (m, n, l) of basis index u = 4m + 2n + l; _FLIPS[X, u, v]:
 # qubit X differs between basis states u and v
 _BITS = (np.arange(DIM)[:, None] >> np.array([2, 1, 0])) & 1
@@ -45,22 +31,21 @@ _FLIPS = np.moveaxis(_BITS[:, None, :] != _BITS[None, :, :], -1, 0)
 _SIGNS = 1.0 - 2.0 * _BITS  # (-1)^bit
 
 
-def _levels(omega_a: float, omega_b: float, omega_c: float) -> np.ndarray:
-    """All eight E_mnl by basis index, each summed A, then B, then C."""
-    return _SIGNS[:, 0] * omega_a + _SIGNS[:, 1] * omega_b + _SIGNS[:, 2] * omega_c
-
-
-def energy(m: int, n: int, l: int, q: QubitTriple) -> float:
+def energy(m: int, n: int, l: int, omegas: Sequence[float]) -> float:
     """E_mnl = (-1)^m Omega_A + (-1)^n Omega_B + (-1)^l Omega_C."""
     for bit in (m, n, l):
         if bit not in (0, 1):
             raise ParameterError(f"basis labels must be bits, got ({m}, {n}, {l})")
-    return float(energies(q)[4 * m + 2 * n + l])
+    return float(energies(omegas)[4 * m + 2 * n + l])
 
 
-def energies(q: QubitTriple) -> np.ndarray:
-    """All eight E_mnl ordered by basis index 4m + 2n + l."""
-    return _levels(q.omega_a, q.omega_b, q.omega_c)
+def energies(omegas: Sequence[float]) -> np.ndarray:
+    """All eight E_mnl of the splittings (Omega_A, Omega_B, Omega_C), ordered
+    by basis index 4m + 2n + l and each summed A, then B, then C."""
+    if len(omegas) != 3 or not all(omega > 0 for omega in omegas):  # NaN included
+        raise ParameterError(f"need three positive splittings, got {omegas!r}")
+    omega_a, omega_b, omega_c = omegas
+    return _SIGNS[:, 0] * omega_a + _SIGNS[:, 1] * omega_b + _SIGNS[:, 2] * omega_c
 
 
 @dataclass(frozen=True)
@@ -121,7 +106,7 @@ def dephasing_factors(
     # product order matches np.kron(np.kron(A, B), C)
     a, b, c = (np.where(_FLIPS[x], damps[:, x, None, None], 1.0) for x in range(3))
     damping = (a * b) * c
-    e = _levels(*(res.omega_qubit for res in reservoirs))
+    e = energies(tuple(res.omega_qubit for res in reservoirs))
     phase = -(e[:, None] - e[None, :]) * ts.reshape(-1, 1, 1)
     if ts.ndim == 0:
         damping, phase = damping[0], phase[0]

@@ -16,7 +16,7 @@ from tridephase.analysis import (
     preservation_time_zero_t,
     run_sweep,
 )
-from tridephase.evolution import QubitTriple
+from tridephase.evolution import energies
 from tridephase.exceptions import NoCorrelationError, ParameterError
 from tridephase.measures import gmc_ghz_werner
 from tridephase.oracles import gmc_ghz_werner_low_t
@@ -207,18 +207,16 @@ def test_gradient_product_that_rounds_out_of_range_names_its_factor(beta_a, k1, 
         gradient(beta_a, k1, k2)
 
 
-def default_qubits():
-    omega = 2.0
-    return QubitTriple(omega, omega, omega)
+OMEGA_SQS = (4.0, 4.0, 4.0)  # Omega_A = Omega_B = Omega_C = 2
 
 
 def test_sweep_single_point_x0_is_zero():
     grid = SweepGrid(
         xs=[0.0], etas=[0.2], beta_as=[math.inf], k1s=[1.0], k2s=[1.0],
-        t_start=0.0, t_stop=2.0, t_count=5,
+        t_start=0.0, t_stop=2.0, t_count=5, omega_sqs=OMEGA_SQS,
         measures=("gmc",), method=GammaMethod.ZERO_T_CLOSED_FORM,
     )
-    [curve] = run_sweep(grid, default_qubits())
+    [curve] = run_sweep(grid)
     assert len(curve.values) == len(curve.errors) == 5
     assert all(value == 0.0 and error is None for value, error in zip(curve.values, curve.errors))
 
@@ -226,11 +224,11 @@ def test_sweep_single_point_x0_is_zero():
 def test_sweep_is_deterministic_and_ordered():
     grid = SweepGrid(
         xs=[0.5, 0.8], etas=[0.2], beta_as=[0.01, 0.02], k1s=[1.0], k2s=[1.0, 4.0],
-        t_start=0.0, t_stop=1.0, t_count=3,
+        t_start=0.0, t_stop=1.0, t_count=3, omega_sqs=OMEGA_SQS,
         measures=("gmc", "l1_coherence"), method=GammaMethod.LOW_T_CLOSED_FORM,
     )
-    first = run_sweep(grid, default_qubits())
-    second = run_sweep(grid, default_qubits())
+    first = run_sweep(grid)
+    second = run_sweep(grid)
     assert first == second
     keys = [
         (curve.parameters["x"], curve.parameters["beta_a"], curve.parameters["k2"])
@@ -242,9 +240,9 @@ def test_sweep_is_deterministic_and_ordered():
 def test_sweep_records_no_squared_splitting():
     # sqrt(12)**2 == 11.999999999999998: a sweep must not record it as Omega^2
     grid = SweepGrid(xs=[0.8], etas=[0.2], beta_as=[0.01], k1s=[1.0], k2s=[1.0], t_start=0.0,
-                     t_stop=1.0, t_count=3, method=GammaMethod.LOW_T_CLOSED_FORM,
-                     include_timescales=True)
-    curves = run_sweep(grid, QubitTriple(*[math.sqrt(12.0)] * 3))
+                     t_stop=1.0, t_count=3, omega_sqs=(12.0,) * 3,
+                     method=GammaMethod.LOW_T_CLOSED_FORM, include_timescales=True)
+    curves = run_sweep(grid)
     assert curves and all(curve.timescales is not None for curve in curves)
     for curve in curves:
         assert all(v == 12.0 for v in curve.parameters.values() if v == pytest.approx(12.0))
@@ -254,11 +252,11 @@ def test_sweep_records_row_errors_without_aborting():
     # GMC needs an X-shaped state; the W-Werner family is not X-shaped.
     grid = SweepGrid(
         xs=[0.6], etas=[0.2], beta_as=[math.inf], k1s=[1.0], k2s=[1.0],
-        t_start=0.0, t_stop=1.0, t_count=3,
+        t_start=0.0, t_stop=1.0, t_count=3, omega_sqs=OMEGA_SQS,
         measures=("gmc", "l1_coherence"), method=GammaMethod.ZERO_T_CLOSED_FORM,
         state="w",
     )
-    gmc, coh = run_sweep(grid, default_qubits())
+    gmc, coh = run_sweep(grid)
     assert (gmc.name, coh.name) == ("gmc", "l1_coherence")
     assert all(e is not None and "ShapeError" in e for e in gmc.errors)
     assert all(e is None for e in coh.errors)
@@ -266,18 +264,16 @@ def test_sweep_records_row_errors_without_aborting():
 
 
 def test_sweep_timescales_gradient_monotonicity():
-    omega = math.sqrt(12.0)
-    qubits = QubitTriple(omega, omega, omega)
     # k1 = k2 = k runs the product k1 k2 over {1, 4, 16, 64}
     tps = []
     for k in (1.0, 2.0, 4.0, 8.0):
         g = SweepGrid(
             xs=[0.8], etas=[0.2], beta_as=[0.01], k1s=[k], k2s=[k],
-            t_start=0.0, t_stop=5.0, t_count=11,
+            t_start=0.0, t_stop=5.0, t_count=11, omega_sqs=(12.0,) * 3,
             measures=("gmc",), method=GammaMethod.LOW_T_CLOSED_FORM,
             include_timescales=True,
         )
-        curves = run_sweep(g, qubits)
+        curves = run_sweep(g)
         assert len(curves) == 1
         row = curves[0].timescales
         assert row.error is None
@@ -291,19 +287,21 @@ def test_sweep_timescales_gradient_monotonicity():
 def test_sweep_grid_validation():
     with pytest.raises(ParameterError):
         SweepGrid(xs=[], etas=[0.1], beta_as=[1.0], k1s=[1.0], k2s=[1.0],
-                  t_start=0.0, t_stop=1.0, t_count=5)
+                  t_start=0.0, t_stop=1.0, t_count=5, omega_sqs=OMEGA_SQS)
     with pytest.raises(ParameterError):
         SweepGrid(xs=[0.5], etas=[0.1], beta_as=[1.0], k1s=[1.0], k2s=[1.0],
-                  t_start=0.0, t_stop=1.0, t_count=1)
+                  t_start=0.0, t_stop=1.0, t_count=1, omega_sqs=OMEGA_SQS)
     with pytest.raises(ParameterError):
         SweepGrid(xs=[0.5], etas=[0.1], beta_as=[1.0], k1s=[1.0], k2s=[1.0],
-                  t_start=2.0, t_stop=1.0, t_count=5)
+                  t_start=2.0, t_stop=1.0, t_count=5, omega_sqs=OMEGA_SQS)
     with pytest.raises(ParameterError):
         SweepGrid(xs=[0.5], etas=[0.1], beta_as=[1.0], k1s=[1.0], k2s=[1.0],
-                  t_start=0.0, t_stop=1.0, t_count=5, measures=("bogus",))
+                  t_start=0.0, t_stop=1.0, t_count=5, omega_sqs=OMEGA_SQS,
+                  measures=("bogus",))
     with pytest.raises(ParameterError):
         SweepGrid(xs=[0.5], etas=[0.1], beta_as=[1.0], k1s=[1.0], k2s=[1.0],
-                  t_start=0.0, t_stop=1.0, t_count=5, state="ghz5")
+                  t_start=0.0, t_stop=1.0, t_count=5, omega_sqs=OMEGA_SQS,
+                  state="ghz5")
 
 
 def test_make_reservoirs_zero_temperature():
@@ -399,8 +397,9 @@ def test_sampled_bracket_validation():
 def memo_grid(**overrides):
     settings = dict(
         xs=[0.6, 0.9], etas=[0.2], beta_as=[0.5], k1s=[1.0, 4.0], k2s=[1.0, 16.0],
-        t_start=0.0, t_stop=3.0, t_count=5, measures=("gmc", "l1_coherence"),
-        method=GammaMethod.LOW_T_CLOSED_FORM, include_timescales=True,
+        t_start=0.0, t_stop=3.0, t_count=5, omega_sqs=OMEGA_SQS,
+        measures=("gmc", "l1_coherence"), method=GammaMethod.LOW_T_CLOSED_FORM,
+        include_timescales=True,
     )
     settings.update(overrides)
     return SweepGrid(**settings)
@@ -408,7 +407,7 @@ def memo_grid(**overrides):
 
 def test_sweep_calls_gamma_once_per_distinct_key(monkeypatch):
     grid = memo_grid()
-    expected = run_sweep(grid, default_qubits())
+    expected = run_sweep(grid)
     assert all(curve.timescales.error is None for curve in expected)
     real_gamma = evolution.gamma
     calls = Counter()
@@ -418,13 +417,13 @@ def test_sweep_calls_gamma_once_per_distinct_key(monkeypatch):
         return real_gamma(res, t, method)
 
     monkeypatch.setattr(evolution, "gamma", counting_gamma)
-    assert run_sweep(grid, default_qubits()) == expected
+    assert run_sweep(grid) == expected
     first = sum(calls.values())
     assert first > 0 and max(calls.values()) == 1
     # three distinct inverse temperatures on the grid: 0.5, 2 and 8
     assert len({key for key in calls if key[1] == 3.0}) == 3
     calls.clear()
-    assert run_sweep(grid, default_qubits()) == expected
+    assert run_sweep(grid) == expected
     assert sum(calls.values()) == first and max(calls.values()) == 1
 
 
@@ -440,7 +439,7 @@ def test_sweep_failing_gamma_is_not_cached_and_marks_its_rows(monkeypatch):
         return real_gamma(res, t, method)
 
     monkeypatch.setattr(evolution, "gamma", failing_gamma)
-    result = run_sweep(grid, default_qubits())
+    result = run_sweep(grid)
     # reservoirs in A, B, C order; the first failing one names the row error
     expected = {
         (1.0, 1.0): None,
@@ -461,13 +460,13 @@ def test_sweep_failing_gamma_is_not_cached_and_marks_its_rows(monkeypatch):
 def one_point_grid(**changes):
     fields = dict(
         xs=[0.9], etas=[0.2], beta_as=[math.inf], k1s=[1.0], k2s=[1.0],
-        t_start=0.0, t_stop=3.0, t_count=5,
+        t_start=0.0, t_stop=3.0, t_count=5, omega_sqs=OMEGA_SQS,
     )
     return SweepGrid(**{**fields, **changes})
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: QubitTriple(math.nan, 1.0, 1.0), "omega_a must be positive"),
+    (lambda: energies((math.nan, 1.0, 1.0)), "need three positive splittings"),
     (lambda: OhmicSpectralDensity(math.nan, 1.0), "coupling constant eta must be >= 0"),
     (lambda: OhmicSpectralDensity(0.2, math.nan), "cutoff frequency must be positive"),
     (lambda: ReservoirSpec(OhmicSpectralDensity(0.2, 1.0), ZERO_TEMPERATURE, math.nan),
@@ -477,6 +476,7 @@ def one_point_grid(**changes):
     (lambda: gradient(math.nan, 1.0, 1.0), "beta_a must be positive"),
     (lambda: gradient(1.0, math.nan, 1.0), "k1 and k2 must be positive"),
     (lambda: one_point_grid(omega_c=math.nan), "omega_c must be positive"),
+    (lambda: one_point_grid(omega_sqs=(4.0, math.nan, 4.0)), "omega_sq_b must be positive"),
     (lambda: one_point_grid(t_stop=math.inf), "need t_stop > t_start >= 0"),
     (lambda: one_point_grid(t_count=5.0), "t_count must be an integer >= 2"),
     (lambda: one_point_grid(method="zero_t"), "method must be a GammaMethod"),
@@ -484,8 +484,8 @@ def one_point_grid(**changes):
     (lambda: one_point_grid(epsilon=math.nan), r"epsilon must lie in \(0, 1\)"),
     (lambda: preservation_time_zero_t(0.9, math.nan, 4.0, 1.0), "must be positive"),
 ], ids=[
-    "qubit_triple", "ohmic_eta", "ohmic_omega_c", "reservoir_omega_qubit", "reservoir_beta",
-    "gradient_beta_a", "gradient_k1", "grid_omega_c", "grid_t_stop_inf",
+    "energies", "ohmic_eta", "ohmic_omega_c", "reservoir_omega_qubit", "reservoir_beta",
+    "gradient_beta_a", "gradient_k1", "grid_omega_c", "grid_omega_sq", "grid_t_stop_inf",
     "grid_t_count_float", "grid_method_str", "grid_epsilon_big", "grid_epsilon_nan", "zero_t_eta",
 ])
 def test_library_boundary_rejects_nan_and_infinite_t_stop(build, message):

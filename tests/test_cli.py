@@ -325,7 +325,60 @@ def test_time_grid_errors_name_their_keys(capsys, command):
     assert "config keys 't_start'/'t_stop' must satisfy t_stop > t_start >= 0" in err
     code, _, err = run(capsys, [command, "--set", "t_count=1"])
     assert code == 1
-    assert "config key 't_count' must be an integer >= 2" in err
+    assert err == "error: config key 't_count': t_count must be an integer >= 2, got 1\n"
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("t_count=abc", "t_count must be an integer >= 2, got 'abc'"),
+    ("t_count=[3]", "t_count must be an integer >= 2, got [3]"),
+    ("epsilon=1.5", "epsilon must lie in (0, 1), got 1.5"),
+    ("omega_sq_b=-1", "omega_sq_b must be positive, got -1.0"),
+], ids=["t_count_str", "t_count_list", "epsilon", "omega_sq_b"])
+def test_grid_rule_errors_name_their_keys(capsys, setting, message):
+    code, out, err = run(capsys, ["timescales", "--set", setting])
+    assert code == 1
+    assert out == ""
+    key = setting.partition("=")[0]
+    assert err == f"error: config key {key!r}: {message}\n"
+
+
+@pytest.mark.parametrize("settings, key, message", [
+    (["omega_c=1e-10", "beta_a=1e308", "method=quadrature"], "beta_a",
+     "beta_a / omega_c = 1e+308 / 1e-10 rounds to inf"),
+    (["omega_c=1e-10", "t_stop=1e308"], "t_stop",
+     "t_stop / omega_c = 1e+308 / 1e-10 rounds to inf"),
+    (["omega_c=1e10", "t_stop=1e-320"], "t_stop",
+     "t_stop / omega_c = 1e-320 / 10000000000.0 rounds to 0.0"),
+    (["omega_c=1e10", "beta_a=1e-320", "method=quadrature"], "beta_a",
+     "beta_a / omega_c = 1e-320 / 10000000000.0 rounds to 0.0"),
+], ids=["beta_a_inf", "t_stop_inf", "t_stop_zero", "beta_a_zero"])
+def test_unit_conversion_that_rounds_away_names_its_key(capsys, settings, key, message):
+    argv = ["measure", "--set", "t_count=3"]
+    for setting in settings:
+        argv += ["--set", setting]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: config key {key!r}: {message}\n"
+
+
+def test_evolve_reports_a_failed_gamma_as_an_error(capsys):
+    code, out, err = run(capsys, [
+        "evolve", "--set", "method=quadrature", "--set", "beta_a=1e-3", "--set", "eta=50",
+        "--set", "t_stop=1e5", "--set", "t_count=3",
+    ])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: decoherence integral did not converge")
+
+
+def test_unwritable_output_file_is_an_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "out.csv"
+    code, out, err = run(capsys, ["measure", "--set", "t_count=3", "--out", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write output file: ")
+    assert not path.exists()
 
 
 def test_timescales_kept_for_a_curve_dead_at_its_first_sample(capsys):

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from tridephase.evolution import (
     DephasingFactors,
-    QubitTriple,
     dephasing_factors,
     energies,
     energy,
@@ -24,7 +23,7 @@ from tridephase.reservoir import (
 from tridephase.states import ghz_state, werner
 
 OMEGA = 2.0  # Omega_A = Omega_B = Omega_C = 2 -> Omega^2 = 12
-QUBITS = QubitTriple(OMEGA, OMEGA, OMEGA)
+OMEGAS = (OMEGA, OMEGA, OMEGA)
 
 
 def reservoirs(eta=0.2, beta=ZERO_TEMPERATURE):
@@ -39,20 +38,20 @@ def random_density(rng):
 
 
 def test_energy_examples():
-    q = QubitTriple(1.0, 2.0, 3.0)
-    assert energy(0, 0, 0, q) == 6.0
-    assert energy(1, 1, 1, q) == -6.0
-    assert energy(0, 0, 0, q) - energy(1, 1, 1, q) == 2.0 * (1.0 + 2.0 + 3.0)
-    assert energy(0, 1, 0, QUBITS) == 2.0
+    omegas = (1.0, 2.0, 3.0)
+    assert energy(0, 0, 0, omegas) == 6.0
+    assert energy(1, 1, 1, omegas) == -6.0
+    assert energy(0, 0, 0, omegas) - energy(1, 1, 1, omegas) == 2.0 * (1.0 + 2.0 + 3.0)
+    assert energy(0, 1, 0, OMEGAS) == 2.0
 
 
 def test_energy_rejects_non_bits():
     with pytest.raises(ParameterError):
-        energy(0, 2, 0, QUBITS)
+        energy(0, 2, 0, OMEGAS)
 
 
 def test_energies_ordering():
-    e = energies(QubitTriple(4.0, 2.0, 1.0))
+    e = energies((4.0, 2.0, 1.0))
     # index 4m + 2n + l
     assert e[0] == 7.0  # |000>
     assert e[5] == -4.0 + 2.0 - 1.0  # |101>
@@ -61,17 +60,17 @@ def test_energies_ordering():
 
 @pytest.mark.parametrize("omegas", [(1.0, 2.0, 3.0), (0.1, 0.2, 0.3), (2**0.5, 3**0.5, 12**0.5)])
 def test_energies_equal_the_scalar_sign_sum_bit_for_bit(omegas):
-    q = QubitTriple(*omegas)
+    omega_a, omega_b, omega_c = omegas
     expected = [
-        (-1.0) ** m * q.omega_a + (-1.0) ** n * q.omega_b + (-1.0) ** l * q.omega_c
+        (-1.0) ** m * omega_a + (-1.0) ** n * omega_b + (-1.0) ** l * omega_c
         for m in (0, 1) for n in (0, 1) for l in (0, 1)
     ]
-    assert energies(q).tolist() == expected
-    assert [energy(m, n, l, q) for m in (0, 1) for n in (0, 1) for l in (0, 1)] == expected
+    assert energies(omegas).tolist() == expected
+    assert [energy(m, n, l, omegas) for m in (0, 1) for n in (0, 1) for l in (0, 1)] == expected
     # the channel takes each splitting from its own reservoir
     spectral = OhmicSpectralDensity(0.2, 1.0)
     res = tuple(ReservoirSpec(spectral, ZERO_TEMPERATURE, omega) for omega in omegas)
-    e = energies(q)
+    e = energies(omegas)
     phase = dephasing_factors(res, 1.0, GammaMethod.ZERO_T_CLOSED_FORM).phase
     assert np.array_equal(phase, -(e[:, None] - e[None, :]))
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tridephase.analysis import MEASURES, STATES, SweepGrid, make_reservoirs, run_sweep
-from tridephase.evolution import DephasingFactors, QubitTriple, dephasing_factors, evolve
+from tridephase.evolution import DephasingFactors, dephasing_factors, evolve
 from tridephase.exceptions import HermiticityViolation, ParameterError, ShapeError
 from tridephase.linalg import hermitian_eigenvalues, hermiticity_defect, partial_transpose
 from tridephase.measures import gmc_x_state, l1_coherence, negativity, tripartite_negativity
@@ -15,7 +15,7 @@ from tridephase.reservoir import GammaMethod
 from tridephase.states import assert_density_matrix, ghz_state, w_state, werner
 
 OMEGA = 2.0
-QUBITS = QubitTriple(OMEGA, OMEGA, OMEGA)
+OMEGA_SQS = (OMEGA**2,) * 3
 # eta = 40 drives Gamma past ~745 before t = 30, where exp(-Gamma) underflows to 0
 CURVES = {
     "ghz_zero_t": ("ghz", 0.8, 0.2, math.inf, GammaMethod.ZERO_T_CLOSED_FORM),
@@ -130,9 +130,9 @@ def test_stacked_factor_invariants_keep_their_messages():
             DephasingFactors(damping=d, phase=p)
 
 
-def reference_rows(grid, qubits):
+def reference_rows(grid):
     """The sweep's measure rows, evaluated one matrix at a time with the 2-d functions."""
-    omegas = (qubits.omega_a, qubits.omega_b, qubits.omega_c)
+    omegas = tuple(math.sqrt(v) for v in grid.omega_sqs)
     rows = []
     for x, eta, beta_a, k1, k2 in itertools.product(
         grid.xs, grid.etas, grid.beta_as, grid.k1s, grid.k2s
@@ -168,26 +168,26 @@ def reference_rows(grid, qubits):
 def test_run_sweep_rows_equal_per_point_evaluation(state, xs, beta_as, method):
     grid = SweepGrid(
         xs=xs, etas=[0.2, 40.0], beta_as=beta_as, k1s=[1.0, 4.0], k2s=[16.0],
-        t_start=0.0, t_stop=30.0, t_count=13, measures=tuple(MEASURES),
+        t_start=0.0, t_stop=30.0, t_count=13, omega_sqs=OMEGA_SQS, measures=tuple(MEASURES),
         method=method, state=state,
     )
-    curves = run_sweep(grid, QUBITS)
+    curves = run_sweep(grid)
     got = [
         (c.name, t, c.parameters["x"], c.parameters["eta"], c.parameters["beta_a"],
          c.parameters["k1"], c.parameters["k2"], repr(value), error)
         for c in curves
         for t, value, error in zip(grid.times().tolist(), c.values, c.errors, strict=True)
     ]
-    assert got == reference_rows(grid, QUBITS)
+    assert got == reference_rows(grid)
 
 
 def test_w_state_gmc_rows_keep_their_own_shape_errors():
     grid = SweepGrid(
         xs=[0.6], etas=[0.2], beta_as=[math.inf], k1s=[1.0], k2s=[1.0],
-        t_start=0.0, t_stop=3.0, t_count=7, measures=("gmc",),
+        t_start=0.0, t_stop=3.0, t_count=7, omega_sqs=OMEGA_SQS, measures=("gmc",),
         method=GammaMethod.ZERO_T_CLOSED_FORM, state="w", include_timescales=True,
     )
-    [curve] = run_sweep(grid, QUBITS)
+    [curve] = run_sweep(grid)
     rho0 = werner(w_state(), 0.6)
     reservoirs = make_reservoirs(0.2, 1.0, math.inf, 1.0, 1.0, (OMEGA, OMEGA, OMEGA))
     expected = []

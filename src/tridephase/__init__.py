@@ -39,6 +39,7 @@ from .reservoir import (
     OhmicSpectralDensity,
     ReservoirSpec,
     gamma,
+    gamma_exact,
     gamma_low_t,
     gamma_zero_t,
 )
@@ -71,6 +72,7 @@ __all__ = [
     "evolve",
     "freezing_intervals",
     "gamma",
+    "gamma_exact",
     "gamma_low_t",
     "gamma_zero_t",
     "ghz_state",

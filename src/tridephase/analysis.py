@@ -248,7 +248,8 @@ class SweepGrid:
 
     Times, inverse temperatures and frequencies share the natural units of
     the reservoir module.  `beta_as` may contain math.inf entries meaning
-    zero temperature (only valid with the zero-t or quadrature methods).
+    zero temperature (only valid with the exact, zero-t or quadrature
+    methods).
     `omega_sqs` holds the squared splittings (Omega_A^2, Omega_B^2,
     Omega_C^2) of every run.
     """

@@ -234,6 +234,16 @@ def _config_units(value: float, omega_c: float) -> float:
     return value * omega_c if math.isfinite(value) else value
 
 
+def _config_times(config: dict, grid: analysis.SweepGrid) -> list[float]:
+    """The t column: linspace(t_start, t_stop, t_count) in config units.
+
+    grid.times() * omega_c would not give back the configured end points
+    when omega_c is not a power of two.
+    """
+    t_start, t_stop = (float(config[key]) for key in ("t_start", "t_stop"))
+    return np.linspace(t_start, t_stop, grid.t_count).tolist()
+
+
 def _keyed(values: dict, build, *args, **kwargs):
     """build(*args, **kwargs), with a ParameterError reported as a ConfigError naming a key.
 
@@ -271,7 +281,7 @@ def cmd_evolve(config: dict, args) -> int:
     # re_ij and im_ij side by side, row-major over (i, j)
     elements = np.stack([evolved.real, evolved.imag], axis=-1).reshape(len(times), 128)
     fields = ["t"] + [f"{part}_{i}{j}" for i in range(8) for j in range(8) for part in ("re", "im")]
-    rows = [((), (t * omega_c, *row)) for t, row in zip(times.tolist(), elements.tolist())]
+    rows = [((), (t, *row)) for t, row in zip(_config_times(config, grid), elements.tolist())]
     _emit(rows, fields, args)
     return 0
 
@@ -293,7 +303,9 @@ def _curve_table(config: dict, args, per_time: bool, timescales: bool) -> int:
     )
     omega_c = grid.omega_c
     curves = analysis.run_sweep(grid)
-    times = [t * omega_c for t in grid.times().tolist()]
+    times = _config_times(config, grid)
+    # freezing intervals run between grid times, printed as configured
+    config_time = dict(zip(grid.times().tolist(), times))
     fields = [*PARAM_FIELDS, "measure"] + (["t", "value"] if per_time else [])
     if timescales:
         fields += ["t_p", "t_c", "t_c_reached", "freezing_count"]
@@ -318,7 +330,7 @@ def _curve_table(config: dict, args, per_time: bool, timescales: bool) -> int:
                     yield prefix, (t, value, *columns, error or "")
             else:
                 intervals = "|".join(
-                    f"{a * omega_c:.17g}:{b * omega_c:.17g}" for a, b in ts.freezing
+                    f"{config_time[a]:.17g}:{config_time[b]:.17g}" for a, b in ts.freezing
                 )
                 yield prefix, (*columns, intervals, ts.error or "")
 

@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tridephase.reservoir
@@ -109,6 +110,53 @@ def test_evolve_and_measure_print_the_same_times(capsys):
         times.append([row["t"] for row in read_csv(out)])
     assert len(times[0]) == 121
     assert times[0] == times[1]
+
+
+@pytest.mark.parametrize("command", ["evolve", "measure"])
+@pytest.mark.parametrize("omega_c, t_start, t_stop, t_count", [
+    (0.1, 0.7, 3.3, 3),
+    (3.0, 0.5, 3.7, 5),
+])
+def test_t_column_echoes_the_configured_grid(capsys, command, omega_c, t_start, t_stop, t_count):
+    # omega_c * (t / omega_c) is not t: 3.3 came back as 3.2999999999999994
+    code, out, _ = run(capsys, [
+        command, "--set", f"omega_c={omega_c}", "--set", f"t_start={t_start}",
+        "--set", f"t_stop={t_stop}", "--set", f"t_count={t_count}",
+    ])
+    assert code == 0
+    printed = [float(row["t"]) for row in read_csv(out)]
+    assert printed == np.linspace(t_start, t_stop, t_count).tolist()
+    assert printed[-1] == t_stop
+
+
+@pytest.mark.parametrize("omega_c", [0.1, 3.0])
+def test_freezing_intervals_lie_on_the_configured_grid(capsys, omega_c):
+    # hot A kills two of the W state's three coherences; cold B, C freeze the third
+    code, out, _ = run(capsys, [
+        "timescales", "--set", f"omega_c={omega_c}", "--set", "state=w", "--set", "x=1",
+        "--set", "eta=0.001", "--set", "beta_a=0.001", "--set", "k1=1e5", "--set", "k2=1e5",
+        "--set", "method=low_t", "--set", "t_start=0.1", "--set", "t_stop=3.3",
+        "--set", "t_count=41", "--set", 'measures=["l1_coherence"]',
+    ])
+    assert code == 0
+    (row,) = read_csv(out)
+    assert row["freezing_count"] == "1"
+    start, stop = map(float, row["freezing_intervals"].split(":"))
+    grid = np.linspace(0.1, 3.3, 41).tolist()
+    assert (start, stop) == (grid[1], grid[10])
+
+
+def test_exact_method_runs_at_any_beta_a(capsys):
+    grid = ["--set", "t_count=7", "--set", 'measures=["gmc","l1_coherence"]']
+    _, exact_cold, _ = run(capsys, ["measure", "--set", "method=exact", *grid])
+    _, zero_t, _ = run(capsys, ["measure", "--set", "method=zero_t", *grid])
+    assert exact_cold.replace(",exact,", ",zero_t,") == zero_t
+    code, exact_hot, _ = run(capsys, ["measure", "--set", "method=exact", "--set", "beta_a=0.5", *grid])
+    assert code == 0
+    _, quad_hot, _ = run(capsys, ["measure", "--set", "method=quadrature", "--set", "beta_a=0.5", *grid])
+    for exact_row, quad_row in zip(read_csv(exact_hot), read_csv(quad_hot), strict=True):
+        assert exact_row["method"] == "exact" and exact_row["error"] == ""
+        assert float(exact_row["value"]) == pytest.approx(float(quad_row["value"]), rel=1e-7, abs=1e-12)
 
 
 @pytest.mark.parametrize("setting, key", [

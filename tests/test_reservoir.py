@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -10,7 +11,10 @@ from tridephase.reservoir import (
     GammaMethod,
     OhmicSpectralDensity,
     ReservoirSpec,
+    QUAD_EPSABS,
+    QUAD_EPSREL,
     gamma,
+    gamma_exact,
     gamma_low_t,
     gamma_zero_t,
 )
@@ -193,3 +197,84 @@ def test_gamma_rejects_non_finite_time(method, t):
     if direct is not None:
         with pytest.raises(ParameterError, match="time must be finite and >= 0"):
             direct(res, t)
+
+
+def mpmath_exact(res, t, digits=40):
+    """The Ohmic Gamma of `exact` from mpmath's complex log-gamma at `digits` digits."""
+    with mpmath.workdps(digits):
+        eta, omega_c, beta, omega, t = map(
+            mpmath.mpf, (res.spectral.eta, res.spectral.omega_c, res.beta, res.omega_qubit, t)
+        )
+        x = 1 + 1 / (beta * omega_c)
+        d = mpmath.re(mpmath.loggamma(x)) - mpmath.re(mpmath.loggamma(x + 1j * t / beta))
+        return 2 * eta * omega**2 * mpmath.log1p((omega_c * t) ** 2) + 8 * eta * omega**2 * d
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.1, 1.0, 10.0, 100.0, 1e3, 1e5])
+def test_exact_matches_mpmath(beta):
+    # t / beta down to 1e-13: the direct loggamma difference in double
+    # precision loses every digit there, the cancellation-free form none
+    res = ohmic(eta=0.2, beta=beta, omega=2.0)
+    for t in (1e-8, 1e-4, 0.01, 1.0, 30.0, 300.0):
+        reference = mpmath_exact(res, t)
+        assert abs(gamma_exact(res, t) - reference) <= 1e-13 * abs(reference), t
+
+
+def test_exact_at_zero_temperature_is_zero_t_bit_for_bit():
+    for res in (ohmic(), ohmic(eta=0.37, omega_c=3.0, omega=math.sqrt(12.0))):
+        for t in [0.0, 1e-300, *np.geomspace(1e-8, 1e4, 60).tolist()]:
+            assert gamma_exact(res, t) == gamma_zero_t(res, t)
+            assert gamma(res, t, GammaMethod.EXACT) == gamma_zero_t(res, t)
+
+
+@pytest.mark.parametrize("omega_c_beta", [1e2, 1e3, 1e4, 1e5])
+def test_exact_approaches_low_t_on_cold_baths(omega_c_beta):
+    # low_t drops the k >= 1 terms' offset a = 1 / (omega_c beta)
+    res = ohmic(eta=0.2, omega_c=2.0, beta=omega_c_beta / 2.0, omega=2.0)
+    for t in np.geomspace(1e-3, 1e3, 13).tolist():
+        exact = gamma_exact(res, t)
+        assert abs(exact - gamma_low_t(res, t)) <= abs(exact) / omega_c_beta
+
+
+@pytest.mark.parametrize("omega_c_beta", [0.01, 0.1, 1.0, 10.0, 30.0, 100.0])
+@pytest.mark.parametrize("omega_c", [1.0, 2.5])
+def test_exact_matches_quadrature_where_it_converges(omega_c_beta, omega_c):
+    # quadrature holds its tolerance up to omega_c beta = 100; colder baths
+    # are where it misses (by 1e-10 absolute at omega_c beta = 250 already)
+    res = ohmic(eta=0.3, omega_c=omega_c, beta=omega_c_beta / omega_c, omega=1.5)
+    for t in np.geomspace(1e-4, 30.0, 9).tolist():
+        exact = gamma_exact(res, t)
+        quad = gamma(res, t, GammaMethod.NUMERIC_QUADRATURE)
+        assert abs(exact - quad) <= QUAD_EPSREL * abs(exact) + QUAD_EPSABS, t
+
+
+@pytest.mark.parametrize("beta", [1e-3, 0.5, 40.0, 1e6, ZERO_TEMPERATURE])
+def test_exact_array_equals_scalar_calls(beta):
+    res = ohmic(eta=0.25, beta=beta, omega=2.0)
+    ts = np.concatenate([[0.0], np.geomspace(1e-9, 1e3, 241)])
+    values = gamma_exact(res, ts)
+    assert isinstance(values, np.ndarray) and values.shape == ts.shape
+    assert values.tolist() == [gamma_exact(res, t) for t in ts.tolist()]
+    assert values.tolist() == [gamma(res, t, GammaMethod.EXACT) for t in ts.tolist()]
+    assert isinstance(gamma_exact(res, 1.0), float)
+
+
+def test_exact_nondecreasing_and_hotter_is_larger():
+    ts = np.linspace(0.0, 20.0, 400)
+    curves = [gamma_exact(ohmic(beta=beta), ts) for beta in (ZERO_TEMPERATURE, 10.0, 1.0, 0.1)]
+    for values in curves:
+        assert np.all(np.diff(values) >= 0)
+    for colder, hotter in zip(curves, curves[1:]):
+        assert np.all(hotter[1:] > colder[1:])
+
+
+def test_exact_requires_ohmic_and_valid_times():
+    custom = ReservoirSpec(
+        CustomSpectralDensity(lambda w: w * math.exp(-w), support_cutoff=60.0), 2.0, 1.0
+    )
+    with pytest.raises(MethodError, match="exact closed form is only available for Ohmic"):
+        gamma(custom, 1.0, GammaMethod.EXACT)
+    with pytest.raises(ParameterError, match="time must be finite and >= 0"):
+        gamma_exact(ohmic(beta=2.0), np.array([0.5, -1.0]))
+    with pytest.raises(ParameterError, match="1-d array"):
+        gamma_exact(ohmic(beta=2.0), np.ones((2, 2)))

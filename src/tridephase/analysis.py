@@ -25,7 +25,7 @@ from .measures import (
     negativity,
     tripartite_negativity,
 )
-from .reservoir import ZERO_TEMPERATURE, GammaMethod, OhmicSpectralDensity, ReservoirSpec
+from .reservoir import ZERO_TEMPERATURE, GammaMethod, OhmicSpectralDensity, ReservoirSpec, gamma
 from .states import ghz_state, w_state, werner
 
 DEAD_THRESHOLD = 1e-12
@@ -252,6 +252,10 @@ class SweepGrid:
     methods).
     `omega_sqs` holds the squared splittings (Omega_A^2, Omega_B^2,
     Omega_C^2) of every run.
+
+    Construction checks every field's range, then builds every Werner state
+    and reservoir set of the run and evaluates Gamma(0) with `method`, so a
+    value the run cannot build raises here, with its owner's message.
     """
 
     xs: Sequence[float]
@@ -303,9 +307,19 @@ class SweepGrid:
             raise ParameterError(f"unknown measures: {sorted(unknown)}")
         if self.state not in STATES:
             raise ParameterError(f"unknown state {self.state!r}; choose from {sorted(STATES)}")
+        psi = STATES[self.state]()
+        for x in self.xs:
+            werner(psi, x)
+        for eta, beta_a, k1, k2 in itertools.product(self.etas, self.beta_as, self.k1s, self.k2s):
+            for res in make_reservoirs(eta, self.omega_c, beta_a, k1, k2, self.omegas()):
+                gamma(res, 0.0, self.method)  # 0.0, or MethodError on a mismatch
 
     def times(self) -> np.ndarray:
         return np.linspace(self.t_start, self.t_stop, self.t_count)
+
+    def omegas(self) -> tuple[float, float, float]:
+        """The splittings (Omega_A, Omega_B, Omega_C), square roots of omega_sqs."""
+        return tuple(math.sqrt(v) for v in self.omega_sqs)
 
 
 @dataclass(frozen=True)
@@ -353,10 +367,10 @@ def make_reservoirs(
     else:
         if not beta_a > 0:
             raise ParameterError(f"beta_a must be positive, got {beta_a!r}")
-        if not (k1 > 0 and k2 > 0):
-            raise ParameterError(f"k1 and k2 must be positive, got {k1!r}, {k2!r}")
         betas = (beta_a, k1 * beta_a, k2 * beta_a)
         for key, k, beta in (("k1", k1, betas[1]), ("k2", k2, betas[2])):
+            if not k > 0:
+                raise ParameterError(f"{key} must be positive, got {k!r}")
             if not 0.0 < beta < math.inf:
                 raise ParameterError(
                     f"{key} * beta_a = {k!r} * {beta_a!r} rounds to {beta!r}, "
@@ -402,7 +416,7 @@ def _timescales(
 ) -> TimescaleResult:
     """t_p, T_c and freezing of one sampled curve.
 
-    A failed setup, a failed row or a failed root search all end here, as
+    A failed channel, a failed row or a failed root search all end here, as
     the error of the curve's time scales (the first row error wins).
     """
     error = next((e for e in errors if e is not None), None)
@@ -424,17 +438,18 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
 
     Each curve is evaluated as one (T, 8, 8) stack over the time grid, and
     the channel of each reservoir set (eta, beta_a, k1, k2) is computed once
-    and shared by every x; its splittings Omega_X are the square roots of
-    grid.omega_sqs.  Time scales are bracketed on the sampled curve.
+    and shared by every x; its splittings Omega_X are grid.omegas().
+    Time scales are bracketed on the sampled curve.
     One Gamma memo per call serves the grid and every root-finder
-    evaluation.  Failures are recorded on their curves and never abort the
-    sweep.
+    evaluation.  The grid has checked that every Werner state and reservoir
+    set can be built, so a recorded error is an evaluation failure (channel,
+    measure or root finder); it never aborts the sweep.
     """
-    omegas = tuple(math.sqrt(v) for v in grid.omega_sqs)
+    omegas = grid.omegas()
     times = grid.times()
     psi = STATES[grid.state]()
     curves: list[CurveResult] = []
-    channels: dict[tuple, object] = {}  # reservoir set -> factors or the exception raised
+    channels: dict[tuple, object] = {}  # reservoir set -> factors or the text of their error
     gammas: dict[tuple, float] = {}  # (reservoir, t, method) -> Gamma, this call only
 
     for x, eta, beta_a, k1, k2 in itertools.product(
@@ -450,29 +465,23 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
             "omega_c": grid.omega_c,
             "method": grid.method.value,
         }
-        try:
-            reservoirs = make_reservoirs(eta, grid.omega_c, beta_a, k1, k2, omegas)
-            rho0 = werner(psi, x)
-            key = (eta, beta_a, k1, k2)
-            if key not in channels:
-                try:
-                    channels[key] = dephasing_factors(reservoirs, times, grid.method, memo=gammas)
-                except Exception as exc:  # every x of this reservoir set carries it
-                    channels[key] = exc
-            factors = channels[key]
-            if isinstance(factors, Exception):
-                raise factors.with_traceback(None)
-            evolved = evolve(rho0, factors)
-            setup_error = None
-        except Exception as exc:  # every row of this tuple carries it
-            setup_error = _error_text(exc)
+        reservoirs = make_reservoirs(eta, grid.omega_c, beta_a, k1, k2, omegas)
+        rho0 = werner(psi, x)
+        key = (eta, beta_a, k1, k2)
+        if key not in channels:
+            try:
+                channels[key] = dephasing_factors(reservoirs, times, grid.method, memo=gammas)
+            except Exception as exc:  # every x of this reservoir set carries it
+                channels[key] = _error_text(exc)
+        factors = channels[key]
+        evolved = None if isinstance(factors, str) else evolve(rho0, factors)
 
         for name in grid.measures:
             fn = MEASURES[name]
-            if setup_error is None:
-                values, errors = _measure_curve(fn, evolved)
+            if evolved is None:
+                values, errors = [math.nan] * times.size, [factors] * times.size
             else:
-                values, errors = [math.nan] * times.size, [setup_error] * times.size
+                values, errors = _measure_curve(fn, evolved)
             timescales = None
             if grid.include_timescales:
 

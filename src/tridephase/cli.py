@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import analysis, oracles
 from .evolution import dephasing_factors, evolve
-from .exceptions import ParameterError, TridephaseError
+from .exceptions import MethodError, ParameterError, TridephaseError
 from .reservoir import GammaMethod
 from .states import werner
 
@@ -139,8 +140,8 @@ def _as_bool(value, key: str) -> bool:
 def _parse_run(config: dict, **grid_options) -> analysis.SweepGrid:
     """The SweepGrid of the keys every command reads plus `grid_options`.
 
-    The CLI parses JSON types and converts config units; SweepGrid owns
-    every range rule, reported by _keyed under its key.  Two checks stay
+    The CLI parses JSON types and converts config units; SweepGrid checks
+    every run value, reported by _keyed under its key.  Two checks stay
     here: omega_c > 0 must hold before the unit division, and
     t_stop > t_start >= 0 is stated in config units.
     """
@@ -149,14 +150,14 @@ def _parse_run(config: dict, **grid_options) -> analysis.SweepGrid:
         raise ConfigError("config key 'omega_c' must be positive")
     method = _METHODS[_as_choice(config["method"], "method", _METHODS)]
     beta_as = [_natural_units(b, "beta_a", omega_c) for b in _as_list(config["beta_a"], "beta_a")]
-    _check_method_temperature(method, beta_as)
     t_start = _as_float(config["t_start"], "t_start")
     t_stop = _as_float(config["t_stop"], "t_stop")
     if not t_stop > t_start >= 0:
         raise ConfigError("config keys 't_start'/'t_stop' must satisfy t_stop > t_start >= 0")
     omega_keys = ("omega_sq_a", "omega_sq_b", "omega_sq_c")
     return _keyed(
-        {k: config[k] for k in ("t_count", "epsilon", "t_start", "t_stop", *omega_keys)},
+        ("x", "eta", "beta_a", "k1", "k2", "method", "t_count", "epsilon", "t_start", "t_stop",
+         *omega_keys),
         analysis.SweepGrid,
         xs=_as_list(config["x"], "x"),
         etas=_as_list(config["eta"], "eta"),
@@ -181,13 +182,6 @@ def _natural_units(value: float, key: str, omega_c: float) -> float:
         message = f"{key} / omega_c = {value!r} / {omega_c!r} rounds to {quotient!r}"
         raise ConfigError(f"config key {key!r}: {message}")
     return quotient
-
-
-def _check_method_temperature(method: GammaMethod, beta_values: list[float]) -> None:
-    if method is GammaMethod.ZERO_T_CLOSED_FORM and any(math.isfinite(b) for b in beta_values):
-        raise ConfigError("config key 'method': zero_t requires beta_a = \"inf\"")
-    if method is GammaMethod.LOW_T_CLOSED_FORM and any(math.isinf(b) for b in beta_values):
-        raise ConfigError("config key 'method': low_t requires a finite beta_a")
 
 
 def _write_rows(rows, fieldnames: list[str], out, fmt: str) -> None:
@@ -230,7 +224,7 @@ def _emit(rows, fieldnames: list[str], args) -> None:
 
 
 def _config_units(value: float, omega_c: float) -> float:
-    """A time or inverse temperature in units of 1/omega_c; inf and nan pass through."""
+    """A time scale (t_p or t_c) in units of 1/omega_c; inf and nan pass through."""
     return value * omega_c if math.isfinite(value) else value
 
 
@@ -244,21 +238,17 @@ def _config_times(config: dict, grid: analysis.SweepGrid) -> list[float]:
     return np.linspace(t_start, t_stop, grid.t_count).tolist()
 
 
-def _keyed(values: dict, build, *args, **kwargs):
-    """build(*args, **kwargs), with a ParameterError reported as a ConfigError naming a key.
+def _keyed(keys: tuple[str, ...], build, *args, **kwargs):
+    """build(*args, **kwargs), with a bad value reported as a ConfigError naming a key.
 
-    `values` maps the config keys that the arguments came from to their
-    values.  Of the keys the message names, in its order, the first one
-    whose value is not a positive number is named, else the first one
-    named; a message that names none is put on the first key of `values`.
+    A ParameterError or MethodError is put on the first of `keys` that its
+    message names, in the message's order, else on keys[0].
     """
     try:
         return build(*args, **kwargs)
-    except ParameterError as exc:
-        named = [word for word in str(exc).replace(",", " ").split() if word in values]
-        named = named or list(values)
-        # False sorts first: the first named key that is not a positive number
-        key = min(named, key=lambda k: isinstance(values[k], (int, float)) and values[k] > 0)
+    except (ParameterError, MethodError) as exc:
+        named = [word for word in str(exc).replace(",", " ").split() if word in keys]
+        key = (named or keys)[0]
         raise ConfigError(f"config key {key!r}: {exc}") from exc
 
 
@@ -268,15 +258,10 @@ def cmd_evolve(config: dict, args) -> int:
             raise ConfigError(f"config key {key!r} must be a scalar for the evolve command")
     grid = _parse_run(config)
     (x,), (eta,), (beta_a,), (k1,), (k2,) = grid.xs, grid.etas, grid.beta_as, grid.k1s, grid.k2s
-    omega_c = grid.omega_c
     times = grid.times()
 
-    rho0 = _keyed({"x": x}, werner, analysis.STATES[grid.state](), x)
-    omegas = tuple(math.sqrt(v) for v in grid.omega_sqs)
-    reservoirs = _keyed(
-        {"eta": eta, "beta_a": beta_a, "k1": k1, "k2": k2},
-        analysis.make_reservoirs, eta, omega_c, beta_a, k1, k2, omegas,
-    )
+    rho0 = werner(analysis.STATES[grid.state](), x)
+    reservoirs = analysis.make_reservoirs(eta, grid.omega_c, beta_a, k1, k2, grid.omegas())
     evolved = evolve(rho0, dephasing_factors(reservoirs, times, grid.method))
     # re_ij and im_ij side by side, row-major over (i, j)
     elements = np.stack([evolved.real, evolved.imag], axis=-1).reshape(len(times), 128)
@@ -304,6 +289,11 @@ def _curve_table(config: dict, args, per_time: bool, timescales: bool) -> int:
     omega_c = grid.omega_c
     curves = analysis.run_sweep(grid)
     times = _config_times(config, grid)
+    # beta_a prints as configured, since (b / omega_c) * omega_c need not give b
+    # back and two values may share one b / omega_c; curves come in product order
+    configured = itertools.product(
+        grid.xs, grid.etas, _as_list(config["beta_a"], "beta_a"), grid.k1s, grid.k2s, grid.measures
+    )
     # freezing intervals run between grid times, printed as configured
     config_time = dict(zip(grid.times().tolist(), times))
     fields = [*PARAM_FIELDS, "measure"] + (["t", "value"] if per_time else [])
@@ -312,10 +302,10 @@ def _curve_table(config: dict, args, per_time: bool, timescales: bool) -> int:
     fields += ["error"] if per_time else ["freezing_intervals", "error"]
 
     def rows():
-        for curve in curves:
+        for curve, (_, _, beta_a, *_) in zip(curves, configured, strict=True):
             p = curve.parameters
             prefix = (
-                p["state"], p["x"], p["eta"], _config_units(p["beta_a"], omega_c),
+                p["state"], p["x"], p["eta"], beta_a,
                 p["k1"], p["k2"], *grid.omega_sqs, p["omega_c"], p["method"], curve.name,
             )
             columns = ()

@@ -28,8 +28,8 @@ The general integral is evaluated with adaptive quadrature; the integrand
 has a removable singularity at w = 0 which is replaced by its analytic
 limit below w = 1e-8 w_c, and the exponential cutoff makes truncation at
 w = 60 w_c exact to below 1e-26.  On Ohmic baths quadrature agrees with
-`exact` to QUAD_EPSREL |Gamma| + QUAD_EPSABS for beta_X <= 100, but it
-misses by up to 1.3e-5 relative at beta_X >= 500.
+`exact` to QUAD_EPSREL |Gamma| + QUAD_EPSABS for w_c beta_X <= 100, but it
+misses by up to 1.3e-5 relative at w_c beta_X >= 500.
 
 scipy is imported on the first quadrature, not with this module: the
 module attribute `integrate` (PEP 562 `__getattr__`) loads and returns
@@ -163,7 +163,7 @@ def gamma_zero_t(res: ReservoirSpec, t: float) -> float:
     """Zero-temperature Ohmic closed form 2 eta Omega^2 ln(1 + (w_c t)^2)."""
     spectral = _require_ohmic(res, GammaMethod.ZERO_T_CLOSED_FORM)
     if res.beta != ZERO_TEMPERATURE:
-        raise MethodError("zero-temperature closed form requires ZERO_TEMPERATURE")
+        raise MethodError("method zero_t requires ZERO_TEMPERATURE (beta = inf)")
     _check_time(t)
     if t == 0.0:
         return 0.0
@@ -179,7 +179,7 @@ def gamma_low_t(res: ReservoirSpec, t: float) -> float:
     """
     spectral = _require_ohmic(res, GammaMethod.LOW_T_CLOSED_FORM)
     if res.beta == ZERO_TEMPERATURE:
-        raise MethodError("low-temperature closed form requires a finite inverse temperature")
+        raise MethodError("method low_t requires a finite inverse temperature")
     _check_time(t)
     if t == 0.0:
         return 0.0

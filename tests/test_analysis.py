@@ -17,7 +17,7 @@ from tridephase.analysis import (
     run_sweep,
 )
 from tridephase.evolution import energies
-from tridephase.exceptions import NoCorrelationError, ParameterError
+from tridephase.exceptions import MethodError, NoCorrelationError, ParameterError
 from tridephase.measures import gmc_ghz_werner
 from tridephase.oracles import gmc_ghz_werner_low_t
 from tridephase.reservoir import (
@@ -192,8 +192,10 @@ def test_gradient_spec():
     assert tuple(r.beta for r in gradient(0.01, 2.0, 8.0)) == (0.01, 0.02, 0.08)
     with pytest.raises(ParameterError, match="beta_a must be positive"):
         gradient(-1.0, 1.0, 1.0)
-    with pytest.raises(ParameterError, match="k1 and k2 must be positive"):
+    with pytest.raises(ParameterError, match="k1 must be positive, got 0.0"):
         gradient(1.0, 0.0, 1.0)
+    with pytest.raises(ParameterError, match="k2 must be positive, got 0.0"):
+        gradient(1.0, 1.0, 0.0)
 
 
 @pytest.mark.parametrize("beta_a, k1, k2, key", [
@@ -302,6 +304,22 @@ def test_sweep_grid_validation():
         SweepGrid(xs=[0.5], etas=[0.1], beta_as=[1.0], k1s=[1.0], k2s=[1.0],
                   t_start=0.0, t_stop=1.0, t_count=5, omega_sqs=OMEGA_SQS,
                   state="ghz5")
+
+
+@pytest.mark.parametrize("changes, error, message", [
+    (dict(xs=[0.9, 1.5]), ParameterError, r"mixing parameter must lie in \[0, 1\], got 1.5"),
+    (dict(etas=[0.2, -1.0]), ParameterError, "coupling constant eta must be >= 0, got -1.0"),
+    (dict(beta_as=[1.0, -1.0], method=GammaMethod.EXACT), ParameterError,
+     "beta_a must be positive, got -1.0"),
+    (dict(beta_as=[1.0], k1s=[1.0, 2.0], k2s=[0.0], method=GammaMethod.LOW_T_CLOSED_FORM),
+     ParameterError, "k2 must be positive, got 0.0"),
+    (dict(beta_as=[2.0]), MethodError, "method zero_t requires ZERO_TEMPERATURE"),
+    (dict(beta_as=[2.0, math.inf], method=GammaMethod.LOW_T_CLOSED_FORM), MethodError,
+     "method low_t requires a finite inverse temperature"),
+], ids=["x", "eta", "beta_a", "k2", "zero_t_hot", "low_t_cold"])
+def test_sweep_grid_rejects_every_value_the_run_cannot_build(changes, error, message):
+    with pytest.raises(error, match=message):
+        one_point_grid(**changes)
 
 
 def test_make_reservoirs_zero_temperature():
@@ -474,7 +492,7 @@ def one_point_grid(**changes):
     (lambda: ReservoirSpec(OhmicSpectralDensity(0.2, 1.0), math.nan, 2.0),
      "inverse temperature must be positive or ZERO_TEMPERATURE"),
     (lambda: gradient(math.nan, 1.0, 1.0), "beta_a must be positive"),
-    (lambda: gradient(1.0, math.nan, 1.0), "k1 and k2 must be positive"),
+    (lambda: gradient(1.0, math.nan, 1.0), "k1 must be positive"),
     (lambda: one_point_grid(omega_c=math.nan), "omega_c must be positive"),
     (lambda: one_point_grid(omega_sqs=(4.0, math.nan, 4.0)), "omega_sq_b must be positive"),
     (lambda: one_point_grid(t_stop=math.inf), "need t_stop > t_start >= 0"),

@@ -52,6 +52,25 @@ def test_exact_run_at_finite_temperature_loads_no_scipy():
     assert scipy_modules_after(cli_run("method=exact", "beta_a=[0.5,40]", "k1=4")) == []
 
 
+def test_quadrature_grid_checks_its_run_without_loading_scipy():
+    # the grid evaluates Gamma(0) of every reservoir, which quadrature gives without quad
+    code = (
+        "import math\n"
+        "from tridephase import GammaMethod, ParameterError, SweepGrid\n"
+        "fields = dict(etas=[0.2], beta_as=[0.5, math.inf], k1s=[1.0, 4.0], k2s=[16.0],\n"
+        "              t_start=0.0, t_stop=3.0, t_count=5, omega_sqs=(4.0, 4.0, 4.0),\n"
+        "              method=GammaMethod.NUMERIC_QUADRATURE)\n"
+        "SweepGrid(xs=[0.6, 0.9], **fields)\n"
+        "try:\n"
+        "    SweepGrid(xs=[0.6, 1.5], **fields)\n"
+        "except ParameterError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('x = 1.5 was accepted')\n"
+    )
+    assert scipy_modules_after(code) == []
+
+
 def test_one_quadrature_gamma_loads_scipy_integrate():
     code = (
         "from tridephase import GammaMethod, OhmicSpectralDensity, ReservoirSpec, gamma\n"

@@ -1,9 +1,12 @@
-"""The python examples of README.md run, in order, in one namespace."""
+"""The examples of README.md run: its python blocks and its CLI lines."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+from tridephase.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -18,3 +21,17 @@ def test_readme_python_blocks_run():
             # pad with blank lines so a traceback points at the README line
             source = "\n" * text.count("\n", 0, block.start(1)) + block.group(1)
             exec(compile(source, str(README), "exec"), namespace)
+
+
+def test_readme_cli_examples_run(tmp_path, capsys):
+    # the first block of the CLI section; the line that reads run.json is skipped
+    block = re.search(r"^## CLI\n.*?^```\n(.*?)^```$", README.read_text(), re.MULTILINE | re.DOTALL)
+    lines = [line for line in block.group(1).splitlines() if "--config" not in line]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("tridephase ")]
+    assert len(commands) == len(lines) >= 4, lines
+    for argv in commands:
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        assert main(argv) == 0, argv
+        capsys.readouterr()

@@ -8,7 +8,7 @@ import pytest
 
 from tridephase.analysis import MEASURES, STATES, SweepGrid, make_reservoirs, run_sweep
 from tridephase.evolution import DephasingFactors, dephasing_factors, evolve
-from tridephase.exceptions import HermiticityViolation, ParameterError, ShapeError
+from tridephase.exceptions import HermiticityViolation, MethodError, ParameterError, ShapeError
 from tridephase.linalg import hermitian_eigenvalues, hermiticity_defect, partial_transpose
 from tridephase.measures import gmc_x_state, l1_coherence, negativity, tripartite_negativity
 from tridephase.reservoir import GammaMethod
@@ -137,20 +137,14 @@ def reference_rows(grid):
     for x, eta, beta_a, k1, k2 in itertools.product(
         grid.xs, grid.etas, grid.beta_as, grid.k1s, grid.k2s
     ):
-        try:
-            reservoirs = make_reservoirs(eta, grid.omega_c, beta_a, k1, k2, omegas)
-            rho0 = werner(STATES[grid.state](), x)
-        except Exception as exc:
-            reservoirs, setup_error = None, f"{type(exc).__name__}: {exc}"
+        reservoirs = make_reservoirs(eta, grid.omega_c, beta_a, k1, k2, omegas)
+        rho0 = werner(STATES[grid.state](), x)
         for name in grid.measures:
             for t in grid.times().tolist():
                 value, error = math.nan, None
                 try:
-                    if reservoirs is None:
-                        error = setup_error
-                    else:
-                        factors = dephasing_factors(reservoirs, t, grid.method)
-                        value = MEASURES[name](evolve(rho0, factors))
+                    factors = dephasing_factors(reservoirs, t, grid.method)
+                    value = MEASURES[name](evolve(rho0, factors))
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
                 rows.append((name, t, x, eta, beta_a, k1, k2, repr(value), error))
@@ -162,7 +156,6 @@ def reference_rows(grid):
     [
         ("ghz", [0.3, 0.8, 1.0], [math.inf], GammaMethod.ZERO_T_CLOSED_FORM),
         ("w", [0.6, 0.95], [100.0, 300.0], GammaMethod.LOW_T_CLOSED_FORM),
-        ("ghz", [0.5, 1.5], [2.0], GammaMethod.ZERO_T_CLOSED_FORM),  # werner and channel errors
     ],
 )
 def test_run_sweep_rows_equal_per_point_evaluation(state, xs, beta_as, method):
@@ -179,6 +172,19 @@ def test_run_sweep_rows_equal_per_point_evaluation(state, xs, beta_as, method):
         for t, value, error in zip(grid.times().tolist(), c.values, c.errors, strict=True)
     ]
     assert got == reference_rows(grid)
+
+
+def test_sweep_grid_rejects_the_run_it_cannot_build():
+    # run_sweep never sees an x outside [0, 1] or a zero_t channel at finite beta
+    fields = dict(
+        etas=[0.2, 40.0], beta_as=[2.0], k1s=[1.0, 4.0], k2s=[16.0], t_start=0.0,
+        t_stop=30.0, t_count=13, omega_sqs=OMEGA_SQS, measures=tuple(MEASURES),
+        method=GammaMethod.ZERO_T_CLOSED_FORM, state="ghz",
+    )
+    with pytest.raises(ParameterError, match="mixing parameter must lie in"):
+        SweepGrid(xs=[0.5, 1.5], **fields)
+    with pytest.raises(MethodError, match="method zero_t requires ZERO_TEMPERATURE"):
+        SweepGrid(xs=[0.5], **fields)
 
 
 def test_w_state_gmc_rows_keep_their_own_shape_errors():

@@ -246,10 +246,12 @@ def freezing_intervals(ts: Sequence[float], values: Sequence[float]) -> list[tup
 class SweepGrid:
     """Cartesian parameter grid driving batch evaluation.
 
-    Times, inverse temperatures and frequencies share the natural units of
-    the reservoir module.  `beta_as` may contain math.inf entries meaning
-    zero temperature (only valid with the exact, zero-t or quadrature
-    methods).
+    A run is stated as the paper states it: `t_start`, `t_stop` and
+    `beta_as` are in units of 1/omega_c, and the conversion to the natural
+    units of the reservoir module happens inside this module, in
+    `channel_times` and `make_reservoirs`.  `beta_as` may contain math.inf
+    entries meaning zero temperature (only valid with the exact, zero-t or
+    quadrature methods).
     `omega_sqs` holds the squared splittings (Omega_A^2, Omega_B^2,
     Omega_C^2) of every run.
 
@@ -275,6 +277,8 @@ class SweepGrid:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
+        if not self.omega_c > 0:
+            raise ParameterError(f"omega_c must be positive, got {self.omega_c!r}")
         for name, seq in (
             ("xs", self.xs),
             ("etas", self.etas),
@@ -291,13 +295,17 @@ class SweepGrid:
             raise ParameterError(
                 f"need t_stop > t_start >= 0, got {self.t_start!r}, {self.t_stop!r}"
             )
+        for name, value in (("t_start", self.t_start), ("t_stop", self.t_stop)):
+            quotient = value / self.omega_c
+            if value != 0 and not 0 < quotient < math.inf:
+                raise ParameterError(
+                    f"{name} / omega_c = {value!r} / {self.omega_c!r} rounds to {quotient!r}"
+                )
         if len(self.omega_sqs) != 3:
             raise ParameterError(f"omega_sqs must hold three values, got {self.omega_sqs!r}")
         for name, value in zip(("omega_sq_a", "omega_sq_b", "omega_sq_c"), self.omega_sqs):
             if not value > 0:  # NaN included
                 raise ParameterError(f"{name} must be positive, got {value!r}")
-        if not self.omega_c > 0:
-            raise ParameterError(f"omega_c must be positive, got {self.omega_c!r}")
         if not isinstance(self.method, GammaMethod):
             raise ParameterError(f"method must be a GammaMethod, got {self.method!r}")
         if not 0.0 < self.epsilon < 1.0:
@@ -315,7 +323,12 @@ class SweepGrid:
                 gamma(res, 0.0, self.method)  # 0.0, or MethodError on a mismatch
 
     def times(self) -> np.ndarray:
+        """The time grid in units of 1/omega_c, as configured."""
         return np.linspace(self.t_start, self.t_stop, self.t_count)
+
+    def channel_times(self) -> np.ndarray:
+        """The time grid in natural units, where the channel is evaluated."""
+        return np.linspace(self.t_start / self.omega_c, self.t_stop / self.omega_c, self.t_count)
 
     def omegas(self) -> tuple[float, float, float]:
         """The splittings (Omega_A, Omega_B, Omega_C), square roots of omega_sqs."""
@@ -356,10 +369,12 @@ def make_reservoirs(
 ) -> tuple[ReservoirSpec, ReservoirSpec, ReservoirSpec]:
     """Three Ohmic reservoirs with beta_B = k1 beta_A, beta_C = k2 beta_A.
 
+    beta_a is in units of 1/omega_c: beta_A = beta_a / omega_c.
     beta_a = ZERO_TEMPERATURE (inf) puts all three at zero temperature and
     leaves k1 and k2 unused.  Otherwise beta_a, k1 and k2 must be positive,
-    and so must k1 beta_a and k2 beta_a after rounding: a product that
-    underflows to 0 or overflows to inf is rejected by the name of its factor.
+    and so must beta_A, k1 beta_A and k2 beta_A after rounding: one that
+    underflows to 0 or overflows to inf is rejected by the name of its
+    factor, with beta_a quoted as given.
     """
     spectral = OhmicSpectralDensity(eta, omega_c)
     if beta_a == ZERO_TEMPERATURE:
@@ -367,13 +382,16 @@ def make_reservoirs(
     else:
         if not beta_a > 0:
             raise ParameterError(f"beta_a must be positive, got {beta_a!r}")
-        betas = (beta_a, k1 * beta_a, k2 * beta_a)
-        for key, k, beta in (("k1", k1, betas[1]), ("k2", k2, betas[2])):
+        beta = beta_a / omega_c
+        if not 0.0 < beta < math.inf:
+            raise ParameterError(f"beta_a / omega_c = {beta_a!r} / {omega_c!r} rounds to {beta!r}")
+        betas = (beta, k1 * beta, k2 * beta)
+        for key, k, product in (("k1", k1, betas[1]), ("k2", k2, betas[2])):
             if not k > 0:
                 raise ParameterError(f"{key} must be positive, got {k!r}")
-            if not 0.0 < beta < math.inf:
+            if not 0.0 < product < math.inf:
                 raise ParameterError(
-                    f"{key} * beta_a = {k!r} * {beta_a!r} rounds to {beta!r}, "
+                    f"{key} * beta_a = {k!r} * {beta_a!r} rounds to {product!r}, "
                     "not a positive finite inverse temperature"
                 )
     return tuple(
@@ -414,20 +432,30 @@ def _timescales(
     values: list,
     errors: list,
 ) -> TimescaleResult:
-    """t_p, T_c and freezing of one sampled curve.
+    """t_p, T_c and freezing of one curve sampled at `times`, in units of 1/omega_c.
 
-    A failed channel, a failed row or a failed root search all end here, as
-    the error of the curve's time scales (the first row error wins).
+    The root finders and the freezing detection run on the channel times;
+    t_p and T_c are then multiplied by omega_c, and each freezing interval
+    is reported at the grid.times() of its end samples.  A failed channel,
+    a failed row or a failed root search all end here, as the error of the
+    curve's time scales (the first row error wins).
     """
     error = next((e for e in errors if e is not None), None)
     if error is None:
         try:
             samples = (times, values)
-            t_p = preservation_time_numeric(curve, grid.t_stop, samples=samples)
-            t_c, reached = characteristic_time(curve, grid.t_stop, grid.epsilon, samples=samples)
+            t_max = float(times[-1])
+            t_p = preservation_time_numeric(curve, t_max, samples=samples)
+            t_c, reached = characteristic_time(curve, t_max, grid.epsilon, samples=samples)
             # a curve already dead at its first sample has nothing to freeze
             freezing = [] if values[0] <= 0.0 else freezing_intervals(times, np.asarray(values))
-            return TimescaleResult(t_p, t_c, reached, freezing)
+            grid_time = dict(zip(times.tolist(), grid.times().tolist()))
+            return TimescaleResult(
+                t_p * grid.omega_c,
+                t_c * grid.omega_c,
+                reached,
+                [(grid_time[a], grid_time[b]) for a, b in freezing],
+            )
         except Exception as exc:  # recorded, not raised
             error = _error_text(exc)
     return TimescaleResult(math.nan, math.nan, False, [], error)
@@ -439,14 +467,16 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     Each curve is evaluated as one (T, 8, 8) stack over the time grid, and
     the channel of each reservoir set (eta, beta_a, k1, k2) is computed once
     and shared by every x; its splittings Omega_X are grid.omegas().
-    Time scales are bracketed on the sampled curve.
+    Time scales are bracketed on the sampled curve.  Results are in the
+    grid's units: `parameters["beta_a"]` is the configured value, and t_p,
+    T_c and the freezing intervals are in units of 1/omega_c.
     One Gamma memo per call serves the grid and every root-finder
     evaluation.  The grid has checked that every Werner state and reservoir
     set can be built, so a recorded error is an evaluation failure (channel,
     measure or root finder); it never aborts the sweep.
     """
     omegas = grid.omegas()
-    times = grid.times()
+    times = grid.channel_times()
     psi = STATES[grid.state]()
     curves: list[CurveResult] = []
     channels: dict[tuple, object] = {}  # reservoir set -> factors or the text of their error

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import math
 import sys
@@ -97,11 +96,9 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     return config
 
 
-def _as_list(value, key: str) -> list[float]:
+def _as_list(value, key: str, parse) -> list[float]:
     values = value if isinstance(value, (list, tuple)) else [value]
-    out = []
-    for v in values:
-        out.append(_as_beta(v, key) if key == "beta_a" else _as_float(v, key))
+    out = [parse(v, key) for v in values]
     if not out:
         raise ConfigError(f"config key {key!r} must not be an empty list")
     return out
@@ -140,48 +137,30 @@ def _as_bool(value, key: str) -> bool:
 def _parse_run(config: dict, **grid_options) -> analysis.SweepGrid:
     """The SweepGrid of the keys every command reads plus `grid_options`.
 
-    The CLI parses JSON types and converts config units; SweepGrid checks
-    every run value, reported by _keyed under its key.  Two checks stay
-    here: omega_c > 0 must hold before the unit division, and
-    t_stop > t_start >= 0 is stated in config units.
+    The CLI parses JSON types and passes the values on in config units,
+    which are the grid's; SweepGrid checks every run value, reported by
+    _keyed under its key.
     """
-    omega_c = _as_float(config["omega_c"], "omega_c")
-    if omega_c <= 0:
-        raise ConfigError("config key 'omega_c' must be positive")
     method = _METHODS[_as_choice(config["method"], "method", _METHODS)]
-    beta_as = [_natural_units(b, "beta_a", omega_c) for b in _as_list(config["beta_a"], "beta_a")]
-    t_start = _as_float(config["t_start"], "t_start")
-    t_stop = _as_float(config["t_stop"], "t_stop")
-    if not t_stop > t_start >= 0:
-        raise ConfigError("config keys 't_start'/'t_stop' must satisfy t_stop > t_start >= 0")
     omega_keys = ("omega_sq_a", "omega_sq_b", "omega_sq_c")
     return _keyed(
         ("x", "eta", "beta_a", "k1", "k2", "method", "t_count", "epsilon", "t_start", "t_stop",
-         *omega_keys),
+         *omega_keys, "omega_c"),
         analysis.SweepGrid,
-        xs=_as_list(config["x"], "x"),
-        etas=_as_list(config["eta"], "eta"),
-        beta_as=beta_as,
-        k1s=_as_list(config["k1"], "k1"),
-        k2s=_as_list(config["k2"], "k2"),
-        t_start=_natural_units(t_start, "t_start", omega_c),
-        t_stop=_natural_units(t_stop, "t_stop", omega_c),
+        xs=_as_list(config["x"], "x", _as_float),
+        etas=_as_list(config["eta"], "eta", _as_float),
+        beta_as=_as_list(config["beta_a"], "beta_a", _as_beta),
+        k1s=_as_list(config["k1"], "k1", _as_float),
+        k2s=_as_list(config["k2"], "k2", _as_float),
+        t_start=_as_float(config["t_start"], "t_start"),
+        t_stop=_as_float(config["t_stop"], "t_stop"),
         t_count=config["t_count"],
         omega_sqs=tuple(_as_float(config[key], key) for key in omega_keys),
         method=method,
         state=_as_choice(config["state"], "state", analysis.STATES),
-        omega_c=omega_c,
+        omega_c=_as_float(config["omega_c"], "omega_c"),
         **grid_options,
     )
-
-
-def _natural_units(value: float, key: str, omega_c: float) -> float:
-    """value / omega_c; a finite nonzero value that rounds to 0 or inf is rejected."""
-    quotient = value / omega_c
-    if value != 0 and math.isfinite(value) and not 0 < abs(quotient) < math.inf:
-        message = f"{key} / omega_c = {value!r} / {omega_c!r} rounds to {quotient!r}"
-        raise ConfigError(f"config key {key!r}: {message}")
-    return quotient
 
 
 def _write_rows(rows, fieldnames: list[str], out, fmt: str) -> None:
@@ -223,21 +202,6 @@ def _emit(rows, fieldnames: list[str], args) -> None:
         raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
-def _config_units(value: float, omega_c: float) -> float:
-    """A time scale (t_p or t_c) in units of 1/omega_c; inf and nan pass through."""
-    return value * omega_c if math.isfinite(value) else value
-
-
-def _config_times(config: dict, grid: analysis.SweepGrid) -> list[float]:
-    """The t column: linspace(t_start, t_stop, t_count) in config units.
-
-    grid.times() * omega_c would not give back the configured end points
-    when omega_c is not a power of two.
-    """
-    t_start, t_stop = (float(config[key]) for key in ("t_start", "t_stop"))
-    return np.linspace(t_start, t_stop, grid.t_count).tolist()
-
-
 def _keyed(keys: tuple[str, ...], build, *args, **kwargs):
     """build(*args, **kwargs), with a bad value reported as a ConfigError naming a key.
 
@@ -258,15 +222,14 @@ def cmd_evolve(config: dict, args) -> int:
             raise ConfigError(f"config key {key!r} must be a scalar for the evolve command")
     grid = _parse_run(config)
     (x,), (eta,), (beta_a,), (k1,), (k2,) = grid.xs, grid.etas, grid.beta_as, grid.k1s, grid.k2s
-    times = grid.times()
 
     rho0 = werner(analysis.STATES[grid.state](), x)
     reservoirs = analysis.make_reservoirs(eta, grid.omega_c, beta_a, k1, k2, grid.omegas())
-    evolved = evolve(rho0, dephasing_factors(reservoirs, times, grid.method))
+    evolved = evolve(rho0, dephasing_factors(reservoirs, grid.channel_times(), grid.method))
     # re_ij and im_ij side by side, row-major over (i, j)
-    elements = np.stack([evolved.real, evolved.imag], axis=-1).reshape(len(times), 128)
+    elements = np.stack([evolved.real, evolved.imag], axis=-1).reshape(grid.t_count, 128)
     fields = ["t"] + [f"{part}_{i}{j}" for i in range(8) for j in range(8) for part in ("re", "im")]
-    rows = [((), (t, *row)) for t, row in zip(_config_times(config, grid), elements.tolist())]
+    rows = [((), (t, *row)) for t, row in zip(grid.times().tolist(), elements.tolist())]
     _emit(rows, fields, args)
     return 0
 
@@ -286,42 +249,29 @@ def _curve_table(config: dict, args, per_time: bool, timescales: bool) -> int:
     grid = _parse_run(
         config, measures=tuple(measures), include_timescales=timescales, epsilon=epsilon
     )
-    omega_c = grid.omega_c
     curves = analysis.run_sweep(grid)
-    times = _config_times(config, grid)
-    # beta_a prints as configured, since (b / omega_c) * omega_c need not give b
-    # back and two values may share one b / omega_c; curves come in product order
-    configured = itertools.product(
-        grid.xs, grid.etas, _as_list(config["beta_a"], "beta_a"), grid.k1s, grid.k2s, grid.measures
-    )
-    # freezing intervals run between grid times, printed as configured
-    config_time = dict(zip(grid.times().tolist(), times))
+    times = grid.times().tolist()
     fields = [*PARAM_FIELDS, "measure"] + (["t", "value"] if per_time else [])
     if timescales:
         fields += ["t_p", "t_c", "t_c_reached", "freezing_count"]
     fields += ["error"] if per_time else ["freezing_intervals", "error"]
 
     def rows():
-        for curve, (_, _, beta_a, *_) in zip(curves, configured, strict=True):
+        for curve in curves:
             p = curve.parameters
             prefix = (
-                p["state"], p["x"], p["eta"], beta_a,
+                p["state"], p["x"], p["eta"], p["beta_a"],
                 p["k1"], p["k2"], *grid.omega_sqs, p["omega_c"], p["method"], curve.name,
             )
             columns = ()
             if timescales:
                 ts = curve.timescales
-                columns = (
-                    _config_units(ts.t_p, omega_c), _config_units(ts.t_c, omega_c),
-                    ts.t_c_reached, len(ts.freezing),
-                )
+                columns = (ts.t_p, ts.t_c, ts.t_c_reached, len(ts.freezing))
             if per_time:
                 for t, value, error in zip(times, curve.values, curve.errors):
                     yield prefix, (t, value, *columns, error or "")
             else:
-                intervals = "|".join(
-                    f"{config_time[a]:.17g}:{config_time[b]:.17g}" for a, b in ts.freezing
-                )
+                intervals = "|".join(f"{a:.17g}:{b:.17g}" for a, b in ts.freezing)
                 yield prefix, (*columns, intervals, ts.error or "")
 
     _emit(rows(), fields, args)

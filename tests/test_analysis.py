@@ -520,3 +520,50 @@ def test_timescales_reject_non_finite_t_max(t_max):
         preservation_time_numeric(curve, t_max)
     with pytest.raises(ParameterError, match="t_max must be positive and finite"):
         characteristic_time(curve, t_max)
+
+
+INVARIANT_RUNS = {
+    "exact": dict(
+        beta_as=[0.5, 20.0, math.inf], method=GammaMethod.EXACT, t_start=0.1, t_stop=4.0, t_count=41,
+    ),
+    "low_t": dict(
+        beta_as=[0.9, 300.0], method=GammaMethod.LOW_T_CLOSED_FORM,
+        t_start=0.5, t_stop=3.7, t_count=33,
+    ),
+    "zero_t": dict(
+        beta_as=[math.inf], method=GammaMethod.ZERO_T_CLOSED_FORM, t_start=0.0, t_stop=3.0, t_count=31,
+    ),
+    # hot A kills two of the W state's three coherences; cold B, C freeze the third
+    "low_t_freezing": dict(
+        state="w", xs=[1.0], beta_as=[0.001], k1s=[1e5], k2s=[1e5], etas=[0.001],
+        method=GammaMethod.LOW_T_CLOSED_FORM, measures=("l1_coherence",),
+        t_start=0.1, t_stop=3.3, t_count=41,
+    ),
+}
+
+
+@pytest.mark.parametrize("omega_c", [0.1, 3.0])
+@pytest.mark.parametrize("run", sorted(INVARIANT_RUNS))
+def test_run_in_units_of_one_over_omega_c_does_not_depend_on_omega_c(run, omega_c):
+    # Gamma depends on omega_c t and omega_c beta only, and the splittings'
+    # phases do not change these measures, so a run stated in units of
+    # 1/omega_c gives the same curves and time scales at every omega_c
+    fields = dict(
+        xs=[0.6, 0.9], etas=[0.2], k1s=[4.0], k2s=[16.0], omega_sqs=OMEGA_SQS,
+        measures=("gmc", "l1_coherence", "tripartite_negativity"), include_timescales=True,
+    )
+    fields.update(INVARIANT_RUNS[run])
+    reference = run_sweep(SweepGrid(**fields))
+    scaled = run_sweep(SweepGrid(**fields, omega_c=omega_c))
+    if run == "low_t_freezing":
+        assert len(reference[0].timescales.freezing) == 1
+    for ref, curve in zip(reference, scaled, strict=True):
+        assert curve.parameters == {**ref.parameters, "omega_c": omega_c}
+        assert curve.errors == ref.errors
+        np.testing.assert_allclose(curve.values, ref.values, rtol=0, atol=1e-12)
+        ts, ref_ts = curve.timescales, ref.timescales
+        assert ts.error == ref_ts.error
+        for value, ref_value in ((ts.t_p, ref_ts.t_p), (ts.t_c, ref_ts.t_c)):
+            assert value == pytest.approx(ref_value, rel=ROOT_REL_TOL, abs=0)
+        assert ts.t_c_reached == ref_ts.t_c_reached
+        assert len(ts.freezing) == len(ref_ts.freezing)

@@ -414,7 +414,7 @@ def test_sweep_timescale_columns_follow_their_curves(capsys):
 def test_time_grid_errors_name_their_keys(capsys, command):
     code, _, err = run(capsys, [command, "--set", "t_start=2", "--set", "t_stop=1"])
     assert code == 1
-    assert "config keys 't_start'/'t_stop' must satisfy t_stop > t_start >= 0" in err
+    assert err == "error: config key 't_stop': need t_stop > t_start >= 0, got 2.0, 1.0\n"
     code, _, err = run(capsys, [command, "--set", "t_count=1"])
     assert code == 1
     assert err == "error: config key 't_count': t_count must be an integer >= 2, got 1\n"
@@ -446,6 +446,23 @@ def test_grid_rule_errors_name_their_keys(capsys, setting, message):
 ], ids=["beta_a_inf", "t_stop_inf", "t_stop_zero", "beta_a_zero"])
 def test_unit_conversion_that_rounds_away_names_its_key(capsys, settings, key, message):
     argv = ["measure", "--set", "t_count=3"]
+    for setting in settings:
+        argv += ["--set", setting]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: config key {key!r}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["evolve", "measure"])
+@pytest.mark.parametrize("settings, key, message", [
+    (["omega_c=2", "beta_a=-1", "method=exact"], "beta_a", "beta_a must be positive, got -1.0"),
+    (["omega_c=4", "beta_a=1e-300", "k1=1e-30", "method=low_t"], "k1",
+     "k1 * beta_a = 1e-30 * 1e-300 rounds to 0.0, not a positive finite inverse temperature"),
+], ids=["beta_a_negative", "k1_underflow"])
+def test_rejected_run_value_is_quoted_as_configured(capsys, command, settings, key, message):
+    # at omega_c != 1 the message quotes beta_a as written, not beta_a / omega_c
+    argv = [command, "--set", "t_count=3"]
     for setting in settings:
         argv += ["--set", setting]
     code, out, err = run(capsys, argv)
@@ -522,6 +539,20 @@ GOLDEN_RUNS = {
     "timescales_x1.json": [
         "timescales", "--format", "json", "--set", "x=1.0",
         "--set", 'measures=["gmc","l1_coherence"]', "--set", "t_stop=2", "--set", "t_count=5",
+    ],
+    # omega_c != 1: one freezing interval, printed on the configured grid
+    "timescales_w_freezing_omega_c3.csv": [
+        "timescales", "--set", "omega_c=3", "--set", "state=w", "--set", "x=1",
+        "--set", "eta=0.001", "--set", "beta_a=0.001", "--set", "k1=1e5", "--set", "k2=1e5",
+        "--set", "method=low_t", "--set", "t_start=0.1", "--set", "t_stop=3.3",
+        "--set", "t_count=41", "--set", 'measures=["l1_coherence"]',
+    ],
+    # omega_c != 1: (0.9 / 3) * 3 is not 0.9, and t_start > 0
+    "measure_low_t_omega_c3.json": [
+        "measure", "--format", "json", "--set", "omega_c=3", "--set", "beta_a=[0.9,3.1]",
+        "--set", "method=low_t", "--set", "t_start=0.5", "--set", "t_stop=3.7",
+        "--set", "t_count=9", "--set", 'measures=["gmc","l1_coherence"]', "--set", "x=0.9",
+        "--set", "eta=0.02",
     ],
 }
 

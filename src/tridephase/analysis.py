@@ -26,7 +26,7 @@ from .measures import (
     tripartite_negativity,
 )
 from .reservoir import ZERO_TEMPERATURE, GammaMethod, OhmicSpectralDensity, ReservoirSpec, gamma
-from .states import ghz_state, w_state, werner
+from .states import check_mixing, ghz_state, w_state, werner
 
 DEAD_THRESHOLD = 1e-12
 ROOT_REL_TOL = 1e-9
@@ -57,8 +57,7 @@ def preservation_time_zero_t(x: float, eta: float, omega_sq: float, omega_c: flo
     (1/w_c) sqrt((4x / 3(1-x))^(1 / (2 eta Omega^2)) - 1); returns 0 for
     x <= 3/7 and +inf for x = 1.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ParameterError(f"mixing parameter must lie in [0, 1], got {x!r}")
+    check_mixing(x)
     if not (eta > 0 and omega_sq > 0 and omega_c > 0):
         raise ParameterError("eta, omega_sq and omega_c must be positive")
     if x == 1.0:
@@ -145,6 +144,11 @@ def preservation_time_numeric(
     return _bisect(measure_curve, alive, ts[i], ts[i + 1])
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < 1.0:  # NaN included
+        raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+
+
 class CharacteristicTime(NamedTuple):
     time: float
     reached: bool
@@ -164,8 +168,7 @@ def characteristic_time(
     [t_i-1, t_i] around the first sample below the target is bisected to
     relative width ROOT_REL_TOL.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    _check_epsilon(epsilon)
     ts, vs = _sampled_curve(measure_curve, t_max, samples, "characteristic time")
     target = (1.0 - epsilon) * vs[0]
 
@@ -291,7 +294,9 @@ class SweepGrid:
                 raise ParameterError(f"{name} must be nonempty")
         if not isinstance(self.t_count, numbers.Integral) or self.t_count < 2:
             raise ParameterError(f"t_count must be an integer >= 2, got {self.t_count!r}")
-        if not math.inf > self.t_stop > self.t_start >= 0.0:
+        if not self.t_start >= 0.0:  # NaN included
+            raise ParameterError(f"t_start must be >= 0, got {self.t_start!r}")
+        if not math.inf > self.t_stop > self.t_start:
             raise ParameterError(
                 f"need t_stop > t_start >= 0, got {self.t_start!r}, {self.t_stop!r}"
             )
@@ -308,8 +313,7 @@ class SweepGrid:
                 raise ParameterError(f"{name} must be positive, got {value!r}")
         if not isinstance(self.method, GammaMethod):
             raise ParameterError(f"method must be a GammaMethod, got {self.method!r}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ParameterError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
+        _check_epsilon(self.epsilon)
         unknown = set(self.measures) - set(MEASURES)
         if unknown:
             raise ParameterError(f"unknown measures: {sorted(unknown)}")

@@ -67,7 +67,8 @@ def _fmt(value) -> str:
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
-    config = dict(DEFAULT_CONFIG)
+    """DEFAULT_CONFIG updated by the config file, then by each --set key=value."""
+    items = []
     if path is not None:
         try:
             with open(path) as fh:
@@ -78,21 +79,21 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config document must be a JSON object")
-        for key in loaded:
-            if key not in DEFAULT_CONFIG:
-                raise ConfigError(f"unknown config key {key!r}")
-        config.update(loaded)
+        items += loaded.items()
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, raw = item.partition("=")
-        key = key.strip()
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw  # bare strings like inf or ghz
+        items.append((key.strip(), value))
+    config = dict(DEFAULT_CONFIG)
+    for key, value in items:
         if key not in DEFAULT_CONFIG:
             raise ConfigError(f"unknown config key {key!r}")
-        try:
-            config[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            config[key] = raw  # bare strings like inf or ghz
+        config[key] = value
     return config
 
 

@@ -9,12 +9,12 @@ class ShapeError(TridephaseError):
     """Matrix dimensions or sparsity pattern do not match what was asked for."""
 
 
-class HermiticityViolation(TridephaseError):
-    """Input matrix is further from Hermitian than the accepted tolerance."""
-
-
 class ParameterError(TridephaseError):
     """A scalar parameter is outside its admissible domain."""
+
+
+class HermiticityViolation(ParameterError):
+    """Input matrix is further from Hermitian than the accepted tolerance."""
 
 
 class MethodError(TridephaseError):

@@ -29,6 +29,14 @@ def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
+def per_matrix(values, a: np.ndarray, worst=None):
+    """`values`, one per matrix of `a`: a float for one matrix; for a stack the
+    (...) array, or with `worst` (np.max, np.min) the float of its worst entry."""
+    if a.ndim == 2:
+        return float(values)
+    return values if worst is None else float(worst(values))
+
+
 def hermiticity_defect(m):
     """max |M[i,j] - conj(M[j,i])| over all entries.
 
@@ -36,16 +44,11 @@ def hermiticity_defect(m):
     shape (...) with one defect per matrix.
     """
     a = _as_square_stack(m)
-    diff = np.abs(a - _dagger(a))
-    if a.ndim == 2:
-        return float(diff.max())
-    return diff.max(axis=(-2, -1))
+    return per_matrix(np.abs(a - _dagger(a)).max(axis=(-2, -1)), a)
 
 
 def _check_hermitian(a: np.ndarray) -> None:
-    defect = hermiticity_defect(a)
-    if a.ndim > 2:
-        defect = float(defect.max())
+    defect = per_matrix(hermiticity_defect(a), a, np.max)
     if not defect <= HERMITICITY_TOL:  # NaN included
         raise HermiticityViolation(
             f"matrix is not Hermitian: max |M - M^dagger| = {defect:.3e} > {HERMITICITY_TOL:.1e}"
@@ -67,6 +70,13 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     return np.linalg.eigvalsh((a + _dagger(a)) / 2.0)
 
 
+def _subsystem_dims(dims, n: int) -> list[int]:
+    dims = [int(d) for d in dims]
+    if math.prod(dims) != n:
+        raise ShapeError(f"subsystem dimensions {dims} do not factor a {n}-dimensional matrix")
+    return dims
+
+
 def partial_transpose(rho, dims, subsystem: int) -> np.ndarray:
     """Transpose the indices of one subsystem of a composite-system matrix.
 
@@ -75,11 +85,7 @@ def partial_transpose(rho, dims, subsystem: int) -> np.ndarray:
     shape (..., n, n) is transposed matrix by matrix.
     """
     a = _as_square_stack(rho)
-    dims = [int(d) for d in dims]
-    if math.prod(dims) != a.shape[-1]:
-        raise ShapeError(
-            f"subsystem dimensions {dims} do not factor a {a.shape[-1]}-dimensional matrix"
-        )
+    dims = _subsystem_dims(dims, a.shape[-1])
     if not 0 <= subsystem < len(dims):
         raise ShapeError(f"subsystem index {subsystem} out of range for {len(dims)} subsystems")
     lead = a.shape[:-2]
@@ -96,11 +102,7 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     tensor order.
     """
     a = _as_square(rho)
-    dims = [int(d) for d in dims]
-    if math.prod(dims) != a.shape[0]:
-        raise ShapeError(
-            f"subsystem dimensions {dims} do not factor a {a.shape[0]}-dimensional matrix"
-        )
+    dims = _subsystem_dims(dims, a.shape[0])
     keep_set = set(int(k) for k in keep)
     if not keep_set:
         raise ShapeError("must keep at least one subsystem")

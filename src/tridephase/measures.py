@@ -13,8 +13,8 @@ import math
 import numpy as np
 
 from .exceptions import ParameterError, ShapeError
-from .linalg import hermitian_eigenvalues, partial_trace, partial_transpose, purity
-from .states import assert_density_matrix, projector
+from .linalg import hermitian_eigenvalues, partial_trace, partial_transpose, per_matrix, purity
+from .states import assert_density_matrix, check_mixing, projector
 
 DIM = 8
 QUBIT_DIMS = [2, 2, 2]
@@ -49,11 +49,6 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _scalar_or_stack(values: np.ndarray, rho):
-    """A float for a single matrix, the (...) array for a stack."""
-    return float(values) if np.ndim(rho) == 2 else values
-
-
 def _assert_x_shaped(rho: np.ndarray) -> None:
     mags = np.where(_OFF_X, _modulus(rho), 0.0)
     worst = float(mags.max())
@@ -82,7 +77,7 @@ def gmc_x_state(rho):
         others = [k for k in range(4) if k != j]
         cross = (roots[..., others[0]] + roots[..., others[1]]) + roots[..., others[2]]
         best = np.fmax(best, off - cross)
-    return _scalar_or_stack(2.0 * np.fmax(0.0, best), a)
+    return per_matrix(2.0 * np.fmax(0.0, best), a)
 
 
 def gmc_ghz_werner(x: float, gamma_total: float) -> float:
@@ -91,8 +86,7 @@ def gmc_ghz_werner(x: float, gamma_total: float) -> float:
     max{0, x exp(-(Gamma_A + Gamma_B + Gamma_C)) - 3(1 - x)/4}; positive at
     t = 0 exactly when x > 3/7.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ParameterError(f"mixing parameter must lie in [0, 1], got {x!r}")
+    check_mixing(x)
     if gamma_total < 0.0:
         raise ParameterError(f"total decoherence exponent must be >= 0, got {gamma_total!r}")
     return max(0.0, x * math.exp(-gamma_total) - 0.75 * (1.0 - x))
@@ -113,7 +107,7 @@ def negativity(rho, subsystem: int):
     # order; the zeros after them add nothing.
     negative = eigs < -ZERO_EIGENVALUE_TOL
     total = np.where(negative, eigs, 0.0).cumsum(axis=-1)[..., -1]
-    return _scalar_or_stack(np.where(negative.any(axis=-1), -2.0 * total, 0.0), a)
+    return per_matrix(np.where(negative.any(axis=-1), -2.0 * total, 0.0), a)
 
 
 def tripartite_negativity(rho):
@@ -122,9 +116,10 @@ def tripartite_negativity(rho):
     A stack of shape (..., 8, 8) gives an array of shape (...); a single
     matrix gives a float.
     """
-    f0, f1, f2 = (negativity(rho, subsystem) for subsystem in range(3))
+    a = np.asarray(rho)
+    f0, f1, f2 = (negativity(a, subsystem) for subsystem in range(3))
     dead = (f0 == 0.0) | (f1 == 0.0) | (f2 == 0.0)
-    return _scalar_or_stack(np.where(dead, 0.0, np.cbrt(f0 * f1 * f2)), rho)
+    return per_matrix(np.where(dead, 0.0, np.cbrt(f0 * f1 * f2)), a)
 
 
 def l1_coherence(rho):
@@ -136,5 +131,5 @@ def l1_coherence(rho):
     a = assert_density_matrix(rho)
     mags = np.abs(a)
     total = mags.reshape(a.shape[:-2] + (DIM * DIM,)).sum(axis=-1)
-    return _scalar_or_stack(total - np.trace(mags, axis1=-2, axis2=-1), a)
+    return per_matrix(total - np.trace(mags, axis1=-2, axis2=-1), a)
 

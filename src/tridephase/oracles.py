@@ -18,7 +18,7 @@ from .evolution import dephasing_factors, evolve
 from .exceptions import ParameterError
 from .measures import gmc_ghz_werner, gmc_x_state
 from .reservoir import ZERO_TEMPERATURE, GammaMethod, OhmicSpectralDensity, ReservoirSpec
-from .states import ghz_state, werner
+from .states import check_mixing, ghz_state, werner
 
 
 def quadrature_vs_zero_t() -> float:
@@ -133,8 +133,7 @@ def gmc_ghz_werner_low_t(
     it is kept because its vanishing time satisfies the implicit relation
     checked by preservation_time_sinh_residual.  Cross-check only.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ParameterError(f"mixing parameter must lie in [0, 1], got {x!r}")
+    check_mixing(x)
     if t < 0:
         raise ParameterError(f"time must be >= 0, got {t!r}")
     if t == 0.0:
@@ -197,8 +196,7 @@ def w_werner_negativity_closed_form(x: float, gamma: float, gamma_c: float):
     partial-transpose negativity, but the middle (B|AC) radical expression
     mixes scales and does not, so the numeric route stays authoritative.
     """
-    if not 0.0 <= x <= 1.0:
-        raise ParameterError(f"mixing parameter must lie in [0, 1], got {x!r}")
+    check_mixing(x)
     eg = math.exp(-gamma)
     egc = math.exp(-gamma_c)
     n_a_bc = 2.0 * max(0.0, (x * eg / 3.0) * math.sqrt(egc * egc + eg * eg) - (1.0 - x) / 8.0)

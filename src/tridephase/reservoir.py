@@ -160,15 +160,11 @@ def _require_ohmic(res: ReservoirSpec, method: GammaMethod) -> OhmicSpectralDens
 
 
 def gamma_zero_t(res: ReservoirSpec, t: float) -> float:
-    """Zero-temperature Ohmic closed form 2 eta Omega^2 ln(1 + (w_c t)^2)."""
-    spectral = _require_ohmic(res, GammaMethod.ZERO_T_CLOSED_FORM)
+    """Zero-temperature Ohmic closed form 2 eta Omega^2 ln(1 + (w_c t)^2), as gamma_exact."""
+    _require_ohmic(res, GammaMethod.ZERO_T_CLOSED_FORM)
     if res.beta != ZERO_TEMPERATURE:
         raise MethodError("method zero_t requires ZERO_TEMPERATURE (beta = inf)")
-    _check_time(t)
-    if t == 0.0:
-        return 0.0
-    wct = spectral.omega_c * t
-    return 2.0 * spectral.eta * res.omega_qubit**2 * math.log1p(wct * wct)
+    return gamma_exact(res, t)
 
 
 def gamma_low_t(res: ReservoirSpec, t: float) -> float:
@@ -220,29 +216,32 @@ def gamma_exact(res: ReservoirSpec, t):
     """Ohmic Gamma_X(t) at any temperature, for a float or a 1-d time array.
 
     2 eta Omega^2 ln(1 + (w_c t)^2) + 8 eta Omega^2 D(1 + 1 / (beta w_c), t / beta),
-    with D from _log_gamma_ratio.  Each time is evaluated on its own with
-    `math`, so an array call equals the scalar calls element for element.
-    The first term is computed as in gamma_zero_t and D is 0.0 at
-    beta = inf, so there the two agree bit for bit.
+    with D from _log_gamma_ratio; at beta = inf, D = 0 is not evaluated and
+    the first term is the zero-temperature Gamma.  Each time is evaluated on
+    its own with `math`, so an array call equals the scalar calls element
+    for element.
     """
-    spectral = _require_ohmic(res, GammaMethod.EXACT)
-    zero_t_factor = 2.0 * spectral.eta * res.omega_qubit**2
-    thermal_factor = 8.0 * spectral.eta * res.omega_qubit**2
-    x = 1.0 + 1.0 / (res.beta * spectral.omega_c)
-
-    def value(tv: float) -> float:
-        _check_time(tv)
-        wct = spectral.omega_c * tv
-        return zero_t_factor * math.log1p(wct * wct) + thermal_factor * _log_gamma_ratio(
-            x, tv / res.beta
-        )
-
+    _require_ohmic(res, GammaMethod.EXACT)
     if np.ndim(t) == 0:
-        return value(float(t))
+        return _ohmic_gamma(res, float(t))
     ts = np.asarray(t, dtype=float)
     if ts.ndim != 1:
         raise ParameterError(f"times must be a float or a 1-d array, got shape {ts.shape}")
-    return np.array([value(tv) for tv in ts.tolist()])
+    return np.array([_ohmic_gamma(res, tv) for tv in ts.tolist()])
+
+
+def _ohmic_gamma(res: ReservoirSpec, t: float) -> float:
+    """gamma_exact at one time; 0.0 at t = 0 even where 2 eta Omega^2 overflows."""
+    _check_time(t)
+    spectral = res.spectral
+    if t == 0.0:
+        return 0.0
+    wct = spectral.omega_c * t
+    value = 2.0 * spectral.eta * res.omega_qubit**2 * math.log1p(wct * wct)
+    if res.beta == ZERO_TEMPERATURE:
+        return value
+    x = 1.0 + 1.0 / (res.beta * spectral.omega_c)
+    return value + 8.0 * spectral.eta * res.omega_qubit**2 * _log_gamma_ratio(x, t / res.beta)
 
 
 def _gamma_quadrature(res: ReservoirSpec, t: float) -> float:

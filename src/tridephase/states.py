@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import ParameterError
-from .linalg import HERMITICITY_TOL, hermitian_eigenvalues, hermiticity_defect
+from .linalg import hermitian_eigenvalues, per_matrix
 
 DIM = 8
 
@@ -44,10 +44,15 @@ def maximally_mixed(dim: int = DIM) -> np.ndarray:
     return np.eye(dim, dtype=complex) / dim
 
 
-def werner(psi, x: float) -> np.ndarray:
-    """x |psi><psi| + (1 - x) I/8, with mixing parameter x in [0, 1]."""
+def check_mixing(x: float) -> None:
+    """Reject a Werner mixing parameter x outside [0, 1], NaN included."""
     if not 0.0 <= x <= 1.0:
         raise ParameterError(f"mixing parameter must lie in [0, 1], got {x!r}")
+
+
+def werner(psi, x: float) -> np.ndarray:
+    """x |psi><psi| + (1 - x) I/8, with mixing parameter x in [0, 1]."""
+    check_mixing(x)
     p = projector(psi)
     if p.shape != (DIM, DIM):
         raise ParameterError(f"expected an 8-amplitude pure state, got dimension {p.shape[0]}")
@@ -58,25 +63,19 @@ def assert_density_matrix(rho) -> np.ndarray:
     """Validate Hermiticity, unit trace and positivity; returns the array.
 
     Accepts one 8x8 matrix or a stack of shape (..., 8, 8).  Every matrix
-    of a stack is checked, and the message reports the worst one.
+    of a stack is checked, and the message reports the worst one.  A
+    non-Hermitian matrix fails first, in hermitian_eigenvalues, with its
+    HermiticityViolation (a ParameterError).
     """
     a = np.asarray(rho, dtype=complex)
     if a.shape[-2:] != (DIM, DIM):
         raise ParameterError(f"expected an {DIM}x{DIM} density matrix, got shape {a.shape}")
-    stacked = a.ndim > 2
-    defect = hermiticity_defect(a)
-    if stacked:
-        defect = float(defect.max())
-    if not defect <= HERMITICITY_TOL:  # NaN included
-        raise ParameterError(f"density matrix is not Hermitian (defect {defect:.3e})")
+    min_eig = per_matrix(hermitian_eigenvalues(a)[..., 0], a, np.min)
     tr = np.diagonal(a, axis1=-2, axis2=-1).sum(axis=-1)
-    if stacked:
-        tr = tr.flat[np.argmax(np.abs(tr - 1.0))]
-    tr = complex(tr)
-    if not abs(tr - 1.0) <= TRACE_TOL:
+    off = abs(tr - 1.0)
+    if not per_matrix(off, a, np.max) <= TRACE_TOL:
+        tr = complex(tr.flat[np.argmax(off)])  # the worst matrix's
         raise ParameterError(f"density matrix trace is {tr!r}, expected 1")
-    min_eig = hermitian_eigenvalues(a)[..., 0]
-    min_eig = float(min_eig.min() if stacked else min_eig)
     if not min_eig >= -PSD_TOL:
         raise ParameterError(f"density matrix has negative eigenvalue {min_eig:.3e}")
     return a

@@ -1,0 +1,167 @@
+"""Each validity rule has one owner, and every entry point reports it in its words.
+
+A rule that several functions share is checked through each of them with
+its exact text, so moving the rule to its owner cannot change a message.
+"""
+
+import json
+import math
+import sys
+
+import numpy as np
+import pytest
+
+import tridephase.linalg
+from tridephase import oracles
+from tridephase.analysis import SweepGrid, characteristic_time, preservation_time_zero_t
+from tridephase.cli import main
+from tridephase.exceptions import HermiticityViolation, ParameterError, ShapeError
+from tridephase.linalg import partial_trace, partial_transpose
+from tridephase.measures import gmc_ghz_werner
+from tridephase.reservoir import (
+    ZERO_TEMPERATURE,
+    GammaMethod,
+    OhmicSpectralDensity,
+    ReservoirSpec,
+    gamma,
+    gamma_exact,
+    gamma_zero_t,
+)
+from tridephase.states import assert_density_matrix, ghz_state, werner
+
+OMEGA_SQS = (4.0, 4.0, 4.0)
+
+
+def grid(**changes):
+    fields = dict(
+        xs=[0.9], etas=[0.2], beta_as=[math.inf], k1s=[1.0], k2s=[1.0],
+        t_start=0.0, t_stop=3.0, t_count=5, omega_sqs=OMEGA_SQS,
+    )
+    return SweepGrid(**{**fields, **changes})
+
+
+MIXING_ENTRY_POINTS = {
+    "werner": lambda x: werner(ghz_state(), x),
+    "gmc_ghz_werner": lambda x: gmc_ghz_werner(x, 0.0),
+    "preservation_time_zero_t": lambda x: preservation_time_zero_t(x, 0.2, 4.0, 1.0),
+    "gmc_ghz_werner_low_t": lambda x: oracles.gmc_ghz_werner_low_t(
+        x, 1.0, 0.2, 4.0, 1.0, (1.0, 1.0, 1.0)
+    ),
+    "w_werner_negativity_closed_form": lambda x: oracles.w_werner_negativity_closed_form(
+        x, 0.1, 0.1
+    ),
+    "sweep_grid": lambda x: grid(xs=[0.5, x]),
+}
+
+
+@pytest.mark.parametrize("x, shown", [(-0.1, "-0.1"), (1.5, "1.5"), (math.nan, "nan")])
+@pytest.mark.parametrize("entry", sorted(MIXING_ENTRY_POINTS))
+def test_mixing_parameter_text_at_every_entry_point(entry, x, shown):
+    with pytest.raises(ParameterError) as info:
+        MIXING_ENTRY_POINTS[entry](x)
+    assert str(info.value) == f"mixing parameter must lie in [0, 1], got {shown}"
+
+
+EPSILON_ENTRY_POINTS = {
+    "sweep_grid": lambda epsilon: grid(epsilon=epsilon),
+    "characteristic_time": lambda epsilon: characteristic_time(lambda t: 1.0, 1.0, epsilon),
+}
+
+
+@pytest.mark.parametrize(
+    "epsilon, shown", [(0.0, "0.0"), (1.0, "1.0"), (1.5, "1.5"), (math.nan, "nan")]
+)
+@pytest.mark.parametrize("entry", sorted(EPSILON_ENTRY_POINTS))
+def test_epsilon_text_at_every_entry_point(entry, epsilon, shown):
+    with pytest.raises(ParameterError) as info:
+        EPSILON_ENTRY_POINTS[entry](epsilon)
+    assert str(info.value) == f"epsilon must lie in (0, 1), got {shown}"
+
+
+@pytest.mark.parametrize("dims", [[2, 2], [2, 3, 2], [8, 2]])
+@pytest.mark.parametrize("entry", [
+    lambda rho, dims: partial_transpose(rho, dims, 0),
+    lambda rho, dims: partial_trace(rho, dims, [0]),
+], ids=["partial_transpose", "partial_trace"])
+def test_subsystem_dimension_text_at_every_entry_point(entry, dims):
+    with pytest.raises(ShapeError) as info:
+        entry(np.eye(8) / 8, dims)
+    assert str(info.value) == f"subsystem dimensions {dims} do not factor a 8-dimensional matrix"
+
+
+def run(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", ["evolve", "measure"])
+def test_unknown_config_key_text_from_file_and_from_set(capsys, tmp_path, command):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"x": 0.8, "bogus": 1}))
+    for argv in (["--config", str(path)], ["--set", "bogus=1"]):
+        assert run(capsys, [command, *argv]) == (1, "", "error: unknown config key 'bogus'\n")
+
+
+@pytest.mark.parametrize("command", ["evolve", "measure"])
+@pytest.mark.parametrize("setting, message", [
+    ("t_start=-1", "config key 't_start': t_start must be >= 0, got -1.0"),
+    ("t_start=-1e-300", "config key 't_start': t_start must be >= 0, got -1e-300"),
+])
+def test_negative_t_start_is_reported_under_t_start(capsys, command, setting, message):
+    assert run(capsys, [command, "--set", setting]) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("t_start, t_stop, message", [
+    (-1.0, 3.0, "t_start must be >= 0, got -1.0"),
+    (math.nan, 3.0, "t_start must be >= 0, got nan"),
+    (2.0, 1.0, "need t_stop > t_start >= 0, got 2.0, 1.0"),
+    (0.0, math.inf, "need t_stop > t_start >= 0, got 0.0, inf"),
+    (0.0, math.nan, "need t_stop > t_start >= 0, got 0.0, nan"),
+    (math.inf, 3.0, "need t_stop > t_start >= 0, got inf, 3.0"),
+])
+def test_grid_t_range_rules(t_start, t_stop, message):
+    with pytest.raises(ParameterError) as info:
+        grid(t_start=t_start, t_stop=t_stop)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (3, 8, 8)])
+def test_one_validation_computes_the_hermiticity_defect_once(monkeypatch, shape):
+    original = tridephase.linalg.hermiticity_defect
+    calls = []
+
+    def counted(m):
+        calls.append(np.shape(m))
+        return original(m)
+
+    # every binding of the function in the package, wherever it was imported
+    for name, module in list(sys.modules.items()):
+        if name == "tridephase" or name.startswith("tridephase."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    rho = np.broadcast_to(werner(ghz_state(), 0.8), shape)
+    assert np.array_equal(assert_density_matrix(rho), rho)
+    assert calls == [shape]
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (3, 8, 8)])
+def test_non_hermitian_density_matrix_fails_hermiticity_before_trace(shape):
+    rho = 2.0 * np.broadcast_to(werner(ghz_state(), 0.8), shape)  # trace 2 as well
+    rho[..., 0, 7] += 1e-6
+    with pytest.raises(HermiticityViolation) as info:
+        assert_density_matrix(rho)
+    assert isinstance(info.value, ParameterError)
+    assert str(info.value) == "matrix is not Hermitian: max |M - M^dagger| = 1.000e-06 > 1.0e-10"
+
+
+@pytest.mark.parametrize("eta", [0.2, 1e308])
+@pytest.mark.parametrize("t", [0.0, 1e-9, 0.5, 3.0, 40.0])
+def test_zero_t_is_exact_at_zero_temperature(eta, t):
+    res = ReservoirSpec(OhmicSpectralDensity(eta, 1.0), ZERO_TEMPERATURE, 2.0)
+    expected = gamma_exact(res, t)
+    assert gamma_zero_t(res, t) == expected
+    assert gamma(res, t, GammaMethod.ZERO_T_CLOSED_FORM) == expected
+    if t == 0.0:
+        assert expected == 0.0

@@ -20,6 +20,7 @@ import numpy as np
 from .exceptions import NoCorrelationError, ParameterError
 from .evolution import dephasing_factors, evolve
 from .measures import (
+    DensityStack,
     gmc_x_state,
     l1_coherence,
     negativity,
@@ -407,17 +408,22 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _measure_curve(fn: Callable, stack: np.ndarray) -> tuple[list, list]:
+def _measure_curve(
+    fn: Callable, stack: np.ndarray, checked: DensityStack | None
+) -> tuple[list, list]:
     """Values and per-row errors (None when fine) of one measure over a stack.
 
-    A stacked call that raises is replayed one matrix at a time, so every
-    row carries the value or the error of its own matrix.
+    The measure is called on `checked`, the stack's DensityStack.  When
+    there is none (the stack failed validation) or that call raises, the
+    raw matrices are replayed one at a time, so every row carries the value
+    or the error of its own matrix.
     """
-    try:
-        values = fn(stack).tolist()
-        return values, [None] * len(values)
-    except Exception:  # replayed below, one row at a time
-        pass
+    if checked is not None:
+        try:
+            values = fn(checked).tolist()
+            return values, [None] * len(values)
+        except Exception:  # replayed below, one row at a time
+            pass
     values, errors = [], []
     for rho in stack:
         try:
@@ -470,7 +476,9 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
 
     Each curve is evaluated as one (T, 8, 8) stack over the time grid, and
     the channel of each reservoir set (eta, beta_a, k1, k2) is computed once
-    and shared by every x; its splittings Omega_X are grid.omegas().
+    and shared by every x; its splittings Omega_X are grid.omegas().  Each
+    evolved stack is validated once, as a DensityStack that every measure
+    shares with its partial-transpose spectra.
     Time scales are bracketed on the sampled curve.  Results are in the
     grid's units: `parameters["beta_a"]` is the configured value, and t_p,
     T_c and the freezing intervals are in units of 1/omega_c.
@@ -509,13 +517,19 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
                 channels[key] = _error_text(exc)
         factors = channels[key]
         evolved = None if isinstance(factors, str) else evolve(rho0, factors)
+        checked = None
+        if evolved is not None:
+            try:  # once for every measure of this stack
+                checked = DensityStack(evolved)
+            except Exception:  # each measure replays the stack row by row
+                pass
 
         for name in grid.measures:
             fn = MEASURES[name]
             if evolved is None:
                 values, errors = [math.nan] * times.size, [factors] * times.size
             else:
-                values, errors = _measure_curve(fn, evolved)
+                values, errors = _measure_curve(fn, evolved, checked)
             timescales = None
             if grid.include_timescales:
 

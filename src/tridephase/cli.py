@@ -164,16 +164,30 @@ def _parse_run(config: dict, **grid_options) -> analysis.SweepGrid:
     )
 
 
+def _csv_cells(values) -> str:
+    """The CSV text of `values`, each cell followed by a comma; '' for none."""
+    if not values:
+        return ""
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator=",").writerow([_fmt(value) for value in values])
+    return buffer.getvalue()
+
+
 def _write_rows(rows, fieldnames: list[str], out, fmt: str) -> None:
-    """Write (prefix, rest) rows; a curve's rows share one prefix object."""
+    """Write (prefix, rest) rows; a curve's rows share one prefix object.
+
+    In CSV the prefix is formatted once per curve and written before each
+    of its rows; a string cell is written as it is.
+    """
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(fieldnames)
-        prefix, cells = None, []
+        prefix, text = None, ""
         for head, rest in rows:
             if head is not prefix:
-                prefix, cells = head, [_fmt(value) for value in head]
-            writer.writerow(cells + [_fmt(value) for value in rest])
+                prefix, text = head, _csv_cells(head)
+            out.write(text)
+            writer.writerow([_fmt(value) for value in rest])
     else:
         payload = []
         for head, rest in rows:
@@ -252,6 +266,8 @@ def _curve_table(config: dict, args, per_time: bool, timescales: bool) -> int:
     )
     curves = analysis.run_sweep(grid)
     times = grid.times().tolist()
+    if args.format == "csv":  # each time's text serves every curve
+        times = [_fmt(t) for t in times]
     fields = [*PARAM_FIELDS, "measure"] + (["t", "value"] if per_time else [])
     if timescales:
         fields += ["t_p", "t_c", "t_c_reached", "freezing_count"]

@@ -3,7 +3,9 @@
 Implemented measures: genuine multipartite concurrence (pure-state and
 X-state forms plus the GHZ-Werner scalar form), bipartition and tripartite
 negativity, and l1-norm coherence.  All of them are insensitive to the
-deterministic phases the dephasing map attaches to coherences.
+deterministic phases the dephasing map attaches to coherences.  Each
+measure validates its input, unless it is given a `DensityStack`, which
+was validated when it was built.
 """
 
 from __future__ import annotations
@@ -22,6 +24,30 @@ QUBIT_DIMS = [2, 2, 2]
 # Eigenvalues and matrix entries below this magnitude count as zero.
 ZERO_EIGENVALUE_TOL = 1e-12
 X_SHAPE_TOL = 1e-12
+
+
+class DensityStack:
+    """A density matrix or (..., 8, 8) stack, validated once on construction.
+
+    Each partial-transpose spectrum is taken on first use and kept, so the
+    measures called on one DensityStack share its validation and spectra.
+    """
+
+    def __init__(self, rho):
+        self.array = assert_density_matrix(rho)
+        self._pt_spectra: dict[int, np.ndarray] = {}
+
+    def pt_eigenvalues(self, subsystem: int) -> np.ndarray:
+        """Ascending eigenvalues of the partial transpose on one qubit."""
+        if subsystem not in self._pt_spectra:
+            transposed = partial_transpose(self.array, QUBIT_DIMS, subsystem)
+            self._pt_spectra[subsystem] = hermitian_eigenvalues(transposed)
+        return self._pt_spectra[subsystem]
+
+
+def _checked(rho) -> DensityStack:
+    """`rho` if it is a DensityStack already, else one built (and validated) from it."""
+    return rho if isinstance(rho, DensityStack) else DensityStack(rho)
 
 
 def gmc_pure(psi) -> float:
@@ -66,7 +92,7 @@ def gmc_x_state(rho):
     over the four anti-diagonal pairs.  A stack of shape (..., 8, 8) gives
     an array of shape (...); a single matrix gives a float.
     """
-    a = assert_density_matrix(rho)
+    a = _checked(rho).array
     _assert_x_shaped(a)
     diag = np.real(np.diagonal(a, axis1=-2, axis2=-1))
     # fmax, like Python's max(), ignores a NaN second argument
@@ -99,15 +125,14 @@ def negativity(rho, subsystem: int):
     state returns exactly 0.0.  A stack of shape (..., 8, 8) gives an array
     of shape (...); a single matrix gives a float.
     """
-    a = assert_density_matrix(rho)
-    transposed = partial_transpose(a, QUBIT_DIMS, subsystem)
-    eigs = hermitian_eigenvalues(transposed)
+    stack = _checked(rho)
+    eigs = stack.pt_eigenvalues(subsystem)
     # Eigenvalues ascend, so the negative ones lead each row, and there are
     # at most 7 of them (the trace is 1).  A running sum adds them in that
     # order; the zeros after them add nothing.
     negative = eigs < -ZERO_EIGENVALUE_TOL
     total = np.where(negative, eigs, 0.0).cumsum(axis=-1)[..., -1]
-    return per_matrix(np.where(negative.any(axis=-1), -2.0 * total, 0.0), a)
+    return per_matrix(np.where(negative.any(axis=-1), -2.0 * total, 0.0), stack.array)
 
 
 def tripartite_negativity(rho):
@@ -116,10 +141,10 @@ def tripartite_negativity(rho):
     A stack of shape (..., 8, 8) gives an array of shape (...); a single
     matrix gives a float.
     """
-    a = np.asarray(rho)
-    f0, f1, f2 = (negativity(a, subsystem) for subsystem in range(3))
+    stack = _checked(rho)
+    f0, f1, f2 = (negativity(stack, subsystem) for subsystem in range(3))
     dead = (f0 == 0.0) | (f1 == 0.0) | (f2 == 0.0)
-    return per_matrix(np.where(dead, 0.0, np.cbrt(f0 * f1 * f2)), a)
+    return per_matrix(np.where(dead, 0.0, np.cbrt(f0 * f1 * f2)), stack.array)
 
 
 def l1_coherence(rho):
@@ -128,7 +153,7 @@ def l1_coherence(rho):
     A stack of shape (..., 8, 8) gives an array of shape (...); a single
     matrix gives a float.
     """
-    a = assert_density_matrix(rho)
+    a = _checked(rho).array
     mags = np.abs(a)
     total = mags.reshape(a.shape[:-2] + (DIM * DIM,)).sum(axis=-1)
     return per_matrix(total - np.trace(mags, axis1=-2, axis2=-1), a)

@@ -515,6 +515,10 @@ GOLDEN_RUNS = {
         "evolve", "--format", "json", "--set", "x=0.8", "--set", "eta=0.2",
         "--set", "t_stop=2", "--set", "t_count=3",
     ],
+    # the same run as CSV: rows with an empty prefix
+    "evolve_zero_t.csv": [
+        "evolve", "--set", "x=0.8", "--set", "eta=0.2", "--set", "t_stop=2", "--set", "t_count=3",
+    ],
     "measure_zero_t.csv": [
         "measure", "--set", "x=[0.5,0.9]", "--set", "eta=0.2",
         "--set", 'measures=["gmc","l1_coherence"]', "--set", "t_stop=3", "--set", "t_count=11",

@@ -2,15 +2,23 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from tridephase import analysis, measures
 from tridephase.analysis import MEASURES, STATES, SweepGrid, make_reservoirs, run_sweep
 from tridephase.evolution import DephasingFactors, dephasing_factors, evolve
 from tridephase.exceptions import HermiticityViolation, MethodError, ParameterError, ShapeError
 from tridephase.linalg import hermitian_eigenvalues, hermiticity_defect, partial_transpose
-from tridephase.measures import gmc_x_state, l1_coherence, negativity, tripartite_negativity
+from tridephase.measures import (
+    DensityStack,
+    gmc_x_state,
+    l1_coherence,
+    negativity,
+    tripartite_negativity,
+)
 from tridephase.reservoir import GammaMethod
 from tridephase.states import assert_density_matrix, ghz_state, w_state, werner
 
@@ -66,9 +74,22 @@ def test_measure_stack_equals_single_matrices(key):
         singles = [fn(rho) for rho in stack]
         assert isinstance(stacked, np.ndarray) and stacked.shape == (TIMES.size,), name
         assert all(type(v) is float for v in singles), name
-        assert np.array_equal(stacked, np.array(singles)), name
-        # no -0.0 where the single-matrix call returns 0.0
-        assert np.array_equal(np.signbit(stacked), np.signbit(singles)), name
+        assert same_bits(stacked, singles), name
+        # a DensityStack, validated once, gives what the raw array gives
+        assert same_bits(fn(DensityStack(stack)), stacked), name
+        assert [fn(DensityStack(rho)) for rho in stack] == singles, name
+
+
+def same_bits(a, b) -> bool:
+    """Equal values, and no -0.0 where the other has 0.0."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_density_stack_keeps_the_subsystem_check():
+    rho = werner(ghz_state(), 0.8)
+    for arg in (rho, DensityStack(rho)):
+        with pytest.raises(ShapeError, match="subsystem index 3 out of range for 3 subsystems"):
+            negativity(arg, 3)
 
 
 @pytest.mark.parametrize("key", sorted(CURVES))
@@ -235,3 +256,78 @@ def test_gmc_equals_element_by_element_formula(key):
             assert str(excinfo.value) == expected
         else:
             assert gmc_x_state(rho) == expected
+
+
+def w1_like_grid() -> SweepGrid:
+    """GHZ, 2 x, one zero-temperature reservoir set, every measure, 11 times."""
+    return SweepGrid(
+        xs=[0.6, 0.9], etas=[0.2], beta_as=[math.inf], k1s=[1.0], k2s=[1.0],
+        t_start=0.0, t_stop=3.0, t_count=11, omega_sqs=OMEGA_SQS, measures=tuple(MEASURES),
+        method=GammaMethod.ZERO_T_CLOSED_FORM,
+    )
+
+
+def test_run_sweep_validates_each_stack_once_and_takes_each_spectrum_once(monkeypatch):
+    grid = w1_like_grid()
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("assert_density_matrix", "partial_transpose", "hermitian_eigenvalues"):
+        monkeypatch.setattr(measures, name, counting(name, getattr(measures, name)))
+    curves = run_sweep(grid)
+    assert all(error is None for curve in curves for error in curve.errors)
+    stacks = len(grid.xs)  # one per (x, reservoir set)
+    assert counts == {
+        "assert_density_matrix": stacks,
+        "partial_transpose": 3 * stacks,
+        "hermitian_eigenvalues": 3 * stacks,
+    }
+
+
+def test_run_sweep_values_equal_the_public_measures_on_the_evolved_stack():
+    # the sweep's measures share one DensityStack and its spectra; each
+    # public measure on the raw stack must give the same bits
+    public = {
+        "gmc": gmc_x_state,
+        "tripartite_negativity": tripartite_negativity,
+        "negativity_a_bc": lambda rho: negativity(rho, 0),
+        "negativity_b_ac": lambda rho: negativity(rho, 1),
+        "negativity_c_ab": lambda rho: negativity(rho, 2),
+        "l1_coherence": l1_coherence,
+    }
+    grid = w1_like_grid()
+    reservoirs = make_reservoirs(0.2, 1.0, math.inf, 1.0, 1.0, grid.omegas())
+    factors = dephasing_factors(reservoirs, grid.channel_times(), grid.method)
+    curves = run_sweep(grid)
+    assert len(curves) == len(grid.xs) * len(public)
+    for curve in curves:
+        stack = evolve(werner(ghz_state(), curve.parameters["x"]), factors)
+        assert same_bits(curve.values, public[curve.name](stack)), curve.name
+        assert curve.errors == [None] * grid.t_count
+
+
+def test_a_stack_that_fails_validation_is_replayed_row_by_row(monkeypatch):
+    grid = w1_like_grid()
+    reference = run_sweep(grid)
+    bad_row = 4
+    # Hermitian, unit trace and X-shaped, with eigenvalue -0.1
+    bad = np.diag([1.1, -0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]).astype(complex)
+
+    def evolve_with_a_bad_row(rho0, factors):
+        stack = evolve(rho0, factors)
+        stack[bad_row] = bad
+        return stack
+
+    monkeypatch.setattr(analysis, "evolve", evolve_with_a_bad_row)
+    curves = run_sweep(grid)
+    text = "ParameterError: density matrix has negative eigenvalue -1.000e-01"
+    for ref, curve in zip(reference, curves, strict=True):
+        assert curve.errors == [text if i == bad_row else None for i in range(grid.t_count)]
+        assert math.isnan(curve.values[bad_row])
+        kept = [i for i in range(grid.t_count) if i != bad_row]
+        assert same_bits([curve.values[i] for i in kept], [ref.values[i] for i in kept])

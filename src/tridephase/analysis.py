@@ -13,6 +13,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -259,9 +260,9 @@ class SweepGrid:
     `omega_sqs` holds the squared splittings (Omega_A^2, Omega_B^2,
     Omega_C^2) of every run.
 
-    Construction checks every field's range, then builds every Werner state
-    and reservoir set of the run and evaluates Gamma(0) with `method`, so a
-    value the run cannot build raises here, with its owner's message.
+    Construction checks every field's range, then builds and keeps the run's
+    `initial_states` and `reservoir_sets`, evaluating Gamma(0) with `method`,
+    so a value the run cannot build raises here, with its owner's message.
     """
 
     xs: Sequence[float]
@@ -320,12 +321,23 @@ class SweepGrid:
             raise ParameterError(f"unknown measures: {sorted(unknown)}")
         if self.state not in STATES:
             raise ParameterError(f"unknown state {self.state!r}; choose from {sorted(STATES)}")
+        self.initial_states, self.reservoir_sets  # every x is built before any reservoir
+
+    @cached_property
+    def initial_states(self) -> tuple[np.ndarray, ...]:
+        """The Werner state of each x, in xs order."""
         psi = STATES[self.state]()
-        for x in self.xs:
-            werner(psi, x)
+        return tuple(werner(psi, x) for x in self.xs)
+
+    @cached_property
+    def reservoir_sets(self) -> tuple[tuple[ReservoirSpec, ReservoirSpec, ReservoirSpec], ...]:
+        """The reservoirs of each (eta, beta_a, k1, k2), in itertools.product order."""
+        sets = []
         for eta, beta_a, k1, k2 in itertools.product(self.etas, self.beta_as, self.k1s, self.k2s):
-            for res in make_reservoirs(eta, self.omega_c, beta_a, k1, k2, self.omegas()):
+            sets.append(make_reservoirs(eta, self.omega_c, beta_a, k1, k2, self.omegas()))
+            for res in sets[-1]:
                 gamma(res, 0.0, self.method)  # 0.0, or MethodError on a mismatch
+        return tuple(sets)
 
     def times(self) -> np.ndarray:
         """The time grid in units of 1/omega_c, as configured."""
@@ -474,28 +486,28 @@ def _timescales(
 def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     """Every measure's curve at every parameter tuple, in lexicographic order.
 
-    Each curve is evaluated as one (T, 8, 8) stack over the time grid, and
-    the channel of each reservoir set (eta, beta_a, k1, k2) is computed once
-    and shared by every x; its splittings Omega_X are grid.omegas().  Each
-    evolved stack is validated once, as a DensityStack that every measure
-    shares with its partial-transpose spectra.
-    Time scales are bracketed on the sampled curve.  Results are in the
-    grid's units: `parameters["beta_a"]` is the configured value, and t_p,
-    T_c and the freezing intervals are in units of 1/omega_c.
-    One Gamma memo per call serves the grid and every root-finder
-    evaluation.  The grid has checked that every Werner state and reservoir
-    set can be built, so a recorded error is an evaluation failure (channel,
-    measure or root finder); it never aborts the sweep.
+    Each curve is one (T, 8, 8) stack, evolved from the grid's Werner state
+    through the channel of its reservoir set; the channel of each distinct
+    set is computed once, before the curves.  Each stack is validated once,
+    as a DensityStack that every measure shares.  Results are in the grid's
+    units: `parameters["beta_a"]` as configured, and t_p, T_c and the
+    freezing intervals in units of 1/omega_c.  One Gamma memo per call
+    serves the grid and every root-finder evaluation.  A recorded error is
+    an evaluation failure (channel, measure or root finder); it never aborts
+    the sweep.
     """
-    omegas = grid.omegas()
     times = grid.channel_times()
-    psi = STATES[grid.state]()
     curves: list[CurveResult] = []
     channels: dict[tuple, object] = {}  # reservoir set -> factors or the text of their error
     gammas: dict[tuple, float] = {}  # (reservoir, t, method) -> Gamma, this call only
-
-    for x, eta, beta_a, k1, k2 in itertools.product(
-        grid.xs, grid.etas, grid.beta_as, grid.k1s, grid.k2s
+    for reservoirs in dict.fromkeys(grid.reservoir_sets):
+        try:
+            channels[reservoirs] = dephasing_factors(reservoirs, times, grid.method, memo=gammas)
+        except Exception as exc:  # every curve of this reservoir set carries it
+            channels[reservoirs] = _error_text(exc)
+    tuples = itertools.product(grid.etas, grid.beta_as, grid.k1s, grid.k2s)
+    for (x, rho0), ((eta, beta_a, k1, k2), reservoirs) in itertools.product(
+        zip(grid.xs, grid.initial_states), zip(tuples, grid.reservoir_sets)
     ):
         params = {
             "state": grid.state,
@@ -507,15 +519,7 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
             "omega_c": grid.omega_c,
             "method": grid.method.value,
         }
-        reservoirs = make_reservoirs(eta, grid.omega_c, beta_a, k1, k2, omegas)
-        rho0 = werner(psi, x)
-        key = (eta, beta_a, k1, k2)
-        if key not in channels:
-            try:
-                channels[key] = dephasing_factors(reservoirs, times, grid.method, memo=gammas)
-            except Exception as exc:  # every x of this reservoir set carries it
-                channels[key] = _error_text(exc)
-        factors = channels[key]
+        factors = channels[reservoirs]
         evolved = None if isinstance(factors, str) else evolve(rho0, factors)
         checked = None
         if evolved is not None:

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -22,7 +23,6 @@ from . import analysis, oracles
 from .evolution import dephasing_factors, evolve
 from .exceptions import MethodError, ParameterError, TridephaseError
 from .reservoir import GammaMethod
-from .states import werner
 
 DEFAULT_CONFIG = {
     "state": "ghz",
@@ -236,10 +236,7 @@ def cmd_evolve(config: dict, args) -> int:
         if isinstance(config[key], (list, tuple)):
             raise ConfigError(f"config key {key!r} must be a scalar for the evolve command")
     grid = _parse_run(config)
-    (x,), (eta,), (beta_a,), (k1,), (k2,) = grid.xs, grid.etas, grid.beta_as, grid.k1s, grid.k2s
-
-    rho0 = werner(analysis.STATES[grid.state](), x)
-    reservoirs = analysis.make_reservoirs(eta, grid.omega_c, beta_a, k1, k2, grid.omegas())
+    (rho0,), (reservoirs,) = grid.initial_states, grid.reservoir_sets
     evolved = evolve(rho0, dephasing_factors(reservoirs, grid.channel_times(), grid.method))
     # re_ij and im_ij side by side, row-major over (i, j)
     elements = np.stack([evolved.real, evolved.imag], axis=-1).reshape(grid.t_count, 128)
@@ -353,8 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args) -> int:
     if args.command == "selfcheck":
         return cmd_selfcheck(args)
     try:
@@ -368,6 +364,18 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_sweep(config, args)
     except (ConfigError, TridephaseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a reader that has gone raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull, so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

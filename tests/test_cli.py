@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -489,6 +492,22 @@ def test_unwritable_output_file_is_an_error(capsys, tmp_path):
     assert err.startswith("error: cannot write output file: ")
     assert not path.exists()
 
+
+
+def test_reader_that_closes_the_pipe_ends_the_run_without_a_traceback():
+    # about 2 MB of rows, far more than a pipe buffers, so a write meets the closed pipe
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "tridephase.cli", "measure", "--set", "t_count=20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"state,x,eta,")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in err, err
 
 def test_timescales_kept_for_a_curve_dead_at_its_first_sample(capsys):
     # the GMC dies before t_start = 2, so every grid sample is 0

@@ -13,7 +13,7 @@ from .analysis import (
     preservation_time_zero_t,
     run_sweep,
 )
-from .evolution import DephasingFactors, dephasing_factors, energies, energy, evolve
+from .evolution import dephasing_factors, energies, energy, evolve
 from .exceptions import (
     HermiticityViolation,
     MethodError,
@@ -51,7 +51,6 @@ __all__ = [
     "CharacteristicTime",
     "CurveResult",
     "CustomSpectralDensity",
-    "DephasingFactors",
     "GammaMethod",
     "HermiticityViolation",
     "MethodError",

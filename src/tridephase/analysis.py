@@ -457,8 +457,9 @@ def _timescales(
     """t_p, T_c and freezing of one curve sampled at `times`, in units of 1/omega_c.
 
     The root finders and the freezing detection run on the channel times;
-    t_p and T_c are then multiplied by omega_c, and each freezing interval
-    is reported at the grid.times() of its end samples.  A failed channel,
+    t_p and a reached T_c are then multiplied by omega_c, while an unreached
+    T_c (the last sample) and each end of a freezing interval are reported
+    at the grid.times() of their samples.  A failed channel,
     a failed row or a failed root search all end here, as the error of the
     curve's time scales (the first row error wins).
     """
@@ -474,7 +475,7 @@ def _timescales(
             grid_time = dict(zip(times.tolist(), grid.times().tolist()))
             return TimescaleResult(
                 t_p * grid.omega_c,
-                t_c * grid.omega_c,
+                t_c * grid.omega_c if reached else grid_time[t_c],
                 reached,
                 [(grid_time[a], grid_time[b]) for a, b in freezing],
             )

@@ -307,7 +307,7 @@ def cmd_sweep(config: dict, args) -> int:
 
 def cmd_selfcheck(args) -> int:
     failures = 0
-    for name, check, tolerance in oracles.SELFCHECKS:
+    for name, check, label, tolerance in oracles.SELFCHECKS:
         try:
             achieved = check()
             ok = achieved < tolerance
@@ -316,7 +316,7 @@ def cmd_selfcheck(args) -> int:
             failures += 1
             continue
         status = "PASS" if ok else "FAIL"
-        print(f"{status} {name}: max relative error {achieved:.3e} (tolerance {tolerance:.1e})")
+        print(f"{status} {name}: {label} {achieved:.3e} (tolerance {tolerance:.1e})")
         failures += 0 if ok else 1
     return 0 if failures == 0 else 1
 

@@ -12,8 +12,7 @@ with F[u, v] = exp(-(1 - delta_mm') Gamma_A - (1 - delta_nn') Gamma_B
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,29 +47,18 @@ def energies(omegas: Sequence[float]) -> np.ndarray:
     return _SIGNS[:, 0] * omega_a + _SIGNS[:, 1] * omega_b + _SIGNS[:, 2] * omega_c
 
 
-@dataclass(frozen=True)
-class DephasingFactors:
+class DephasingFactors(NamedTuple):
     """Elementwise damping magnitudes and phase angles.
 
     Shape (8, 8) at one fixed time, or (T, 8, 8) for a time array with one
-    matrix per time.
+    matrix per time.  Built only by `dephasing_factors`, where every Gamma
+    is >= 0 (checked by `gamma`), so by construction each damping matrix
+    has a unit diagonal, is symmetric with entries in [0, 1] (exp(-Gamma)
+    underflows to 0.0 for Gamma > ~745), and each phase is antisymmetric.
     """
 
     damping: np.ndarray
     phase: np.ndarray
-
-    def __post_init__(self):
-        if self.damping.shape[-2:] != (DIM, DIM) or self.phase.shape != self.damping.shape:
-            raise ParameterError("damping and phase must be 8x8")
-        if not np.all(np.diagonal(self.damping, axis1=-2, axis2=-1) == 1.0):
-            raise ParameterError("damping diagonal must be exactly 1")
-        # exp(-Gamma) underflows to 0.0 for Gamma > ~745, so 0 is admissible
-        if np.any(self.damping < 0) or np.any(self.damping > 1):
-            raise ParameterError("damping entries must lie in [0, 1]")
-        if not np.array_equal(self.damping, self.damping.swapaxes(-1, -2)):
-            raise ParameterError("damping must be symmetric")
-        if not np.array_equal(self.phase, -self.phase.swapaxes(-1, -2)):
-            raise ParameterError("phase must be antisymmetric")
 
 
 def dephasing_factors(

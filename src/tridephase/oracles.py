@@ -105,12 +105,18 @@ def sinh_residual() -> float:
     return worst
 
 
+# (name, oracle, what the oracle returns, tolerance)
 SELFCHECKS = (
-    ("quadrature vs zero-T closed form", quadrature_vs_zero_t, 1e-6),
-    ("quadrature vs low-T closed form", quadrature_vs_low_t, 1e-2),
-    ("matrix pipeline vs scalar GMC", pipeline_vs_scalar, 1e-12),
-    ("numeric vs closed-form preservation time", preservation_time_vs_closed_form, 1e-8),
-    ("implicit preservation-time residual", sinh_residual, 1e-6),
+    ("quadrature vs zero-T closed form", quadrature_vs_zero_t, "max relative error", 1e-6),
+    ("quadrature vs low-T closed form", quadrature_vs_low_t, "max relative deviation", 1e-2),
+    ("matrix pipeline vs scalar GMC", pipeline_vs_scalar, "max absolute difference", 1e-12),
+    (
+        "numeric vs closed-form preservation time",
+        preservation_time_vs_closed_form,
+        "max relative error",
+        1e-8,
+    ),
+    ("implicit preservation-time residual", sinh_residual, "max |lhs/rhs - 1|", 1e-6),
 )
 
 

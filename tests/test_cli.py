@@ -193,6 +193,19 @@ def test_freezing_intervals_lie_on_the_configured_grid(capsys, omega_c):
     assert (start, stop) == (grid[1], grid[10])
 
 
+@pytest.mark.parametrize("omega_c", [0.1, 3.0])
+def test_unreached_t_c_is_the_configured_t_stop(capsys, omega_c):
+    # eta = 1e-9 keeps every curve far above epsilon up to t_stop
+    code, out, _ = run(capsys, [
+        "timescales", "--set", f"omega_c={omega_c}", "--set", "t_stop=3.3", "--set", "eta=1e-9",
+        "--set", "x=0.9", "--set", "t_count=5",
+    ])
+    assert code == 0
+    (row,) = read_csv(out)
+    assert row["t_c_reached"] == "false"
+    assert float(row["t_c"]) == 3.3
+
+
 def test_exact_method_runs_at_any_beta_a(capsys):
     grid = ["--set", "t_count=7", "--set", 'measures=["gmc","l1_coherence"]']
     _, exact_cold, _ = run(capsys, ["measure", "--set", "method=exact", *grid])
@@ -357,7 +370,12 @@ def test_selfcheck_passes(capsys):
     lines = [line for line in out.splitlines() if line]
     assert len(lines) == 5
     assert all(line.startswith("PASS") for line in lines)
-    assert all("relative error" in line for line in lines)
+    labels = [
+        "max relative error", "max relative deviation", "max absolute difference",
+        "max relative error", "max |lhs/rhs - 1|",
+    ]
+    for line, label in zip(lines, labels):
+        assert line.split(": ", 1)[1].startswith(f"{label} ")
 
 
 def test_selfcheck_detects_corrupted_gamma(capsys, monkeypatch):
@@ -482,6 +500,19 @@ def test_evolve_reports_a_failed_gamma_as_an_error(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: decoherence integral did not converge")
+
+
+def test_grid_rows_carry_a_nan_gamma_under_its_method(capsys):
+    code, out, err = run(capsys, [
+        "measure", "--set", "method=exact", "--set", "beta_a=1e-310", "--set", "omega_c=1e-10",
+        "--set", "t_count=3",
+    ])
+    assert code == 0 and err == ""
+    rows = read_csv(out)
+    assert len(rows) == 3  # default measure gmc, one row per time
+    for row in rows:
+        assert row["value"] == "nan"
+        assert row["error"].startswith("MethodError: method exact gives Gamma = nan at t = ")
 
 
 def test_unwritable_output_file_is_an_error(capsys, tmp_path):

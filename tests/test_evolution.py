@@ -2,15 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from tridephase.evolution import (
-    DephasingFactors,
-    dephasing_factors,
-    energies,
-    energy,
-    evolve,
-)
+from tridephase.evolution import dephasing_factors, energies, energy, evolve
 from tridephase.exceptions import ParameterError
 from tridephase.linalg import hermitian_eigenvalues, hermiticity_defect
 from tridephase.reservoir import (
@@ -95,19 +89,49 @@ def test_factor_entries_combine_per_qubit_exponents():
     assert f.phase[0, 7] == pytest.approx(-2 * (OMEGA * 3) * t, rel=1e-14)
 
 
-def test_dephasing_factors_invariants():
-    f = dephasing_factors(reservoirs(eta=0.4), 2.0, GammaMethod.ZERO_T_CLOSED_FORM)
-    assert np.array_equal(np.diag(f.damping), np.ones(8))
-    assert np.array_equal(f.damping, f.damping.T)
-    assert np.array_equal(f.phase, -f.phase.T)
-    assert np.all(f.damping > 0) and np.all(f.damping <= 1)
+@st.composite
+def channels(draw):
+    """(reservoirs, t, method): t a time or a list of times, over all four methods.
+
+    Low-T draws include hot reservoirs with pi t / beta_A in [1e-9, 1e-3], where
+    the thermal term is a tiny difference; eta up to 50 drives Gamma past ~745,
+    where exp(-Gamma) underflows to 0.0.
+    """
+    method = draw(st.sampled_from(tuple(GammaMethod)))
+    spectral = OhmicSpectralDensity(draw(st.floats(0.0, 50.0)), draw(st.floats(0.1, 10.0)))
+    if method is GammaMethod.ZERO_T_CLOSED_FORM:
+        betas = [ZERO_TEMPERATURE] * 3
+    elif method is GammaMethod.NUMERIC_QUADRATURE:
+        betas = draw(st.lists(st.floats(0.1, 100.0), min_size=3, max_size=3))
+    else:
+        betas = draw(st.lists(st.floats(1e-6, 1e3), min_size=3, max_size=3))
+    res = tuple(ReservoirSpec(spectral, beta, draw(st.floats(0.5, 3.0))) for beta in betas)
+    time = st.floats(0.0, 5.0 if method is GammaMethod.NUMERIC_QUADRATURE else 30.0)
+    if method is GammaMethod.LOW_T_CLOSED_FORM:
+        hot = st.floats(-9.0, -3.0).map(lambda e: 10.0**e * betas[0] / math.pi)
+        time = st.one_of(time, hot)
+    return res, draw(st.one_of(time, st.lists(time, min_size=1, max_size=4))), method
 
 
-def test_factor_constructor_rejects_garbage():
-    bad = np.ones((8, 8))
-    bad[0, 0] = 0.5
-    with pytest.raises(ParameterError):
-        DephasingFactors(damping=bad, phase=np.zeros((8, 8)))
+HOT = tuple(ReservoirSpec(OhmicSpectralDensity(0.3, 1.0), 1e-4, OMEGA) for _ in range(3))
+
+
+@given(channel=channels())
+# Gamma = 320 ln 901 ~ 2177 at t = 30: every off-diagonal damping entry is 0.0
+@example(channel=(reservoirs(eta=40.0), 30.0, GammaMethod.ZERO_T_CLOSED_FORM))
+@example(channel=(reservoirs(eta=40.0), [0.0, 1.0, 30.0], GammaMethod.EXACT))
+@example(channel=(HOT, [1e-9 * 1e-4 / math.pi, 1e-3 * 1e-4 / math.pi], GammaMethod.LOW_T_CLOSED_FORM))
+@settings(max_examples=80, deadline=None)
+def test_dephasing_factors_invariants(channel):
+    """The invariants that follow from Gamma >= 0 hold bit for bit."""
+    res, t, method = channel
+    f = dephasing_factors(res, t, method)
+    shape = (8, 8) if np.ndim(t) == 0 else (len(t), 8, 8)
+    assert f.damping.shape == f.phase.shape == shape
+    assert np.all(np.diagonal(f.damping, axis1=-2, axis2=-1) == 1.0)
+    assert np.all(f.damping >= 0.0) and np.all(f.damping <= 1.0)
+    assert np.array_equal(f.damping, f.damping.swapaxes(-1, -2))
+    assert np.array_equal(f.phase, -f.phase.swapaxes(-1, -2))
 
 
 def test_diagonal_state_is_fixed():

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from tridephase import reservoir
 from tridephase.exceptions import MethodError, ParameterError, QuadratureError
 from tridephase.reservoir import (
     ZERO_TEMPERATURE,
@@ -69,6 +70,30 @@ def test_low_t_matches_quadrature_in_validity_domain():
             quad = gamma(res, float(t), GammaMethod.NUMERIC_QUADRATURE)
             closed = gamma_low_t(res, float(t))
             assert abs(quad - closed) / quad < 1e-2
+
+
+def test_log_sinhc_matches_mpmath_and_is_nondecreasing():
+    zs = np.geomspace(1e-12, 700.0, 4000).tolist()
+    values = [reservoir._log_sinhc(z) for z in zs]
+    with mpmath.workdps(40):
+        for z, value in zip(zs, values):
+            exact = mpmath.log(mpmath.sinh(mpmath.mpf(z)) / z)
+            assert abs(value - exact) <= 5e-15 * exact, z
+    assert all(value >= 0.0 for value in values)
+    assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+def test_log_sinhc_limits():
+    assert reservoir._log_sinhc(0.0) == 0.0
+    assert reservoir._log_sinhc(math.inf) == math.inf
+    assert reservoir._log_sinhc(1e308) == pytest.approx(1e308, rel=1e-15)
+
+
+def test_low_t_is_nonnegative_on_hot_reservoirs():
+    # pi t / beta from 1e-9 to 1e-3, where ln(sinh z / z) ~ z^2 / 6 is tiny
+    res = ohmic(beta=1e-6)
+    for z in np.geomspace(1e-9, 1e-3, 200).tolist():
+        assert gamma(res, z * 1e-6 / math.pi, GammaMethod.LOW_T_CLOSED_FORM) >= 0.0
 
 
 def test_low_t_breaks_down_on_hot_reservoirs():
@@ -182,6 +207,27 @@ def test_spec_validation():
         ReservoirSpec(OhmicSpectralDensity(0.1, 1.0), -2.0, 1.0)
     with pytest.raises(ParameterError):
         ReservoirSpec(OhmicSpectralDensity(0.1, 1.0), 1.0, 0.0)
+
+
+def test_gamma_rejects_a_nan_gamma_by_method_time_and_value():
+    # 1 / (beta w_c) overflows to inf for a subnormal beta w_c, and the
+    # thermal term of `exact` is then NaN
+    res = ohmic(omega_c=1e-10, beta=1e-300)
+    with pytest.raises(MethodError, match=r"^method exact gives Gamma = nan at t = 1.5, not >= 0$"):
+        gamma(res, 1.5, GammaMethod.EXACT)
+    assert gamma(res, 0.0, GammaMethod.EXACT) == 0.0
+
+
+@pytest.mark.parametrize("value", [-1e-300, -math.inf, math.nan])
+def test_gamma_rejects_a_negative_or_nan_value_of_any_method(monkeypatch, value):
+    monkeypatch.setattr(reservoir, "gamma_low_t", lambda res, t: value)
+    with pytest.raises(MethodError, match=rf"^method low_t gives Gamma = {value!r} at t = 2.0, not >= 0$"):
+        gamma(ohmic(beta=10.0), 2.0, GammaMethod.LOW_T_CLOSED_FORM)
+
+
+def test_gamma_passes_an_infinite_gamma(monkeypatch):
+    monkeypatch.setattr(reservoir, "gamma_low_t", lambda res, t: math.inf)
+    assert gamma(ohmic(beta=10.0), 2.0, GammaMethod.LOW_T_CLOSED_FORM) == math.inf
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf])

@@ -426,8 +426,9 @@ def _measure_curve(
     """Values and per-row errors (None when fine) of one measure over a stack.
 
     The measure is called on `checked`, the stack's DensityStack.  When
-    there is none (the stack failed validation) or that call raises, the
-    raw matrices are replayed one at a time, so every row carries the value
+    that call raises, the measure is replayed on each of its rows, which
+    share its validation; when there is none (the stack failed validation),
+    on each raw matrix, validated on its own.  Every row carries the value
     or the error of its own matrix.
     """
     if checked is not None:
@@ -437,7 +438,7 @@ def _measure_curve(
         except Exception:  # replayed below, one row at a time
             pass
     values, errors = [], []
-    for rho in stack:
+    for rho in stack if checked is None else checked.rows():
         try:
             values.append(fn(rho))
             errors.append(None)

@@ -15,7 +15,9 @@ import io
 import json
 import math
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -46,6 +48,9 @@ DEFAULT_CONFIG = {
 
 _METHODS = {m.value: m for m in GammaMethod}
 
+# a text with none of these is never quoted by csv.writer (csv.QUOTE_MINIMAL)
+_MAY_NEED_QUOTES = re.compile('[,"\r\n]').search
+
 PARAM_FIELDS = (
     "state", "x", "eta", "beta_a", "k1", "k2",
     "omega_sq_a", "omega_sq_b", "omega_sq_c", "omega_c", "method",
@@ -56,13 +61,16 @@ class ConfigError(Exception):
     """A configuration the run cannot use; the message names the key where it can."""
 
 
+def _float_texts(values) -> list[str]:
+    """Each float to 17 significant digits, -0.0 written as 0."""
+    return [f"{value + 0.0:.17g}" for value in values]  # + 0.0 turns -0.0 into 0.0 only
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if value == 0.0:
-            value = 0.0  # canonicalize -0.0
-        return f"{value:.17g}"
+        return _float_texts((value,))[0]
     return str(value)
 
 
@@ -164,55 +172,69 @@ def _parse_run(config: dict, **grid_options) -> analysis.SweepGrid:
     )
 
 
-def _csv_cells(values) -> str:
-    """The CSV text of `values`, each cell followed by a comma; '' for none."""
-    if not values:
-        return ""
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator=",").writerow([_fmt(value) for value in values])
-    return buffer.getvalue()
+def _csv_texts(column) -> list[str]:
+    """The CSV text of each cell of a column, as csv.writer writes it in a row of several.
 
-
-def _write_rows(rows, fieldnames: list[str], out, fmt: str) -> None:
-    """Write (prefix, rest) rows; a curve's rows share one prefix object.
-
-    In CSV the prefix is formatted once per curve and written before each
-    of its rows; a string cell is written as it is.
+    A cell's text is its _fmt text, formatted once for a column that holds
+    one object on every row.  When some text holds a comma, a quote or a
+    line break, csv.writer (csv.QUOTE_MINIMAL) writes the column's texts
+    and quotes those it must.
     """
-    if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(fieldnames)
-        prefix, text = None, ""
-        for head, rest in rows:
-            if head is not prefix:
-                prefix, text = head, _csv_cells(head)
-            out.write(text)
-            writer.writerow([_fmt(value) for value in rest])
+    if len(column) > 1 and all(cell is column[0] for cell in column):
+        return _csv_texts(column[:1]) * len(column)
+    if all(type(cell) is float for cell in column):
+        return _float_texts(column)  # never quoted
+    texts = [cell if type(cell) is str else _fmt(cell) for cell in column]
+    if not _MAY_NEED_QUOTES("".join(texts)):
+        return texts
+    lines = []  # csv.writer makes one write per row
+    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows([text] for text in texts)
+    # csv quotes a lone empty cell; in a row of several it stays empty
+    return [line[:-1] if text else "" for text, line in zip(texts, lines)]
+
+
+def _json_item(fieldnames: list[str], row) -> dict:
+    """One JSON row object: a non-finite float is null, an infinite one also flagged."""
+    item = {}
+    for name, value in zip(fieldnames, row):
+        if isinstance(value, float) and not math.isfinite(value):
+            item[name] = None
+            if math.isinf(value):
+                item[name + "_infinite"] = True
+        else:
+            item[name] = value
+    return item
+
+
+def _emit(fieldnames: list[str], curves, args) -> None:
+    """Write a table to --out or standard output, one curve at a time.
+
+    `curves` yields (head, columns) per curve: row i of a curve is its head
+    cells followed by cell i of each column, two cells or more in all.  CSV
+    is the header line, then one string per curve, each written with one
+    write; JSON is one document, written with one write.
+    """
+    out = sys.stdout if args.out is None else io.StringIO()
+    if args.format == "csv":
+        out.write(",".join(_csv_texts(fieldnames)) + "\n")
+        last = {}  # id(column) -> (column, its texts), over the last curve's columns
+        for head, columns in curves:
+            # a column the last curve had too (the time grid) keeps its texts;
+            # holding the column keeps its id from being reused
+            last = {id(column): last.get(id(column)) or (column, _csv_texts(column)) for column in columns}
+            lead = "".join(text + "," for text in _csv_texts(head))
+            rows = map(",".join, zip(*[last[id(column)][1] for column in columns]))
+            out.write("".join([f"{lead}{row}\n" for row in rows]))
     else:
-        payload = []
-        for head, rest in rows:
-            item = {}
-            for name, value in zip(fieldnames, head + rest):
-                if isinstance(value, float) and not math.isfinite(value):
-                    item[name] = None
-                    if math.isinf(value):
-                        item[name + "_infinite"] = True
-                else:
-                    item[name] = value
-            payload.append(item)
-        json.dump(payload, out, indent=2)
-        out.write("\n")
-
-
-def _emit(rows, fieldnames: list[str], args) -> None:
+        payload = [
+            _json_item(fieldnames, (*head, *row)) for head, columns in curves for row in zip(*columns)
+        ]
+        out.write(json.dumps(payload, indent=2) + "\n")
     if args.out is None:
-        _write_rows(rows, fieldnames, sys.stdout, args.format)
         return
-    buffer = io.StringIO()
-    _write_rows(rows, fieldnames, buffer, args.format)
     try:
         with open(args.out, "w", newline="") as fh:
-            fh.write(buffer.getvalue())
+            fh.write(out.getvalue())
     except OSError as exc:
         raise ConfigError(f"cannot write output file: {exc}") from exc
 
@@ -241,16 +263,14 @@ def cmd_evolve(config: dict, args) -> int:
     # re_ij and im_ij side by side, row-major over (i, j)
     elements = np.stack([evolved.real, evolved.imag], axis=-1).reshape(grid.t_count, 128)
     fields = ["t"] + [f"{part}_{i}{j}" for i in range(8) for j in range(8) for part in ("re", "im")]
-    rows = [((), (t, *row)) for t, row in zip(grid.times().tolist(), elements.tolist())]
-    _emit(rows, fields, args)
+    _emit(fields, [((), [grid.times().tolist(), *elements.T.tolist()])], args)
     return 0
 
 
 def _curve_table(config: dict, args, per_time: bool, timescales: bool) -> int:
     """Write one row per curve, or per curve and time, from one run_sweep call.
 
-    A row is (prefix, rest): the prefix holds the parameter columns and the
-    measure name and is shared by every row of its curve.
+    Every curve shares one time column, so its texts are formatted once.
     """
     measures = config["measures"]
     if not isinstance(measures, list) or not measures:
@@ -263,32 +283,28 @@ def _curve_table(config: dict, args, per_time: bool, timescales: bool) -> int:
     )
     curves = analysis.run_sweep(grid)
     times = grid.times().tolist()
-    if args.format == "csv":  # each time's text serves every curve
-        times = [_fmt(t) for t in times]
     fields = [*PARAM_FIELDS, "measure"] + (["t", "value"] if per_time else [])
     if timescales:
         fields += ["t_p", "t_c", "t_c_reached", "freezing_count"]
     fields += ["error"] if per_time else ["freezing_intervals", "error"]
 
-    def rows():
-        for curve in curves:
-            p = curve.parameters
-            prefix = (
-                p["state"], p["x"], p["eta"], p["beta_a"],
-                p["k1"], p["k2"], *grid.omega_sqs, p["omega_c"], p["method"], curve.name,
-            )
-            columns = ()
-            if timescales:
-                ts = curve.timescales
-                columns = (ts.t_p, ts.t_c, ts.t_c_reached, len(ts.freezing))
-            if per_time:
-                for t, value, error in zip(times, curve.values, curve.errors):
-                    yield prefix, (t, value, *columns, error or "")
-            else:
-                intervals = "|".join(f"{a:.17g}:{b:.17g}" for a, b in ts.freezing)
-                yield prefix, (*columns, intervals, ts.error or "")
+    def table(curve):
+        p = curve.parameters
+        head = (
+            p["state"], p["x"], p["eta"], p["beta_a"],
+            p["k1"], p["k2"], *grid.omega_sqs, p["omega_c"], p["method"], curve.name,
+        )
+        tail = ()
+        if timescales:
+            ts = curve.timescales
+            tail = (ts.t_p, ts.t_c, ts.t_c_reached, len(ts.freezing))
+        if not per_time:
+            intervals = "|".join(f"{a:.17g}:{b:.17g}" for a, b in ts.freezing)
+            return head, [[cell] for cell in (*tail, intervals, ts.error or "")]
+        errors = [error or "" for error in curve.errors]
+        return head, [times, curve.values, *([cell] * len(times) for cell in tail), errors]
 
-    _emit(rows(), fields, args)
+    _emit(fields, map(table, curves), args)
     return 0
 
 

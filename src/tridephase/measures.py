@@ -34,8 +34,21 @@ class DensityStack:
     """
 
     def __init__(self, rho):
-        self.array = assert_density_matrix(rho)
+        self._hold(assert_density_matrix(rho))
+
+    def _hold(self, array: np.ndarray) -> None:
+        """Set every field over `array`, which has passed validation."""
+        self.array = array
         self._pt_spectra: dict[int, np.ndarray] = {}
+
+    def rows(self) -> list[DensityStack]:
+        """Each matrix of a stack as a DensityStack that shares this validation."""
+        rows = []
+        for matrix in self.array:
+            row = object.__new__(DensityStack)  # skips __init__: validated as part of this stack
+            row._hold(matrix)
+            rows.append(row)
+        return rows
 
     def pt_eigenvalues(self, subsystem: int) -> np.ndarray:
         """Ascending eigenvalues of the partial transpose on one qubit."""

@@ -188,13 +188,14 @@ def gamma_low_t(res: ReservoirSpec, t: float) -> float:
     """Low-temperature Ohmic closed form.
 
     2 eta Omega^2 [ln(1 + (w_c t)^2) + 2 ln(sinh(pi t / beta) / (pi t / beta))];
-    the t -> 0 limit of the thermal factor is taken analytically.
+    the t -> 0 limit of the thermal factor is taken analytically, and eta = 0
+    gives 0.0 even where the log terms overflow.
     """
     spectral = _require_ohmic(res, GammaMethod.LOW_T_CLOSED_FORM)
     if res.beta == ZERO_TEMPERATURE:
         raise MethodError("method low_t requires a finite inverse temperature")
     _check_time(t)
-    if t == 0.0:
+    if t == 0.0 or spectral.eta == 0.0:
         return 0.0
     wct = spectral.omega_c * t
     z = math.pi * t / res.beta
@@ -248,10 +249,11 @@ def gamma_exact(res: ReservoirSpec, t):
 
 
 def _ohmic_gamma(res: ReservoirSpec, t: float) -> float:
-    """gamma_exact at one time; 0.0 at t = 0 even where 2 eta Omega^2 overflows."""
+    """gamma_exact at one time; 0.0 at t = 0 even where 2 eta Omega^2 overflows,
+    and 0.0 at eta = 0 even where the log terms overflow."""
     _check_time(t)
     spectral = res.spectral
-    if t == 0.0:
+    if t == 0.0 or spectral.eta == 0.0:
         return 0.0
     wct = spectral.omega_c * t
     value = 2.0 * spectral.eta * res.omega_qubit**2 * math.log1p(wct * wct)

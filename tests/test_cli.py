@@ -1,17 +1,23 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tridephase.reservoir
+from tridephase import analysis
 from tridephase.analysis import ROOT_REL_TOL, preservation_time_zero_t
-from tridephase.cli import PARAM_FIELDS, main
+from tridephase.cli import PARAM_FIELDS, _emit, _fmt, main
+from tridephase.exceptions import ShapeError
 from tridephase.states import ghz_state, werner
 
 
@@ -515,6 +521,21 @@ def test_grid_rows_carry_a_nan_gamma_under_its_method(capsys):
         assert row["error"].startswith("MethodError: method exact gives Gamma = nan at t = ")
 
 
+@pytest.mark.parametrize("settings", [
+    ["--set", "t_stop=1e160", "--set", "t_count=2"],
+    ["--set", "method=low_t", "--set", "beta_a=1e-300", "--set", "t_stop=1e10", "--set", "t_count=3"],
+])
+def test_uncoupled_bath_rows_carry_no_error(capsys, settings):
+    # the log terms overflow to inf here; eta = 0 must not turn them into a NaN Gamma
+    code, out, err = run(capsys, ["measure", "--set", "eta=0", *settings])
+    assert code == 0 and err == ""
+    rows = read_csv(out)
+    assert len(rows) == int(settings[-1].split("=")[1])
+    for row in rows:
+        assert row["error"] == ""
+        assert float(row["value"]) == pytest.approx(0.65, rel=1e-14)  # x - 3(1 - x)/4 at x = 0.8
+
+
 def test_unwritable_output_file_is_an_error(capsys, tmp_path):
     path = tmp_path / "missing" / "out.csv"
     code, out, err = run(capsys, ["measure", "--set", "t_count=3", "--out", str(path)])
@@ -616,3 +637,96 @@ def test_output_bytes_match_golden_file(capsys, name):
     code, out, err = run(capsys, GOLDEN_RUNS[name])
     assert code == 0, err
     assert out.encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+CELLS = st.one_of(
+    st.text(alphabet=st.sampled_from('ab ,"\r\n;\'|:'), max_size=6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf]),
+    st.booleans(),
+    st.integers(),
+)
+
+
+@st.composite
+def tables(draw):
+    """Field names and curves of random cells.
+
+    A column is drawn cell by cell or as one object on every row, and one
+    column object may serve several curves, as the time grid does.
+    """
+    n = draw(st.integers(1, 4))
+    column = st.one_of(st.lists(CELLS, min_size=n, max_size=n), CELLS.map(lambda cell: [cell] * n))
+    shared = draw(column)
+    curves = []
+    for _ in range(draw(st.integers(1, 3))):
+        head = tuple(draw(st.lists(CELLS, max_size=3)))
+        columns = draw(st.lists(
+            st.one_of(column, st.just(shared)), min_size=1 if head else 2, max_size=4,
+        ))
+        curves.append((head, columns))
+    fieldnames = draw(st.lists(st.text(alphabet=st.sampled_from('ab ,"\r\n'), max_size=4), min_size=2))
+    return fieldnames, curves
+
+
+@settings(max_examples=400, deadline=None)
+@given(tables())
+def test_csv_output_equals_csv_writer(table):
+    fieldnames, curves = table
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(fieldnames)
+    for head, columns in curves:
+        for row in zip(*columns):
+            writer.writerow([_fmt(cell) for cell in (*head, *row)])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(fieldnames, curves, SimpleNamespace(format="csv", out=None))
+    assert out.getvalue() == expected.getvalue()
+
+
+def test_an_error_text_that_needs_quotes_reads_back(capsys, monkeypatch):
+    message = 'bad cell, "quoted"\nsecond line'
+
+    def raising(rho):
+        raise ShapeError(message)
+
+    monkeypatch.setitem(analysis.MEASURES, "gmc", raising)
+    code, out, err = run(capsys, ["measure", "--set", "x=[0.5,0.9]", "--set", "t_count=3"])
+    assert code == 0 and err == ""
+    rows = list(csv.DictReader(io.StringIO(out, newline="")))
+    assert len(rows) == 6
+    assert all(row["error"] == f"ShapeError: {message}" for row in rows)
+    assert all(row["value"] == "nan" and row["measure"] == "gmc" for row in rows)
+
+
+class CountingStdout:
+    """A stdout stand-in that counts its write calls."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("command, fmt, writes", [
+    ("measure", "csv", 1 + 4),  # the header, then one write per curve
+    ("sweep", "csv", 1 + 4),
+    ("timescales", "csv", 1 + 4),
+    ("measure", "json", 1),  # one document
+    ("evolve", "csv", 1 + 1),  # evolve prints one curve
+    ("evolve", "json", 1),
+])
+def test_output_is_written_one_curve_at_a_time(monkeypatch, command, fmt, writes):
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    grid = [] if command == "evolve" else [
+        "--set", "x=[0.5,0.9]", "--set", 'measures=["gmc","l1_coherence"]',
+    ]
+    assert main([command, "--format", fmt, "--set", "t_count=5", *grid]) == 0
+    assert len(stdout.writes) == writes

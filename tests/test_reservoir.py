@@ -34,6 +34,19 @@ def test_gamma_zero_at_t0_all_methods():
     assert gamma(warm, 0.0, GammaMethod.NUMERIC_QUADRATURE) == 0.0
 
 
+@pytest.mark.parametrize("method", list(GammaMethod), ids=lambda m: m.value)
+def test_uncoupled_bath_gives_zero_gamma_at_every_time(method):
+    # 2 eta Omega^2 = 0 times a log term that overflows to inf would be NaN
+    betas = [ZERO_TEMPERATURE] if method is GammaMethod.ZERO_T_CLOSED_FORM else [1e-300, 1.0, 1e300]
+    if method in (GammaMethod.EXACT, GammaMethod.NUMERIC_QUADRATURE):
+        betas.append(ZERO_TEMPERATURE)
+    for beta in betas:
+        res = ohmic(eta=0.0, beta=beta)
+        for t in (0.0, 1e-300, 1.0, 1e10, 1e160, 1e300):
+            value = gamma(res, t, method)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0, (beta, t)
+
+
 def test_zero_t_closed_form_value():
     # 2 * Omega^2 * eta * ln 2 at w_c t = 1
     value = gamma_zero_t(ohmic(eta=0.2, omega=2.0), 1.0)

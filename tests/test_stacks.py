@@ -309,3 +309,56 @@ def test_a_stack_that_fails_validation_is_replayed_row_by_row(monkeypatch):
         assert math.isnan(curve.values[bad_row])
         kept = [i for i in range(grid.t_count) if i != bad_row]
         assert same_bits([curve.values[i] for i in kept], [ref.values[i] for i in kept])
+
+
+def w_grid(t_count: int) -> SweepGrid:
+    return SweepGrid(
+        xs=[0.6], etas=[0.2], beta_as=[math.inf], k1s=[1.0], k2s=[1.0],
+        t_start=0.0, t_stop=3.0, t_count=t_count, omega_sqs=OMEGA_SQS,
+        measures=("gmc", "l1_coherence"), method=GammaMethod.ZERO_T_CLOSED_FORM, state="w",
+    )
+
+
+def test_a_measure_that_raises_on_a_valid_stack_replays_without_revalidating(monkeypatch):
+    # gmc raises ShapeError on the W stack; its rows share the stack's one validation
+    grid = w_grid(241)
+    calls = Counter()
+    validate = measures.assert_density_matrix
+
+    def counting(rho):
+        calls["assert_density_matrix"] += 1
+        return validate(rho)
+
+    monkeypatch.setattr(measures, "assert_density_matrix", counting)
+    gmc, l1 = run_sweep(grid)
+    assert calls == {"assert_density_matrix": 1}
+    assert all(error.startswith("ShapeError: matrix is not X-shaped") for error in gmc.errors)
+    assert l1.errors == [None] * grid.t_count
+
+
+def test_replayed_rows_equal_the_public_measure_on_each_matrix(monkeypatch):
+    # one X-shaped row in a W stack: gmc fails on the stack, and the replay
+    # gives that row its value and every other row its own error text
+    grid = w_grid(9)
+    x_row = 3
+    x_shaped = werner(ghz_state(), 0.8)
+
+    def evolve_with_an_x_row(rho0, factors):
+        stack = evolve(rho0, factors)
+        stack[x_row] = x_shaped
+        return stack
+
+    monkeypatch.setattr(analysis, "evolve", evolve_with_an_x_row)
+    gmc, _ = run_sweep(grid)
+    reservoirs = make_reservoirs(0.2, 1.0, math.inf, 1.0, 1.0, grid.omegas())
+    stack = evolve_with_an_x_row(
+        werner(w_state(), 0.6), dephasing_factors(reservoirs, grid.channel_times(), grid.method)
+    )
+    for i, rho in enumerate(stack):
+        if i == x_row:
+            assert gmc.errors[i] is None and same_bits([gmc.values[i]], [gmc_x_state(rho)])
+            continue
+        with pytest.raises(ShapeError) as excinfo:
+            gmc_x_state(rho)
+        assert gmc.errors[i] == f"ShapeError: {excinfo.value}"
+        assert math.isnan(gmc.values[i])

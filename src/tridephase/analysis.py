@@ -52,6 +52,11 @@ STATES: dict[str, Callable[[], np.ndarray]] = {
     "w": w_state,
 }
 
+PARAM_FIELDS = (
+    "state", "x", "eta", "beta_a", "k1", "k2",
+    "omega_sq_a", "omega_sq_b", "omega_sq_c", "omega_c", "method",
+)
+
 
 def preservation_time_zero_t(x: float, eta: float, omega_sq: float, omega_c: float) -> float:
     """Closed-form vanishing time of the zero-temperature GHZ-Werner GMC.
@@ -330,13 +335,14 @@ class SweepGrid:
         return tuple(werner(psi, x) for x in self.xs)
 
     @cached_property
-    def reservoir_sets(self) -> tuple[tuple[ReservoirSpec, ReservoirSpec, ReservoirSpec], ...]:
-        """The reservoirs of each (eta, beta_a, k1, k2), in itertools.product order."""
+    def reservoir_sets(self) -> tuple[tuple[tuple, tuple[ReservoirSpec, ...]], ...]:
+        """Each (eta, beta_a, k1, k2) with its reservoirs, in itertools.product order."""
         sets = []
         for eta, beta_a, k1, k2 in itertools.product(self.etas, self.beta_as, self.k1s, self.k2s):
-            sets.append(make_reservoirs(eta, self.omega_c, beta_a, k1, k2, self.omegas()))
-            for res in sets[-1]:
+            reservoirs = make_reservoirs(eta, self.omega_c, beta_a, k1, k2, self.omegas())
+            for res in reservoirs:
                 gamma(res, 0.0, self.method)  # 0.0, or MethodError on a mismatch
+            sets.append(((eta, beta_a, k1, k2), reservoirs))
         return tuple(sets)
 
     def times(self) -> np.ndarray:
@@ -365,6 +371,7 @@ class TimescaleResult:
 class CurveResult:
     """One measure over the time grid at one parameter tuple.
 
+    parameters maps PARAM_FIELDS, in order, to the curve's run values;
     values[i] and errors[i] (None when fine) belong to grid.times()[i];
     timescales is None unless the grid includes them.
     """
@@ -492,7 +499,7 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     through the channel of its reservoir set; the channel of each distinct
     set is computed once, before the curves.  Each stack is validated once,
     as a DensityStack that every measure shares.  Results are in the grid's
-    units: `parameters["beta_a"]` as configured, and t_p, T_c and the
+    units: `parameters` as configured, and t_p, T_c and the
     freezing intervals in units of 1/omega_c.  One Gamma memo per call
     serves the grid and every root-finder evaluation.  A recorded error is
     an evaluation failure (channel, measure or root finder); it never aborts
@@ -502,25 +509,16 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     curves: list[CurveResult] = []
     channels: dict[tuple, object] = {}  # reservoir set -> factors or the text of their error
     gammas: dict[tuple, float] = {}  # (reservoir, t, method) -> Gamma, this call only
-    for reservoirs in dict.fromkeys(grid.reservoir_sets):
+    for reservoirs in dict.fromkeys(reservoirs for _, reservoirs in grid.reservoir_sets):
         try:
             channels[reservoirs] = dephasing_factors(reservoirs, times, grid.method, memo=gammas)
         except Exception as exc:  # every curve of this reservoir set carries it
             channels[reservoirs] = _error_text(exc)
-    tuples = itertools.product(grid.etas, grid.beta_as, grid.k1s, grid.k2s)
-    for (x, rho0), ((eta, beta_a, k1, k2), reservoirs) in itertools.product(
-        zip(grid.xs, grid.initial_states), zip(tuples, grid.reservoir_sets)
+    for (x, rho0), (point, reservoirs) in itertools.product(
+        zip(grid.xs, grid.initial_states), grid.reservoir_sets
     ):
-        params = {
-            "state": grid.state,
-            "x": x,
-            "eta": eta,
-            "beta_a": beta_a,
-            "k1": k1,
-            "k2": k2,
-            "omega_c": grid.omega_c,
-            "method": grid.method.value,
-        }
+        label = (grid.state, x, *point, *grid.omega_sqs, grid.omega_c, grid.method.value)
+        params = dict(zip(PARAM_FIELDS, label))
         factors = channels[reservoirs]
         evolved = None if isinstance(factors, str) else evolve(rho0, factors)
         checked = None

@@ -22,6 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import analysis, oracles
+from .analysis import PARAM_FIELDS
 from .evolution import dephasing_factors, evolve
 from .exceptions import MethodError, ParameterError, TridephaseError
 from .reservoir import GammaMethod
@@ -50,11 +51,6 @@ _METHODS = {m.value: m for m in GammaMethod}
 
 # a text with none of these is never quoted by csv.writer (csv.QUOTE_MINIMAL)
 _MAY_NEED_QUOTES = re.compile('[,"\r\n]').search
-
-PARAM_FIELDS = (
-    "state", "x", "eta", "beta_a", "k1", "k2",
-    "omega_sq_a", "omega_sq_b", "omega_sq_c", "omega_c", "method",
-)
 
 
 class ConfigError(Exception):
@@ -258,7 +254,7 @@ def cmd_evolve(config: dict, args) -> int:
         if isinstance(config[key], (list, tuple)):
             raise ConfigError(f"config key {key!r} must be a scalar for the evolve command")
     grid = _parse_run(config)
-    (rho0,), (reservoirs,) = grid.initial_states, grid.reservoir_sets
+    (rho0,), ((_, reservoirs),) = grid.initial_states, grid.reservoir_sets
     evolved = evolve(rho0, dephasing_factors(reservoirs, grid.channel_times(), grid.method))
     # re_ij and im_ij side by side, row-major over (i, j)
     elements = np.stack([evolved.real, evolved.imag], axis=-1).reshape(grid.t_count, 128)
@@ -289,17 +285,13 @@ def _curve_table(config: dict, args, per_time: bool, timescales: bool) -> int:
     fields += ["error"] if per_time else ["freezing_intervals", "error"]
 
     def table(curve):
-        p = curve.parameters
-        head = (
-            p["state"], p["x"], p["eta"], p["beta_a"],
-            p["k1"], p["k2"], *grid.omega_sqs, p["omega_c"], p["method"], curve.name,
-        )
+        head = (*curve.parameters.values(), curve.name)
         tail = ()
         if timescales:
             ts = curve.timescales
             tail = (ts.t_p, ts.t_c, ts.t_c_reached, len(ts.freezing))
         if not per_time:
-            intervals = "|".join(f"{a:.17g}:{b:.17g}" for a, b in ts.freezing)
+            intervals = "|".join(":".join(_float_texts(interval)) for interval in ts.freezing)
             return head, [[cell] for cell in (*tail, intervals, ts.error or "")]
         errors = [error or "" for error in curve.errors]
         return head, [times, curve.values, *([cell] * len(times) for cell in tail), errors]

@@ -72,8 +72,9 @@ def dephasing_factors(
     Each reservoir carries its qubit's splitting Omega_X, which sets both
     Gamma_X and the energies E_mnl.  `t` is one time (8x8 factors) or a
     1-d time array ((T, 8, 8) factors, matrix i at t[i]); a negative or
-    non-finite time is rejected.  Gamma is evaluated per reservoir and
-    time, in time order, so the first failing time raises.  A `memo` dict,
+    non-finite time is rejected, and so is a largest time t whose largest
+    phase, 2 (Omega_A + Omega_B + Omega_C) t, overflows.  Gamma is evaluated
+    per reservoir and time, in time order, so the first failing time raises.  A `memo` dict,
     keyed by (reservoir, t, method), is read before and filled after each
     Gamma call, so callers that pass the same dict share Gamma values; a
     Gamma that raises is not stored.
@@ -85,7 +86,8 @@ def dephasing_factors(
         raise ParameterError(f"t must be a scalar or a 1-d time array, got shape {ts.shape}")
     if memo is None:
         memo = {}
-    keys = [(res, tv, method) for tv in ts.reshape(-1).tolist() for res in reservoirs]
+    times = ts.reshape(-1).tolist()
+    keys = [(res, tv, method) for tv in times for res in reservoirs]
     for key in keys:
         if key not in memo:
             memo[key] = gamma(*key)
@@ -94,7 +96,11 @@ def dephasing_factors(
     # product order matches np.kron(np.kron(A, B), C)
     a, b, c = (np.where(_FLIPS[x], damps[:, x, None, None], 1.0) for x in range(3))
     damping = (a * b) * c
-    e = energies(tuple(res.omega_qubit for res in reservoirs))
+    omegas = tuple(res.omega_qubit for res in reservoirs)
+    t_max = max(times, default=0.0)
+    if not 2.0 * (omegas[0] + omegas[1] + omegas[2]) * t_max < math.inf:  # NaN included
+        raise ParameterError(f"phase 2 (Omega_A + Omega_B + Omega_C) t overflows at t = {t_max!r}")
+    e = energies(omegas)
     phase = -(e[:, None] - e[None, :]) * ts.reshape(-1, 1, 1)
     if ts.ndim == 0:
         damping, phase = damping[0], phase[0]

@@ -192,25 +192,3 @@ def preservation_time_sinh_residual(
         * ratio ** (1.0 / (2.0 * eta * omega_sq))
     )
     return lhs, rhs
-
-
-def w_werner_negativity_closed_form(x: float, gamma: float, gamma_c: float):
-    """Closed-form candidates for the three W-Werner bipartition negativities.
-
-    Assumes Gamma_A = Gamma_B = `gamma`.  Provided as a flagged cross-check
-    only: the outer (A|BC, C|AB) lines reproduce the numeric
-    partial-transpose negativity, but the middle (B|AC) radical expression
-    mixes scales and does not, so the numeric route stays authoritative.
-    """
-    check_mixing(x)
-    eg = math.exp(-gamma)
-    egc = math.exp(-gamma_c)
-    n_a_bc = 2.0 * max(0.0, (x * eg / 3.0) * math.sqrt(egc * egc + eg * eg) - (1.0 - x) / 8.0)
-    m = x * math.exp(-(gamma_c + gamma)) / 3.0
-    n = x * math.exp(-2.0 * gamma) / 3.0
-    radical = math.sqrt(
-        36.0 * m * m * n * n + 4.0 * m * m * x * x + 9.0 * n * n + n * n / 2.0 + x * x / 36.0
-    )
-    n_b_ac = 2.0 * max(0.0, x * x * math.exp(-2.0 * (gamma + gamma_c)) / 9.0 - radical - (x + 3.0) / 24.0)
-    n_c_ab = 2.0 * max(0.0, math.sqrt(2.0) * x * math.exp(-(gamma + gamma_c)) / 3.0 - (1.0 - x) / 8.0)
-    return n_a_bc, n_b_ac, n_c_ab

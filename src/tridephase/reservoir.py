@@ -24,10 +24,11 @@ reference for Ohmic baths.  Its two limits have closed forms of their own:
     low temperature:   2 eta Omega_X^2 ln[(1 + (w_c t)^2)
                           (beta_X / (pi t))^2 sinh^2(pi t / beta_X)]
 
-The general integral is evaluated with adaptive quadrature; the integrand
-has a removable singularity at w = 0 which is replaced by its analytic
-limit below w = 1e-8 w_c, and the exponential cutoff makes truncation at
-w = 60 w_c exact to below 1e-26.  On Ohmic baths quadrature agrees with
+The general integral is evaluated with adaptive quadrature up to the
+density's support cutoff (60 w_c for Ohmic, where the exponential makes
+truncation exact to below 1e-26).  The integrand, whose singularity at
+w = 0 is removable, is continued flat below 1e-8 cutoff / 60 (1e-8 w_c for
+Ohmic), by one rule for every density.  On Ohmic baths quadrature agrees with
 `exact` to QUAD_EPSREL |Gamma| + QUAD_EPSABS for w_c beta_X <= 100, but it
 misses by up to 1.3e-5 relative at w_c beta_X >= 500.
 
@@ -267,23 +268,11 @@ def _gamma_quadrature(res: ReservoirSpec, t: float) -> float:
     spectral = res.spectral
     omega_sq = res.omega_qubit**2
     beta = res.beta
-
-    if isinstance(spectral, OhmicSpectralDensity):
-        upper = spectral.support_cutoff
-        omega_eps = _OMEGA_EPS_FACTOR * spectral.omega_c
-        # J(w)/w^2 coth(beta w/2) sin^2(wt/2) -> eta t^2 / (2 beta) as w -> 0,
-        # exactly 0.0 at beta = inf
-        limit = 8.0 * omega_sq * spectral.eta * t * t / (2.0 * beta)
-    else:
-        upper = spectral.support_cutoff
-        omega_eps = _OMEGA_EPS_FACTOR * upper / _CUTOFF_MULTIPLE
-        # General handle: continue the integrand flat below omega_eps.
-        limit = None
+    upper = spectral.support_cutoff
+    omega_eps = _OMEGA_EPS_FACTOR * upper / _CUTOFF_MULTIPLE
 
     def integrand(w: float) -> float:
-        if w < omega_eps:
-            if limit is not None:
-                return limit
+        if w < omega_eps:  # a branch, not max(): this runs ~400k times in a quadrature sweep
             w = omega_eps
         s = math.sin(0.5 * w * t)
         value = 8.0 * omega_sq * spectral(w) / (w * w) * (s * s)

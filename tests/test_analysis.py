@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -7,6 +8,7 @@ import pytest
 from tridephase import evolution
 from tridephase.analysis import (
     DEFAULT_EPSILON,
+    PARAM_FIELDS,
     ROOT_REL_TOL,
     SweepGrid,
     characteristic_time,
@@ -248,6 +250,25 @@ def test_sweep_records_no_squared_splitting():
     assert curves and all(curve.timescales is not None for curve in curves)
     for curve in curves:
         assert all(v == 12.0 for v in curve.parameters.values() if v == pytest.approx(12.0))
+
+
+def test_every_curve_is_labelled_by_every_param_field_in_order():
+    grid = SweepGrid(
+        xs=[0.5, 0.8], etas=[0.2], beta_as=[0.01, 0.02], k1s=[1.0], k2s=[1.0, 4.0],
+        t_start=0.0, t_stop=1.0, t_count=3, omega_sqs=(3.0, 5.0, 12.0),
+        measures=("gmc", "l1_coherence"), method=GammaMethod.LOW_T_CLOSED_FORM,
+    )
+    curves = run_sweep(grid)
+    assert len(curves) == 2 * 4 * 2
+    for curve in curves:
+        assert list(curve.parameters) == list(PARAM_FIELDS)
+        assert [curve.parameters[key] for key in ("state", "omega_c", "method")] == [
+            "ghz", 1.0, "low_t"
+        ]
+        # the configured squares, never a re-squared splitting
+        assert [curve.parameters[key] for key in PARAM_FIELDS[6:9]] == [3.0, 5.0, 12.0]
+    points = [tuple(c.parameters[key] for key in PARAM_FIELDS[1:6]) for c in curves[::2]]
+    assert points == list(itertools.product(grid.xs, grid.etas, grid.beta_as, grid.k1s, grid.k2s))
 
 
 def test_sweep_records_row_errors_without_aborting():

@@ -114,6 +114,25 @@ def test_grid_rows_carry_the_underflowed_gradient_error(capsys):
     assert err == f"error: config key 'k1': {UNDERFLOW}\n"
 
 
+PHASE_OVERFLOW_RUN = ["--set", "t_stop=1e300", "--set", "omega_sq_a=1e300", "--set", "t_count=3"]
+PHASE_OVERFLOW = "phase 2 (Omega_A + Omega_B + Omega_C) t overflows at t = 1e+300"
+
+
+def test_evolve_rejects_an_overflowing_phase(capsys):
+    code, out, err = run(capsys, ["evolve", *PHASE_OVERFLOW_RUN])
+    assert (code, out) == (1, "")
+    assert err == f"error: {PHASE_OVERFLOW}\n"
+
+
+def test_measure_rows_carry_an_overflowing_phase(capsys):
+    # every row of the reservoir set carries the channel's error, as for a Gamma failure
+    code, out, err = run(capsys, ["measure", *PHASE_OVERFLOW_RUN])
+    assert (code, err) == (0, "")
+    rows = read_csv(out)
+    assert [row["value"] for row in rows] == ["nan"] * 3
+    assert [row["error"] for row in rows] == [f"ParameterError: {PHASE_OVERFLOW}"] * 3
+
+
 BAD_RUN_VALUES = {
     "x": (["x=[0.5,1.5]"], "mixing parameter must lie in [0, 1], got 1.5"),
     "eta": (["eta=[-1,0.2]"], "coupling constant eta must be >= 0, got -1.0"),

@@ -198,3 +198,19 @@ def test_damping_composition_law():
 def test_factors_reject_non_finite_time_by_name(t):
     with pytest.raises(ParameterError, match="time must be finite and >= 0"):
         dephasing_factors(reservoirs(), t, GammaMethod.ZERO_T_CLOSED_FORM)
+
+
+PHASE_OVERFLOW = "phase 2 (Omega_A + Omega_B + Omega_C) t overflows at t = 1e+300"
+
+
+@pytest.mark.parametrize("t", [1e300, [0.0, 1.0, 1e300]], ids=["scalar", "array"])
+def test_factors_reject_an_overflowing_phase_by_its_time(t):
+    # Gamma = +inf is a valid full damping there; the phase 2 * 3e10 * 1e300 is not finite
+    spectral = OhmicSpectralDensity(0.2, 1.0)
+    fast = tuple(ReservoirSpec(spectral, ZERO_TEMPERATURE, 1e10) for _ in range(3))
+    with pytest.raises(ParameterError) as info:
+        dephasing_factors(fast, t, GammaMethod.ZERO_T_CLOSED_FORM)
+    assert str(info.value) == PHASE_OVERFLOW
+    # a largest phase of 6e300 is still finite
+    factors = dephasing_factors(fast, [0.0, 1e290], GammaMethod.ZERO_T_CLOSED_FORM)
+    assert np.abs(factors.phase).max() == 6e300

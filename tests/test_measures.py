@@ -14,7 +14,6 @@ from tridephase.measures import (
     negativity,
     tripartite_negativity,
 )
-from tridephase.oracles import w_werner_negativity_closed_form
 from tridephase.reservoir import GammaMethod, OhmicSpectralDensity, ReservoirSpec
 from tridephase.states import ghz_state, maximally_mixed, w_state, werner
 
@@ -153,22 +152,35 @@ def test_l1_coherence_evolved_w_werner():
     assert l1_coherence(rho) == pytest.approx(expected, abs=1e-12)
 
 
-def test_w_werner_closed_form_special_points():
-    a, b, c = w_werner_negativity_closed_form(1.0, 0.0, 0.0)
-    assert c == pytest.approx(2 * math.sqrt(2) / 3, abs=1e-12)
-    assert w_werner_negativity_closed_form(0.0, 1.0, 2.0) == (0.0, 0.0, 0.0)
+def w_werner_negativity(x, gammas, subsystem):
+    """2 max(0, (x/3) sqrt(c_XY^2 + c_XZ^2) - (1-x)/8), with c_XY = exp(-(Gamma_X + Gamma_Y)).
+
+    The partial transpose on X moves the two W coherences that involve X
+    onto a 3x3 arrow block with diagonal (1-x)/8 and off-diagonal entries
+    (x/3) c_XY and (x/3) c_XZ; its least eigenvalue gives the negativity.
+    """
+    others = [y for y in range(3) if y != subsystem]
+    c = [math.exp(-(gammas[subsystem] + gammas[y])) for y in others]
+    return 2.0 * max(0.0, (x / 3.0) * math.hypot(*c) - (1.0 - x) / 8.0)
 
 
-def test_w_werner_closed_form_vs_numeric_discrepancy():
-    # The outer (A|BC, C|AB) lines reproduce the numeric partial-transpose
-    # negativity; the middle (B|AC) radical expression does not.  Both
-    # routes are kept and the difference is pinned here.
-    closed = w_werner_negativity_closed_form(0.6, 0.0, 0.0)
-    numeric = [negativity(werner(w_state(), 0.6), s) for s in range(3)]
-    assert closed[0] == pytest.approx(numeric[0], abs=1e-12)
-    assert closed[2] == pytest.approx(numeric[2], abs=1e-12)
-    assert numeric[1] == pytest.approx(0.4656854249492381, abs=1e-12)
-    assert closed[1] == 0.0  # the printed middle line clamps to zero here
+def test_w_werner_negativity_closed_form_on_every_bipartition():
+    # the paper prints another B|AC line, which gives 0 at (x = 0.6, Gamma = 0)
+    bits = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1
+    flips = (bits[:, None, :] != bits[None, :, :]).astype(float)  # [u, v, X]
+    rng = np.random.default_rng(2021)
+    points = [(0.6, [0.0] * 3), (1.0, [0.0] * 3), (0.0, [1.0, 2.0, 0.5])] + [
+        (float(rng.uniform(0.0, 1.0)), rng.uniform(0.0, 3.0, size=3).tolist()) for _ in range(300)
+    ]
+    for x, gammas in points:
+        # the channel's damping alone: its phases are local and change no negativity
+        rho = werner(w_state(), x) * np.exp(-(flips @ np.array(gammas)))
+        for subsystem in range(3):
+            want = w_werner_negativity(x, gammas, subsystem)
+            assert abs(negativity(rho, subsystem) - want) <= 2e-12, (x, gammas, subsystem)
+    # the special points the paper's form was pinned at: the true B|AC value, and C|AB at x = 1
+    assert w_werner_negativity(0.6, [0.0] * 3, 1) == pytest.approx(0.4656854249492381, abs=1e-12)
+    assert w_werner_negativity(1.0, [0.0] * 3, 2) == pytest.approx(2 * math.sqrt(2) / 3, abs=1e-12)
 
 
 @given(seed=st.integers(0, 2**32 - 1))

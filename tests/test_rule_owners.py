@@ -47,9 +47,6 @@ MIXING_ENTRY_POINTS = {
     "gmc_ghz_werner_low_t": lambda x: oracles.gmc_ghz_werner_low_t(
         x, 1.0, 0.2, 4.0, 1.0, (1.0, 1.0, 1.0)
     ),
-    "w_werner_negativity_closed_form": lambda x: oracles.w_werner_negativity_closed_form(
-        x, 0.1, 0.1
-    ),
     "sweep_grid": lambda x: grid(xs=[0.5, x]),
 }
 

@@ -4,7 +4,8 @@ Preservation time t_p is the last time a correlation measure stays above
 the dead threshold (1e-12); characteristic time T_c is the end of the
 initial plateau (first drop of a fraction epsilon below the starting
 value).  Sweeps evaluate the matrix pipeline over a Cartesian parameter
-grid and are bitwise deterministic.
+grid, find the time scales on the measures' Gamma-space kernels, and are
+bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -19,9 +20,12 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .exceptions import NoCorrelationError, ParameterError
-from .evolution import dephasing_factors, evolve
+from .evolution import dephasing_factors, evolve, gammas
 from .measures import (
     DensityStack,
+    GHZWernerKernel,
+    WernerKernel,
+    WWernerKernel,
     gmc_x_state,
     l1_coherence,
     negativity,
@@ -50,6 +54,26 @@ MEASURES: dict[str, Callable[[np.ndarray], float]] = {
 STATES: dict[str, Callable[[], np.ndarray]] = {
     "ghz": ghz_state,
     "w": w_state,
+}
+
+
+def _kernels(state: str, family: WernerKernel) -> dict:
+    return {
+        (state, "gmc"): family.gmc,
+        (state, "tripartite_negativity"): family.tripartite_negativity,
+        (state, "negativity_a_bc"): lambda x, d: family.negativity(x, d, 0),
+        (state, "negativity_b_ac"): lambda x, d: family.negativity(x, d, 1),
+        (state, "negativity_c_ab"): lambda x, d: family.negativity(x, d, 2),
+        (state, "l1_coherence"): family.l1_coherence,
+    }
+
+
+# (state, measure) -> the measure of the dephased Werner state as f(x, d),
+# d = (exp(-Gamma_A), exp(-Gamma_B), exp(-Gamma_C)): the MEASURES of the
+# evolved STATES in closed form, where the root finders evaluate them
+KERNELS: dict[tuple[str, str], Callable[[float, Sequence[float]], float]] = {
+    **_kernels("ghz", GHZWernerKernel()),
+    **_kernels("w", WWernerKernel()),
 }
 
 PARAM_FIELDS = (
@@ -501,17 +525,19 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     as a DensityStack that every measure shares.  Results are in the grid's
     units: `parameters` as configured, and t_p, T_c and the
     freezing intervals in units of 1/omega_c.  One Gamma memo per call
-    serves the grid and every root-finder evaluation.  A recorded error is
-    an evaluation failure (channel, measure or root finder); it never aborts
-    the sweep.
+    serves the grid and every root-finder evaluation.  A root-finder step
+    evaluates the curve in closed form, as KERNELS[state, measure] at the
+    three Gamma of its time; the grid's matrices are the values printed.  A
+    recorded error is an evaluation failure (channel, measure or root
+    finder); it never aborts the sweep.
     """
     times = grid.channel_times()
     curves: list[CurveResult] = []
     channels: dict[tuple, object] = {}  # reservoir set -> factors or the text of their error
-    gammas: dict[tuple, float] = {}  # (reservoir, t, method) -> Gamma, this call only
+    memo: dict[tuple, float] = {}  # (reservoir, t, method) -> Gamma, this call only
     for reservoirs in dict.fromkeys(reservoirs for _, reservoirs in grid.reservoir_sets):
         try:
-            channels[reservoirs] = dephasing_factors(reservoirs, times, grid.method, memo=gammas)
+            channels[reservoirs] = dephasing_factors(reservoirs, times, grid.method, memo=memo)
         except Exception as exc:  # every curve of this reservoir set carries it
             channels[reservoirs] = _error_text(exc)
     for (x, rho0), (point, reservoirs) in itertools.product(
@@ -536,10 +562,11 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
                 values, errors = _measure_curve(fn, evolved, checked)
             timescales = None
             if grid.include_timescales:
+                kernel = KERNELS[grid.state, name]
 
                 def curve(t: float) -> float:
-                    factors = dephasing_factors(reservoirs, t, grid.method, memo=gammas)
-                    return fn(evolve(rho0, factors))
+                    damps = [math.exp(-g) for g in gammas(reservoirs, (t,), grid.method, memo)]
+                    return kernel(x, damps)
 
                 timescales = _timescales(curve, grid, times, values, errors)
             curves.append(CurveResult(name, params, values, errors, timescales))

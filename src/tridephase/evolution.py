@@ -61,6 +61,28 @@ class DephasingFactors(NamedTuple):
     phase: np.ndarray
 
 
+def gammas(
+    reservoirs: Sequence[ReservoirSpec],
+    times: Sequence[float],
+    method: GammaMethod,
+    memo: dict | None = None,
+) -> list[float]:
+    """Gamma of each reservoir at each time, time-major: [Gamma_A(t0), Gamma_B(t0), ...].
+
+    Evaluated in that order, so the first failing time raises.  A `memo`
+    dict, keyed by (reservoir, t, method), is read before and filled after
+    each Gamma call, so callers that pass the same dict share Gamma values;
+    a Gamma that raises is not stored.
+    """
+    if memo is None:
+        memo = {}
+    keys = [(res, t, method) for t in times for res in reservoirs]
+    for key in keys:
+        if key not in memo:
+            memo[key] = gamma(*key)
+    return [memo[key] for key in keys]
+
+
 def dephasing_factors(
     reservoirs: Sequence[ReservoirSpec],
     t,
@@ -73,25 +95,16 @@ def dephasing_factors(
     Gamma_X and the energies E_mnl.  `t` is one time (8x8 factors) or a
     1-d time array ((T, 8, 8) factors, matrix i at t[i]); a negative or
     non-finite time is rejected, and so is a largest time t whose largest
-    phase, 2 (Omega_A + Omega_B + Omega_C) t, overflows.  Gamma is evaluated
-    per reservoir and time, in time order, so the first failing time raises.  A `memo` dict,
-    keyed by (reservoir, t, method), is read before and filled after each
-    Gamma call, so callers that pass the same dict share Gamma values; a
-    Gamma that raises is not stored.
+    phase, 2 (Omega_A + Omega_B + Omega_C) t, overflows.  Gamma comes from
+    `gammas`, which shares values through `memo`.
     """
     if len(reservoirs) != 3:
         raise ParameterError(f"expected three reservoirs, got {len(reservoirs)}")
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise ParameterError(f"t must be a scalar or a 1-d time array, got shape {ts.shape}")
-    if memo is None:
-        memo = {}
     times = ts.reshape(-1).tolist()
-    keys = [(res, tv, method) for tv in times for res in reservoirs]
-    for key in keys:
-        if key not in memo:
-            memo[key] = gamma(*key)
-    damps = np.array([math.exp(-memo[key]) for key in keys]).reshape(-1, 3)
+    damps = np.array([math.exp(-g) for g in gammas(reservoirs, times, method, memo)]).reshape(-1, 3)
     # per-qubit factor exp(-Gamma_X) where qubit X flips, 1 elsewhere; the
     # product order matches np.kron(np.kron(A, B), C)
     a, b, c = (np.where(_FLIPS[x], damps[:, x, None, None], 1.0) for x in range(3))

@@ -5,12 +5,16 @@ X-state forms plus the GHZ-Werner scalar form), bipartition and tripartite
 negativity, and l1-norm coherence.  All of them are insensitive to the
 deterministic phases the dephasing map attaches to coherences.  Each
 measure validates its input, unless it is given a `DensityStack`, which
-was validated when it was built.
+was validated when it was built.  For the dephased GHZ- and W-Werner
+states every measure also has a Gamma-space kernel, a closed form in x and
+the three damping factors exp(-Gamma_X) (`GHZWernerKernel`,
+`WWernerKernel`).
 """
 
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -88,14 +92,18 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
+def _check_x_shape(worst: float, where: tuple[int, int]) -> None:
+    """The X-shape rule: `worst`, the largest off-X modulus (first, in row-major
+    order, at element `where`), must stay below X_SHAPE_TOL."""
+    if worst >= X_SHAPE_TOL:
+        raise ShapeError(f"matrix is not X-shaped: element {where} has modulus {worst:.3e}")
+
+
 def _assert_x_shaped(rho: np.ndarray) -> None:
     mags = np.where(_OFF_X, _modulus(rho), 0.0)
-    worst = float(mags.max())
-    if worst >= X_SHAPE_TOL:
-        worst_idx = tuple(int(i) for i in np.unravel_index(np.argmax(mags), mags.shape)[-2:])
-        raise ShapeError(
-            f"matrix is not X-shaped: element {worst_idx} has modulus {worst:.3e}"
-        )
+    first = int(np.argmax(mags))  # the worst matrix's first largest entry
+    where = tuple(int(i) for i in np.unravel_index(first, mags.shape)[-2:])
+    _check_x_shape(float(mags.flat[first]), where)
 
 
 def gmc_x_state(rho):
@@ -128,7 +136,12 @@ def gmc_ghz_werner(x: float, gamma_total: float) -> float:
     check_mixing(x)
     if gamma_total < 0.0:
         raise ParameterError(f"total decoherence exponent must be >= 0, got {gamma_total!r}")
-    return max(0.0, x * math.exp(-gamma_total) - 0.75 * (1.0 - x))
+    return _ghz_gmc(x, math.exp(-gamma_total))
+
+
+def _ghz_gmc(x: float, damping: float) -> float:
+    """GHZ-Werner GMC from the damping exp(-(Gamma_A + Gamma_B + Gamma_C)) of its coherence."""
+    return max(0.0, x * damping - 0.75 * (1.0 - x))
 
 
 def negativity(rho, subsystem: int):
@@ -155,9 +168,14 @@ def tripartite_negativity(rho):
     matrix gives a float.
     """
     stack = _checked(rho)
-    f0, f1, f2 = (negativity(stack, subsystem) for subsystem in range(3))
+    factors = (negativity(stack, subsystem) for subsystem in range(3))
+    return per_matrix(_geometric_mean(*factors), stack.array)
+
+
+def _geometric_mean(f0, f1, f2):
+    """cbrt(f0 f1 f2), exactly 0.0 where a factor is 0; floats give a 0-d array."""
     dead = (f0 == 0.0) | (f1 == 0.0) | (f2 == 0.0)
-    return per_matrix(np.where(dead, 0.0, np.cbrt(f0 * f1 * f2)), stack.array)
+    return np.where(dead, 0.0, np.cbrt(f0 * f1 * f2))
 
 
 def l1_coherence(rho):
@@ -171,3 +189,67 @@ def l1_coherence(rho):
     total = mags.reshape(a.shape[:-2] + (DIM * DIM,)).sum(axis=-1)
     return per_matrix(total - np.trace(mags, axis1=-2, axis2=-1), a)
 
+
+# Gamma-space kernels: each measure of a dephased Werner state in closed form
+# in x and the damping factors d = (d_A, d_B, d_C), d_X = exp(-Gamma_X), with
+# c_XY = d_X d_Y damping a coherence where X and Y flip.  Each equals the
+# matrix measure on the evolved state up to round-off, with the same zero
+# rules (`_negativity_from`, `_check_x_shape`).
+
+
+def _negativity_from(lam: float) -> float:
+    """`negativity` of a partial transpose whose only eigenvalue that can be
+    negative is lam: -2 lam below -ZERO_EIGENVALUE_TOL, else 0.0."""
+    return -2.0 * lam if lam < -ZERO_EIGENVALUE_TOL else 0.0
+
+
+class WernerKernel:
+    """The six measures of one dephased Werner family, each as f(x, d)."""
+
+    def negativity(self, x: float, d: Sequence[float], subsystem: int) -> float:
+        raise NotImplementedError
+
+    def tripartite_negativity(self, x: float, d: Sequence[float]) -> float:
+        return float(_geometric_mean(*(self.negativity(x, d, s) for s in range(3))))
+
+
+class GHZWernerKernel(WernerKernel):
+    """The coherence |000><111| is damped by exp(-S) = d_A d_B d_C; every
+    partial transpose moves it onto a 2x2 block with eigenvalues
+    (1-x)/8 +- (x/2) exp(-S)."""
+
+    @staticmethod
+    def _damping(d: Sequence[float]) -> float:
+        return (d[0] * d[1]) * d[2]
+
+    def gmc(self, x: float, d: Sequence[float]) -> float:
+        return _ghz_gmc(x, self._damping(d))
+
+    def negativity(self, x: float, d: Sequence[float], subsystem: int) -> float:
+        return _negativity_from((1.0 - x) / 8.0 - 0.5 * x * self._damping(d))
+
+    def l1_coherence(self, x: float, d: Sequence[float]) -> float:
+        return x * self._damping(d)
+
+
+class WWernerKernel(WernerKernel):
+    """The coherences of |001>, |010>, |100> are (x/3) c_BC, (x/3) c_AC and
+    (x/3) c_AB.  The partial transpose on X moves the two that involve X onto a
+    3x3 arrow block with diagonal (1-x)/8, whose smallest eigenvalue is
+    (1-x)/8 - (x/3) sqrt(c_XY^2 + c_XZ^2); the other block is positive."""
+
+    def gmc(self, x: float, d: Sequence[float]) -> float:
+        # the off-X entries (1, 2), (1, 4), (2, 4) in row-major order; the
+        # anti-diagonal is empty, so an X-shaped W-Werner state has GMC 0
+        moduli = (x / 3.0 * (d[1] * d[2]), x / 3.0 * (d[0] * d[2]), x / 3.0 * (d[0] * d[1]))
+        first = max(range(3), key=moduli.__getitem__)
+        _check_x_shape(moduli[first], ((1, 2), (1, 4), (2, 4))[first])
+        return 0.0
+
+    def negativity(self, x: float, d: Sequence[float], subsystem: int) -> float:
+        y, z = (q for q in range(3) if q != subsystem)
+        radius = math.hypot(d[subsystem] * d[y], d[subsystem] * d[z])
+        return _negativity_from((1.0 - x) / 8.0 - x / 3.0 * radius)
+
+    def l1_coherence(self, x: float, d: Sequence[float]) -> float:
+        return 2.0 * x / 3.0 * ((d[0] * d[1] + d[0] * d[2]) + d[1] * d[2])

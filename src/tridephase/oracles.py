@@ -13,10 +13,17 @@ import math
 import numpy as np
 
 from . import reservoir
-from .analysis import make_reservoirs, preservation_time_numeric, preservation_time_zero_t
-from .evolution import dephasing_factors, evolve
-from .exceptions import ParameterError
-from .measures import gmc_ghz_werner, gmc_x_state
+from .analysis import (
+    KERNELS,
+    MEASURES,
+    STATES,
+    make_reservoirs,
+    preservation_time_numeric,
+    preservation_time_zero_t,
+)
+from .evolution import dephasing_factors, evolve, gammas
+from .exceptions import ParameterError, TridephaseError
+from .measures import DensityStack, gmc_ghz_werner, gmc_x_state
 from .reservoir import ZERO_TEMPERATURE, GammaMethod, OhmicSpectralDensity, ReservoirSpec
 from .states import check_mixing, ghz_state, werner
 
@@ -105,6 +112,48 @@ def sinh_residual() -> float:
     return worst
 
 
+def _outcome(fn, *args):
+    """fn(*args), or the text of the package error it raises."""
+    try:
+        return fn(*args)
+    except TridephaseError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def kernels_vs_pipeline() -> float:
+    """Gamma-space kernels vs the matrix pipeline: worst |difference| over every
+    (state, measure); inf where one raises and the other does not, or raises
+    another text.
+
+    40 random exact-Gamma reservoir sets and x, each over 61 times, both
+    Werner families and all six measures.  A measure that raises on the
+    stack is compared row by row.
+    """
+    rng = np.random.default_rng(2021)
+    times = np.linspace(0.0, 3.0, 61)
+    worst = 0.0
+    for _ in range(40):
+        x = float(rng.uniform(0.0, 1.0))
+        eta, beta_a, k1, k2 = rng.uniform((0.05, 0.1, 0.5, 0.5), (0.5, 100.0, 16.0, 16.0)).tolist()
+        reservoirs = make_reservoirs(eta, 1.0, beta_a, k1, k2, (1.5, 2.0, 2.5))
+        factors = dephasing_factors(reservoirs, times, GammaMethod.EXACT)
+        damps = np.exp(-np.array(gammas(reservoirs, times.tolist(), GammaMethod.EXACT)))
+        for state, psi in STATES.items():
+            stack = DensityStack(evolve(werner(psi(), x), factors))
+            for name, measure in MEASURES.items():
+                matrix = _outcome(measure, stack)
+                if isinstance(matrix, str):
+                    matrix = [_outcome(measure, row) for row in stack.rows()]
+                kernel = KERNELS[state, name]
+                closed = [_outcome(kernel, x, d) for d in damps.reshape(-1, 3).tolist()]
+                for a, b in zip(matrix, closed, strict=True):
+                    if isinstance(a, str) or isinstance(b, str):
+                        worst = worst if a == b else math.inf
+                    else:
+                        worst = max(worst, abs(a - b))
+    return worst
+
+
 # (name, oracle, what the oracle returns, tolerance)
 SELFCHECKS = (
     ("quadrature vs zero-T closed form", quadrature_vs_zero_t, "max relative error", 1e-6),
@@ -117,6 +166,12 @@ SELFCHECKS = (
         1e-8,
     ),
     ("implicit preservation-time residual", sinh_residual, "max |lhs/rhs - 1|", 1e-6),
+    (
+        "Gamma-space kernels vs matrix pipeline",
+        kernels_vs_pipeline,
+        "max absolute difference",
+        1e-14,
+    ),
 )
 
 

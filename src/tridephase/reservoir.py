@@ -209,8 +209,11 @@ def _log_gamma_ratio(x: float, y: float) -> float:
     D = sum_k 1/2 ln(1 + y^2 / (x + k)^2) over k >= 0 (DLMF 5.8.3).  The
     terms k < _STIRLING_SHIFT are summed as they stand; the rest is the
     Stirling series at u = x + _STIRLING_SHIFT, written in s = y / u so
-    that no term is a difference of nearly equal numbers.  D(x, 0) = 0.
+    that no term is a difference of nearly equal numbers.  D(x, 0) = 0, and
+    D(x, inf) = inf, since D grows without bound in y.
     """
+    if y == math.inf:
+        return math.inf
     total = 0.0
     for k in range(_STIRLING_SHIFT):
         q = y / (x + k)
@@ -270,6 +273,10 @@ def _gamma_quadrature(res: ReservoirSpec, t: float) -> float:
     beta = res.beta
     upper = spectral.support_cutoff
     omega_eps = _OMEGA_EPS_FACTOR * upper / _CUTOFF_MULTIPLE
+    # QUAD_EPSABS is an error budget for an integrand of order one; a weaker
+    # one, 8 Omega^2 J(w)/w below 1 at the flat continuation (8 Omega^2 eta
+    # for Ohmic), gets a budget that scales with it
+    epsabs = QUAD_EPSABS * min(1.0, 8.0 * omega_sq * spectral(omega_eps) / omega_eps)
 
     def integrand(w: float) -> float:
         if w < omega_eps:  # a branch, not max(): this runs ~400k times in a quadrature sweep
@@ -282,13 +289,13 @@ def _gamma_quadrature(res: ReservoirSpec, t: float) -> float:
         integrand,
         0.0,
         upper,
-        epsabs=QUAD_EPSABS,
+        epsabs=epsabs,
         epsrel=QUAD_EPSREL,
         limit=_QUAD_LIMIT,
         full_output=1,
     )
     value, abserr = result[0], result[1]
-    converged = len(result) == 3 and abserr <= 10.0 * max(QUAD_EPSABS, QUAD_EPSREL * abs(value))
+    converged = len(result) == 3 and abserr <= 10.0 * max(epsabs, QUAD_EPSREL * abs(value))
     if not converged:
         raise QuadratureError(
             f"decoherence integral did not converge (error estimate {abserr:.3e})",

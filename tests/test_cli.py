@@ -393,11 +393,11 @@ def test_selfcheck_passes(capsys):
     code, out, _ = run(capsys, ["selfcheck"])
     assert code == 0
     lines = [line for line in out.splitlines() if line]
-    assert len(lines) == 5
+    assert len(lines) == 6
     assert all(line.startswith("PASS") for line in lines)
     labels = [
         "max relative error", "max relative deviation", "max absolute difference",
-        "max relative error", "max |lhs/rhs - 1|",
+        "max relative error", "max |lhs/rhs - 1|", "max absolute difference",
     ]
     for line, label in zip(lines, labels):
         assert line.split(": ", 1)[1].startswith(f"{label} ")
@@ -528,8 +528,10 @@ def test_evolve_reports_a_failed_gamma_as_an_error(capsys):
 
 
 def test_grid_rows_carry_a_nan_gamma_under_its_method(capsys):
+    # 1 / beta_a overflows while t / beta_a stays finite: the thermal term of
+    # `exact` is NaN there
     code, out, err = run(capsys, [
-        "measure", "--set", "method=exact", "--set", "beta_a=1e-310", "--set", "omega_c=1e-10",
+        "measure", "--set", "method=exact", "--set", "beta_a=1e-310", "--set", "t_stop=0.01",
         "--set", "t_count=3",
     ])
     assert code == 0 and err == ""
@@ -538,6 +540,19 @@ def test_grid_rows_carry_a_nan_gamma_under_its_method(capsys):
     for row in rows:
         assert row["value"] == "nan"
         assert row["error"].startswith("MethodError: method exact gives Gamma = nan at t = ")
+
+
+@pytest.mark.parametrize("settings", [
+    ["--set", "beta_a=1e-308"],
+    ["--set", "beta_a=1e-310", "--set", "omega_c=1e-10"],
+])
+def test_exact_gamma_is_full_damping_where_t_over_beta_overflows(capsys, settings):
+    argv = ["measure", "--set", "method=exact", *settings, "--set", "t_count=3"]
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    rows = read_csv(out)
+    assert [row["error"] for row in rows] == [""] * 3
+    assert [row["value"] for row in rows[1:]] == ["0", "0"]
 
 
 @pytest.mark.parametrize("settings", [

@@ -114,6 +114,8 @@ def channels(draw):
 
 
 HOT = tuple(ReservoirSpec(OhmicSpectralDensity(0.3, 1.0), 1e-4, OMEGA) for _ in range(3))
+# Gamma ~ 1.4e-10: a weak bath the quadrature must resolve below its absolute tolerance
+WEAK = tuple(ReservoirSpec(OhmicSpectralDensity(1e-12, 6.5), 1.0, OMEGA) for _ in range(3))
 
 
 @given(channel=channels())
@@ -121,6 +123,7 @@ HOT = tuple(ReservoirSpec(OhmicSpectralDensity(0.3, 1.0), 1e-4, OMEGA) for _ in 
 @example(channel=(reservoirs(eta=40.0), 30.0, GammaMethod.ZERO_T_CLOSED_FORM))
 @example(channel=(reservoirs(eta=40.0), [0.0, 1.0, 30.0], GammaMethod.EXACT))
 @example(channel=(HOT, [1e-9 * 1e-4 / math.pi, 1e-3 * 1e-4 / math.pi], GammaMethod.LOW_T_CLOSED_FORM))
+@example(channel=(WEAK, 3.0, GammaMethod.NUMERIC_QUADRATURE))
 @settings(max_examples=80, deadline=None)
 def test_dephasing_factors_invariants(channel):
     """The invariants that follow from Gamma >= 0 hold bit for bit."""

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from tridephase.evolution import dephasing_factors, evolve
 from tridephase.exceptions import ParameterError, ShapeError
 from tridephase.measures import (
+    WWernerKernel,
     gmc_ghz_werner,
     gmc_pure,
     gmc_x_state,
@@ -153,15 +154,9 @@ def test_l1_coherence_evolved_w_werner():
 
 
 def w_werner_negativity(x, gammas, subsystem):
-    """2 max(0, (x/3) sqrt(c_XY^2 + c_XZ^2) - (1-x)/8), with c_XY = exp(-(Gamma_X + Gamma_Y)).
-
-    The partial transpose on X moves the two W coherences that involve X
-    onto a 3x3 arrow block with diagonal (1-x)/8 and off-diagonal entries
-    (x/3) c_XY and (x/3) c_XZ; its least eigenvalue gives the negativity.
-    """
-    others = [y for y in range(3) if y != subsystem]
-    c = [math.exp(-(gammas[subsystem] + gammas[y])) for y in others]
-    return 2.0 * max(0.0, (x / 3.0) * math.hypot(*c) - (1.0 - x) / 8.0)
+    """The W-Werner kernel's N_X|YZ: -2 lam below -1e-12, with
+    lam = (1-x)/8 - (x/3) sqrt(c_XY^2 + c_XZ^2)."""
+    return WWernerKernel().negativity(x, [math.exp(-g) for g in gammas], subsystem)
 
 
 def test_w_werner_negativity_closed_form_on_every_bipartition():

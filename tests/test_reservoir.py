@@ -231,6 +231,26 @@ def test_gamma_rejects_a_nan_gamma_by_method_time_and_value():
     assert gamma(res, 0.0, GammaMethod.EXACT) == 0.0
 
 
+@pytest.mark.parametrize("x", [1.0, 1.5, 1e300])
+def test_log_gamma_ratio_is_infinite_at_infinite_y(x):
+    assert reservoir._log_gamma_ratio(x, math.inf) == math.inf
+
+
+def test_exact_gamma_is_infinite_where_t_over_beta_overflows():
+    # 1 / (beta w_c) = 1e308 is finite, t / beta = 3e308 is not
+    assert gamma(ohmic(beta=1e-308), 3.0, GammaMethod.EXACT) == math.inf
+
+
+@pytest.mark.parametrize("eta", [1e-14, 1e-12, 1e-11, 1e-9])
+@pytest.mark.parametrize("omega_c", [1.0, 6.5])
+def test_quadrature_holds_its_relative_tolerance_on_weak_coupling(eta, omega_c):
+    # a fixed absolute tolerance of 1e-10 is as large as Gamma itself here
+    res = ohmic(eta=eta, omega_c=omega_c, beta=1.0, omega=2.0)
+    for t in (0.1, 3.0):
+        exact = gamma_exact(res, t)
+        assert abs(gamma(res, t, GammaMethod.NUMERIC_QUADRATURE) - exact) <= 1e-8 * exact
+
+
 @pytest.mark.parametrize("value", [-1e-300, -math.inf, math.nan])
 def test_gamma_rejects_a_negative_or_nan_value_of_any_method(monkeypatch, value):
     monkeypatch.setattr(reservoir, "gamma_low_t", lambda res, t: value)

@@ -113,3 +113,16 @@ def test_repeated_cli_value_prints_its_rows_twice(capsys):
     assert twice[0] == once[0]
     rows = once[1:]
     assert twice[1:] == [row for i in (0, 3) for row in (rows[i : i + 3] * 2)]
+
+
+def test_root_finders_evaluate_no_matrices(monkeypatch):
+    counts = count_calls(monkeypatch, analysis, ("dephasing_factors", "evolve", "gammas"))
+    # at zero temperature k1 is unused: 2 distinct reservoir sets (one per eta),
+    # and 2 x times 4 (eta, k1) tuples make 8 stacks
+    grid = zero_t_grid(etas=[0.1, 0.2], k1s=[1.0, 4.0])
+    curves = run_sweep(grid)
+    assert len(curves) == 16
+    assert all(curve.timescales.error is None for curve in curves)
+    assert counts["dephasing_factors"] == 2 and counts["evolve"] == 8
+    # every root-finder step takes its three Gamma from the shared table
+    assert counts["gammas"] > 20 * len(curves)

@@ -4,8 +4,8 @@ Preservation time t_p is the last time a correlation measure stays above
 the dead threshold (1e-12); characteristic time T_c is the end of the
 initial plateau (first drop of a fraction epsilon below the starting
 value).  Sweeps evaluate the matrix pipeline over a Cartesian parameter
-grid, find the time scales on the measures' Gamma-space kernels, and are
-bitwise deterministic.
+grid, find the time scales on the measures' Gamma-space closed forms, and
+are bitwise deterministic.
 """
 
 from __future__ import annotations
@@ -57,13 +57,18 @@ STATES: dict[str, Callable[[], np.ndarray]] = {
 }
 
 
-def _kernels(state: str, family: WernerKernel) -> dict:
+def _kernels(state: str, family: WernerKernel, margins: bool = False) -> dict:
+    gmc, tripartite, negativity = (
+        (family.gmc_margin, family.tripartite_negativity_margin, family.negativity_margin)
+        if margins
+        else (family.gmc, family.tripartite_negativity, family.negativity)
+    )
     return {
-        (state, "gmc"): family.gmc,
-        (state, "tripartite_negativity"): family.tripartite_negativity,
-        (state, "negativity_a_bc"): lambda x, d: family.negativity(x, d, 0),
-        (state, "negativity_b_ac"): lambda x, d: family.negativity(x, d, 1),
-        (state, "negativity_c_ab"): lambda x, d: family.negativity(x, d, 2),
+        (state, "gmc"): gmc,
+        (state, "tripartite_negativity"): tripartite,
+        (state, "negativity_a_bc"): lambda x, d: negativity(x, d, 0),
+        (state, "negativity_b_ac"): lambda x, d: negativity(x, d, 1),
+        (state, "negativity_c_ab"): lambda x, d: negativity(x, d, 2),
         (state, "l1_coherence"): family.l1_coherence,
     }
 
@@ -74,6 +79,14 @@ def _kernels(state: str, family: WernerKernel) -> dict:
 KERNELS: dict[tuple[str, str], Callable[[float, Sequence[float]], float]] = {
     **_kernels("ghz", GHZWernerKernel()),
     **_kernels("w", WWernerKernel()),
+}
+
+# (state, measure) -> the kernel before its clip at 0, as f(x, d): it exceeds
+# DEAD_THRESHOLD exactly where the kernel does and keeps falling after the
+# kernel is dead, so the search for t_p can interpolate on it
+MARGINS: dict[tuple[str, str], Callable[[float, Sequence[float]], float]] = {
+    **_kernels("ghz", GHZWernerKernel(), margins=True),
+    **_kernels("w", WWernerKernel(), margins=True),
 }
 
 PARAM_FIELDS = (
@@ -99,24 +112,48 @@ def preservation_time_zero_t(x: float, eta: float, omega_sq: float, omega_c: flo
     return math.sqrt(ratio ** (1.0 / (2.0 * eta * omega_sq)) - 1.0) / omega_c
 
 
-def _bisect(
+def _itp(
     curve: Callable[[float], float],
     alive: Callable[[float], bool],
-    lo: float,
-    hi: float,
+    level: float,
+    lo: tuple[float, float],
+    hi: tuple[float, float],
 ) -> float:
-    """Midpoint of [lo, hi] after halving it until hi - lo <= ROOT_REL_TOL * hi.
+    """Midpoint of [lo, hi] after shrinking it until hi - lo <= ROOT_REL_TOL * hi.
 
-    The curve is alive at lo and not alive at hi; each step keeps the half
-    where that still holds.
+    `lo` and `hi` are (t, curve(t)) pairs; the curve is alive at lo and not
+    alive at hi, and each step keeps the part where that still holds.  A
+    step is one of ITP (Oliveira & Takahashi, ACM TOMS 47(1), 5, 2021) on
+    curve(t) - level, with kappa1 = 0.2 / width, kappa2 = 2 and n0 = 1: the
+    regula falsi point, moved towards the midpoint by
+    delta = max(kappa1 (hi - lo)^2, ROOT_REL_TOL hi / 4), and kept within
+    r_j = 0.99 width 2^-j - (hi - lo) / 2 of the midpoint.  The floor on
+    delta steps over a root that the falsi point has found to round-off.
+    r_j stands for eps 2^n_1/2 = 0.99 width / 2: after j + 1 steps the
+    bracket is at most 0.99 times bisection's after j, so on a monotone
+    curve the search ends by one step after bisection would.
     """
-    while hi - lo > ROOT_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if alive(curve(mid)):
-            lo = mid
+    (a, fa), (b, fb) = lo, hi
+    fa, fb = fa - level, fb - level
+    width = b - a
+    j = 0
+    while b - a > ROOT_REL_TOL * b:
+        mid = 0.5 * (a + b)
+        radius = 0.99 * width * 0.5**j - 0.5 * (b - a)
+        # fa >= 0 >= fb and fa > fb put falsi in [a, b]; a NaN value gives the midpoint
+        falsi = a + (b - a) * (fa / (fa - fb))
+        sigma = math.copysign(1.0, mid - falsi)
+        delta = max(0.2 / width * (b - a) ** 2, 0.25 * ROOT_REL_TOL * b)
+        t = falsi + sigma * delta if delta <= abs(mid - falsi) else mid
+        if not abs(t - mid) <= radius:
+            t = mid - sigma * radius
+        v = curve(t)
+        if alive(v):
+            a, fa = t, v - level
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            b, fb = t, v - level
+        j += 1
+    return 0.5 * (a + b)
 
 
 def _sampled_curve(
@@ -158,9 +195,12 @@ def preservation_time_numeric(
 
     The curve is sampled as `samples=(times, values)`, a grid ending at
     t_max, or by default at 0 and t_max 2^-k for k = 48 ... 0.  The bracket
-    [t_i, t_i+1] around the last sample above the threshold is bisected to
-    relative width ROOT_REL_TOL, so a curve that dies, revives and dies again
-    gives its last crossing to grid resolution.
+    [t_i, t_i+1] around the last sample above the threshold is searched by
+    `_itp` to relative width ROOT_REL_TOL, so a curve that dies, revives and
+    dies again gives its last crossing to grid resolution.  `measure_curve`
+    may be the measure or a margin for it (MARGINS): a curve that exceeds
+    DEAD_THRESHOLD exactly where the measure does, whose values below the
+    threshold guide the search where the clipped measure is flat.
     """
     ts, vs = _sampled_curve(measure_curve, t_max, samples, "preservation time")
     if vs[0] <= DEAD_THRESHOLD:
@@ -172,7 +212,7 @@ def preservation_time_numeric(
         return v > DEAD_THRESHOLD
 
     i = max(k for k, v in enumerate(vs) if alive(v))
-    return _bisect(measure_curve, alive, ts[i], ts[i + 1])
+    return _itp(measure_curve, alive, DEAD_THRESHOLD, (ts[i], vs[i]), (ts[i + 1], vs[i + 1]))
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -196,8 +236,8 @@ def characteristic_time(
 
     Returns (t_max, reached=False) when the curve never crosses.  The curve
     is sampled as in `preservation_time_numeric`, and the bracket
-    [t_i-1, t_i] around the first sample below the target is bisected to
-    relative width ROOT_REL_TOL.
+    [t_i-1, t_i] around the first sample below the target is searched by
+    `_itp` to relative width ROOT_REL_TOL.
     """
     _check_epsilon(epsilon)
     ts, vs = _sampled_curve(measure_curve, t_max, samples, "characteristic time")
@@ -209,7 +249,8 @@ def characteristic_time(
     if alive(vs[-1]):
         return CharacteristicTime(t_max, False)
     i = next(k for k, v in enumerate(vs) if not alive(v))
-    return CharacteristicTime(_bisect(measure_curve, alive, ts[i - 1], ts[i]), True)
+    t_c = _itp(measure_curve, alive, target, (ts[i - 1], vs[i - 1]), (ts[i], vs[i]))
+    return CharacteristicTime(t_c, True)
 
 
 def freezing_intervals(ts: Sequence[float], values: Sequence[float]) -> list[tuple[float, float]]:
@@ -480,7 +521,8 @@ def _measure_curve(
 
 
 def _timescales(
-    curve: Callable[[float], float],
+    margin: Callable[[float], float],
+    kernel: Callable[[float], float],
     grid: SweepGrid,
     times: np.ndarray,
     values: list,
@@ -488,20 +530,23 @@ def _timescales(
 ) -> TimescaleResult:
     """t_p, T_c and freezing of one curve sampled at `times`, in units of 1/omega_c.
 
-    The root finders and the freezing detection run on the channel times;
-    t_p and a reached T_c are then multiplied by omega_c, while an unreached
-    T_c (the last sample) and each end of a freezing interval are reported
-    at the grid.times() of their samples.  A failed channel,
+    The root finders and the freezing detection run on the channel times:
+    t_p on the curve's margin and T_c on its kernel, with t = 0 and its
+    kernel value in front of a grid that starts later.  t_p and a reached
+    T_c are then multiplied by omega_c, while an unreached T_c (the last
+    sample) and each end of a freezing interval are reported at the
+    grid.times() of their samples.  A failed channel,
     a failed row or a failed root search all end here, as the error of the
     curve's time scales (the first row error wins).
     """
     error = next((e for e in errors if e is not None), None)
     if error is None:
         try:
-            samples = (times, values)
+            head = ([0.0], [kernel(0.0)]) if times[0] > 0.0 else ([], [])
+            samples = (head[0] + times.tolist(), head[1] + values)
             t_max = float(times[-1])
-            t_p = preservation_time_numeric(curve, t_max, samples=samples)
-            t_c, reached = characteristic_time(curve, t_max, grid.epsilon, samples=samples)
+            t_p = preservation_time_numeric(margin, t_max, samples=samples)
+            t_c, reached = characteristic_time(kernel, t_max, grid.epsilon, samples=samples)
             # a curve already dead at its first sample has nothing to freeze
             freezing = [] if values[0] <= 0.0 else freezing_intervals(times, np.asarray(values))
             grid_time = dict(zip(times.tolist(), grid.times().tolist()))
@@ -516,6 +561,21 @@ def _timescales(
     return TimescaleResult(math.nan, math.nan, False, [], error)
 
 
+def _gamma_curve(
+    form: Callable[[float, Sequence[float]], float],
+    x: float,
+    reservoirs: tuple[ReservoirSpec, ...],
+    method: GammaMethod,
+    memo: dict,
+) -> Callable[[float], float]:
+    """t -> form(x, d), d_X = exp(-Gamma_X(t)) with each Gamma through `memo`."""
+
+    def curve(t: float) -> float:
+        return form(x, [math.exp(-g) for g in gammas(reservoirs, (t,), method, memo)])
+
+    return curve
+
+
 def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     """Every measure's curve at every parameter tuple, in lexicographic order.
 
@@ -526,10 +586,12 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     units: `parameters` as configured, and t_p, T_c and the
     freezing intervals in units of 1/omega_c.  One Gamma memo per call
     serves the grid and every root-finder evaluation.  A root-finder step
-    evaluates the curve in closed form, as KERNELS[state, measure] at the
-    three Gamma of its time; the grid's matrices are the values printed.  A
-    recorded error is an evaluation failure (channel, measure or root
-    finder); it never aborts the sweep.
+    evaluates the curve in closed form at the three Gamma of its time: the
+    search for t_p its margin, MARGINS[state, measure], passed to
+    `preservation_time_numeric` as its curve, and the search for T_c its
+    kernel, KERNELS[state, measure]; the grid's matrices are the values
+    printed.  A recorded error is an evaluation failure (channel, measure
+    or root finder); it never aborts the sweep.
     """
     times = grid.channel_times()
     curves: list[CurveResult] = []
@@ -562,12 +624,10 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
                 values, errors = _measure_curve(fn, evolved, checked)
             timescales = None
             if grid.include_timescales:
-                kernel = KERNELS[grid.state, name]
-
-                def curve(t: float) -> float:
-                    damps = [math.exp(-g) for g in gammas(reservoirs, (t,), grid.method, memo)]
-                    return kernel(x, damps)
-
-                timescales = _timescales(curve, grid, times, values, errors)
+                margin, kernel = (
+                    _gamma_curve(forms[grid.state, name], x, reservoirs, grid.method, memo)
+                    for forms in (MARGINS, KERNELS)
+                )
+                timescales = _timescales(margin, kernel, grid, times, values, errors)
             curves.append(CurveResult(name, params, values, errors, timescales))
     return curves

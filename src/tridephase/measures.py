@@ -141,7 +141,12 @@ def gmc_ghz_werner(x: float, gamma_total: float) -> float:
 
 def _ghz_gmc(x: float, damping: float) -> float:
     """GHZ-Werner GMC from the damping exp(-(Gamma_A + Gamma_B + Gamma_C)) of its coherence."""
-    return max(0.0, x * damping - 0.75 * (1.0 - x))
+    return max(0.0, _ghz_gmc_margin(x, damping))
+
+
+def _ghz_gmc_margin(x: float, damping: float) -> float:
+    """x exp(-S) - 3(1 - x)/4, the GHZ-Werner GMC before its clip at 0."""
+    return x * damping - 0.75 * (1.0 - x)
 
 
 def negativity(rho, subsystem: int):
@@ -178,6 +183,9 @@ def _geometric_mean(f0, f1, f2):
     return np.where(dead, 0.0, np.cbrt(f0 * f1 * f2))
 
 
+_OFF_DIAGONAL = ~np.eye(DIM, dtype=bool)
+
+
 def l1_coherence(rho):
     """Sum of the moduli of all off-diagonal elements.
 
@@ -185,16 +193,17 @@ def l1_coherence(rho):
     matrix gives a float.
     """
     a = _checked(rho).array
-    mags = np.abs(a)
-    total = mags.reshape(a.shape[:-2] + (DIM * DIM,)).sum(axis=-1)
-    return per_matrix(total - np.trace(mags, axis1=-2, axis2=-1), a)
+    moduli = np.where(_OFF_DIAGONAL, np.abs(a), 0.0)
+    return per_matrix(moduli.reshape(a.shape[:-2] + (DIM * DIM,)).sum(axis=-1), a)
 
 
 # Gamma-space kernels: each measure of a dephased Werner state in closed form
 # in x and the damping factors d = (d_A, d_B, d_C), d_X = exp(-Gamma_X), with
 # c_XY = d_X d_Y damping a coherence where X and Y flip.  Each equals the
 # matrix measure on the evolved state up to round-off, with the same zero
-# rules (`_negativity_from`, `_check_x_shape`).
+# rules (`_negativity_from`, `_check_x_shape`).  Each also has a margin, the
+# form before its clip at 0, which exceeds ZERO_EIGENVALUE_TOL exactly where
+# the measure does and goes on falling after the measure is dead.
 
 
 def _negativity_from(lam: float) -> float:
@@ -204,13 +213,25 @@ def _negativity_from(lam: float) -> float:
 
 
 class WernerKernel:
-    """The six measures of one dephased Werner family, each as f(x, d)."""
+    """The six measures of one dephased Werner family, each as f(x, d), and
+    their margins."""
+
+    def pt_eigenvalue(self, x: float, d: Sequence[float], subsystem: int) -> float:
+        """The one eigenvalue of the partial transpose on `subsystem` that can be negative."""
+        raise NotImplementedError
 
     def negativity(self, x: float, d: Sequence[float], subsystem: int) -> float:
-        raise NotImplementedError
+        return _negativity_from(self.pt_eigenvalue(x, d, subsystem))
 
     def tripartite_negativity(self, x: float, d: Sequence[float]) -> float:
         return float(_geometric_mean(*(self.negativity(x, d, s) for s in range(3))))
+
+    def negativity_margin(self, x: float, d: Sequence[float], subsystem: int) -> float:
+        return -self.pt_eigenvalue(x, d, subsystem)
+
+    def tripartite_negativity_margin(self, x: float, d: Sequence[float]) -> float:
+        # the geometric mean is alive exactly where all three factors are
+        return min(self.negativity_margin(x, d, s) for s in range(3))
 
 
 class GHZWernerKernel(WernerKernel):
@@ -225,8 +246,11 @@ class GHZWernerKernel(WernerKernel):
     def gmc(self, x: float, d: Sequence[float]) -> float:
         return _ghz_gmc(x, self._damping(d))
 
-    def negativity(self, x: float, d: Sequence[float], subsystem: int) -> float:
-        return _negativity_from((1.0 - x) / 8.0 - 0.5 * x * self._damping(d))
+    def gmc_margin(self, x: float, d: Sequence[float]) -> float:
+        return _ghz_gmc_margin(x, self._damping(d))
+
+    def pt_eigenvalue(self, x: float, d: Sequence[float], subsystem: int) -> float:
+        return (1.0 - x) / 8.0 - 0.5 * x * self._damping(d)
 
     def l1_coherence(self, x: float, d: Sequence[float]) -> float:
         return x * self._damping(d)
@@ -246,10 +270,12 @@ class WWernerKernel(WernerKernel):
         _check_x_shape(moduli[first], ((1, 2), (1, 4), (2, 4))[first])
         return 0.0
 
-    def negativity(self, x: float, d: Sequence[float], subsystem: int) -> float:
+    gmc_margin = gmc  # 0.0 or ShapeError; it has no pre-clip form
+
+    def pt_eigenvalue(self, x: float, d: Sequence[float], subsystem: int) -> float:
         y, z = (q for q in range(3) if q != subsystem)
         radius = math.hypot(d[subsystem] * d[y], d[subsystem] * d[z])
-        return _negativity_from((1.0 - x) / 8.0 - x / 3.0 * radius)
+        return (1.0 - x) / 8.0 - x / 3.0 * radius
 
     def l1_coherence(self, x: float, d: Sequence[float]) -> float:
         return 2.0 * x / 3.0 * ((d[0] * d[1] + d[0] * d[2]) + d[1] * d[2])

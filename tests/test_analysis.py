@@ -4,9 +4,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tridephase import evolution
 from tridephase.analysis import (
+    DEAD_THRESHOLD,
     DEFAULT_EPSILON,
     PARAM_FIELDS,
     ROOT_REL_TOL,
@@ -431,6 +433,97 @@ def test_sampled_bracket_validation():
         preservation_time_numeric(curve, 1.0, samples=([0.0, 1.0], [0.0, 0.0]))
     with pytest.raises(NoCorrelationError):
         characteristic_time(curve, 1.0, samples=([0.0, 1.0], [math.nan, 0.0]))
+
+
+def bisection(alive, lo, hi):
+    """The search the root finders made before ITP: the midpoint of [lo, hi]
+    after halving it until hi - lo <= ROOT_REL_TOL * hi, and its step count."""
+    steps = 0
+    while hi - lo > ROOT_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if alive(mid) else (lo, mid)
+        steps += 1
+    return 0.5 * (lo + hi), steps
+
+
+def power_curve(level, root, power, scale):
+    """A decreasing curve that falls through `level` at `root` like (root - t)^power."""
+    return lambda t: level + math.copysign(scale * abs(root - t) ** power, root - t)
+
+
+def searched(finder, curve, bracket, sampled_as, *args):
+    """`finder`'s result with samples of `sampled_as` at 0 and the bracket ends,
+    and the times at which it evaluated `curve`."""
+    asked = []
+
+    def watched(t):
+        asked.append(t)
+        return curve(t)
+
+    ts = sorted({0.0, *bracket})
+    result = finder(watched, bracket[1], *args, samples=(ts, [sampled_as(t) for t in ts]))
+    return result, asked
+
+
+@given(
+    lo=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+    width=st.floats(1e-3, 10.0),
+    where=st.floats(0.0, 1.0, exclude_min=True),
+    power=st.floats(0.2, 5.0),
+    scale=st.floats(1e-6, 10.0),
+)
+@example(lo=0.0, width=1.0, where=1.0, power=1.0, scale=1.0)  # the root at hi
+@example(lo=0.15, width=0.05, where=0.05, power=2.0, scale=1.0)
+@example(lo=2.0, width=0.001, where=0.5, power=0.2, scale=1e-6)
+@settings(max_examples=200, deadline=None)
+def test_root_search_takes_at_most_one_step_more_than_bisection(lo, width, where, power, scale):
+    hi = lo + width
+    root = lo + where * width
+    margin = power_curve(DEAD_THRESHOLD, root, power, scale)
+
+    def alive(t):
+        return margin(t) > DEAD_THRESHOLD
+
+    assume(alive(lo) and not alive(hi))
+    expected, steps = bisection(alive, lo, hi)
+
+    def clipped(t):
+        return max(0.0, margin(t))
+
+    # t_p on the margin, on the clipped curve (a flat dead side), and on the
+    # margin with the clipped curve's end values, as run_sweep searches it
+    for curve, sampled_as in ((margin, margin), (clipped, clipped), (margin, clipped)):
+        t_p, asked = searched(preservation_time_numeric, curve, (lo, hi), sampled_as)
+        assert len(asked) <= steps + 1
+        assert abs(t_p - expected) <= ROOT_REL_TOL * max(t_p, expected)
+
+    # T_c on a curve that falls through (1 - epsilon) of its start at the root
+    curve = power_curve(0.5, root, power, scale)
+    epsilon = 1.0 - 0.5 / curve(0.0)
+    target = (1.0 - epsilon) * curve(0.0)
+
+    def alive_c(t):
+        return curve(t) >= target
+
+    assume(0.0 < epsilon < 1.0 and alive_c(lo) and not alive_c(hi))
+    expected, steps = bisection(alive_c, lo, hi)
+    (t_c, reached), asked = searched(characteristic_time, curve, (lo, hi), curve, epsilon)
+    assert reached and len(asked) <= steps + 1
+    assert abs(t_c - expected) <= ROOT_REL_TOL * max(t_c, expected)
+
+
+def test_a_grid_after_t0_reads_a_dead_start_from_the_measure():
+    # negativity_a_bc is dead at x = 0.1, where its margin -lambda is -0.0875;
+    # t = 0 comes from the kernel, so the error quotes the measure, as sampled
+    grid = SweepGrid(
+        xs=[0.1], etas=[0.2], beta_as=[math.inf], k1s=[1.0], k2s=[1.0], t_start=0.5,
+        t_stop=3.0, t_count=6, omega_sqs=(4.0, 4.0, 4.0), measures=("negativity_a_bc",),
+        include_timescales=True,
+    )
+    (curve,) = run_sweep(grid)
+    assert curve.timescales.error == (
+        "NoCorrelationError: measure starts at 0.0; no preservation time exists"
+    )
 
 
 def memo_grid(**overrides):

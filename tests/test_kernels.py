@@ -7,10 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tridephase.analysis import DEAD_THRESHOLD, KERNELS, MEASURES, STATES, SweepGrid, run_sweep
+from tridephase.analysis import (
+    DEAD_THRESHOLD,
+    KERNELS,
+    MARGINS,
+    MEASURES,
+    STATES,
+    SweepGrid,
+    run_sweep,
+)
 from tridephase.evolution import energies
 from tridephase.exceptions import ShapeError
-from tridephase.measures import DensityStack, gmc_x_state
+from tridephase.measures import ZERO_EIGENVALUE_TOL, DensityStack, gmc_x_state
 from tridephase.reservoir import GammaMethod, gamma
 from tridephase.states import w_state, werner
 
@@ -30,7 +38,7 @@ def dephased(state, x, damps, omegas, t):
 
 
 def test_kernel_table_covers_every_state_and_measure():
-    assert set(KERNELS) == set(itertools.product(STATES, MEASURES))
+    assert set(KERNELS) == set(MARGINS) == set(itertools.product(STATES, MEASURES))
 
 
 @given(
@@ -42,6 +50,8 @@ def test_kernel_table_covers_every_state_and_measure():
 @example(x=0.6, gammas=[0.0, 0.0, 0.0], omegas=[2.0, 2.0, 2.0], t=0.0)
 @example(x=3.0 / 7.0, gammas=[0.0, 0.0, 0.0], omegas=[2.0, 2.0, 2.0], t=0.0)  # GHZ GMC dies here
 @example(x=0.9, gammas=[0.3, 0.3, 0.7], omegas=[1.0, 2.0, 3.0], t=1.5)
+# one small W negativity factor: the matrix tripartite value is 2.3e-15 off
+@example(x=0.9999999999999999, gammas=[0.0, 0.0, 7.0], omegas=[1.0, 1.0, 1.0], t=0.0)
 @settings(max_examples=150, deadline=None)
 def test_kernels_equal_the_matrix_pipeline(x, gammas, omegas, t):
     damps = [math.exp(-g) for g in gammas]
@@ -55,7 +65,37 @@ def test_kernels_equal_the_matrix_pipeline(x, gammas, omegas, t):
                 with pytest.raises(ShapeError):
                     kernel(x, damps)
                 continue
-            assert abs(kernel(x, damps) - matrix) <= 2e-15, (state, name)
+            tolerance = 2e-15
+            if name == "tripartite_negativity" and matrix > 0.0:
+                # the geometric mean T of three factors that are each within
+                # 2e-15 is within T/3 sum(2e-15 / N_i): a small factor's
+                # round-off grows by T / N_i
+                factors = [MEASURES[f"negativity_{cut}"](stack) for cut in ("a_bc", "b_ac", "c_ab")]
+                tolerance += matrix / 3.0 * sum(2e-15 / f for f in factors)
+            assert abs(kernel(x, damps) - matrix) <= tolerance, (state, name)
+
+
+@given(x=st.floats(0.0, 1.0), gammas=st.lists(st.floats(0.0, 40.0), min_size=3, max_size=3))
+@example(x=1e-12, gammas=[0.0, 0.0, 0.0])  # GHZ l1 is DEAD_THRESHOLD itself
+@example(x=0.2000000000016, gammas=[0.0, 0.0, 0.0])  # GHZ negativities 5.6e-18 from it
+@example(x=0.428571428572, gammas=[0.0, 0.0, 0.0])  # GHZ gmc 7.8e-17 from it
+@example(x=1.0, gammas=[27.631021115928547, 0.0, 0.0])  # GHZ l1 at the threshold
+@settings(max_examples=300, deadline=None)
+def test_margins_are_alive_exactly_where_the_kernels_are(x, gammas):
+    damps = [math.exp(-g) for g in gammas]
+    for key, kernel in KERNELS.items():
+        try:
+            value = kernel(x, damps)
+        except ShapeError:
+            with pytest.raises(ShapeError):
+                MARGINS[key](x, damps)
+            continue
+        assert (MARGINS[key](x, damps) > DEAD_THRESHOLD) == (value > DEAD_THRESHOLD), key
+
+
+def test_the_dead_threshold_is_the_zero_eigenvalue_rule():
+    # a negativity margin -lambda is alive exactly where `negativity` counts lambda
+    assert DEAD_THRESHOLD == ZERO_EIGENVALUE_TOL
 
 
 @pytest.mark.parametrize("x", [1e-11, 0.2, 0.6, 1.0])
@@ -83,9 +123,8 @@ def test_w_gmc_of_an_x_shaped_w_werner_state_is_zero():
 
 
 def test_l1_preservation_time_solves_the_closed_form_at_the_threshold():
-    # on a hot bath l1 falls through 1e-12 within the grid; there the matrix
-    # l1 (all moduli minus the trace) carries ~2e-16 of round-off, 2e-4 of
-    # the value, while the kernel x exp(-S) is exact to relative round-off
+    # on a hot bath l1 falls through 1e-12 within the grid, and the search
+    # for t_p solves x exp(-S) = 1e-12 there
     grid = SweepGrid(
         xs=[0.45], etas=[0.1], beta_as=[0.5], k1s=[1.0], k2s=[1.0], t_start=0.0, t_stop=3.0,
         t_count=41, omega_sqs=(4.0, 3.0, 6.0), measures=("l1_coherence",),

@@ -24,7 +24,6 @@ from .evolution import dephasing_factors, evolve, gammas
 from .measures import (
     DensityStack,
     GHZWernerKernel,
-    WernerKernel,
     WWernerKernel,
     gmc_x_state,
     l1_coherence,
@@ -57,36 +56,39 @@ STATES: dict[str, Callable[[], np.ndarray]] = {
 }
 
 
-def _kernels(state: str, family: WernerKernel, margins: bool = False) -> dict:
-    gmc, tripartite, negativity = (
-        (family.gmc_margin, family.tripartite_negativity_margin, family.negativity_margin)
-        if margins
-        else (family.gmc, family.tripartite_negativity, family.negativity)
-    )
+def _kernels(state: str, gmc, tripartite, negativity, l1) -> dict:
     return {
         (state, "gmc"): gmc,
         (state, "tripartite_negativity"): tripartite,
         (state, "negativity_a_bc"): lambda x, d: negativity(x, d, 0),
         (state, "negativity_b_ac"): lambda x, d: negativity(x, d, 1),
         (state, "negativity_c_ab"): lambda x, d: negativity(x, d, 2),
-        (state, "l1_coherence"): family.l1_coherence,
+        (state, "l1_coherence"): l1,
     }
 
+
+_GHZ, _W = GHZWernerKernel(), WWernerKernel()
 
 # (state, measure) -> the measure of the dephased Werner state as f(x, d),
 # d = (exp(-Gamma_A), exp(-Gamma_B), exp(-Gamma_C)): the MEASURES of the
 # evolved STATES in closed form, where the root finders evaluate them
 KERNELS: dict[tuple[str, str], Callable[[float, Sequence[float]], float]] = {
-    **_kernels("ghz", GHZWernerKernel()),
-    **_kernels("w", WWernerKernel()),
+    **_kernels("ghz", _GHZ.gmc, _GHZ.tripartite_negativity, _GHZ.negativity, _GHZ.l1_coherence),
+    **_kernels("w", _W.gmc, _W.tripartite_negativity, _W.negativity, _W.l1_coherence),
 }
 
 # (state, measure) -> the kernel before its clip at 0, as f(x, d): it exceeds
 # DEAD_THRESHOLD exactly where the kernel does and keeps falling after the
 # kernel is dead, so the search for t_p can interpolate on it
 MARGINS: dict[tuple[str, str], Callable[[float, Sequence[float]], float]] = {
-    **_kernels("ghz", GHZWernerKernel(), margins=True),
-    **_kernels("w", WWernerKernel(), margins=True),
+    **_kernels(
+        "ghz", _GHZ.gmc_margin, _GHZ.tripartite_negativity_margin, _GHZ.negativity_margin,
+        _GHZ.l1_coherence,
+    ),
+    **_kernels(
+        "w", _W.gmc_margin, _W.tripartite_negativity_margin, _W.negativity_margin,
+        _W.l1_coherence,
+    ),
 }
 
 PARAM_FIELDS = (
@@ -156,6 +158,14 @@ def _itp(
     return 0.5 * (a + b)
 
 
+def _from_zero(
+    curve: Callable[[float], float], ts: list[float], vs: list[float]
+) -> tuple[list[float], list[float]]:
+    """A grid that starts after 0 with t = 0 and curve(0) in front, so a
+    crossing before the first sample is still bracketed."""
+    return ([0.0, *ts], [curve(0.0), *vs]) if ts[0] > 0.0 else (ts, vs)
+
+
 def _sampled_curve(
     curve: Callable[[float], float],
     t_max: float,
@@ -165,9 +175,7 @@ def _sampled_curve(
     """The sampled curve as lists from t = 0 to t_max, checked to start positive.
 
     Without samples the curve is evaluated at 0 and at t_max 2^-k for
-    k = 48 ... 0.  A grid that starts after 0 gets t = 0 and its evaluated
-    value in front, so a crossing before the first sample is still
-    bracketed.
+    k = 48 ... 0; samples that start after 0 go through `_from_zero`.
     """
     if not 0.0 < t_max < math.inf:
         raise ParameterError(f"t_max must be positive and finite, got {t_max!r}")
@@ -177,9 +185,7 @@ def _sampled_curve(
     ts, vs = (list(map(float, seq)) for seq in samples)
     if len(ts) != len(vs) or not ts or ts[0] < 0.0 or ts[-1] != t_max:
         raise ParameterError("samples must be matching time and value lists from t >= 0 to t_max")
-    if ts[0] > 0.0:
-        ts.insert(0, 0.0)
-        vs.insert(0, curve(0.0))
+    ts, vs = _from_zero(curve, ts, vs)
     if not vs[0] > 0.0:  # NaN included
         raise NoCorrelationError(f"measure starts at {vs[0]!r}; no {quantity} exists")
     return ts, vs
@@ -200,7 +206,11 @@ def preservation_time_numeric(
     dies again gives its last crossing to grid resolution.  `measure_curve`
     may be the measure or a margin for it (MARGINS): a curve that exceeds
     DEAD_THRESHOLD exactly where the measure does, whose values below the
-    threshold guide the search where the clipped measure is flat.
+    threshold guide the search where the clipped measure is flat.  A margin
+    should come with samples from t = 0 whose first value is the measure's,
+    as `run_sweep` passes them: the value at 0 decides a dead start (an
+    error for 0, t_p = 0 up to DEAD_THRESHOLD), and a grid that starts later
+    gets the margin's own value at 0, which is not the measure's.
     """
     ts, vs = _sampled_curve(measure_curve, t_max, samples, "preservation time")
     if vs[0] <= DEAD_THRESHOLD:
@@ -542,8 +552,9 @@ def _timescales(
     error = next((e for e in errors if e is not None), None)
     if error is None:
         try:
-            head = ([0.0], [kernel(0.0)]) if times[0] > 0.0 else ([], [])
-            samples = (head[0] + times.tolist(), head[1] + values)
+            # from t = 0 with the kernel's value, so a dead start is the
+            # measure's and not the margin's
+            samples = _from_zero(kernel, times.tolist(), values)
             t_max = float(times[-1])
             t_p = preservation_time_numeric(margin, t_max, samples=samples)
             t_c, reached = characteristic_time(kernel, t_max, grid.epsilon, samples=samples)

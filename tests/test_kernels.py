@@ -12,13 +12,15 @@ from tridephase.analysis import (
     KERNELS,
     MARGINS,
     MEASURES,
+    ROOT_REL_TOL,
     STATES,
     SweepGrid,
+    preservation_time_numeric,
     run_sweep,
 )
 from tridephase.evolution import energies
-from tridephase.exceptions import ShapeError
-from tridephase.measures import ZERO_EIGENVALUE_TOL, DensityStack, gmc_x_state
+from tridephase.exceptions import NoCorrelationError, ShapeError
+from tridephase.measures import ZERO_EIGENVALUE_TOL, DensityStack, _geometric_mean, gmc_x_state
 from tridephase.reservoir import GammaMethod, gamma
 from tridephase.states import w_state, werner
 
@@ -65,14 +67,17 @@ def test_kernels_equal_the_matrix_pipeline(x, gammas, omegas, t):
                 with pytest.raises(ShapeError):
                     kernel(x, damps)
                 continue
-            tolerance = 2e-15
-            if name == "tripartite_negativity" and matrix > 0.0:
-                # the geometric mean T of three factors that are each within
-                # 2e-15 is within T/3 sum(2e-15 / N_i): a small factor's
-                # round-off grows by T / N_i
-                factors = [MEASURES[f"negativity_{cut}"](stack) for cut in ("a_bc", "b_ac", "c_ab")]
-                tolerance += matrix / 3.0 * sum(2e-15 / f for f in factors)
-            assert abs(kernel(x, damps) - matrix) <= tolerance, (state, name)
+            if name == "tripartite_negativity":
+                # the geometric mean of the three negativities, which this loop
+                # holds to 2e-15, on both sides: a small factor's round-off
+                # grows by T / N_i in the mean, so the means themselves are
+                # compared with their factors bit for bit
+                cuts = [f"negativity_{cut}" for cut in ("a_bc", "b_ac", "c_ab")]
+                kernel_mean = _geometric_mean(*(KERNELS[state, cut](x, damps) for cut in cuts))
+                matrix_mean = _geometric_mean(*(MEASURES[cut](stack) for cut in cuts))
+                assert kernel(x, damps) == kernel_mean and matrix == matrix_mean, state
+                continue
+            assert abs(kernel(x, damps) - matrix) <= 2e-15, (state, name)
 
 
 @given(x=st.floats(0.0, 1.0), gammas=st.lists(st.floats(0.0, 40.0), min_size=3, max_size=3))
@@ -91,6 +96,39 @@ def test_margins_are_alive_exactly_where_the_kernels_are(x, gammas):
                 MARGINS[key](x, damps)
             continue
         assert (MARGINS[key](x, damps) > DEAD_THRESHOLD) == (value > DEAD_THRESHOLD), key
+
+
+def ghz_gmc_curves(x):
+    """The GHZ-Werner GMC and its margin under damping exp(-0.3 t) on each qubit."""
+    def curve(forms):
+        return lambda t: forms["ghz", "gmc"](x, [math.exp(-0.3 * t)] * 3)
+    return curve(KERNELS), curve(MARGINS)
+
+
+@pytest.mark.parametrize("t_start", [0.0, 2.0])
+def test_a_margin_gives_the_preservation_time_of_its_measure(t_start):
+    # the margin is negative after t_p = ln(16/3) / 0.9 = 1.86, where the
+    # kernel is flat at 0; a grid from t = 2 brackets it with t = 0
+    kernel, margin = ghz_gmc_curves(0.8)
+    ts = np.linspace(t_start, 3.0, 6)
+    samples = (ts, [kernel(t) for t in ts])
+    t_p = preservation_time_numeric(kernel, 3.0, samples=samples)
+    assert t_p == pytest.approx(math.log(16.0 / 3.0) / 0.9, rel=1e-8)
+    assert preservation_time_numeric(margin, 3.0, samples=samples) == pytest.approx(
+        t_p, rel=ROOT_REL_TOL
+    )
+
+
+@pytest.mark.parametrize("t_start", [0.0, 0.5])
+def test_a_margin_of_a_dead_start_raises_as_its_measure_does(t_start):
+    # x < 3/7: GHZ GMC is 0 from t = 0, its margin negative; from t = 0 the
+    # samples name the measure's value, and after it the margin's own
+    kernel, margin = ghz_gmc_curves(0.3)
+    ts = np.linspace(t_start, 3.0, 6)
+    samples = (ts, [kernel(t) for t in ts])
+    for curve in (kernel, margin):
+        with pytest.raises(NoCorrelationError):
+            preservation_time_numeric(curve, 3.0, samples=samples)
 
 
 def test_the_dead_threshold_is_the_zero_eigenvalue_rule():

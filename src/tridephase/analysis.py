@@ -22,9 +22,10 @@ import numpy as np
 from .exceptions import NoCorrelationError, ParameterError
 from .evolution import dephasing_factors, evolve, gammas
 from .measures import (
+    GHZ_WERNER_FORMS,
+    W_WERNER_FORMS,
     DensityStack,
-    GHZWernerKernel,
-    WWernerKernel,
+    Form,
     gmc_x_state,
     l1_coherence,
     negativity,
@@ -56,40 +57,12 @@ STATES: dict[str, Callable[[], np.ndarray]] = {
 }
 
 
-def _kernels(state: str, gmc, tripartite, negativity, l1) -> dict:
-    return {
-        (state, "gmc"): gmc,
-        (state, "tripartite_negativity"): tripartite,
-        (state, "negativity_a_bc"): lambda x, d: negativity(x, d, 0),
-        (state, "negativity_b_ac"): lambda x, d: negativity(x, d, 1),
-        (state, "negativity_c_ab"): lambda x, d: negativity(x, d, 2),
-        (state, "l1_coherence"): l1,
-    }
-
-
-_GHZ, _W = GHZWernerKernel(), WWernerKernel()
-
-# (state, measure) -> the measure of the dephased Werner state as f(x, d),
-# d = (exp(-Gamma_A), exp(-Gamma_B), exp(-Gamma_C)): the MEASURES of the
-# evolved STATES in closed form, where the root finders evaluate them
-KERNELS: dict[tuple[str, str], Callable[[float, Sequence[float]], float]] = {
-    **_kernels("ghz", _GHZ.gmc, _GHZ.tripartite_negativity, _GHZ.negativity, _GHZ.l1_coherence),
-    **_kernels("w", _W.gmc, _W.tripartite_negativity, _W.negativity, _W.l1_coherence),
-}
-
-# (state, measure) -> the kernel before its clip at 0, as f(x, d): it exceeds
-# DEAD_THRESHOLD exactly where the kernel does and keeps falling after the
-# kernel is dead, so the search for t_p can interpolate on it
-MARGINS: dict[tuple[str, str], Callable[[float, Sequence[float]], float]] = {
-    **_kernels(
-        "ghz", _GHZ.gmc_margin, _GHZ.tripartite_negativity_margin, _GHZ.negativity_margin,
-        _GHZ.l1_coherence,
-    ),
-    **_kernels(
-        "w", _W.gmc_margin, _W.tripartite_negativity_margin, _W.negativity_margin,
-        _W.l1_coherence,
-    ),
-}
+# (state, measure) -> (kernel, margin), each f(x, d) with d_X = exp(-Gamma_X):
+# the MEASURES of the evolved STATES in closed form, where the root finders
+# evaluate them, and the same before its clip at 0 (`measures.werner_forms`)
+_FORMS = {**GHZ_WERNER_FORMS, **W_WERNER_FORMS}
+KERNELS: dict[tuple[str, str], Form] = {key: kernel for key, (kernel, _) in _FORMS.items()}
+MARGINS: dict[tuple[str, str], Form] = {key: margin for key, (_, margin) in _FORMS.items()}
 
 PARAM_FIELDS = (
     "state", "x", "eta", "beta_a", "k1", "k2",

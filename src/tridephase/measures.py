@@ -7,14 +7,15 @@ deterministic phases the dephasing map attaches to coherences.  Each
 measure validates its input, unless it is given a `DensityStack`, which
 was validated when it was built.  For the dephased GHZ- and W-Werner
 states every measure also has a Gamma-space kernel, a closed form in x and
-the three damping factors exp(-Gamma_X) (`GHZWernerKernel`,
-`WWernerKernel`).
+the three damping factors exp(-Gamma_X), with its margin before the clip at
+0: `werner_forms` derives them from three closed forms of the family
+(`GHZ_WERNER_FORMS`, `W_WERNER_FORMS`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -136,12 +137,7 @@ def gmc_ghz_werner(x: float, gamma_total: float) -> float:
     check_mixing(x)
     if gamma_total < 0.0:
         raise ParameterError(f"total decoherence exponent must be >= 0, got {gamma_total!r}")
-    return _ghz_gmc(x, math.exp(-gamma_total))
-
-
-def _ghz_gmc(x: float, damping: float) -> float:
-    """GHZ-Werner GMC from the damping exp(-(Gamma_A + Gamma_B + Gamma_C)) of its coherence."""
-    return max(0.0, _ghz_gmc_margin(x, damping))
+    return max(0.0, _ghz_gmc_margin(x, math.exp(-gamma_total)))
 
 
 def _ghz_gmc_margin(x: float, damping: float) -> float:
@@ -205,6 +201,8 @@ def l1_coherence(rho):
 # form before its clip at 0, which exceeds ZERO_EIGENVALUE_TOL exactly where
 # the measure does and goes on falling after the measure is dead.
 
+Form = Callable[[float, Sequence[float]], float]
+
 
 def _negativity_from(lam: float) -> float:
     """`negativity` of a partial transpose whose only eigenvalue that can be
@@ -212,70 +210,66 @@ def _negativity_from(lam: float) -> float:
     return -2.0 * lam if lam < -ZERO_EIGENVALUE_TOL else 0.0
 
 
-class WernerKernel:
-    """The six measures of one dephased Werner family, each as f(x, d), and
-    their margins."""
+def werner_forms(state: str, pt_eigenvalue, gmc_margin: Form, l1: Form) -> dict:
+    """(state, measure) -> (kernel, margin) of one Werner family, from three
+    closed forms: `pt_eigenvalue(x, d, subsystem)`, the one eigenvalue of that
+    partial transpose that can be negative; `gmc_margin(x, d)`, the GMC before
+    its clip at 0; and `l1(x, d)`, which has no clip and is its own margin."""
+    def cut(subsystem: int) -> tuple[Form, Form]:
+        return (
+            lambda x, d: _negativity_from(pt_eigenvalue(x, d, subsystem)),
+            lambda x, d: -pt_eigenvalue(x, d, subsystem),
+        )
 
-    def pt_eigenvalue(self, x: float, d: Sequence[float], subsystem: int) -> float:
-        """The one eigenvalue of the partial transpose on `subsystem` that can be negative."""
-        raise NotImplementedError
-
-    def negativity(self, x: float, d: Sequence[float], subsystem: int) -> float:
-        return _negativity_from(self.pt_eigenvalue(x, d, subsystem))
-
-    def tripartite_negativity(self, x: float, d: Sequence[float]) -> float:
-        return float(_geometric_mean(*(self.negativity(x, d, s) for s in range(3))))
-
-    def negativity_margin(self, x: float, d: Sequence[float], subsystem: int) -> float:
-        return -self.pt_eigenvalue(x, d, subsystem)
-
-    def tripartite_negativity_margin(self, x: float, d: Sequence[float]) -> float:
-        # the geometric mean is alive exactly where all three factors are
-        return min(self.negativity_margin(x, d, s) for s in range(3))
-
-
-class GHZWernerKernel(WernerKernel):
-    """The coherence |000><111| is damped by exp(-S) = d_A d_B d_C; every
-    partial transpose moves it onto a 2x2 block with eigenvalues
-    (1-x)/8 +- (x/2) exp(-S)."""
-
-    @staticmethod
-    def _damping(d: Sequence[float]) -> float:
-        return (d[0] * d[1]) * d[2]
-
-    def gmc(self, x: float, d: Sequence[float]) -> float:
-        return _ghz_gmc(x, self._damping(d))
-
-    def gmc_margin(self, x: float, d: Sequence[float]) -> float:
-        return _ghz_gmc_margin(x, self._damping(d))
-
-    def pt_eigenvalue(self, x: float, d: Sequence[float], subsystem: int) -> float:
-        return (1.0 - x) / 8.0 - 0.5 * x * self._damping(d)
-
-    def l1_coherence(self, x: float, d: Sequence[float]) -> float:
-        return x * self._damping(d)
+    cuts = [cut(subsystem) for subsystem in range(3)]
+    return {
+        (state, "gmc"): (lambda x, d: max(0.0, gmc_margin(x, d)), gmc_margin),
+        (state, "tripartite_negativity"): (
+            lambda x, d: float(_geometric_mean(*(kernel(x, d) for kernel, _ in cuts))),
+            # the geometric mean is alive exactly where all three factors are
+            lambda x, d: min(margin(x, d) for _, margin in cuts),
+        ),
+        **{(state, "negativity_" + c): pair for c, pair in zip(("a_bc", "b_ac", "c_ab"), cuts)},
+        (state, "l1_coherence"): (l1, l1),
+    }
 
 
-class WWernerKernel(WernerKernel):
-    """The coherences of |001>, |010>, |100> are (x/3) c_BC, (x/3) c_AC and
-    (x/3) c_AB.  The partial transpose on X moves the two that involve X onto a
-    3x3 arrow block with diagonal (1-x)/8, whose smallest eigenvalue is
-    (1-x)/8 - (x/3) sqrt(c_XY^2 + c_XZ^2); the other block is positive."""
+def _ghz_damping(d: Sequence[float]) -> float:
+    return (d[0] * d[1]) * d[2]
 
-    def gmc(self, x: float, d: Sequence[float]) -> float:
-        # the off-X entries (1, 2), (1, 4), (2, 4) in row-major order; the
-        # anti-diagonal is empty, so an X-shaped W-Werner state has GMC 0
-        moduli = (x / 3.0 * (d[1] * d[2]), x / 3.0 * (d[0] * d[2]), x / 3.0 * (d[0] * d[1]))
-        first = max(range(3), key=moduli.__getitem__)
-        _check_x_shape(moduli[first], ((1, 2), (1, 4), (2, 4))[first])
-        return 0.0
 
-    gmc_margin = gmc  # 0.0 or ShapeError; it has no pre-clip form
+# The coherence |000><111| is damped by exp(-S) = d_A d_B d_C; every partial
+# transpose moves it onto a 2x2 block with eigenvalues (1-x)/8 +- (x/2) exp(-S).
+GHZ_WERNER_FORMS = werner_forms(
+    "ghz",
+    lambda x, d, subsystem: (1.0 - x) / 8.0 - 0.5 * x * _ghz_damping(d),
+    lambda x, d: _ghz_gmc_margin(x, _ghz_damping(d)),
+    lambda x, d: x * _ghz_damping(d),
+)
 
-    def pt_eigenvalue(self, x: float, d: Sequence[float], subsystem: int) -> float:
-        y, z = (q for q in range(3) if q != subsystem)
-        radius = math.hypot(d[subsystem] * d[y], d[subsystem] * d[z])
-        return (1.0 - x) / 8.0 - x / 3.0 * radius
 
-    def l1_coherence(self, x: float, d: Sequence[float]) -> float:
-        return 2.0 * x / 3.0 * ((d[0] * d[1] + d[0] * d[2]) + d[1] * d[2])
+def _w_gmc(x: float, d: Sequence[float]) -> float:
+    # the off-X entries (1, 2), (1, 4), (2, 4) in row-major order; the
+    # anti-diagonal is empty, so an X-shaped W-Werner state has GMC 0
+    moduli = (x / 3.0 * (d[1] * d[2]), x / 3.0 * (d[0] * d[2]), x / 3.0 * (d[0] * d[1]))
+    first = max(range(3), key=moduli.__getitem__)
+    _check_x_shape(moduli[first], ((1, 2), (1, 4), (2, 4))[first])
+    return 0.0
+
+
+def _w_pt_eigenvalue(x: float, d: Sequence[float], subsystem: int) -> float:
+    y, z = (q for q in range(3) if q != subsystem)
+    radius = math.hypot(d[subsystem] * d[y], d[subsystem] * d[z])
+    return (1.0 - x) / 8.0 - x / 3.0 * radius
+
+
+# The coherences of |001>, |010>, |100> are (x/3) c_BC, (x/3) c_AC and
+# (x/3) c_AB.  The partial transpose on X moves the two that involve X onto a
+# 3x3 arrow block with diagonal (1-x)/8, whose smallest eigenvalue is
+# (1-x)/8 - (x/3) sqrt(c_XY^2 + c_XZ^2); the other block is positive.
+W_WERNER_FORMS = werner_forms(
+    "w",
+    _w_pt_eigenvalue,
+    _w_gmc,
+    lambda x, d: 2.0 * x / 3.0 * ((d[0] * d[1] + d[0] * d[2]) + d[1] * d[2]),
+)

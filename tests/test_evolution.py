@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from tridephase.evolution import dephasing_factors, energies, energy, evolve
 from tridephase.exceptions import ParameterError
 from tridephase.linalg import hermitian_eigenvalues, hermiticity_defect
+from tridephase.measures import DensityStack
 from tridephase.reservoir import (
     ZERO_TEMPERATURE,
     GammaMethod,
@@ -14,7 +15,7 @@ from tridephase.reservoir import (
     ReservoirSpec,
     gamma_zero_t,
 )
-from tridephase.states import ghz_state, werner
+from tridephase.states import ghz_state, w_state, werner
 
 OMEGA = 2.0  # Omega_A = Omega_B = Omega_C = 2 -> Omega^2 = 12
 OMEGAS = (OMEGA, OMEGA, OMEGA)
@@ -195,6 +196,20 @@ def test_damping_composition_law():
     combined = np.abs(rho) * f1.damping * f2.damping
     sequential = np.abs(evolve(evolve(rho, f1), f2))
     assert np.abs(sequential - combined).max() < 1e-15
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=ParameterError,
+    reason="ROADMAP item 12: phases -(E_u - E_v) t from rounded energies stop composing at large t",
+)
+def test_large_phases_keep_an_evolved_state_positive():
+    # W-Werner at x = 1, Omega^2 = (3, 5, 7): the smallest eigenvalue reads
+    # -6.7e-8 at t = 1e10, -1.5e-3 at 7.5e13 and -3.0e-3 at 1e14
+    spectral = OhmicSpectralDensity(1e-9, 1.0)
+    slow = tuple(ReservoirSpec(spectral, ZERO_TEMPERATURE, math.sqrt(v)) for v in (3.0, 5.0, 7.0))
+    factors = dephasing_factors(slow, np.linspace(1e10, 1e14, 5), GammaMethod.ZERO_T_CLOSED_FORM)
+    DensityStack(evolve(werner(w_state(), 1.0), factors))
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, [0.0, 1.0, math.inf]], ids=["nan", "inf", "array"])

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from tridephase.analysis import KERNELS, MARGINS
 from tridephase.evolution import dephasing_factors, evolve
 from tridephase.exceptions import ParameterError, ShapeError
 from tridephase.measures import (
-    WWernerKernel,
+    W_WERNER_FORMS,
     gmc_ghz_werner,
     gmc_pure,
     gmc_x_state,
@@ -100,6 +101,18 @@ def test_gmc_ghz_werner_validation():
         gmc_ghz_werner(0.5, -1.0)
 
 
+@given(x=st.floats(0.0, 1.0), g=st.floats(0.0, 800.0), position=st.integers(0, 2))
+@example(x=3.0 / 7.0, g=0.0, position=0)
+@example(x=1.0, g=740.0, position=2)  # exp(-g) is subnormal
+@settings(max_examples=300, deadline=None)
+def test_ghz_gmc_kernel_and_the_scalar_form_share_one_rule(x, g, position):
+    # exp(-g) in one damping factor and 1.0 in the other two is exp(-S) exactly
+    damps = [1.0, 1.0, 1.0]
+    damps[position] = math.exp(-g)
+    assert KERNELS["ghz", "gmc"](x, damps).hex() == gmc_ghz_werner(x, g).hex()
+    assert MARGINS["ghz", "gmc"](x, damps).hex() == (x * math.exp(-g) - 0.75 * (1 - x)).hex()
+
+
 def test_negativity_maximally_mixed():
     for subsystem in range(3):
         assert negativity(maximally_mixed(), subsystem) == 0.0
@@ -156,7 +169,9 @@ def test_l1_coherence_evolved_w_werner():
 def w_werner_negativity(x, gammas, subsystem):
     """The W-Werner kernel's N_X|YZ: -2 lam below -1e-12, with
     lam = (1-x)/8 - (x/3) sqrt(c_XY^2 + c_XZ^2)."""
-    return WWernerKernel().negativity(x, [math.exp(-g) for g in gammas], subsystem)
+    cut = ("negativity_a_bc", "negativity_b_ac", "negativity_c_ab")[subsystem]
+    kernel, _ = W_WERNER_FORMS["w", cut]
+    return kernel(x, [math.exp(-g) for g in gammas])
 
 
 def test_w_werner_negativity_closed_form_on_every_bipartition():

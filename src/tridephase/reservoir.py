@@ -28,7 +28,13 @@ The general integral is evaluated with adaptive quadrature up to the
 density's support cutoff (60 w_c for Ohmic, where the exponential makes
 truncation exact to below 1e-26).  The integrand, whose singularity at
 w = 0 is removable, is continued flat below 1e-8 cutoff / 60 (1e-8 w_c for
-Ohmic), by one rule for every density.  On Ohmic baths quadrature agrees with
+Ohmic), by one rule for every density.  Each density builds the integrand
+of one Gamma (`gamma_integrand`); the Ohmic one writes J(w) out with the
+generic body's float operations in the same order, so it gives the same
+Gamma bit for bit at about 0.16 us a call instead of 0.22 us (2-vCPU Xeon
+VM, Python 3.11).  The integrand divides by w^2, so a support cutoff whose
+square overflows (w_c above about 2.23e152 for Ohmic) raises MethodError
+at every time, t = 0 included.  On Ohmic baths quadrature agrees with
 `exact` to QUAD_EPSREL |Gamma| + QUAD_EPSABS for w_c beta_X <= 100; on 60 times
 in [0.05, 3] / w_c (eta = 0.326, Omega_X^2 = 4) it misses by up to 2.0e-5,
 2.5e-5, 8.2e-6 and 2.1e-6 relative at w_c beta_X = 500, 624, 1000 and 2497.
@@ -101,6 +107,26 @@ class OhmicSpectralDensity:
     def support_cutoff(self) -> float:
         return _CUTOFF_MULTIPLE * self.omega_c
 
+    def gamma_integrand(self, omega_sq: float, beta: float, t: float, omega_eps: float):
+        """The integrand of Gamma_X(t) in w, continued flat below omega_eps.
+
+        J(w) is written out in the body, with the float operations of
+        8 omega_sq self(w) / w^2 sin^2(w t / 2) / tanh(beta w / 2) in the same
+        order, so the value equals the generic form bit for bit.
+        """
+        scale = 8.0 * omega_sq
+        half_beta = 0.5 * beta
+        eta, omega_c = self.eta, self.omega_c
+        sin, exp, tanh = math.sin, math.exp, math.tanh
+
+        def integrand(w: float) -> float:
+            if w < omega_eps:  # a branch, not max(): quad calls this ~200 times a Gamma
+                w = omega_eps
+            s = sin(0.5 * w * t)
+            return scale * (eta * w * exp(-w / omega_c)) / (w * w) * (s * s) / tanh(half_beta * w)
+
+        return integrand
+
 
 @dataclass(frozen=True)
 class CustomSpectralDensity:
@@ -119,6 +145,22 @@ class CustomSpectralDensity:
 
     def __call__(self, omega: float) -> float:
         return self.j(omega)
+
+    def gamma_integrand(self, omega_sq: float, beta: float, t: float, omega_eps: float):
+        """The integrand of Gamma_X(t) in w, continued flat below omega_eps."""
+        scale = 8.0 * omega_sq
+        half_beta = 0.5 * beta
+        j = self.j
+        sin, tanh = math.sin, math.tanh
+
+        def integrand(w: float) -> float:
+            if w < omega_eps:
+                w = omega_eps
+            s = sin(0.5 * w * t)
+            # tanh(inf) is exactly 1.0
+            return scale * j(w) / (w * w) * (s * s) / tanh(half_beta * w)
+
+        return integrand
 
 
 SpectralDensity = Union[OhmicSpectralDensity, CustomSpectralDensity]
@@ -268,10 +310,19 @@ def _ohmic_gamma(res: ReservoirSpec, t: float) -> float:
     return value + 8.0 * spectral.eta * res.omega_qubit**2 * _log_gamma_ratio(x, t / res.beta)
 
 
+def _check_support_cutoff(spectral: SpectralDensity) -> None:
+    """Quadrature squares w up to the support cutoff; that square must be finite."""
+    upper = spectral.support_cutoff
+    if upper * upper == math.inf:
+        raise MethodError(
+            f"quadrature needs a support cutoff whose square is finite, got {upper!r}"
+            f" (60 omega_c for an Ohmic density)"
+        )
+
+
 def _gamma_quadrature(res: ReservoirSpec, t: float) -> float:
     spectral = res.spectral
     omega_sq = res.omega_qubit**2
-    beta = res.beta
     upper = spectral.support_cutoff
     omega_eps = _OMEGA_EPS_FACTOR * upper / _CUTOFF_MULTIPLE
     # QUAD_EPSABS is an error budget for an integrand of order one; a weaker
@@ -279,15 +330,8 @@ def _gamma_quadrature(res: ReservoirSpec, t: float) -> float:
     # for Ohmic), gets a budget that scales with it
     epsabs = QUAD_EPSABS * min(1.0, 8.0 * omega_sq * spectral(omega_eps) / omega_eps)
 
-    def integrand(w: float) -> float:
-        if w < omega_eps:  # a branch, not max(): this runs ~400k times in a quadrature sweep
-            w = omega_eps
-        s = math.sin(0.5 * w * t)
-        value = 8.0 * omega_sq * spectral(w) / (w * w) * (s * s)
-        return value / math.tanh(0.5 * beta * w)  # tanh(inf) is exactly 1.0
-
     result = __getattr__("integrate").quad(
-        integrand,
+        spectral.gamma_integrand(omega_sq, res.beta, t, omega_eps),
         0.0,
         upper,
         epsabs=epsabs,
@@ -318,6 +362,7 @@ def gamma(res: ReservoirSpec, t: float, method: GammaMethod) -> float:
     elif method is GammaMethod.LOW_T_CLOSED_FORM:
         value = gamma_low_t(res, t)
     elif method is GammaMethod.NUMERIC_QUADRATURE:
+        _check_support_cutoff(res.spectral)
         value = 0.0 if t == 0.0 else _gamma_quadrature(res, t)
     elif method is GammaMethod.EXACT:
         value = gamma_exact(res, t)

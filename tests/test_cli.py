@@ -500,6 +500,23 @@ def test_unit_conversion_that_rounds_away_names_its_key(capsys, settings, key, m
     assert err == f"error: config key {key!r}: {message}\n"
 
 
+@pytest.mark.parametrize("omega_c", ["1e153", "1e200", "1e308"])
+def test_quadrature_cutoff_whose_square_overflows_names_omega_c(capsys, omega_c):
+    # 60 omega_c squared is inf: quadrature gave gmc 0.65 at t > 0 at 1e200
+    # and a math domain error at 1e308 instead of refusing the run
+    argv = ["measure", "--set", f"omega_c={omega_c}", "--set", "beta_a=1", "--set", "t_count=3"]
+    code, out, err = run(capsys, [*argv, "--set", "method=quadrature"])
+    assert (code, out) == (1, "")
+    cutoff = 60.0 * float(omega_c)
+    assert err == (
+        f"error: config key 'omega_c': quadrature needs a support cutoff whose square is finite, "
+        f"got {cutoff!r} (60 omega_c for an Ohmic density)\n"
+    )
+    code, out, _ = run(capsys, [*argv, "--set", "method=exact"])
+    assert code == 0
+    assert [row["value"] for row in read_csv(out)] == ["0.64999999999999991", "0", "0"]
+
+
 @pytest.mark.parametrize("command", ["evolve", "measure"])
 @pytest.mark.parametrize("settings, key, message", [
     (["omega_c=2", "beta_a=-1", "method=exact"], "beta_a", "beta_a must be positive, got -1.0"),

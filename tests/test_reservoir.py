@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tridephase import reservoir
 from tridephase.exceptions import MethodError, ParameterError, QuadratureError
@@ -181,6 +182,56 @@ def test_custom_spectral_density_quadrature():
     closed = gamma_zero_t(ohmic(eta=eta, omega_c=omega_c, omega=2.0), 1.0)
     quad = gamma(custom, 1.0, GammaMethod.NUMERIC_QUADRATURE)
     assert abs(quad - closed) / closed < 1e-6
+
+
+@pytest.mark.parametrize("spectral", [
+    OhmicSpectralDensity(0.2, 1e153),
+    OhmicSpectralDensity(0.2, 1e200),
+    OhmicSpectralDensity(0.2, 1e308),
+    CustomSpectralDensity(lambda w: w * math.exp(-w), support_cutoff=math.inf),
+], ids=["ohmic_1e153", "ohmic_1e200", "ohmic_1e308", "custom_inf"])
+def test_quadrature_rejects_a_support_cutoff_whose_square_overflows(spectral):
+    # the integrand divides by w * w, which is inf above sqrt(max float):
+    # omega_c = 1e153 was 7.5e-8 off exact, 1e200 gave 0, 1e308 a domain error
+    res = ReservoirSpec(spectral, 1.0, 2.0)
+    for t in (0.0, 1.5):
+        with pytest.raises(MethodError, match=r"^quadrature needs a support cutoff whose square is finite"):
+            gamma(res, t, GammaMethod.NUMERIC_QUADRATURE)
+
+
+def test_quadrature_accepts_the_largest_cutoff_whose_square_is_finite():
+    omega_c = 2.2e152  # 60 omega_c = 1.32e154 squares to 1.74e308
+    res = ohmic(eta=0.2, omega_c=omega_c, beta=1.0 / omega_c, omega=2.0)
+    quad = gamma(res, 1.5 / omega_c, GammaMethod.NUMERIC_QUADRATURE)
+    assert abs(quad - gamma_exact(res, 1.5 / omega_c)) <= 1e-14 * quad
+    # exact has no cutoff, and takes a cutoff that quadrature rejects
+    res = ohmic(eta=0.2, omega_c=1e200, beta=1e-200, omega=2.0)
+    assert gamma(res, 1.5e-200, GammaMethod.EXACT) == gamma_exact(res, 1.5e-200) > 0.0
+
+
+def _quadrature_or_error(res, t):
+    try:
+        return gamma(res, t, GammaMethod.NUMERIC_QUADRATURE).hex()
+    except QuadratureError as exc:
+        return str(exc)
+
+
+@given(
+    eta=st.floats(1e-12, 1.0),
+    omega_c=st.floats(0.05, 20.0),
+    omega_c_beta=st.one_of(st.just(math.inf), st.floats(1e-2, 26.0), st.floats(624.0, 1e4)),
+    omega_c_t=st.floats(1e-6, 30.0),
+    omega_sq=st.floats(0.5, 12.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_ohmic_integrand_equals_the_generic_one_bit_for_bit(eta, omega_c, omega_c_beta, omega_c_t, omega_sq):
+    # the Ohmic density writes J(w) out in its integrand; the generic
+    # integrand calls the same density through CustomSpectralDensity
+    spectral = OhmicSpectralDensity(eta, omega_c)
+    beta, t, omega = omega_c_beta / omega_c, omega_c_t / omega_c, math.sqrt(omega_sq)
+    ohmic_res = ReservoirSpec(spectral, beta, omega)
+    custom_res = ReservoirSpec(CustomSpectralDensity(spectral, 60 * omega_c), beta, omega)
+    assert _quadrature_or_error(ohmic_res, t) == _quadrature_or_error(custom_res, t)
 
 
 def test_quadrature_failure_reports_estimate():

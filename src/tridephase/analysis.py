@@ -24,6 +24,7 @@ from .evolution import dephasing_factors, evolve, gammas
 from .measures import (
     GHZ_WERNER_FORMS,
     W_WERNER_FORMS,
+    ZERO_EIGENVALUE_TOL,
     DensityStack,
     Form,
     gmc_x_state,
@@ -34,7 +35,7 @@ from .measures import (
 from .reservoir import ZERO_TEMPERATURE, GammaMethod, OhmicSpectralDensity, ReservoirSpec, gamma
 from .states import check_mixing, ghz_state, w_state, werner
 
-DEAD_THRESHOLD = 1e-12
+DEAD_THRESHOLD = ZERO_EIGENVALUE_TOL  # the measures' zero: a MARGINS entry dies with its measure
 ROOT_REL_TOL = 1e-9
 DEFAULT_EPSILON = 0.01
 FREEZE_VALUE_TOL = 0.01
@@ -139,13 +140,26 @@ def _from_zero(
     return ([0.0, *ts], [curve(0.0), *vs]) if ts[0] > 0.0 else (ts, vs)
 
 
+def _check_times(ts: Sequence[float]) -> None:
+    """Reject sample times that go backwards.  Equal neighbours pass: linspace
+    can repeat a time on a tiny range."""
+    ts = np.asarray(ts, dtype=float)
+    forward = ts[1:] >= ts[:-1]
+    if not forward.all():  # NaN included
+        i = int(np.argmin(forward))
+        raise ParameterError(
+            f"sample times must not decrease, got {float(ts[i + 1])!r} after {float(ts[i])!r}"
+        )
+
+
 def _sampled_curve(
     curve: Callable[[float], float],
     t_max: float,
     samples: tuple[Sequence, Sequence] | None,
     quantity: str,
 ) -> tuple[list[float], list[float]]:
-    """The sampled curve as lists from t = 0 to t_max, checked to start positive.
+    """The sampled curve as lists from t = 0 to t_max, checked to go forward
+    and to start positive.
 
     Without samples the curve is evaluated at 0 and at t_max 2^-k for
     k = 48 ... 0; samples that start after 0 go through `_from_zero`.
@@ -158,6 +172,7 @@ def _sampled_curve(
     ts, vs = (list(map(float, seq)) for seq in samples)
     if len(ts) != len(vs) or not ts or ts[0] < 0.0 or ts[-1] != t_max:
         raise ParameterError("samples must be matching time and value lists from t >= 0 to t_max")
+    _check_times(ts)
     ts, vs = _from_zero(curve, ts, vs)
     if not vs[0] > 0.0:  # NaN included
         raise NoCorrelationError(f"measure starts at {vs[0]!r}; no {quantity} exists")
@@ -173,10 +188,11 @@ def preservation_time_numeric(
     """Last time the curve stays above DEAD_THRESHOLD; +inf if alive at t_max.
 
     The curve is sampled as `samples=(times, values)`, a grid ending at
-    t_max, or by default at 0 and t_max 2^-k for k = 48 ... 0.  The bracket
-    [t_i, t_i+1] around the last sample above the threshold is searched by
-    `_itp` to relative width ROOT_REL_TOL, so a curve that dies, revives and
-    dies again gives its last crossing to grid resolution.  `measure_curve`
+    t_max whose times never decrease, or by default at 0 and t_max 2^-k for
+    k = 48 ... 0.  The bracket [t_i, t_i+1] around the last sample above the
+    threshold is searched by `_itp` to relative width ROOT_REL_TOL, so a
+    curve that dies, revives and dies again gives its last crossing to grid
+    resolution.  `measure_curve`
     may be the measure or a margin for it (MARGINS): a curve that exceeds
     DEAD_THRESHOLD exactly where the measure does, whose values below the
     threshold guide the search where the clipped measure is flat.  A margin
@@ -248,12 +264,14 @@ def freezing_intervals(ts: Sequence[float], values: Sequence[float]) -> list[tup
     must stand out against an adjacent transit, which is what separates a
     staircase step from steady decay.  Adjacent qualifying runs merge into
     one reported interval.  Resolving an early plateau requires a grid that
-    samples it (log-spaced times).
+    samples it (log-spaced times).  Times must not decrease; a repeated
+    time is allowed.
     """
     ts = np.asarray(ts, dtype=float)
     vs = np.asarray(values, dtype=float)
     if ts.shape != vs.shape or ts.ndim != 1 or ts.size < 2:
         raise ParameterError("need matching 1-d time and value arrays with >= 2 samples")
+    _check_times(ts)
     v0 = vs[0]
     if v0 <= 0.0:
         raise NoCorrelationError("freezing detection needs a positive initial value")
@@ -298,6 +316,14 @@ def freezing_intervals(ts: Sequence[float], values: Sequence[float]) -> list[tup
         else:
             merged.append([a, b])
     return [(float(ts[a]), float(ts[b])) for a, b in merged]
+
+
+def _per_omega_c(name: str, value: float, omega_c: float) -> float:
+    """value / omega_c, rejected under `name` if nonzero and it rounds to 0 or inf."""
+    quotient = value / omega_c
+    if value != 0 and not 0 < quotient < math.inf:
+        raise ParameterError(f"{name} / omega_c = {value!r} / {omega_c!r} rounds to {quotient!r}")
+    return quotient
 
 
 @dataclass(frozen=True)
@@ -356,11 +382,7 @@ class SweepGrid:
                 f"need t_stop > t_start >= 0, got {self.t_start!r}, {self.t_stop!r}"
             )
         for name, value in (("t_start", self.t_start), ("t_stop", self.t_stop)):
-            quotient = value / self.omega_c
-            if value != 0 and not 0 < quotient < math.inf:
-                raise ParameterError(
-                    f"{name} / omega_c = {value!r} / {self.omega_c!r} rounds to {quotient!r}"
-                )
+            _per_omega_c(name, value, self.omega_c)
         if len(self.omega_sqs) != 3:
             raise ParameterError(f"omega_sqs must hold three values, got {self.omega_sqs!r}")
         for name, value in zip(("omega_sq_a", "omega_sq_b", "omega_sq_c"), self.omega_sqs):
@@ -454,9 +476,7 @@ def make_reservoirs(
     else:
         if not beta_a > 0:
             raise ParameterError(f"beta_a must be positive, got {beta_a!r}")
-        beta = beta_a / omega_c
-        if not 0.0 < beta < math.inf:
-            raise ParameterError(f"beta_a / omega_c = {beta_a!r} / {omega_c!r} rounds to {beta!r}")
+        beta = _per_omega_c("beta_a", beta_a, omega_c)
         betas = (beta, k1 * beta, k2 * beta)
         for key, k, product in (("k1", k1, betas[1]), ("k2", k2, betas[2])):
             if not k > 0:

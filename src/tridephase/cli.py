@@ -27,11 +27,11 @@ from .evolution import dephasing_factors, evolve
 from .exceptions import MethodError, ParameterError, TridephaseError
 from .reservoir import GammaMethod
 
-DEFAULT_CONFIG = {
-    "state": "ghz",
+DEFAULT_CONFIG = {  # a key the library also has takes its SweepGrid default
+    "state": analysis.SweepGrid.state,
     "x": 0.8,
     "eta": 0.2,
-    "omega_c": 1.0,
+    "omega_c": analysis.SweepGrid.omega_c,
     "omega_sq_a": 4.0,
     "omega_sq_b": 4.0,
     "omega_sq_c": 4.0,
@@ -41,10 +41,10 @@ DEFAULT_CONFIG = {
     "t_start": 0.0,
     "t_stop": 3.0,
     "t_count": 121,
-    "measures": ["gmc"],
-    "method": "zero_t",
-    "timescales": False,
-    "epsilon": 0.01,
+    "measures": list(analysis.SweepGrid.measures),
+    "method": analysis.SweepGrid.method.value,
+    "timescales": analysis.SweepGrid.include_timescales,
+    "epsilon": analysis.SweepGrid.epsilon,
 }
 
 _METHODS = {m.value: m for m in GammaMethod}
@@ -320,7 +320,7 @@ def cmd_selfcheck(args) -> int:
             achieved = check()
             ok = achieved < tolerance
         except Exception as exc:
-            print(f"FAIL {name}: {type(exc).__name__}: {exc}")
+            print(f"FAIL {name}: {analysis._error_text(exc)}")
             failures += 1
             continue
         status = "PASS" if ok else "FAIL"

@@ -18,9 +18,7 @@ import numpy as np
 
 from .exceptions import ParameterError
 from .reservoir import GammaMethod, ReservoirSpec, gamma
-from .states import assert_density_matrix
-
-DIM = 8
+from .states import DIM, assert_density_matrix
 
 
 # _BITS[u] = (m, n, l) of basis index u = 4m + 2n + l; _FLIPS[X, u, v]:

@@ -21,9 +21,8 @@ import numpy as np
 
 from .exceptions import ParameterError, ShapeError
 from .linalg import hermitian_eigenvalues, partial_trace, partial_transpose, per_matrix, purity
-from .states import assert_density_matrix, check_mixing, projector
+from .states import DIM, assert_density_matrix, check_mixing, projector
 
-DIM = 8
 QUBIT_DIMS = [2, 2, 2]
 
 # Eigenvalues and matrix entries below this magnitude count as zero.

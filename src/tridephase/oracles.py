@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from . import reservoir
+from . import analysis, reservoir
 from .analysis import (
     KERNELS,
     MEASURES,
@@ -117,7 +117,7 @@ def _outcome(fn, *args):
     try:
         return fn(*args)
     except TridephaseError as exc:
-        return f"{type(exc).__name__}: {exc}"
+        return analysis._error_text(exc)
 
 
 def kernels_vs_pipeline() -> float:

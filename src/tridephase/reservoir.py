@@ -34,7 +34,9 @@ generic body's float operations in the same order, so it gives the same
 Gamma bit for bit at about 0.16 us a call instead of 0.22 us (2-vCPU Xeon
 VM, Python 3.11).  The integrand divides by w^2, so a support cutoff whose
 square overflows (w_c above about 2.23e152 for Ohmic) raises MethodError
-at every time, t = 0 included.  On Ohmic baths quadrature agrees with
+at every time, t = 0 included, and so does one whose flat-continuation
+point squares below the smallest normal float (w_c below about 1.49e-146
+for Ohmic, where `exact` still serves).  On Ohmic baths quadrature agrees with
 `exact` to QUAD_EPSREL |Gamma| + QUAD_EPSABS for w_c beta_X <= 100; on 60 times
 in [0.05, 3] / w_c (eta = 0.326, Omega_X^2 = 4) it misses by up to 2.0e-5,
 2.5e-5, 8.2e-6 and 2.1e-6 relative at w_c beta_X = 500, 624, 1000 and 2497.
@@ -47,6 +49,7 @@ module attribute `integrate` (PEP 562 `__getattr__`) loads and returns
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Union
@@ -310,21 +313,29 @@ def _ohmic_gamma(res: ReservoirSpec, t: float) -> float:
     return value + 8.0 * spectral.eta * res.omega_qubit**2 * _log_gamma_ratio(x, t / res.beta)
 
 
-def _check_support_cutoff(spectral: SpectralDensity) -> None:
-    """Quadrature squares w up to the support cutoff; that square must be finite."""
-    upper = spectral.support_cutoff
-    if upper * upper == math.inf:
-        raise MethodError(
-            f"quadrature needs a support cutoff whose square is finite, got {upper!r}"
-            f" (60 omega_c for an Ohmic density)"
+def _quadrature_domain(spectral: SpectralDensity) -> tuple[float, float]:
+    """(omega_eps, cutoff), the least and the largest w whose square quadrature takes."""
+    cutoff = spectral.support_cutoff
+    omega_eps = _OMEGA_EPS_FACTOR * cutoff / _CUTOFF_MULTIPLE
+    if cutoff * cutoff == math.inf:
+        rule = "whose square is finite"
+    elif omega_eps * omega_eps < sys.float_info.min:  # 0 or subnormal: w^2 loses its digits
+        least = math.sqrt(sys.float_info.min) / _OMEGA_EPS_FACTOR * _CUTOFF_MULTIPLE
+        rule = (
+            "whose flat-continuation point squares to a normal float"
+            f" (a cutoff above about {least:.3g})"
         )
+    else:
+        return omega_eps, cutoff
+    raise MethodError(
+        f"quadrature needs a support cutoff {rule}, got {cutoff!r}"
+        f" ({_CUTOFF_MULTIPLE:g} omega_c for an Ohmic density)"
+    )
 
 
-def _gamma_quadrature(res: ReservoirSpec, t: float) -> float:
+def _gamma_quadrature(res: ReservoirSpec, t: float, omega_eps: float, cutoff: float) -> float:
     spectral = res.spectral
     omega_sq = res.omega_qubit**2
-    upper = spectral.support_cutoff
-    omega_eps = _OMEGA_EPS_FACTOR * upper / _CUTOFF_MULTIPLE
     # QUAD_EPSABS is an error budget for an integrand of order one; a weaker
     # one, 8 Omega^2 J(w)/w below 1 at the flat continuation (8 Omega^2 eta
     # for Ohmic), gets a budget that scales with it
@@ -333,7 +344,7 @@ def _gamma_quadrature(res: ReservoirSpec, t: float) -> float:
     result = __getattr__("integrate").quad(
         spectral.gamma_integrand(omega_sq, res.beta, t, omega_eps),
         0.0,
-        upper,
+        cutoff,
         epsabs=epsabs,
         epsrel=QUAD_EPSREL,
         limit=_QUAD_LIMIT,
@@ -362,8 +373,8 @@ def gamma(res: ReservoirSpec, t: float, method: GammaMethod) -> float:
     elif method is GammaMethod.LOW_T_CLOSED_FORM:
         value = gamma_low_t(res, t)
     elif method is GammaMethod.NUMERIC_QUADRATURE:
-        _check_support_cutoff(res.spectral)
-        value = 0.0 if t == 0.0 else _gamma_quadrature(res, t)
+        domain = _quadrature_domain(res.spectral)
+        value = 0.0 if t == 0.0 else _gamma_quadrature(res, t, *domain)
     elif method is GammaMethod.EXACT:
         value = gamma_exact(res, t)
     else:

@@ -183,6 +183,10 @@ def test_freezing_floor_excludes_dead_tail():
 def test_freezing_validation():
     with pytest.raises(ParameterError):
         freezing_intervals([0.0], [1.0])
+    # times that go backwards gave a negative span
+    with pytest.raises(ParameterError, match=r"^sample times must not decrease, got 1.0 after 2.0$"):
+        freezing_intervals([0.0, 2.0, 1.0, 3.0], [1.0] * 4)
+    assert freezing_intervals([0.0, 0.0, 1.0], [1.0] * 3) == []  # a repeated time passes
     with pytest.raises(NoCorrelationError):
         freezing_intervals([0.0, 1.0], [0.0, 0.0])
 
@@ -339,7 +343,9 @@ def test_sweep_grid_validation():
     (dict(beta_as=[2.0]), MethodError, "method zero_t requires ZERO_TEMPERATURE"),
     (dict(beta_as=[2.0, math.inf], method=GammaMethod.LOW_T_CLOSED_FORM), MethodError,
      "method low_t requires a finite inverse temperature"),
-], ids=["x", "eta", "beta_a", "k2", "zero_t_hot", "low_t_cold"])
+    (dict(omega_sqs=(4.0, 4.0)), ParameterError,
+     r"^omega_sqs must hold three values, got \(4.0, 4.0\)$"),
+], ids=["x", "eta", "beta_a", "k2", "zero_t_hot", "low_t_cold", "omega_sqs"])
 def test_sweep_grid_rejects_every_value_the_run_cannot_build(changes, error, message):
     with pytest.raises(error, match=message):
         one_point_grid(**changes)
@@ -433,6 +439,30 @@ def test_sampled_bracket_validation():
         preservation_time_numeric(curve, 1.0, samples=([0.0, 1.0], [0.0, 0.0]))
     with pytest.raises(NoCorrelationError):
         characteristic_time(curve, 1.0, samples=([0.0, 1.0], [math.nan, 0.0]))
+
+    def revived(t):  # alive on [0, 1) and on [1.5, 1.8)
+        return 1.0 if t < 1.0 or 1.5 <= t < 1.8 else 0.0
+
+    # times that go backwards gave a reversed bracket and t_p = 1.4, its midpoint
+    backwards = ([0.0, 1.6, 1.2, 2.0], [1.0, 1.0, 0.0, 0.0])
+    message = r"^sample times must not decrease, got 1.2 after 1.6$"
+    with pytest.raises(ParameterError, match=message):
+        preservation_time_numeric(revived, 2.0, samples=backwards)
+    with pytest.raises(ParameterError, match=message):
+        characteristic_time(revived, 2.0, samples=backwards)
+    forwards = ([0.0, 1.2, 1.6, 1.6, 2.0], [1.0, 0.0, 1.0, 1.0, 0.0])  # a repeated time passes
+    assert preservation_time_numeric(revived, 2.0, samples=forwards) == pytest.approx(1.8)
+
+
+def test_a_start_alive_but_within_the_dead_threshold_has_t_p_zero():
+    assert preservation_time_numeric(lambda t: 5e-13 * math.exp(-t), 1.0) == 0.0
+    # GHZ gmc starts at 1.75 (x - 3/7) = 7e-13, and keeps falling
+    grid = one_point_grid(xs=[3.0 / 7.0 + 4e-13], include_timescales=True)
+    [curve] = run_sweep(grid)
+    assert 0.0 < curve.values[0] <= DEAD_THRESHOLD
+    assert curve.values[0] == pytest.approx(7e-13, rel=1e-3)
+    row = curve.timescales
+    assert (row.t_p, row.t_c_reached, row.error) == (0.0, True, None)
 
 
 def bisection(alive, lo, hi):

@@ -517,6 +517,22 @@ def test_quadrature_cutoff_whose_square_overflows_names_omega_c(capsys, omega_c)
     assert [row["value"] for row in read_csv(out)] == ["0.64999999999999991", "0", "0"]
 
 
+def test_quadrature_cutoff_whose_continuation_point_underflows_names_omega_c(capsys):
+    # omega_eps = 1e-168 squared to 0: every row printed nan and a
+    # ZeroDivisionError, and the command exited 0
+    argv = ["measure", "--set", "omega_c=1e-160", "--set", "beta_a=1", "--set", "t_count=3"]
+    code, out, err = run(capsys, [*argv, "--set", "method=quadrature"])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: config key 'omega_c': quadrature needs a support cutoff whose flat-continuation"
+        " point squares to a normal float (a cutoff above about 8.95e-145), got 6e-159"
+        " (60 omega_c for an Ohmic density)\n"
+    )
+    code, out, _ = run(capsys, [*argv, "--set", "method=exact"])
+    assert code == 0
+    assert [row["value"] for row in read_csv(out)] == ["0.64999999999999991", "0", "0"]
+
+
 @pytest.mark.parametrize("command", ["evolve", "measure"])
 @pytest.mark.parametrize("settings, key, message", [
     (["omega_c=2", "beta_a=-1", "method=exact"], "beta_a", "beta_a must be positive, got -1.0"),

@@ -209,6 +209,34 @@ def test_quadrature_accepts_the_largest_cutoff_whose_square_is_finite():
     assert gamma(res, 1.5e-200, GammaMethod.EXACT) == gamma_exact(res, 1.5e-200) > 0.0
 
 
+@pytest.mark.parametrize("spectral", [
+    OhmicSpectralDensity(0.2, 1e-147),
+    OhmicSpectralDensity(0.2, 1e-160),
+    CustomSpectralDensity(lambda w: w * math.exp(-w), support_cutoff=1e-150),
+], ids=["ohmic_1e-147", "ohmic_1e-160", "custom_1e-150"])
+def test_quadrature_rejects_a_cutoff_whose_continuation_point_squares_below_normal(spectral):
+    # the integrand divides by w * w >= omega_eps^2: at omega_c = 1e-160 that
+    # square was 0 and every row a ZeroDivisionError, t = 0 included
+    cutoff = spectral.support_cutoff
+    res = ReservoirSpec(spectral, 1.0 / cutoff, 2.0)
+    for t in (0.0, 90.0 / cutoff):  # 1.5 / omega_c for Ohmic
+        with pytest.raises(MethodError) as info:
+            gamma(res, t, GammaMethod.NUMERIC_QUADRATURE)
+        assert str(info.value) == (
+            "quadrature needs a support cutoff whose flat-continuation point squares to a normal"
+            f" float (a cutoff above about 8.95e-145), got {cutoff!r}"
+            " (60 omega_c for an Ohmic density)"
+        )
+
+
+def test_quadrature_accepts_the_smallest_cutoff_whose_continuation_point_squares_to_normal():
+    omega_c = 1.5e-146  # omega_eps = 1.5e-154 squares to 2.25e-308
+    res = ohmic(eta=0.2, omega_c=omega_c, beta=1.0 / omega_c, omega=2.0)
+    assert gamma(res, 0.0, GammaMethod.NUMERIC_QUADRATURE) == 0.0
+    quad = gamma(res, 1.5 / omega_c, GammaMethod.NUMERIC_QUADRATURE)
+    assert abs(quad - gamma_exact(res, 1.5 / omega_c)) <= 1e-14 * quad
+
+
 def _quadrature_or_error(res, t):
     try:
         return gamma(res, t, GammaMethod.NUMERIC_QUADRATURE).hex()

@@ -22,6 +22,7 @@ import numpy as np
 from .exceptions import NoCorrelationError, ParameterError
 from .evolution import dephasing_factors, evolve, gammas
 from .measures import (
+    BIPARTITIONS,
     GHZ_WERNER_FORMS,
     W_WERNER_FORMS,
     ZERO_EIGENVALUE_TOL,
@@ -46,9 +47,8 @@ FREEZE_SPAN_RATIO = 2.0
 MEASURES: dict[str, Callable[[np.ndarray], float]] = {
     "gmc": gmc_x_state,
     "tripartite_negativity": tripartite_negativity,
-    "negativity_a_bc": lambda rho: negativity(rho, 0),
-    "negativity_b_ac": lambda rho: negativity(rho, 1),
-    "negativity_c_ab": lambda rho: negativity(rho, 2),
+    # each reads `negativity` from this module when called
+    **{f"negativity_{c}": lambda rho, q=q: negativity(rho, q) for q, c in enumerate(BIPARTITIONS)},
     "l1_coherence": l1_coherence,
 }
 
@@ -140,9 +140,9 @@ def _from_zero(
     return ([0.0, *ts], [curve(0.0), *vs]) if ts[0] > 0.0 else (ts, vs)
 
 
-def _check_times(ts: Sequence[float]) -> None:
-    """Reject sample times that go backwards.  Equal neighbours pass: linspace
-    can repeat a time on a tiny range."""
+def _check_samples(ts: Sequence[float], vs: Sequence[float], quantity: str) -> None:
+    """Reject times that go backwards (equal neighbours pass: linspace can repeat
+    a time on a tiny range) and a curve that does not start above 0, NaN included."""
     ts = np.asarray(ts, dtype=float)
     forward = ts[1:] >= ts[:-1]
     if not forward.all():  # NaN included
@@ -150,6 +150,8 @@ def _check_times(ts: Sequence[float]) -> None:
         raise ParameterError(
             f"sample times must not decrease, got {float(ts[i + 1])!r} after {float(ts[i])!r}"
         )
+    if not vs[0] > 0.0:  # NaN included
+        raise NoCorrelationError(f"measure starts at {float(vs[0])!r}; no {quantity} exists")
 
 
 def _sampled_curve(
@@ -172,10 +174,8 @@ def _sampled_curve(
     ts, vs = (list(map(float, seq)) for seq in samples)
     if len(ts) != len(vs) or not ts or ts[0] < 0.0 or ts[-1] != t_max:
         raise ParameterError("samples must be matching time and value lists from t >= 0 to t_max")
-    _check_times(ts)
     ts, vs = _from_zero(curve, ts, vs)
-    if not vs[0] > 0.0:  # NaN included
-        raise NoCorrelationError(f"measure starts at {vs[0]!r}; no {quantity} exists")
+    _check_samples(ts, vs, quantity)
     return ts, vs
 
 
@@ -271,12 +271,9 @@ def freezing_intervals(ts: Sequence[float], values: Sequence[float]) -> list[tup
     vs = np.asarray(values, dtype=float)
     if ts.shape != vs.shape or ts.ndim != 1 or ts.size < 2:
         raise ParameterError("need matching 1-d time and value arrays with >= 2 samples")
-    _check_times(ts)
-    v0 = vs[0]
-    if v0 <= 0.0:
-        raise NoCorrelationError("freezing detection needs a positive initial value")
-    tol = FREEZE_VALUE_TOL * v0
-    floor = FREEZE_VALUE_FLOOR * v0
+    _check_samples(ts, vs, "freezing interval")
+    tol = FREEZE_VALUE_TOL * vs[0]
+    floor = FREEZE_VALUE_FLOOR * vs[0]
 
     runs: list[tuple[int, int]] = []  # [start, end] inclusive indices
     start = 0

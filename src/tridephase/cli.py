@@ -329,6 +329,16 @@ def cmd_selfcheck(args) -> int:
     return 0 if failures == 0 else 1
 
 
+# the commands that read a config, with their help; `_run` looks up cmd_<name>
+# when it runs, so a replaced cli.cmd_<name> is the one called
+_COMMANDS = {
+    "evolve": "write the evolved 8x8 density matrix at each requested time",
+    "measure": "write (t, measure, parameters) rows over the parameter grid",
+    "timescales": "write preservation/characteristic times and freezing intervals",
+    "sweep": "full batch run; optionally append timescale columns",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tridephase",
@@ -336,12 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         "in independent thermal reservoirs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("evolve", "write the evolved 8x8 density matrix at each requested time"),
-        ("measure", "write (t, measure, parameters) rows over the parameter grid"),
-        ("timescales", "write preservation/characteristic times and freezing intervals"),
-        ("sweep", "full batch run; optionally append timescale columns"),
-    ):
+    for name, help_text in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="JSON configuration file")
         p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
@@ -363,13 +368,7 @@ def _run(args) -> int:
         return cmd_selfcheck(args)
     try:
         config = load_config(args.config, args.overrides)
-        if args.command == "evolve":
-            return cmd_evolve(config, args)
-        if args.command == "measure":
-            return cmd_measure(config, args)
-        if args.command == "timescales":
-            return cmd_timescales(config, args)
-        return cmd_sweep(config, args)
+        return globals()[f"cmd_{args.command}"](config, args)
     except (ConfigError, TridephaseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

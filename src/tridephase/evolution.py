@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .exceptions import ParameterError
-from .reservoir import GammaMethod, ReservoirSpec, gamma
+from .reservoir import GammaMethod, ReservoirSpec, _time_array, gamma
 from .states import DIM, assert_density_matrix
 
 
@@ -98,9 +98,7 @@ def dephasing_factors(
     """
     if len(reservoirs) != 3:
         raise ParameterError(f"expected three reservoirs, got {len(reservoirs)}")
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim > 1:
-        raise ParameterError(f"t must be a scalar or a 1-d time array, got shape {ts.shape}")
+    ts = _time_array(t)
     times = ts.reshape(-1).tolist()
     damps = np.array([math.exp(-g) for g in gammas(reservoirs, times, method, memo)]).reshape(-1, 3)
     # per-qubit factor exp(-Gamma_X) where qubit X flips, 1 elsewhere; the

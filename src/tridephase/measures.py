@@ -24,6 +24,7 @@ from .linalg import hermitian_eigenvalues, partial_trace, partial_transpose, per
 from .states import DIM, assert_density_matrix, check_mixing, projector
 
 QUBIT_DIMS = [2, 2, 2]
+BIPARTITIONS = ("a_bc", "b_ac", "c_ab")  # the cut X|YZ of the partial transpose on qubit X
 
 # Eigenvalues and matrix entries below this magnitude count as zero.
 ZERO_EIGENVALUE_TOL = 1e-12
@@ -228,7 +229,7 @@ def werner_forms(state: str, pt_eigenvalue, gmc_margin: Form, l1: Form) -> dict:
             # the geometric mean is alive exactly where all three factors are
             lambda x, d: min(margin(x, d) for _, margin in cuts),
         ),
-        **{(state, "negativity_" + c): pair for c, pair in zip(("a_bc", "b_ac", "c_ab"), cuts)},
+        **{(state, "negativity_" + c): pair for c, pair in zip(BIPARTITIONS, cuts)},
         (state, "l1_coherence"): (l1, l1),
     }
 

@@ -136,8 +136,9 @@ def kernels_vs_pipeline() -> float:
         x = float(rng.uniform(0.0, 1.0))
         eta, beta_a, k1, k2 = rng.uniform((0.05, 0.1, 0.5, 0.5), (0.5, 100.0, 16.0, 16.0)).tolist()
         reservoirs = make_reservoirs(eta, 1.0, beta_a, k1, k2, (1.5, 2.0, 2.5))
-        factors = dephasing_factors(reservoirs, times, GammaMethod.EXACT)
-        damps = np.exp(-np.array(gammas(reservoirs, times.tolist(), GammaMethod.EXACT)))
+        memo: dict = {}  # each Gamma once, for the channel and the kernels
+        factors = dephasing_factors(reservoirs, times, GammaMethod.EXACT, memo)
+        damps = np.exp(-np.array(gammas(reservoirs, times.tolist(), GammaMethod.EXACT, memo)))
         for state, psi in STATES.items():
             stack = DensityStack(evolve(werner(psi(), x), factors))
             for name, measure in MEASURES.items():
@@ -195,8 +196,7 @@ def gmc_ghz_werner_low_t(
     checked by preservation_time_sinh_residual.  Cross-check only.
     """
     check_mixing(x)
-    if t < 0:
-        raise ParameterError(f"time must be >= 0, got {t!r}")
+    reservoir._check_time(t)
     if t == 0.0:
         return math.inf if x > 0 else 0.0
     log_bracket = math.log1p((omega_c * t) ** 2) - math.log(math.pi**2 * t * t)

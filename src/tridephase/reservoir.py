@@ -217,6 +217,14 @@ def _check_time(t: float) -> None:
         raise ParameterError(f"time must be finite and >= 0, got {t!r}")
 
 
+def _time_array(t) -> np.ndarray:
+    """t, one time or a 1-d time array, as a float array."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ParameterError(f"times must be a float or a 1-d array, got shape {ts.shape}")
+    return ts
+
+
 def _require_ohmic(res: ReservoirSpec, method: GammaMethod) -> OhmicSpectralDensity:
     if not isinstance(res.spectral, OhmicSpectralDensity):
         raise MethodError(f"{method.value} closed form is only available for Ohmic densities")
@@ -292,10 +300,7 @@ def gamma_exact(res: ReservoirSpec, t):
     _require_ohmic(res, GammaMethod.EXACT)
     if np.ndim(t) == 0:
         return _ohmic_gamma(res, float(t))
-    ts = np.asarray(t, dtype=float)
-    if ts.ndim != 1:
-        raise ParameterError(f"times must be a float or a 1-d array, got shape {ts.shape}")
-    return np.array([_ohmic_gamma(res, tv) for tv in ts.tolist()])
+    return np.array([_ohmic_gamma(res, tv) for tv in _time_array(t).tolist()])
 
 
 def _ohmic_gamma(res: ReservoirSpec, t: float) -> float:

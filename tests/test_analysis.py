@@ -189,6 +189,31 @@ def test_freezing_validation():
     assert freezing_intervals([0.0, 0.0, 1.0], [1.0] * 3) == []  # a repeated time passes
     with pytest.raises(NoCorrelationError):
         freezing_intervals([0.0, 1.0], [0.0, 0.0])
+    # a NaN start is not above 0 either
+    with pytest.raises(NoCorrelationError, match=r"^measure starts at nan; no freezing interval exists$"):
+        freezing_intervals(list(range(8)), [math.nan] * 8)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "a run exactly FREEZE_SPAN_RATIO times as long as its neighbour qualifies or not by "
+    "each grid's rounding (ROADMAP item 4)"
+))
+def test_freezing_intervals_at_a_span_tie_do_not_depend_on_the_grid_rounding():
+    # runs (48, 54) and (55, 67) are 6 and 12 steps long: on the channel times
+    # the second spans just over twice the first, on grid.times() just under
+    grid = SweepGrid(
+        xs=[0.8655019962377106], etas=[1e-3], beta_as=[0.003], k1s=[1e5], k2s=[2500.0],
+        t_start=0.0, t_stop=0.9841123650320234, t_count=241, omega_sqs=(4.0, 4.0, 12.0),
+        measures=("l1_coherence",), method=GammaMethod.LOW_T_CLOSED_FORM, state="w",
+        omega_c=2.5,
+    )
+    (curve,) = run_sweep(grid)
+
+    def sample_indices(ts):
+        index = {t: i for i, t in enumerate(ts.tolist())}
+        return [(index[a], index[b]) for a, b in freezing_intervals(ts, curve.values)]
+
+    assert sample_indices(grid.channel_times()) == sample_indices(grid.times())
 
 
 def gradient(beta_a, k1, k2):

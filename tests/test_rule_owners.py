@@ -15,6 +15,7 @@ import tridephase.linalg
 from tridephase import oracles
 from tridephase.analysis import SweepGrid, characteristic_time, preservation_time_zero_t
 from tridephase.cli import main
+from tridephase.evolution import dephasing_factors
 from tridephase.exceptions import HermiticityViolation, ParameterError, ShapeError
 from tridephase.linalg import partial_trace, partial_transpose
 from tridephase.measures import gmc_ghz_werner
@@ -57,6 +58,38 @@ def test_mixing_parameter_text_at_every_entry_point(entry, x, shown):
     with pytest.raises(ParameterError) as info:
         MIXING_ENTRY_POINTS[entry](x)
     assert str(info.value) == f"mixing parameter must lie in [0, 1], got {shown}"
+
+
+WARM = ReservoirSpec(OhmicSpectralDensity(0.2, 1.0), 1.0, 2.0)
+
+TIME_ENTRY_POINTS = {
+    "gamma": lambda t: gamma(WARM, t, GammaMethod.EXACT),
+    "dephasing_factors": lambda t: dephasing_factors((WARM,) * 3, [0.0, t], GammaMethod.EXACT),
+    "gmc_ghz_werner_low_t": lambda t: oracles.gmc_ghz_werner_low_t(
+        0.8, t, 0.2, 4.0, 1.0, (0.2, 1.0, 1.0)
+    ),
+}
+
+
+@pytest.mark.parametrize("t, shown", [(-1.0, "-1.0"), (math.nan, "nan"), (math.inf, "inf")])
+@pytest.mark.parametrize("entry", sorted(TIME_ENTRY_POINTS))
+def test_time_text_at_every_entry_point(entry, t, shown):
+    with pytest.raises(ParameterError) as info:
+        TIME_ENTRY_POINTS[entry](t)
+    assert str(info.value) == f"time must be finite and >= 0, got {shown}"
+
+
+TIME_ARRAY_ENTRY_POINTS = {
+    "gamma_exact": lambda ts: gamma_exact(WARM, ts),
+    "dephasing_factors": lambda ts: dephasing_factors((WARM,) * 3, ts, GammaMethod.EXACT),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TIME_ARRAY_ENTRY_POINTS))
+def test_time_array_text_at_every_entry_point(entry):
+    with pytest.raises(ParameterError) as info:
+        TIME_ARRAY_ENTRY_POINTS[entry](np.ones((2, 3)))
+    assert str(info.value) == "times must be a float or a 1-d array, got shape (2, 3)"
 
 
 EPSILON_ENTRY_POINTS = {

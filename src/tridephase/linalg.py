@@ -1,7 +1,8 @@
-"""Dense complex-matrix primitives for small multi-qubit systems."""
+"""Complex-matrix primitives for small multi-qubit systems."""
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -55,19 +56,86 @@ def _check_hermitian(a: np.ndarray) -> None:
         )
 
 
+@functools.lru_cache(maxsize=64)
+def _blocks(pattern: bytes, n: int) -> tuple | None:
+    """The blocks of a symmetric n x n boolean nonzero pattern (its bytes,
+    row-major), or None when it is one block: the indices of every 1x1
+    block, the two indices of each 2x2 block as two arrays, and the
+    ascending indices of each larger block, as a column."""
+    reach = np.frombuffer(pattern, bool).reshape(n, n) | np.eye(n, dtype=bool)
+    for _ in range((n - 1).bit_length()):  # after k squarings: every path of <= 2^k links
+        reach = reach @ reach
+    blocks = sorted({tuple(np.flatnonzero(row)) for row in reach})
+    if len(blocks) == 1:
+        return None
+    ones = np.array([b for b in blocks if len(b) == 1], dtype=np.intp).reshape(-1)
+    pairs = np.array([b for b in blocks if len(b) == 2], dtype=np.intp).reshape(-1, 2)
+    larger = tuple(np.array(b)[:, None] for b in blocks if len(b) > 2)
+    plan = (ones, pairs[:, 0], pairs[:, 1], larger)
+    for index in (*plan[:3], *larger):
+        index.setflags(write=False)  # shared by every call with this pattern
+    return plan
+
+
+def _symmetrized(a: np.ndarray) -> np.ndarray:
+    return (a + _dagger(a)) / 2.0
+
+
+def _block_eigenvalues(a: np.ndarray, blocks) -> np.ndarray:
+    """Ascending eigenvalues of the symmetrized matrices of a (k, n, n)
+    stack whose matrices all have the blocks `blocks` (see `_blocks`)."""
+    if blocks is None:
+        return np.linalg.eigvalsh(_symmetrized(a))
+    ones, first, second, larger = blocks
+    p, q = a[:, first, first].real, a[:, second, second].real
+    b = 0.5 * a[:, second, first] + 0.5 * a[:, first, second].conj()
+    mid = 0.5 * p + 0.5 * q
+    half = np.hypot(0.5 * p - 0.5 * q, np.abs(b))
+    parts = [a[:, ones, ones].real, mid - half, mid + half]
+    parts += [np.linalg.eigvalsh(_symmetrized(a[:, i, i.T])) for i in larger]
+    return np.sort(np.concatenate(parts, axis=-1), axis=-1)
+
+
 def hermitian_eigenvalues(m) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending and real.
 
-    The input is symmetrized ((M + M^dagger)/2) before solving so that
+    The input is symmetrized (S = (M + M^dagger)/2) before solving so that
     ~1e-16 asymmetries from upstream arithmetic cannot leak into the
     spectrum; anything beyond HERMITICITY_TOL from Hermitian is rejected.
+
+    S is solved block by block.  The connected components of the nonzero
+    pattern of M | M^T are independent blocks of S, and the spectrum is
+    theirs, joined and sorted.  A 1x1 block is its real diagonal entry.  A
+    2x2 block with diagonal p, q and off-diagonal b is mid +- hypot(p/2 -
+    q/2, |b|) with mid = p/2 + q/2, which does not overflow.  A larger
+    block goes to numpy.linalg.eigvalsh.  A matrix whose pattern is one
+    block is solved whole, as numpy.linalg.eigvalsh(S), so a dense matrix
+    keeps those exact bits.  Pure dephasing keeps the pattern of the
+    initial state: a dephased GHZ-Werner matrix and each of its partial
+    transposes are one 2x2 and six 1x1 blocks, and a W-Werner matrix is
+    one 3x3 and five 1x1 blocks.
+
     A stack of shape (..., n, n) gives eigenvalues of shape (..., n), each
-    row equal to the single-matrix result; one matrix beyond the tolerance
-    rejects the stack.
+    row equal to the single-matrix result bit for bit: each matrix is
+    solved by the rule of its own pattern, with one pass over the stack
+    per distinct pattern, so a stack of many different patterns is slower
+    than one dense solve.  One matrix beyond the tolerance rejects the
+    stack.
     """
     a = _as_square_stack(m)
     _check_hermitian(a)
-    return np.linalg.eigvalsh((a + _dagger(a)) / 2.0)
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    linked = flat != 0
+    linked = (linked | linked.swapaxes(-1, -2)).reshape(len(flat), -1)
+    out = np.empty(flat.shape[:-1])
+    todo = np.arange(len(flat))
+    while todo.size:
+        pattern = linked[todo[0]]
+        same = (linked[todo] == pattern).all(axis=-1)
+        rows, todo = todo[same], todo[~same]
+        out[rows] = _block_eigenvalues(flat[rows], _blocks(pattern.tobytes(), n))
+    return out.reshape(a.shape[:-1])
 
 
 def _subsystem_dims(dims, n: int) -> list[int]:

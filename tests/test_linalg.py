@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tridephase import linalg
+from tridephase.analysis import STATES, make_reservoirs
+from tridephase.evolution import dephasing_factors, evolve
 from tridephase.exceptions import HermiticityViolation, ParameterError, ShapeError
 from tridephase.linalg import (
     hermitian_eigenvalues,
@@ -10,6 +13,9 @@ from tridephase.linalg import (
     partial_transpose,
     purity,
 )
+from tridephase.measures import DensityStack
+from tridephase.reservoir import GammaMethod
+from tridephase.states import werner
 
 
 def random_hermitian(rng, dim):
@@ -78,6 +84,100 @@ def test_eigenvalues_deterministic():
     first = hermitian_eigenvalues(m)
     for _ in range(5):
         assert np.array_equal(first, hermitian_eigenvalues(m))
+
+
+def block_hermitian_stack(rng, dim, rows, sizes=None, cut_share=0.5):
+    """`rows` matrices with one block pattern, scaled by up to 1e+-3, each
+    Hermitian but for an antisymmetric part of at most 1e-11 per entry.
+
+    The blocks have random sizes (or `sizes`) on randomly permuted indices,
+    and some entries inside a block are exactly 0, but a random path keeps
+    each block connected.  Then one coherence is set to exactly 0.0 in
+    about `cut_share` of the rows, so the rows of a stack can differ in
+    pattern.
+    """
+    if sizes is None:
+        cuts = rng.choice(np.arange(1, dim), size=rng.integers(0, dim), replace=False)
+        sizes = np.diff([0, *np.sort(cuts), dim])
+    perm = rng.permutation(dim)
+    linked = np.zeros((dim, dim), bool)
+    start = 0
+    for size in sizes:
+        block = perm[start:start + size]
+        linked[np.ix_(block, block)] = rng.random((size, size)) < 0.6
+        linked[block[:-1], block[1:]] = True  # a path through the block
+        start += size
+    linked |= linked.T
+    stack = np.stack([random_hermitian(rng, dim) for _ in range(rows)]) * linked
+    stack *= 10.0 ** rng.uniform(-3, 3)
+    skew = rng.uniform(-1e-11, 1e-11, size=stack.shape) * linked
+    stack += (skew - skew.swapaxes(-1, -2)) / 2
+    i, j = np.nonzero(np.triu(linked, 1))
+    if i.size:
+        k = rng.integers(i.size)
+        cut = rng.random(rows) < cut_share
+        stack[cut, i[k], j[k]] = stack[cut, j[k], i[k]] = 0.0
+    return stack
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4, 8]))
+@settings(max_examples=200, deadline=None)
+def test_block_spectra_match_eigvalsh(seed, dim):
+    rng = np.random.default_rng(seed)
+    stack = block_hermitian_stack(rng, dim, rows=6)
+    eigs = hermitian_eigenvalues(stack)
+    assert eigs.shape == (6, dim)
+    assert np.all(np.diff(eigs, axis=-1) >= 0)
+    bound = 16 * dim * np.finfo(float).eps * np.abs(stack).max(axis=(-2, -1))
+    dense = np.linalg.eigvalsh((stack + stack.conj().swapaxes(-1, -2)) / 2)
+    assert np.all(np.abs(eigs - dense).max(axis=-1) <= bound)
+    singles = np.stack([hermitian_eigenvalues(m) for m in stack])
+    assert eigs.tobytes() == singles.tobytes()  # bit for bit, signs of zeros included
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4, 8]))
+@settings(max_examples=100, deadline=None)
+def test_one_block_matrix_keeps_the_bits_of_eigvalsh(seed, dim):
+    rng = np.random.default_rng(seed)
+    m = block_hermitian_stack(rng, dim, rows=1, sizes=[dim], cut_share=0.0)[0]
+    m[0, -1] += 1e-12  # asymmetric by less than HERMITICITY_TOL, so symmetrized first
+    assert hermitian_eigenvalues(m).tobytes() == np.linalg.eigvalsh((m + m.conj().T) / 2).tobytes()
+
+
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4, 8]))
+@settings(max_examples=50, deadline=None)
+def test_block_matrix_beyond_the_tolerance_is_not_hermitian(seed, dim):
+    rng = np.random.default_rng(seed)
+    stack = block_hermitian_stack(rng, dim, rows=3)
+    i, j = rng.choice(dim, size=2, replace=False)
+    stack[1, i, j] += 1e-6 * max(1.0, np.abs(stack).max())
+    with pytest.raises(
+        HermiticityViolation, match=r"^matrix is not Hermitian: max \|M - M\^dagger\| = \S+ > 1\.0e-10$"
+    ):
+        hermitian_eigenvalues(stack)
+
+
+@pytest.mark.parametrize("state", ["ghz", "w"])
+def test_dephased_werner_spectra_call_lapack_only_on_3x3_blocks(monkeypatch, state):
+    # Pure dephasing keeps the Werner pattern, so a validated, evolved stack
+    # and its three partial-transpose spectra need LAPACK only for the W
+    # state's 3x3 block, once per spectrum; GHZ-Werner (an X state) is all
+    # 1x1 and 2x2 blocks.
+    reservoirs = make_reservoirs(0.3, 1.0, 150.0, 4.0, 16.0, (2.0, 2.0, 2.0))
+    factors = dephasing_factors(reservoirs, np.linspace(0.0, 3.0, 31), GammaMethod.LOW_T_CLOSED_FORM)
+    stack = evolve(werner(STATES[state](), 0.8), factors)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape[-2:])
+        return eigvalsh(a)
+
+    monkeypatch.setattr(linalg.np.linalg, "eigvalsh", counting)
+    checked = DensityStack(stack)
+    spectra = [checked.pt_eigenvalues(subsystem) for subsystem in range(3)]
+    assert all(np.all(np.diff(s, axis=-1) >= 0) for s in spectra)
+    assert calls == ([] if state == "ghz" else [(3, 3)] * 4)
 
 
 def test_partial_transpose_diagonal_invariant():

@@ -13,7 +13,7 @@ from .analysis import (
     preservation_time_zero_t,
     run_sweep,
 )
-from .evolution import dephasing_factors, energies, energy, evolve
+from .evolution import dephasing_factors, evolve
 from .exceptions import (
     HermiticityViolation,
     MethodError,
@@ -66,8 +66,6 @@ __all__ = [
     "ZERO_TEMPERATURE",
     "characteristic_time",
     "dephasing_factors",
-    "energies",
-    "energy",
     "evolve",
     "freezing_intervals",
     "gamma",

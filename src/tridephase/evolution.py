@@ -1,18 +1,20 @@
 """Exact elementwise dephasing map for three qubits in independent baths.
 
-The interaction commutes with the free Hamiltonian, so populations never
-move; every coherence picks up a damping factor and a deterministic phase:
+The channel is a product of three one-qubit dephasing channels (Palma,
+Suominen & Ekert, Proc. R. Soc. A 452, 567 (1996)).  Qubit X multiplies
+rho[u, v] by c_X = exp(-Gamma_X) exp(-2i Omega_X t) where it is 0 in u and
+1 in v, by conj(c_X) the other way round, and by 1 where it does not flip:
 
-    rho[u, v](t) = rho[u, v](0) * F[u, v](t) * exp(-i (E_u - E_v) t)
+    rho[u, v](t) = rho[u, v](0) * F[u, v](t),   F = F_A * F_B * F_C,
 
-with F[u, v] = exp(-(1 - delta_mm') Gamma_A - (1 - delta_nn') Gamma_B
-               - (1 - delta_ll') Gamma_C) for u = (m n l), v = (m' n' l').
+so the phase -(E_u - E_v) t composes from one-qubit phases at any t; the
+energy table (`energies`, `energy`) is gone.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,42 +23,10 @@ from .reservoir import GammaMethod, ReservoirSpec, _time_array, gamma
 from .states import DIM, assert_density_matrix
 
 
-# _BITS[u] = (m, n, l) of basis index u = 4m + 2n + l; _FLIPS[X, u, v]:
-# qubit X differs between basis states u and v
+# _BITS[u] = (m, n, l) of basis index u = 4m + 2n + l; _ENTRIES[X, u, v] =
+# 2 (X's bit in u) + (X's bit in v), the entry of X's channel [[1, c], [conj(c), 1]]
 _BITS = (np.arange(DIM)[:, None] >> np.array([2, 1, 0])) & 1
-_FLIPS = np.moveaxis(_BITS[:, None, :] != _BITS[None, :, :], -1, 0)
-_SIGNS = 1.0 - 2.0 * _BITS  # (-1)^bit
-
-
-def energy(m: int, n: int, l: int, omegas: Sequence[float]) -> float:
-    """E_mnl = (-1)^m Omega_A + (-1)^n Omega_B + (-1)^l Omega_C."""
-    for bit in (m, n, l):
-        if bit not in (0, 1):
-            raise ParameterError(f"basis labels must be bits, got ({m}, {n}, {l})")
-    return float(energies(omegas)[4 * m + 2 * n + l])
-
-
-def energies(omegas: Sequence[float]) -> np.ndarray:
-    """All eight E_mnl of the splittings (Omega_A, Omega_B, Omega_C), ordered
-    by basis index 4m + 2n + l and each summed A, then B, then C."""
-    if len(omegas) != 3 or not all(omega > 0 for omega in omegas):  # NaN included
-        raise ParameterError(f"need three positive splittings, got {omegas!r}")
-    omega_a, omega_b, omega_c = omegas
-    return _SIGNS[:, 0] * omega_a + _SIGNS[:, 1] * omega_b + _SIGNS[:, 2] * omega_c
-
-
-class DephasingFactors(NamedTuple):
-    """Elementwise damping magnitudes and phase angles.
-
-    Shape (8, 8) at one fixed time, or (T, 8, 8) for a time array with one
-    matrix per time.  Built only by `dephasing_factors`, where every Gamma
-    is >= 0 (checked by `gamma`), so by construction each damping matrix
-    has a unit diagonal, is symmetric with entries in [0, 1] (exp(-Gamma)
-    underflows to 0.0 for Gamma > ~745), and each phase is antisymmetric.
-    """
-
-    damping: np.ndarray
-    phase: np.ndarray
+_ENTRIES = 2 * _BITS.T[:, :, None] + _BITS.T[:, None, :]
 
 
 def gammas(
@@ -86,41 +56,41 @@ def dephasing_factors(
     t,
     method: GammaMethod,
     memo: dict | None = None,
-) -> DephasingFactors:
-    """Damping and phase matrices for qubits A, B, C in three independent reservoirs.
+) -> np.ndarray:
+    """The complex factor F of the channel on qubits A, B, C, each in its reservoir.
 
-    Each reservoir carries its qubit's splitting Omega_X, which sets both
-    Gamma_X and the energies E_mnl.  `t` is one time (8x8 factors) or a
-    1-d time array ((T, 8, 8) factors, matrix i at t[i]); a negative or
-    non-finite time is rejected, and so is a largest time t whose largest
-    phase, 2 (Omega_A + Omega_B + Omega_C) t, overflows.  Gamma comes from
-    `gammas`, which shares values through `memo`.
+    Each reservoir carries its qubit's splitting Omega_X.  `t` is one time
+    (an 8x8 F) or a 1-d time array (a (T, 8, 8) F, matrix i at t[i]); a
+    negative or non-finite time is rejected, and so is a largest time whose
+    largest phase, 2 (Omega_A + Omega_B + Omega_C) t, overflows.  Gamma comes
+    from `gammas`, which shares values through `memo`.  As Gamma >= 0, F has
+    a unit diagonal, equals its conjugate transpose bit for bit and has
+    |F| <= 1 up to round-off.
     """
     if len(reservoirs) != 3:
         raise ParameterError(f"expected three reservoirs, got {len(reservoirs)}")
     ts = _time_array(t)
     times = ts.reshape(-1).tolist()
     damps = np.array([math.exp(-g) for g in gammas(reservoirs, times, method, memo)]).reshape(-1, 3)
-    # per-qubit factor exp(-Gamma_X) where qubit X flips, 1 elsewhere; the
-    # product order matches np.kron(np.kron(A, B), C)
-    a, b, c = (np.where(_FLIPS[x], damps[:, x, None, None], 1.0) for x in range(3))
-    damping = (a * b) * c
-    omegas = tuple(res.omega_qubit for res in reservoirs)
+    omegas = [res.omega_qubit for res in reservoirs]
     t_max = max(times, default=0.0)
     if not 2.0 * (omegas[0] + omegas[1] + omegas[2]) * t_max < math.inf:  # NaN included
         raise ParameterError(f"phase 2 (Omega_A + Omega_B + Omega_C) t overflows at t = {t_max!r}")
-    e = energies(omegas)
-    phase = -(e[:, None] - e[None, :]) * ts.reshape(-1, 1, 1)
-    if ts.ndim == 0:
-        damping, phase = damping[0], phase[0]
-    return DephasingFactors(damping=damping, phase=phase)
+    c = damps * np.exp(-2j * np.array(omegas) * ts.reshape(-1, 1))
+    one = np.ones_like(c)
+    channels = np.stack([one, c, c.conj(), one], axis=-1)  # [t, X]: X's 2x2 channel, flattened
+    # np.take keeps F C-contiguous; with t the fastest axis, as a mixed
+    # slice/array index gives, stacked measures sum in another order than
+    # the same matrices one by one
+    f_a, f_b, f_c = (np.take(channels[:, x], _ENTRIES[x], axis=1) for x in range(3))
+    factors = (f_a * f_b) * f_c
+    return factors[0] if ts.ndim == 0 else factors
 
 
-def evolve(rho0: np.ndarray, factors: DephasingFactors) -> np.ndarray:
+def evolve(rho0: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """Apply the dephasing map; the diagonal is returned bit-for-bit unchanged.
 
     With (T, 8, 8) factors the result is the (T, 8, 8) stack of evolved
     matrices.
     """
-    rho = assert_density_matrix(rho0)
-    return rho * factors.damping * np.exp(1j * factors.phase)
+    return assert_density_matrix(rho0) * factors

@@ -135,7 +135,7 @@ def gmc_ghz_werner(x: float, gamma_total: float) -> float:
     t = 0 exactly when x > 3/7.
     """
     check_mixing(x)
-    if gamma_total < 0.0:
+    if not gamma_total >= 0.0:  # NaN included
         raise ParameterError(f"total decoherence exponent must be >= 0, got {gamma_total!r}")
     return max(0.0, _ghz_gmc_margin(x, math.exp(-gamma_total)))
 

@@ -211,7 +211,7 @@ def gmc_ghz_werner_low_t(
 def _log_beta_sinh(beta: float, t: float) -> float:
     """ln(beta sinh(pi t / beta)) for pi t / beta > 0, via ln sinh z = ln(sinh z / z) + ln z."""
     z = math.pi * t / beta
-    if z <= 0.0:
+    if not z > 0.0:  # NaN included
         raise ParameterError(f"need z > 0, got {z!r}")
     return math.log(beta) + reservoir._log_sinhc(z) + math.log(z)
 

@@ -20,7 +20,6 @@ from tridephase.analysis import (
     preservation_time_zero_t,
     run_sweep,
 )
-from tridephase.evolution import energies
 from tridephase.exceptions import MethodError, NoCorrelationError, ParameterError
 from tridephase.measures import gmc_ghz_werner
 from tridephase.oracles import gmc_ghz_werner_low_t
@@ -653,7 +652,6 @@ def one_point_grid(**changes):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: energies((math.nan, 1.0, 1.0)), "need three positive splittings"),
     (lambda: OhmicSpectralDensity(math.nan, 1.0), "coupling constant eta must be >= 0"),
     (lambda: OhmicSpectralDensity(0.2, math.nan), "cutoff frequency must be positive"),
     (lambda: ReservoirSpec(OhmicSpectralDensity(0.2, 1.0), ZERO_TEMPERATURE, math.nan),
@@ -670,10 +668,12 @@ def one_point_grid(**changes):
     (lambda: one_point_grid(epsilon=1.5), r"epsilon must lie in \(0, 1\)"),
     (lambda: one_point_grid(epsilon=math.nan), r"epsilon must lie in \(0, 1\)"),
     (lambda: preservation_time_zero_t(0.9, math.nan, 4.0, 1.0), "must be positive"),
+    (lambda: gmc_ghz_werner(0.8, math.nan), "total decoherence exponent must be >= 0"),
 ], ids=[
-    "energies", "ohmic_eta", "ohmic_omega_c", "reservoir_omega_qubit", "reservoir_beta",
+    "ohmic_eta", "ohmic_omega_c", "reservoir_omega_qubit", "reservoir_beta",
     "gradient_beta_a", "gradient_k1", "grid_omega_c", "grid_omega_sq", "grid_t_stop_inf",
     "grid_t_count_float", "grid_method_str", "grid_epsilon_big", "grid_epsilon_nan", "zero_t_eta",
+    "gmc_ghz_werner_gamma_total",
 ])
 def test_library_boundary_rejects_nan_and_infinite_t_stop(build, message):
     with pytest.raises(ParameterError, match=message):

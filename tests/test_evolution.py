@@ -1,10 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tridephase.evolution import dephasing_factors, energies, energy, evolve
+from tridephase.evolution import dephasing_factors, evolve
 from tridephase.exceptions import ParameterError
 from tridephase.linalg import hermitian_eigenvalues, hermiticity_defect
 from tridephase.measures import DensityStack
@@ -33,47 +34,19 @@ def random_density(rng):
 
 
 def test_energy_examples():
-    omegas = (1.0, 2.0, 3.0)
-    assert energy(0, 0, 0, omegas) == 6.0
-    assert energy(1, 1, 1, omegas) == -6.0
-    assert energy(0, 0, 0, omegas) - energy(1, 1, 1, omegas) == 2.0 * (1.0 + 2.0 + 3.0)
-    assert energy(0, 1, 0, OMEGAS) == 2.0
-
-
-def test_energy_rejects_non_bits():
-    with pytest.raises(ParameterError):
-        energy(0, 2, 0, OMEGAS)
-
-
-def test_energies_ordering():
-    e = energies((4.0, 2.0, 1.0))
-    # index 4m + 2n + l
-    assert e[0] == 7.0  # |000>
-    assert e[5] == -4.0 + 2.0 - 1.0  # |101>
-    assert e[7] == -7.0
-
-
-@pytest.mark.parametrize("omegas", [(1.0, 2.0, 3.0), (0.1, 0.2, 0.3), (2**0.5, 3**0.5, 12**0.5)])
-def test_energies_equal_the_scalar_sign_sum_bit_for_bit(omegas):
-    omega_a, omega_b, omega_c = omegas
-    expected = [
-        (-1.0) ** m * omega_a + (-1.0) ** n * omega_b + (-1.0) ** l * omega_c
-        for m in (0, 1) for n in (0, 1) for l in (0, 1)
-    ]
-    assert energies(omegas).tolist() == expected
-    assert [energy(m, n, l, omegas) for m in (0, 1) for n in (0, 1) for l in (0, 1)] == expected
-    # the channel takes each splitting from its own reservoir
-    spectral = OhmicSpectralDensity(0.2, 1.0)
-    res = tuple(ReservoirSpec(spectral, ZERO_TEMPERATURE, omega) for omega in omegas)
-    e = energies(omegas)
-    phase = dephasing_factors(res, 1.0, GammaMethod.ZERO_T_CLOSED_FORM).phase
-    assert np.array_equal(phase, -(e[:, None] - e[None, :]))
+    # the phase of F[u, v] is -(E_u - E_v) t, E_mnl = (-1)^m Omega_A + (-1)^n Omega_B + (-1)^l Omega_C
+    spectral = OhmicSpectralDensity(0.0, 1.0)  # no damping: F is the phase alone
+    res = tuple(ReservoirSpec(spectral, ZERO_TEMPERATURE, omega) for omega in (1.0, 2.0, 3.0))
+    t = 0.125
+    f = dephasing_factors(res, t, GammaMethod.ZERO_T_CLOSED_FORM)
+    assert f[0, 7] == pytest.approx(cmath.exp(-1j * (6.0 - -6.0) * t), abs=1e-15)  # E_000 - E_111
+    assert f[2, 5] == pytest.approx(cmath.exp(-1j * (2.0 - -2.0) * t), abs=1e-15)  # E_010 - E_101
+    assert f[7, 0] == f[0, 7].conjugate()
 
 
 def test_factors_at_t0_are_identity():
     f = dephasing_factors(reservoirs(), 0.0, GammaMethod.ZERO_T_CLOSED_FORM)
-    assert np.array_equal(f.damping, np.ones((8, 8)))
-    assert np.array_equal(f.phase, np.zeros((8, 8)))
+    assert np.array_equal(f, np.ones((8, 8)))
 
 
 def test_factor_entries_combine_per_qubit_exponents():
@@ -81,13 +54,12 @@ def test_factor_entries_combine_per_qubit_exponents():
     t = 1.3
     g = gamma_zero_t(res[0], t)  # identical reservoirs
     f = dephasing_factors(res, t, GammaMethod.ZERO_T_CLOSED_FORM)
-    # (000)-(111): all three qubits flip
-    assert f.damping[0, 7] == pytest.approx(math.exp(-3 * g), rel=1e-14)
-    # (001)-(010): B and C flip
-    assert f.damping[1, 2] == pytest.approx(math.exp(-2 * g), rel=1e-14)
+    # (000)-(111): all three qubits flip, each with the phase -2 Omega t
+    assert f[0, 7] == pytest.approx(math.exp(-3 * g) * cmath.exp(-2j * (OMEGA * 3) * t), rel=1e-14)
+    # (001)-(010): B and C flip the opposite ways, so their phases cancel
+    assert f[1, 2] == pytest.approx(math.exp(-2 * g), rel=1e-14)
     # (000)-(100): only A flips
-    assert f.damping[0, 4] == pytest.approx(math.exp(-g), rel=1e-14)
-    assert f.phase[0, 7] == pytest.approx(-2 * (OMEGA * 3) * t, rel=1e-14)
+    assert abs(f[0, 4]) == pytest.approx(math.exp(-g), rel=1e-14)
 
 
 @st.composite
@@ -127,15 +99,40 @@ WEAK = tuple(ReservoirSpec(OhmicSpectralDensity(1e-12, 6.5), 1.0, OMEGA) for _ i
 @example(channel=(WEAK, 3.0, GammaMethod.NUMERIC_QUADRATURE))
 @settings(max_examples=80, deadline=None)
 def test_dephasing_factors_invariants(channel):
-    """The invariants that follow from Gamma >= 0 hold bit for bit."""
+    """The invariants that follow from Gamma >= 0: the diagonal and Hermiticity
+    hold bit for bit, |F| <= 1 to round-off."""
     res, t, method = channel
     f = dephasing_factors(res, t, method)
-    shape = (8, 8) if np.ndim(t) == 0 else (len(t), 8, 8)
-    assert f.damping.shape == f.phase.shape == shape
-    assert np.all(np.diagonal(f.damping, axis1=-2, axis2=-1) == 1.0)
-    assert np.all(f.damping >= 0.0) and np.all(f.damping <= 1.0)
-    assert np.array_equal(f.damping, f.damping.swapaxes(-1, -2))
-    assert np.array_equal(f.phase, -f.phase.swapaxes(-1, -2))
+    assert f.shape == ((8, 8) if np.ndim(t) == 0 else (len(t), 8, 8))
+    assert_unit_diagonal_and_hermitian(f)
+    assert np.all(np.abs(f) <= 1.0 + 1e-15)  # |exp(-i phi)| rounds to 1 +- 1 ulp
+
+
+def assert_unit_diagonal_and_hermitian(f):
+    assert np.all(np.diagonal(f, axis1=-2, axis2=-1) == 1.0)
+    assert np.array_equal(f, f.conj().swapaxes(-1, -2))
+
+
+@given(
+    state=st.sampled_from(["ghz", "w"]),
+    x=st.floats(0.0, 1.0),
+    eta=st.floats(0.0, 1e-6),
+    omega_sqs=st.lists(st.floats(0.5, 20.0), min_size=3, max_size=3),
+    t=st.floats(0.0, 1e15),
+)
+# the rows of the large-phase command: W-Werner at x = 1, Omega^2 = (3, 5, 7)
+@example(state="w", x=1.0, eta=1e-9, omega_sqs=[3.0, 5.0, 7.0], t=1e10)
+@example(state="w", x=1.0, eta=1e-9, omega_sqs=[3.0, 5.0, 7.0], t=7.50025e13)
+@example(state="w", x=1.0, eta=1e-9, omega_sqs=[3.0, 5.0, 7.0], t=1e14)
+@settings(max_examples=80, deadline=None)
+def test_large_phases_keep_evolved_werner_states_positive(state, x, eta, omega_sqs, t):
+    """Each qubit's phase is applied as one factor, so the phases compose at any t."""
+    spectral = OhmicSpectralDensity(eta, 1.0)
+    res = tuple(ReservoirSpec(spectral, ZERO_TEMPERATURE, math.sqrt(v)) for v in omega_sqs)
+    f = dephasing_factors(res, t, GammaMethod.ZERO_T_CLOSED_FORM)
+    assert_unit_diagonal_and_hermitian(f)
+    psi = ghz_state() if state == "ghz" else w_state()
+    assert hermitian_eigenvalues(evolve(werner(psi, x), f))[0] >= -1e-15
 
 
 def test_diagonal_state_is_fixed():
@@ -193,19 +190,15 @@ def test_damping_composition_law():
     f2 = dephasing_factors(res, 1.9, GammaMethod.ZERO_T_CLOSED_FORM)
     rng = np.random.default_rng(22)
     rho = random_density(rng)
-    combined = np.abs(rho) * f1.damping * f2.damping
+    combined = np.abs(rho) * np.abs(f1) * np.abs(f2)
     sequential = np.abs(evolve(evolve(rho, f1), f2))
     assert np.abs(sequential - combined).max() < 1e-15
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=ParameterError,
-    reason="ROADMAP item 12: phases -(E_u - E_v) t from rounded energies stop composing at large t",
-)
 def test_large_phases_keep_an_evolved_state_positive():
-    # W-Werner at x = 1, Omega^2 = (3, 5, 7): the smallest eigenvalue reads
-    # -6.7e-8 at t = 1e10, -1.5e-3 at 7.5e13 and -3.0e-3 at 1e14
+    # W-Werner at x = 1, Omega^2 = (3, 5, 7): phases -(E_u - E_v) t from a
+    # table of rounded energies gave smallest eigenvalues of -6.7e-8 at
+    # t = 1e10, -1.5e-3 at 7.5e13 and -3.0e-3 at 1e14
     spectral = OhmicSpectralDensity(1e-9, 1.0)
     slow = tuple(ReservoirSpec(spectral, ZERO_TEMPERATURE, math.sqrt(v)) for v in (3.0, 5.0, 7.0))
     factors = dephasing_factors(slow, np.linspace(1e10, 1e14, 5), GammaMethod.ZERO_T_CLOSED_FORM)
@@ -231,4 +224,4 @@ def test_factors_reject_an_overflowing_phase_by_its_time(t):
     assert str(info.value) == PHASE_OVERFLOW
     # a largest phase of 6e300 is still finite
     factors = dephasing_factors(fast, [0.0, 1e290], GammaMethod.ZERO_T_CLOSED_FORM)
-    assert np.abs(factors.phase).max() == 6e300
+    assert np.all(np.isfinite(factors))

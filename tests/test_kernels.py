@@ -18,7 +18,6 @@ from tridephase.analysis import (
     preservation_time_numeric,
     run_sweep,
 )
-from tridephase.evolution import energies
 from tridephase.exceptions import NoCorrelationError, ShapeError
 from tridephase.measures import ZERO_EIGENVALUE_TOL, DensityStack, _geometric_mean, gmc_x_state
 from tridephase.reservoir import GammaMethod, gamma
@@ -26,6 +25,7 @@ from tridephase.states import w_state, werner
 
 _BITS = (np.arange(8)[:, None] >> np.array([2, 1, 0])) & 1
 _FLIPS = _BITS[:, None, :] != _BITS[None, :, :]  # [u, v, X]: qubit X differs
+_SIGNS = 1.0 - 2.0 * _BITS  # [u, X]: (-1)^bit of qubit X in basis state u
 
 
 def dephased(state, x, damps, omegas, t):
@@ -34,7 +34,8 @@ def dephased(state, x, damps, omegas, t):
     damping = np.ones((8, 8))
     for qubit, d in enumerate(damps):
         damping = damping * np.where(_FLIPS[..., qubit], d, 1.0)
-    e = energies(omegas)
+    # E_mnl = (-1)^m Omega_A + (-1)^n Omega_B + (-1)^l Omega_C
+    e = _SIGNS[:, 0] * omegas[0] + _SIGNS[:, 1] * omegas[1] + _SIGNS[:, 2] * omegas[2]
     phase = -(e[:, None] - e[None, :]) * t
     return werner(STATES[state](), x) * damping * np.exp(1j * phase)
 

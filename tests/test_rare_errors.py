@@ -119,6 +119,11 @@ def test_oracle_inputs():
     assert raised(ParameterError, lambda: gmc_ghz_werner_low_t(0.8, 1.0, 0.2, 4.0, 1.0, cold)) == (
         "need z > 0, got 0.0"
     )
+    # pi t / beta is NaN for a NaN beta
+    nan_beta = (float("nan"), 1.0, 1.0)
+    assert raised(ParameterError, lambda: gmc_ghz_werner_low_t(0.8, 1.0, 0.2, 4.0, 1.0, nan_beta)) == (
+        "need z > 0, got nan"
+    )
     assert raised(
         ParameterError, lambda: preservation_time_sinh_residual(0.5, 1.0, 0.2, 4.0, 1.0, BETAS)
     ) == "mixing parameter must lie in (0, 1), got 1.0"

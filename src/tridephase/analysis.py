@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .exceptions import NoCorrelationError, ParameterError
-from .evolution import dephasing_factors, evolve, gammas
+from .evolution import dephasing_factors, evolve, gamma_tables, gammas
 from .measures import (
     BIPARTITIONS,
     GHZ_WERNER_FORMS,
@@ -524,11 +524,15 @@ def _timescales(
     margin: Callable[[float], float],
     kernel: Callable[[float], float],
     grid: SweepGrid,
-    times: np.ndarray,
+    times: list[float],
+    grid_time: dict[float, float],
     values: list,
     errors: list,
 ) -> TimescaleResult:
     """t_p, T_c and freezing of one curve sampled at `times`, in units of 1/omega_c.
+
+    `times` are the grid's channel times, and `grid_time` maps each to its
+    grid.times() value.
 
     The root finders and the freezing detection run on the channel times:
     t_p on the curve's margin and T_c on its kernel, with t = 0 and its
@@ -544,13 +548,12 @@ def _timescales(
         try:
             # from t = 0 with the kernel's value, so a dead start is the
             # measure's and not the margin's
-            samples = _from_zero(kernel, times.tolist(), values)
-            t_max = float(times[-1])
+            samples = _from_zero(kernel, times, values)
+            t_max = times[-1]
             t_p = preservation_time_numeric(margin, t_max, samples=samples)
             t_c, reached = characteristic_time(kernel, t_max, grid.epsilon, samples=samples)
             # a curve already dead at its first sample has nothing to freeze
-            freezing = [] if values[0] <= 0.0 else freezing_intervals(times, np.asarray(values))
-            grid_time = dict(zip(times.tolist(), grid.times().tolist()))
+            freezing = [] if values[0] <= 0.0 else freezing_intervals(times, values)
             return TimescaleResult(
                 t_p * grid.omega_c,
                 t_c * grid.omega_c if reached else grid_time[t_c],
@@ -567,12 +570,13 @@ def _gamma_curve(
     x: float,
     reservoirs: tuple[ReservoirSpec, ...],
     method: GammaMethod,
-    memo: dict,
+    tables: list[dict[float, float]],
 ) -> Callable[[float], float]:
-    """t -> form(x, d), d_X = exp(-Gamma_X(t)) with each Gamma through `memo`."""
+    """t -> form(x, d), d_X = exp(-Gamma_X(t)) with each Gamma through its
+    reservoir's time -> Gamma table in `tables`."""
 
     def curve(t: float) -> float:
-        return form(x, [math.exp(-g) for g in gammas(reservoirs, (t,), method, memo)])
+        return form(x, [math.exp(-g) for g in gammas(reservoirs, (t,), method, tables=tables)])
 
     return curve
 
@@ -585,30 +589,39 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     set is computed once, before the curves.  Each stack is validated once,
     as a DensityStack that every measure shares.  Results are in the grid's
     units: `parameters` as configured, and t_p, T_c and the
-    freezing intervals in units of 1/omega_c.  One Gamma memo per call
-    serves the grid and every root-finder evaluation.  A root-finder step
-    evaluates the curve in closed form at the three Gamma of its time: the
-    search for t_p its margin, MARGINS[state, measure], passed to
-    `preservation_time_numeric` as its curve, and the search for T_c its
-    kernel, KERNELS[state, measure]; the grid's matrices are the values
-    printed.  A recorded error is an evaluation failure (channel, measure
+    freezing intervals in units of 1/omega_c.  The time lists of the grid
+    are built once per call, for every curve.  One Gamma memo per call
+    serves the grid and every root-finder evaluation: it holds one
+    time -> Gamma table per reservoir, found once for each distinct
+    reservoir set, with its channel, so a Gamma lookup is by time alone.
+    A root-finder step evaluates the curve in closed form at the three
+    Gamma of its time: the search for t_p its margin, MARGINS[state,
+    measure], passed to `preservation_time_numeric` as its curve, and the
+    search for T_c its kernel, KERNELS[state, measure]; the grid's matrices
+    are the values printed.  A recorded error is an evaluation failure (channel, measure
     or root finder); it never aborts the sweep.
     """
     times = grid.channel_times()
+    ts = times.tolist()
+    grid_time = dict(zip(ts, grid.times().tolist()))
     curves: list[CurveResult] = []
-    channels: dict[tuple, object] = {}  # reservoir set -> factors or the text of their error
-    memo: dict[tuple, float] = {}  # (reservoir, t, method) -> Gamma, this call only
+    # reservoir set -> (factors or the text of their error, its reservoirs' Gamma tables)
+    channels: dict[tuple, tuple[object, list]] = {}
+    # (reservoir, method) -> that reservoir's time -> Gamma table, this call only;
+    # equal reservoirs share a table
+    memo: dict[tuple, dict[float, float]] = {}
     for reservoirs in dict.fromkeys(reservoirs for _, reservoirs in grid.reservoir_sets):
         try:
-            channels[reservoirs] = dephasing_factors(reservoirs, times, grid.method, memo=memo)
+            factors = dephasing_factors(reservoirs, times, grid.method, memo=memo)
         except Exception as exc:  # every curve of this reservoir set carries it
-            channels[reservoirs] = _error_text(exc)
+            factors = _error_text(exc)
+        channels[reservoirs] = factors, gamma_tables(reservoirs, grid.method, memo)
     for (x, rho0), (point, reservoirs) in itertools.product(
         zip(grid.xs, grid.initial_states), grid.reservoir_sets
     ):
         label = (grid.state, x, *point, *grid.omega_sqs, grid.omega_c, grid.method.value)
         params = dict(zip(PARAM_FIELDS, label))
-        factors = channels[reservoirs]
+        factors, tables = channels[reservoirs]
         evolved = None if isinstance(factors, str) else evolve(rho0, factors)
         checked = None
         if evolved is not None:
@@ -626,9 +639,9 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
             timescales = None
             if grid.include_timescales:
                 margin, kernel = (
-                    _gamma_curve(forms[grid.state, name], x, reservoirs, grid.method, memo)
+                    _gamma_curve(forms[grid.state, name], x, reservoirs, grid.method, tables)
                     for forms in (MARGINS, KERNELS)
                 )
-                timescales = _timescales(margin, kernel, grid, times, values, errors)
+                timescales = _timescales(margin, kernel, grid, ts, grid_time, values, errors)
             curves.append(CurveResult(name, params, values, errors, timescales))
     return curves

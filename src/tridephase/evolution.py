@@ -29,26 +29,43 @@ _BITS = (np.arange(DIM)[:, None] >> np.array([2, 1, 0])) & 1
 _ENTRIES = 2 * _BITS.T[:, :, None] + _BITS.T[:, None, :]
 
 
+def gamma_tables(
+    reservoirs: Sequence[ReservoirSpec], method: GammaMethod, memo: dict
+) -> list[dict[float, float]]:
+    """Each reservoir's time -> Gamma table under `method`, in reservoir order.
+
+    `memo` maps (reservoir, method) to the table; one that has none gets an
+    empty one.  Equal reservoirs share a table, as they hash alike.
+    """
+    return [memo.setdefault((res, method), {}) for res in reservoirs]
+
+
 def gammas(
     reservoirs: Sequence[ReservoirSpec],
     times: Sequence[float],
     method: GammaMethod,
     memo: dict | None = None,
+    *,
+    tables: Sequence[dict[float, float]] | None = None,
 ) -> list[float]:
     """Gamma of each reservoir at each time, time-major: [Gamma_A(t0), Gamma_B(t0), ...].
 
-    Evaluated in that order, so the first failing time raises.  A `memo`
-    dict, keyed by (reservoir, t, method), is read before and filled after
-    each Gamma call, so callers that pass the same dict share Gamma values;
-    a Gamma that raises is not stored.
+    Evaluated in that order, so the first failing time raises.  Each Gamma
+    is read from, or after its `gamma` call stored in, its reservoir's
+    time -> Gamma table: `tables`, as `gamma_tables` gives them, or else the
+    tables of `memo`, a dict keyed by (reservoir, method), so callers that
+    pass the same dict share Gamma values.  A Gamma that raises is not stored.
     """
-    if memo is None:
-        memo = {}
-    keys = [(res, t, method) for t in times for res in reservoirs]
-    for key in keys:
-        if key not in memo:
-            memo[key] = gamma(*key)
-    return [memo[key] for key in keys]
+    if tables is None:
+        tables = gamma_tables(reservoirs, method, {} if memo is None else memo)
+    values = []
+    for t in times:
+        for res, table in zip(reservoirs, tables):
+            value = table.get(t)
+            if value is None:
+                value = table[t] = gamma(res, t, method)
+            values.append(value)
+    return values
 
 
 def dephasing_factors(
@@ -63,9 +80,10 @@ def dephasing_factors(
     (an 8x8 F) or a 1-d time array (a (T, 8, 8) F, matrix i at t[i]); a
     negative or non-finite time is rejected, and so is a largest time whose
     largest phase, 2 (Omega_A + Omega_B + Omega_C) t, overflows.  Gamma comes
-    from `gammas`, which shares values through `memo`.  As Gamma >= 0, F has
-    a unit diagonal, equals its conjugate transpose bit for bit and has
-    |F| <= 1 up to round-off.
+    from `gammas`, which shares values through `memo`: each reservoir's
+    time -> Gamma table is found in it once per call, and each time is a
+    lookup in that table.  As Gamma >= 0, F has a unit diagonal, equals its
+    conjugate transpose bit for bit and has |F| <= 1 up to round-off.
     """
     if len(reservoirs) != 3:
         raise ParameterError(f"expected three reservoirs, got {len(reservoirs)}")

@@ -39,7 +39,9 @@ class DensityStack:
     """
 
     def __init__(self, rho):
-        self._hold(assert_density_matrix(rho))
+        # C order makes a stacked reduction sum each matrix as a single one
+        # is summed, whatever the layout it came in (no copy when it is C already)
+        self._hold(np.ascontiguousarray(assert_density_matrix(rho)))
 
     def _hold(self, array: np.ndarray) -> None:
         """Set every field over `array`, which has passed validation."""

@@ -643,6 +643,49 @@ def test_sweep_failing_gamma_is_not_cached_and_marks_its_rows(monkeypatch):
     assert failures == Counter({(res_b, 0.0, method): 2, (res_c, 0.0, method): 1})
 
 
+def test_equal_reservoirs_of_two_builds_share_one_gamma_table(monkeypatch):
+    first, second = (make_reservoirs(0.2, 1.0, 0.5, 4.0, 16.0, (2.0,) * 3) for _ in range(2))
+    assert first == second and not any(a is b for a, b in zip(first, second))
+    method = GammaMethod.LOW_T_CLOSED_FORM
+    times = np.linspace(0.0, 3.0, 5)
+    expected = evolution.gammas(first, times.tolist(), method)
+    real_gamma = evolution.gamma
+    calls = Counter()
+
+    def counting_gamma(res, t, method):
+        calls[(res, t)] += 1
+        return real_gamma(res, t, method)
+
+    monkeypatch.setattr(evolution, "gamma", counting_gamma)
+    memo = {}
+    factors = evolution.dephasing_factors(first, times, method, memo)
+    assert evolution.gammas(second, times.tolist(), method, memo) == expected
+    assert np.array_equal(factors, evolution.dephasing_factors(second, times, method, memo))
+    # each (reservoir value, t) once across both builds: 3 reservoirs x 5 times
+    assert len(calls) == 15 and max(calls.values()) == 1
+    assert len(memo) == 3
+
+
+def test_sweep_hashes_reservoirs_as_often_at_any_t_count(monkeypatch):
+    # the Gamma of a time is a lookup by the time alone: no hash of a reservoir per time
+    real_hash = ReservoirSpec.__hash__
+    hashes = Counter()
+
+    def counting_hash(res):
+        hashes["ReservoirSpec"] += 1
+        return real_hash(res)
+
+    monkeypatch.setattr(ReservoirSpec, "__hash__", counting_hash)
+    counts = []
+    for t_count in (11, 101):
+        grid = memo_grid(t_count=t_count)
+        hashes.clear()
+        curves = run_sweep(grid)
+        assert all(curve.timescales.error is None for curve in curves)
+        counts.append(hashes["ReservoirSpec"])
+    assert counts[0] == counts[1] > 0
+
+
 def one_point_grid(**changes):
     fields = dict(
         xs=[0.9], etas=[0.2], beta_as=[math.inf], k1s=[1.0], k2s=[1.0],

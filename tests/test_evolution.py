@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tridephase.evolution import dephasing_factors, evolve
-from tridephase.exceptions import ParameterError
+from tridephase.evolution import dephasing_factors, evolve, gamma_tables, gammas
+from tridephase.exceptions import MethodError, ParameterError, QuadratureError
 from tridephase.linalg import hermitian_eigenvalues, hermiticity_defect
 from tridephase.measures import DensityStack
 from tridephase.reservoir import (
@@ -14,6 +14,7 @@ from tridephase.reservoir import (
     GammaMethod,
     OhmicSpectralDensity,
     ReservoirSpec,
+    gamma,
     gamma_zero_t,
 )
 from tridephase.states import ghz_state, w_state, werner
@@ -106,6 +107,55 @@ def test_dephasing_factors_invariants(channel):
     assert f.shape == ((8, 8) if np.ndim(t) == 0 else (len(t), 8, 8))
     assert_unit_diagonal_and_hermitian(f)
     assert np.all(np.abs(f) <= 1.0 + 1e-15)  # |exp(-i phi)| rounds to 1 +- 1 ulp
+
+
+@st.composite
+def gamma_runs(draw):
+    """(reservoirs, times, method): three Ohmic reservoirs, each at zero or finite
+    temperature, so a method that does not fit one raises, and times with 0.0 and -0.0."""
+    method = draw(st.sampled_from(tuple(GammaMethod)))
+    spectral = OhmicSpectralDensity(draw(st.floats(0.0, 5.0)), draw(st.floats(0.1, 10.0)))
+    beta = st.one_of(st.just(ZERO_TEMPERATURE), st.floats(0.1, 100.0))
+    res = tuple(ReservoirSpec(spectral, draw(beta), draw(st.floats(0.5, 3.0))) for _ in range(3))
+    time = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(0.0, 5.0))
+    return res, draw(st.lists(time, min_size=1, max_size=5)), method
+
+
+@given(run=gamma_runs())
+@example(run=(reservoirs(beta=1.0), [-0.0, 0.0, 1.0, -0.0], GammaMethod.ZERO_T_CLOSED_FORM))
+@example(run=(reservoirs(beta=2.0), [0.0, -0.0, 3.0, 3.0], GammaMethod.LOW_T_CLOSED_FORM))
+@settings(max_examples=60, deadline=None)
+def test_gamma_tables_hold_what_gamma_returns(run):
+    """Time-major, the first failing Gamma raises; every stored Gamma equals its
+    direct `gamma` call bit for bit, and a raising one is not stored."""
+    res, times, method = run
+    expected, evaluated, failure = [], set(), None
+    for t in times:
+        for r in res:
+            try:
+                expected.append(gamma(r, t, method))
+            except (MethodError, QuadratureError) as exc:
+                failure = exc
+                break
+            evaluated.add((r, t))
+        if failure is not None:
+            break
+    memo = {}
+    if failure is None:
+        assert [g.hex() for g in gammas(res, times, method, memo)] == [g.hex() for g in expected]
+    else:
+        with pytest.raises(type(failure)) as raised:
+            gammas(res, times, method, memo)
+        assert str(raised.value) == str(failure)
+    tables = gamma_tables(res, method, memo)
+    assert {(r, t) for r, table in zip(res, tables) for t in table} == evaluated
+    for r, table in zip(res, tables):
+        for t, g in table.items():
+            assert g.hex() == gamma(r, t, method).hex()
+    # the tables found are the ones filled, and a second call reads them
+    assert all(a is b for a, b in zip(gamma_tables(res, method, memo), tables, strict=True))
+    if failure is None:
+        assert gammas(res, times, method, tables=tables) == expected
 
 
 def assert_unit_diagonal_and_hermitian(f):

@@ -84,6 +84,19 @@ def same_bits(a, b) -> bool:
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
+@pytest.mark.parametrize("key", sorted(CURVES))
+def test_a_stack_in_any_layout_measures_as_its_matrices_one_by_one(key):
+    rho0, factors, _ = stacked_and_singles(key)
+    stack = evolve(rho0, factors)
+    assert DensityStack(stack).array is stack  # C order already: no copy
+    # T the fastest axis: a reduction over the last two axes would sum in another order
+    transposed = np.asfortranarray(stack)
+    for name, fn in single_measures(CURVES[key][0]).items():
+        singles = [fn(rho) for rho in transposed]
+        assert same_bits(fn(DensityStack(transposed)), singles), name
+        assert same_bits(fn(transposed), singles), name
+
+
 def test_density_stack_keeps_the_subsystem_check():
     rho = werner(ghz_state(), 0.8)
     for arg in (rho, DensityStack(rho)):

@@ -403,10 +403,12 @@ class SweepGrid:
 
     @cached_property
     def reservoir_sets(self) -> tuple[tuple[tuple, tuple[ReservoirSpec, ...]], ...]:
-        """Each (eta, beta_a, k1, k2) with its reservoirs, in itertools.product order."""
-        sets = []
+        """Each (eta, beta_a, k1, k2) with its reservoirs, in itertools.product order;
+        equal reservoirs are one object, so the sets share its quadrature table."""
+        sets, shared = [], {}
         for eta, beta_a, k1, k2 in itertools.product(self.etas, self.beta_as, self.k1s, self.k2s):
-            reservoirs = make_reservoirs(eta, self.omega_c, beta_a, k1, k2, self.omegas())
+            made = make_reservoirs(eta, self.omega_c, beta_a, k1, k2, self.omegas())
+            reservoirs = tuple(shared.setdefault(res, res) for res in made)
             for res in reservoirs:
                 gamma(res, 0.0, self.method)  # 0.0, or MethodError on a mismatch
             sets.append(((eta, beta_a, k1, k2), reservoirs))

@@ -237,11 +237,40 @@ def test_quadrature_accepts_the_smallest_cutoff_whose_continuation_point_squares
     assert abs(quad - gamma_exact(res, 1.5 / omega_c)) <= 1e-14 * quad
 
 
-def _quadrature_or_error(res, t):
+def _reference_integrand(spectral, res, t):
+    # the integrand of Gamma_X(t) with the Ohmic J(w) written out, operation
+    # for operation, continued flat below omega_eps = 1e-8 cutoff / 60
+    eta, omega_c = spectral.eta, spectral.omega_c
+    omega_eps = 1e-8 * (60.0 * omega_c) / 60.0
+    scale, half_beta = 8.0 * res.omega_qubit**2, 0.5 * res.beta
+    sin, exp, tanh = math.sin, math.exp, math.tanh
+
+    def integrand(w):
+        if w < omega_eps:
+            w = omega_eps
+        s = sin(0.5 * w * t)
+        return scale * (eta * w * exp(-w / omega_c)) / (w * w) * (s * s) / tanh(half_beta * w)
+
+    return integrand, omega_eps
+
+
+def _reference_quadrature(spectral, res, t):
+    """(value, error estimate) of quad on the reference integrand."""
+    integrand, omega_eps = _reference_integrand(spectral, res, t)
+    weak = 8.0 * res.omega_qubit**2 * spectral(omega_eps) / omega_eps
+    value, abserr, *_ = reservoir.integrate.quad(
+        integrand, 0.0, 60.0 * spectral.omega_c, epsabs=QUAD_EPSABS * min(1.0, weak),
+        epsrel=QUAD_EPSREL, limit=800, full_output=1,
+    )
+    return value, abserr
+
+
+def _assert_quadrature_is_the_reference(spectral, res, t):
+    value, abserr = _reference_quadrature(spectral, res, t)
     try:
-        return gamma(res, t, GammaMethod.NUMERIC_QUADRATURE).hex()
+        assert gamma(res, t, GammaMethod.NUMERIC_QUADRATURE).hex() == max(0.0, value).hex()
     except QuadratureError as exc:
-        return str(exc)
+        assert exc.error_estimate == abserr
 
 
 @given(
@@ -250,16 +279,37 @@ def _quadrature_or_error(res, t):
     omega_c_beta=st.one_of(st.just(math.inf), st.floats(1e-2, 26.0), st.floats(624.0, 1e4)),
     omega_c_t=st.floats(1e-6, 30.0),
     omega_sq=st.floats(0.5, 12.0),
+    omega_c_ts_before=st.lists(st.floats(1e-6, 30.0), min_size=1, max_size=3),
 )
 @settings(max_examples=150, deadline=None)
-def test_ohmic_integrand_equals_the_generic_one_bit_for_bit(eta, omega_c, omega_c_beta, omega_c_t, omega_sq):
-    # the Ohmic density writes J(w) out in its integrand; the generic
-    # integrand calls the same density through CustomSpectralDensity
+def test_quadrature_integrand_is_the_ohmic_form_bit_for_bit(
+    eta, omega_c, omega_c_beta, omega_c_t, omega_sq, omega_c_ts_before
+):
+    # one integrand serves every density, from a node table that every time
+    # of a reservoir fills: Gamma is the written-out Ohmic form's, bit for
+    # bit, whether the table is empty or filled first by other times
     spectral = OhmicSpectralDensity(eta, omega_c)
     beta, t, omega = omega_c_beta / omega_c, omega_c_t / omega_c, math.sqrt(omega_sq)
-    ohmic_res = ReservoirSpec(spectral, beta, omega)
-    custom_res = ReservoirSpec(CustomSpectralDensity(spectral, 60 * omega_c), beta, omega)
-    assert _quadrature_or_error(ohmic_res, t) == _quadrature_or_error(custom_res, t)
+    fresh = ReservoirSpec(spectral, beta, omega)
+    assert not fresh._quadrature_plan[2]
+    _assert_quadrature_is_the_reference(spectral, fresh, t)
+    custom = ReservoirSpec(CustomSpectralDensity(spectral, 60 * omega_c), beta, omega)
+    _assert_quadrature_is_the_reference(spectral, custom, t)
+
+    filled = ReservoirSpec(spectral, beta, omega)
+    for before in omega_c_ts_before:
+        try:
+            gamma(filled, before / omega_c, GammaMethod.NUMERIC_QUADRATURE)
+        except QuadratureError:
+            pass
+    assert filled._quadrature_plan[2]
+    _assert_quadrature_is_the_reference(spectral, filled, t)
+
+    # below omega_eps the integrand is continued flat
+    integrand, omega_eps = _reference_integrand(spectral, filled, t)
+    _, _, table, factors = filled._quadrature_plan
+    below = reservoir._integrand(table, factors, t)(0.5 * omega_eps)
+    assert below.hex() == integrand(0.5 * omega_eps).hex() == integrand(omega_eps).hex()
 
 
 def test_quadrature_failure_reports_estimate():

@@ -7,10 +7,10 @@ from collections import Counter
 
 import numpy as np
 
-from tridephase import analysis, cli
+from tridephase import analysis, cli, reservoir
 from tridephase.analysis import MEASURES, SweepGrid, run_sweep
 from tridephase.cli import main
-from tridephase.reservoir import GammaMethod
+from tridephase.reservoir import GammaMethod, OhmicSpectralDensity
 
 OMEGA_SQS = (4.0, 4.0, 4.0)
 
@@ -141,3 +141,40 @@ def test_root_finders_evaluate_no_matrices(monkeypatch):
     assert len(lookups) == 2 * len(curves) and searches
     assert min(searches) >= 1
     assert statistics.median(searches) <= 10
+
+
+def test_quadrature_tables_live_for_one_run_and_equal_reservoirs_share_one(monkeypatch, capsys):
+    # J is evaluated once per distinct quadrature node of a reservoir, so two
+    # runs of one config evaluate it equally often: no table outlives its run
+    counts = Counter()
+    real_j = OhmicSpectralDensity.__call__
+    integrate = reservoir.integrate
+    real_quad = integrate.quad
+
+    def counting_j(spectral, omega):
+        counts["j"] += 1
+        return real_j(spectral, omega)
+
+    def counting_quad(*args, **kwargs):
+        result = real_quad(*args, **kwargs)
+        counts["neval"] += result[2]["neval"]
+        return result
+
+    monkeypatch.setattr(OhmicSpectralDensity, "__call__", counting_j)
+    monkeypatch.setattr(integrate, "quad", counting_quad)
+    argv = ["timescales", "--set", "method=quadrature", "--set", "t_count=5",
+            "--set", "beta_a=[0.5,1000]", "--set", "k1=[1,4]"]
+    runs = []
+    for _ in range(2):
+        counts.clear()
+        assert main(argv) == 0
+        runs.append(dict(counts))
+    assert runs[0] == runs[1]
+    assert 10 * runs[0]["j"] < runs[0]["neval"]
+    capsys.readouterr()
+
+    # k1 = 1 and 4 give equal A and C reservoirs: one object each
+    grid = zero_t_grid(beta_as=[0.5], k1s=[1.0, 4.0], method=GammaMethod.NUMERIC_QUADRATURE)
+    (_, first), (_, second) = grid.reservoir_sets
+    assert first[0] == second[0] and first[2] == second[2] and first[1] != second[1]
+    assert first[0] is second[0] and first[2] is second[2]

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .exceptions import NoCorrelationError, ParameterError
-from .evolution import dephasing_factors, evolve, gamma_tables, gammas
+from .evolution import dephasing_factors, evolve, gammas
 from .measures import (
     BIPARTITIONS,
     GHZ_WERNER_FORMS,
@@ -404,7 +404,7 @@ class SweepGrid:
     @cached_property
     def reservoir_sets(self) -> tuple[tuple[tuple, tuple[ReservoirSpec, ...]], ...]:
         """Each (eta, beta_a, k1, k2) with its reservoirs, in itertools.product order;
-        equal reservoirs are one object, so the sets share its quadrature table."""
+        equal reservoirs are one object, so the sets share its quadrature and Gamma tables."""
         sets, shared = [], {}
         for eta, beta_a, k1, k2 in itertools.product(self.etas, self.beta_as, self.k1s, self.k2s):
             made = make_reservoirs(eta, self.omega_c, beta_a, k1, k2, self.omegas())
@@ -572,13 +572,11 @@ def _gamma_curve(
     x: float,
     reservoirs: tuple[ReservoirSpec, ...],
     method: GammaMethod,
-    tables: list[dict[float, float]],
 ) -> Callable[[float], float]:
-    """t -> form(x, d), d_X = exp(-Gamma_X(t)) with each Gamma through its
-    reservoir's time -> Gamma table in `tables`."""
+    """t -> form(x, d), d_X = exp(-Gamma_X(t)) with each Gamma from `gammas`."""
 
     def curve(t: float) -> float:
-        return form(x, [math.exp(-g) for g in gammas(reservoirs, (t,), method, tables=tables)])
+        return form(x, [math.exp(-g) for g in gammas(reservoirs, (t,), method)])
 
     return curve
 
@@ -592,11 +590,10 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     as a DensityStack that every measure shares.  Results are in the grid's
     units: `parameters` as configured, and t_p, T_c and the
     freezing intervals in units of 1/omega_c.  The time lists of the grid
-    are built once per call, for every curve.  One Gamma memo per call
-    serves the grid and every root-finder evaluation: it holds one
-    time -> Gamma table per reservoir, found once for each distinct
-    reservoir set, with its channel, so a Gamma lookup is by time alone.
-    A root-finder step evaluates the curve in closed form at the three
+    are built once per call, for every curve.  The grid and every
+    root-finder evaluation read each Gamma from its reservoir's own
+    time -> Gamma table, which lasts as long as the grid.  A
+    root-finder step evaluates the curve in closed form at the three
     Gamma of its time: the search for t_p its margin, MARGINS[state,
     measure], passed to `preservation_time_numeric` as its curve, and the
     search for T_c its kernel, KERNELS[state, measure]; the grid's matrices
@@ -607,23 +604,18 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     ts = times.tolist()
     grid_time = dict(zip(ts, grid.times().tolist()))
     curves: list[CurveResult] = []
-    # reservoir set -> (factors or the text of their error, its reservoirs' Gamma tables)
-    channels: dict[tuple, tuple[object, list]] = {}
-    # (reservoir, method) -> that reservoir's time -> Gamma table, this call only;
-    # equal reservoirs share a table
-    memo: dict[tuple, dict[float, float]] = {}
+    channels: dict[tuple, object] = {}  # reservoir set -> factors or the text of their error
     for reservoirs in dict.fromkeys(reservoirs for _, reservoirs in grid.reservoir_sets):
         try:
-            factors = dephasing_factors(reservoirs, times, grid.method, memo=memo)
+            channels[reservoirs] = dephasing_factors(reservoirs, times, grid.method)
         except Exception as exc:  # every curve of this reservoir set carries it
-            factors = _error_text(exc)
-        channels[reservoirs] = factors, gamma_tables(reservoirs, grid.method, memo)
+            channels[reservoirs] = _error_text(exc)
     for (x, rho0), (point, reservoirs) in itertools.product(
         zip(grid.xs, grid.initial_states), grid.reservoir_sets
     ):
         label = (grid.state, x, *point, *grid.omega_sqs, grid.omega_c, grid.method.value)
         params = dict(zip(PARAM_FIELDS, label))
-        factors, tables = channels[reservoirs]
+        factors = channels[reservoirs]
         evolved = None if isinstance(factors, str) else evolve(rho0, factors)
         checked = None
         if evolved is not None:
@@ -641,7 +633,7 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
             timescales = None
             if grid.include_timescales:
                 margin, kernel = (
-                    _gamma_curve(forms[grid.state, name], x, reservoirs, grid.method, tables)
+                    _gamma_curve(forms[grid.state, name], x, reservoirs, grid.method)
                     for forms in (MARGINS, KERNELS)
                 )
                 timescales = _timescales(margin, kernel, grid, ts, grid_time, values, errors)

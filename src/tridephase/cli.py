@@ -112,9 +112,13 @@ def _as_list(value, key: str, parse) -> list[float]:
 def _as_float(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"config key {key!r} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the largest float
+        number = math.inf
+    if not math.isfinite(number):
         raise ConfigError(f"config key {key!r} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _as_beta(value, key: str) -> float:

@@ -29,35 +29,17 @@ _BITS = (np.arange(DIM)[:, None] >> np.array([2, 1, 0])) & 1
 _ENTRIES = 2 * _BITS.T[:, :, None] + _BITS.T[:, None, :]
 
 
-def gamma_tables(
-    reservoirs: Sequence[ReservoirSpec], method: GammaMethod, memo: dict
-) -> list[dict[float, float]]:
-    """Each reservoir's time -> Gamma table under `method`, in reservoir order.
-
-    `memo` maps (reservoir, method) to the table; one that has none gets an
-    empty one.  Equal reservoirs share a table, as they hash alike.
-    """
-    return [memo.setdefault((res, method), {}) for res in reservoirs]
-
-
 def gammas(
-    reservoirs: Sequence[ReservoirSpec],
-    times: Sequence[float],
-    method: GammaMethod,
-    memo: dict | None = None,
-    *,
-    tables: Sequence[dict[float, float]] | None = None,
+    reservoirs: Sequence[ReservoirSpec], times: Sequence[float], method: GammaMethod
 ) -> list[float]:
     """Gamma of each reservoir at each time, time-major: [Gamma_A(t0), Gamma_B(t0), ...].
 
     Evaluated in that order, so the first failing time raises.  Each Gamma
-    is read from, or after its `gamma` call stored in, its reservoir's
-    time -> Gamma table: `tables`, as `gamma_tables` gives them, or else the
-    tables of `memo`, a dict keyed by (reservoir, method), so callers that
-    pass the same dict share Gamma values.  A Gamma that raises is not stored.
+    is read from, or after its `gamma` call stored in, its reservoir's own
+    time -> Gamma table for `method`, which lives as long as the reservoir.
+    A Gamma that raises is not stored.
     """
-    if tables is None:
-        tables = gamma_tables(reservoirs, method, {} if memo is None else memo)
+    tables = [res._gamma_tables[method] for res in reservoirs]
     values = []
     for t in times:
         for res, table in zip(reservoirs, tables):
@@ -68,28 +50,21 @@ def gammas(
     return values
 
 
-def dephasing_factors(
-    reservoirs: Sequence[ReservoirSpec],
-    t,
-    method: GammaMethod,
-    memo: dict | None = None,
-) -> np.ndarray:
+def dephasing_factors(reservoirs: Sequence[ReservoirSpec], t, method: GammaMethod) -> np.ndarray:
     """The complex factor F of the channel on qubits A, B, C, each in its reservoir.
 
     Each reservoir carries its qubit's splitting Omega_X.  `t` is one time
     (an 8x8 F) or a 1-d time array (a (T, 8, 8) F, matrix i at t[i]); a
     negative or non-finite time is rejected, and so is a largest time whose
     largest phase, 2 (Omega_A + Omega_B + Omega_C) t, overflows.  Gamma comes
-    from `gammas`, which shares values through `memo`: each reservoir's
-    time -> Gamma table is found in it once per call, and each time is a
-    lookup in that table.  As Gamma >= 0, F has a unit diagonal, equals its
+    from `gammas`.  As Gamma >= 0, F has a unit diagonal, equals its
     conjugate transpose bit for bit and has |F| <= 1 up to round-off.
     """
     if len(reservoirs) != 3:
         raise ParameterError(f"expected three reservoirs, got {len(reservoirs)}")
     ts = _time_array(t)
     times = ts.reshape(-1).tolist()
-    damps = np.array([math.exp(-g) for g in gammas(reservoirs, times, method, memo)]).reshape(-1, 3)
+    damps = np.array([math.exp(-g) for g in gammas(reservoirs, times, method)]).reshape(-1, 3)
     omegas = [res.omega_qubit for res in reservoirs]
     t_max = max(times, default=0.0)
     if not 2.0 * (omegas[0] + omegas[1] + omegas[2]) * t_max < math.inf:  # NaN included

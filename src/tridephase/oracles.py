@@ -136,9 +136,8 @@ def kernels_vs_pipeline() -> float:
         x = float(rng.uniform(0.0, 1.0))
         eta, beta_a, k1, k2 = rng.uniform((0.05, 0.1, 0.5, 0.5), (0.5, 100.0, 16.0, 16.0)).tolist()
         reservoirs = make_reservoirs(eta, 1.0, beta_a, k1, k2, (1.5, 2.0, 2.5))
-        memo: dict = {}  # each Gamma once, for the channel and the kernels
-        factors = dephasing_factors(reservoirs, times, GammaMethod.EXACT, memo)
-        damps = np.exp(-np.array(gammas(reservoirs, times.tolist(), GammaMethod.EXACT, memo)))
+        factors = dephasing_factors(reservoirs, times, GammaMethod.EXACT)
+        damps = np.exp(-np.array(gammas(reservoirs, times.tolist(), GammaMethod.EXACT)))
         for state, psi in STATES.items():
             stack = DensityStack(evolve(werner(psi(), x), factors))
             for name, measure in MEASURES.items():

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -173,6 +174,11 @@ class ReservoirSpec:
             return 0.5 * w, scale * j(w) / (w * w), math.tanh(half_beta * w)
 
         return cutoff, epsabs, {}, factors
+
+    @cached_property
+    def _gamma_tables(self) -> defaultdict[GammaMethod, dict[float, float]]:
+        """method -> this reservoir's time -> Gamma table, as `evolution.gammas` fills it."""
+        return defaultdict(dict)
 
 
 class GammaMethod(Enum):

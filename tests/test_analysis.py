@@ -580,7 +580,7 @@ def test_a_grid_after_t0_reads_a_dead_start_from_the_measure():
     )
 
 
-def memo_grid(**overrides):
+def low_t_grid(**overrides):
     settings = dict(
         xs=[0.6, 0.9], etas=[0.2], beta_as=[0.5], k1s=[1.0, 4.0], k2s=[1.0, 16.0],
         t_start=0.0, t_stop=3.0, t_count=5, omega_sqs=OMEGA_SQS,
@@ -592,9 +592,9 @@ def memo_grid(**overrides):
 
 
 def test_sweep_calls_gamma_once_per_distinct_key(monkeypatch):
-    grid = memo_grid()
-    expected = run_sweep(grid)
+    expected = run_sweep(low_t_grid())
     assert all(curve.timescales.error is None for curve in expected)
+    grid = low_t_grid()
     real_gamma = evolution.gamma
     calls = Counter()
 
@@ -608,13 +608,17 @@ def test_sweep_calls_gamma_once_per_distinct_key(monkeypatch):
     assert first > 0 and max(calls.values()) == 1
     # three distinct inverse temperatures on the grid: 0.5, 2 and 8
     assert len({key for key in calls if key[1] == 3.0}) == 3
+    # the tables live on the grid's reservoirs: a second run reads them, and
+    # an equal grid of new reservoirs evaluates every Gamma again
     calls.clear()
     assert run_sweep(grid) == expected
+    assert not calls
+    assert run_sweep(low_t_grid()) == expected
     assert sum(calls.values()) == first and max(calls.values()) == 1
 
 
 def test_sweep_failing_gamma_is_not_cached_and_marks_its_rows(monkeypatch):
-    grid = memo_grid()
+    grid = low_t_grid()
     real_gamma = evolution.gamma
     failures = Counter()
 
@@ -643,29 +647,6 @@ def test_sweep_failing_gamma_is_not_cached_and_marks_its_rows(monkeypatch):
     assert failures == Counter({(res_b, 0.0, method): 2, (res_c, 0.0, method): 1})
 
 
-def test_equal_reservoirs_of_two_builds_share_one_gamma_table(monkeypatch):
-    first, second = (make_reservoirs(0.2, 1.0, 0.5, 4.0, 16.0, (2.0,) * 3) for _ in range(2))
-    assert first == second and not any(a is b for a, b in zip(first, second))
-    method = GammaMethod.LOW_T_CLOSED_FORM
-    times = np.linspace(0.0, 3.0, 5)
-    expected = evolution.gammas(first, times.tolist(), method)
-    real_gamma = evolution.gamma
-    calls = Counter()
-
-    def counting_gamma(res, t, method):
-        calls[(res, t)] += 1
-        return real_gamma(res, t, method)
-
-    monkeypatch.setattr(evolution, "gamma", counting_gamma)
-    memo = {}
-    factors = evolution.dephasing_factors(first, times, method, memo)
-    assert evolution.gammas(second, times.tolist(), method, memo) == expected
-    assert np.array_equal(factors, evolution.dephasing_factors(second, times, method, memo))
-    # each (reservoir value, t) once across both builds: 3 reservoirs x 5 times
-    assert len(calls) == 15 and max(calls.values()) == 1
-    assert len(memo) == 3
-
-
 def test_sweep_hashes_reservoirs_as_often_at_any_t_count(monkeypatch):
     # the Gamma of a time is a lookup by the time alone: no hash of a reservoir per time
     real_hash = ReservoirSpec.__hash__
@@ -678,7 +659,7 @@ def test_sweep_hashes_reservoirs_as_often_at_any_t_count(monkeypatch):
     monkeypatch.setattr(ReservoirSpec, "__hash__", counting_hash)
     counts = []
     for t_count in (11, 101):
-        grid = memo_grid(t_count=t_count)
+        grid = low_t_grid(t_count=t_count)
         hashes.clear()
         curves = run_sweep(grid)
         assert all(curve.timescales.error is None for curve in curves)

@@ -420,6 +420,10 @@ def test_selfcheck_detects_corrupted_gamma(capsys, monkeypatch):
     ("x=NaN", "x"),
     ("t_stop=Infinity", "t_stop"),
     ("beta_a=-Infinity", "beta_a"),
+    # integers that no float holds: float() overflows
+    pytest.param("x=1" + "0" * 400, "x", id="x=10**400-x"),
+    pytest.param("eta=-1" + "0" * 400, "eta", id="eta=-10**400-eta"),
+    pytest.param("beta_a=1" + "0" * 400, "beta_a", id="beta_a=10**400-beta_a"),
 ])
 def test_non_finite_config_number_names_its_key(capsys, setting, key):
     code, out, err = run(capsys, ["measure", "--set", setting, "--set", "t_count=3"])

@@ -1,11 +1,14 @@
 import cmath
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tridephase.evolution import dephasing_factors, evolve, gamma_tables, gammas
+from tridephase import evolution
+from tridephase.evolution import dephasing_factors, evolve, gammas
 from tridephase.exceptions import MethodError, ParameterError, QuadratureError
 from tridephase.linalg import hermitian_eigenvalues, hermiticity_defect
 from tridephase.measures import DensityStack
@@ -126,9 +129,11 @@ def gamma_runs(draw):
 @example(run=(reservoirs(beta=2.0), [0.0, -0.0, 3.0, 3.0], GammaMethod.LOW_T_CLOSED_FORM))
 @settings(max_examples=60, deadline=None)
 def test_gamma_tables_hold_what_gamma_returns(run):
-    """Time-major, the first failing Gamma raises; every stored Gamma equals its
-    direct `gamma` call bit for bit, and a raising one is not stored."""
+    """Time-major, the first failing Gamma raises; every Gamma a reservoir's own
+    table stores equals its direct `gamma` call bit for bit, a raising one is
+    not stored, and a second call reads the tables alone."""
     res, times, method = run
+    res = tuple(dataclasses.replace(r) for r in res)  # new instances, empty tables
     expected, evaluated, failure = [], set(), None
     for t in times:
         for r in res:
@@ -140,22 +145,36 @@ def test_gamma_tables_hold_what_gamma_returns(run):
             evaluated.add((r, t))
         if failure is not None:
             break
-    memo = {}
     if failure is None:
-        assert [g.hex() for g in gammas(res, times, method, memo)] == [g.hex() for g in expected]
+        assert [g.hex() for g in gammas(res, times, method)] == [g.hex() for g in expected]
     else:
         with pytest.raises(type(failure)) as raised:
-            gammas(res, times, method, memo)
+            gammas(res, times, method)
         assert str(raised.value) == str(failure)
-    tables = gamma_tables(res, method, memo)
-    assert {(r, t) for r, table in zip(res, tables) for t in table} == evaluated
-    for r, table in zip(res, tables):
-        for t, g in table.items():
+    assert all(set(r._gamma_tables) <= {method} for r in res)
+    assert {(r, t) for r in res for t in r._gamma_tables[method]} == evaluated
+    for r in res:
+        for t, g in r._gamma_tables[method].items():
             assert g.hex() == gamma(r, t, method).hex()
-    # the tables found are the ones filled, and a second call reads them
-    assert all(a is b for a, b in zip(gamma_tables(res, method, memo), tables, strict=True))
     if failure is None:
-        assert gammas(res, times, method, tables=tables) == expected
+        with mock.patch.object(evolution, "gamma", side_effect=AssertionError("Gamma again")):
+            assert gammas(res, times, method) == expected
+
+
+def test_one_reservoir_keeps_one_gamma_table_per_method():
+    # at a finite temperature exact and low_t differ, so a table keyed by the
+    # time alone would hand the Gamma of one method to the other
+    times = [0.0, 0.5, 1.0, 3.0]
+    methods = (GammaMethod.EXACT, GammaMethod.LOW_T_CLOSED_FORM)
+    res = reservoirs(beta=2.0)
+    direct = {m: [gamma(r, t, m).hex() for t in times for r in res] for m in methods}
+    assert direct[methods[0]] != direct[methods[1]]
+    for _ in range(2):  # the second round reads the tables
+        for m in methods:
+            assert [g.hex() for g in gammas(res, times, m)] == direct[m]
+            fresh = dephasing_factors(reservoirs(beta=2.0), times, m)
+            assert np.array_equal(dephasing_factors(res, times, m), fresh)
+    assert all(set(r._gamma_tables) == set(methods) for r in res)
 
 
 def assert_unit_diagonal_and_hermitian(f):

@@ -70,9 +70,9 @@ def test_one_channel_per_distinct_reservoir_set(monkeypatch):
     calls = Counter()
     factors = analysis.dephasing_factors
 
-    def counting(reservoirs, t, method, memo=None):
+    def counting(reservoirs, t, method):
         calls["array" if np.ndim(t) == 1 else "scalar"] += 1
-        return factors(reservoirs, t, method, memo=memo)
+        return factors(reservoirs, t, method)
 
     monkeypatch.setattr(analysis, "dephasing_factors", counting)
     curves = run_sweep(grid)

@@ -43,6 +43,8 @@ FREEZE_VALUE_TOL = 0.01
 FREEZE_VALUE_FLOOR = 0.05
 FREEZE_MIN_POINTS = 6
 FREEZE_SPAN_RATIO = 2.0
+# a grid of T times holds T x 8 x 8 complex matrices (1 KiB each) per reservoir set
+MAX_T_COUNT = 100_000
 
 MEASURES: dict[str, Callable[[np.ndarray], float]] = {
     "gmc": gmc_x_state,
@@ -370,8 +372,10 @@ class SweepGrid:
         ):
             if len(seq) == 0:
                 raise ParameterError(f"{name} must be nonempty")
-        if not isinstance(self.t_count, numbers.Integral) or self.t_count < 2:
-            raise ParameterError(f"t_count must be an integer >= 2, got {self.t_count!r}")
+        if not isinstance(self.t_count, numbers.Integral) or not 2 <= self.t_count <= MAX_T_COUNT:
+            raise ParameterError(
+                f"t_count must be an integer >= 2 and <= {MAX_T_COUNT}, got {self.t_count!r}"
+            )
         if not self.t_start >= 0.0:  # NaN included
             raise ParameterError(f"t_start must be >= 0, got {self.t_start!r}")
         if not math.inf > self.t_stop > self.t_start:

@@ -58,8 +58,8 @@ class ConfigError(Exception):
 
 
 def _float_texts(values) -> list[str]:
-    """Each float to 17 significant digits, -0.0 written as 0."""
-    return [f"{value + 0.0:.17g}" for value in values]  # + 0.0 turns -0.0 into 0.0 only
+    """Each float to 17 significant digits, 0.0 and -0.0 written as 0."""
+    return ["0" if value == 0.0 else f"{value:.17g}" for value in values]
 
 
 def _fmt(value) -> str:
@@ -210,9 +210,10 @@ def _emit(fieldnames: list[str], curves, args) -> None:
     """Write a table to --out or standard output, one curve at a time.
 
     `curves` yields (head, columns) per curve: row i of a curve is its head
-    cells followed by cell i of each column, two cells or more in all.  CSV
-    is the header line, then one string per curve, each written with one
-    write; JSON is one document, written with one write.
+    cells followed by cell i of each column, two cells or more in all, and
+    a curve has one row or more.  CSV is the header line, then one string
+    per curve, each written with one write; JSON is one document, written
+    with one write.
     """
     out = sys.stdout if args.out is None else io.StringIO()
     if args.format == "csv":
@@ -224,7 +225,7 @@ def _emit(fieldnames: list[str], curves, args) -> None:
             last = {id(column): last.get(id(column)) or (column, _csv_texts(column)) for column in columns}
             lead = "".join(text + "," for text in _csv_texts(head))
             rows = map(",".join, zip(*[last[id(column)][1] for column in columns]))
-            out.write("".join([f"{lead}{row}\n" for row in rows]))
+            out.write(lead + ("\n" + lead).join(rows) + "\n")
     else:
         payload = [
             _json_item(fieldnames, (*head, *row)) for head, columns in curves for row in zip(*columns)

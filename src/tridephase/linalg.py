@@ -38,14 +38,30 @@ def per_matrix(values, a: np.ndarray, worst=None):
     return values if worst is None else float(worst(values))
 
 
+@functools.lru_cache(maxsize=8)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, column) indices of the n(n+1)/2 entries i <= j of an n x n matrix."""
+    rows, cols = np.triu_indices(n)
+    rows.setflags(write=False)  # shared by every call with this n
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def hermiticity_defect(m):
     """max |M[i,j] - conj(M[j,i])| over all entries.
 
     A float for one matrix; for a stack of shape (..., n, n), an array of
     shape (...) with one defect per matrix.
+
+    Only the pairs i <= j are computed: entry (j, i) of M - M^dagger is minus
+    the conjugate of entry (i, j), exactly, and its modulus has the same bits,
+    so the maximum, NaN included, is that of every entry.
     """
     a = _as_square_stack(m)
-    return per_matrix(np.abs(a - _dagger(a)).max(axis=(-2, -1)), a)
+    rows, cols = _pairs(a.shape[-1])
+    upper, lower = a[..., rows, cols], a[..., cols, rows]  # fancy indexing: fresh copies
+    difference = np.subtract(upper, np.conjugate(lower, out=lower), out=upper)
+    return per_matrix(np.abs(difference).max(axis=-1), a)
 
 
 def _check_hermitian(a: np.ndarray) -> None:
@@ -101,7 +117,8 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 
     The input is symmetrized (S = (M + M^dagger)/2) before solving so that
     ~1e-16 asymmetries from upstream arithmetic cannot leak into the
-    spectrum; anything beyond HERMITICITY_TOL from Hermitian is rejected.
+    spectrum; a matrix whose hermiticity_defect (taken over the pairs
+    i <= j) exceeds HERMITICITY_TOL is rejected.
 
     S is solved block by block.  The connected components of the nonzero
     pattern of M | M^T are independent blocks of S, and the spectrum is
@@ -117,17 +134,22 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 
     A stack of shape (..., n, n) gives eigenvalues of shape (..., n), each
     row equal to the single-matrix result bit for bit: each matrix is
-    solved by the rule of its own pattern, with one pass over the stack
-    per distinct pattern, so a stack of many different patterns is slower
-    than one dense solve.  One matrix beyond the tolerance rejects the
-    stack.
+    solved by the rule of its own pattern.  A stack whose matrices all have
+    the nonzero entries of its first, as every dephased stack does, is
+    solved whole, in one pass.  Any other stack takes one pass per
+    distinct pattern, each over the copied matrices of that pattern, so a
+    stack of many different patterns is slower than one dense solve.  One
+    matrix beyond the tolerance rejects the stack.
     """
     a = _as_square_stack(m)
     _check_hermitian(a)
     n = a.shape[-1]
     flat = a.reshape(-1, n, n)
-    linked = flat != 0
-    linked = (linked | linked.swapaxes(-1, -2)).reshape(len(flat), -1)
+    nonzero = flat != 0
+    if (nonzero == nonzero[0]).all():  # then M | M^T has one pattern too
+        pattern = nonzero[0] | nonzero[0].T
+        return _block_eigenvalues(flat, _blocks(pattern.tobytes(), n)).reshape(a.shape[:-1])
+    linked = (nonzero | nonzero.swapaxes(-1, -2)).reshape(len(flat), -1)
     out = np.empty(flat.shape[:-1])
     todo = np.arange(len(flat))
     while todo.size:

@@ -103,6 +103,11 @@ def _check_x_shape(worst: float, where: tuple[int, int]) -> None:
 
 
 def _assert_x_shaped(rho: np.ndarray) -> None:
+    # np.abs may differ from _modulus in the last bit, so it only screens:
+    # below X_SHAPE_TOL / 2 it passes every matrix, anything else (NaN
+    # included) is judged, and reported, by the moduli of _modulus
+    if (np.abs(rho[..., _OFF_X]) < X_SHAPE_TOL / 2).all():
+        return
     mags = np.where(_OFF_X, _modulus(rho), 0.0)
     first = int(np.argmax(mags))  # the worst matrix's first largest entry
     where = tuple(int(i) for i in np.unravel_index(first, mags.shape)[-2:])

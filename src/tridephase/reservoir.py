@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 from typing import Callable, Union
@@ -179,6 +179,12 @@ class ReservoirSpec:
     def _gamma_tables(self) -> defaultdict[GammaMethod, dict[float, float]]:
         """method -> this reservoir's time -> Gamma table, as `evolution.gammas` fills it."""
         return defaultdict(dict)
+
+    def __getstate__(self) -> dict:
+        """The fields alone: a pickled or copied reservoir starts without the
+        tables above (whose `factors` is a closure pickle cannot take) and
+        builds its own on first use."""
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 class GammaMethod(Enum):

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import tridephase.reservoir
 from tridephase import analysis
 from tridephase.analysis import ROOT_REL_TOL, preservation_time_zero_t
-from tridephase.cli import PARAM_FIELDS, _emit, _fmt, main
+from tridephase.cli import PARAM_FIELDS, _emit, _float_texts, _fmt, _parse_run, load_config, main
 from tridephase.exceptions import ShapeError
 from tridephase.states import ghz_state, werner
 
@@ -467,12 +467,35 @@ def test_time_grid_errors_name_their_keys(capsys, command):
     assert err == "error: config key 't_stop': need t_stop > t_start >= 0, got 2.0, 1.0\n"
     code, _, err = run(capsys, [command, "--set", "t_count=1"])
     assert code == 1
-    assert err == "error: config key 't_count': t_count must be an integer >= 2, got 1\n"
+    assert err == "error: config key 't_count': t_count must be an integer >= 2 and <= 100000, got 1\n"
+
+
+@pytest.mark.parametrize("t_count", [analysis.MAX_T_COUNT, analysis.MAX_T_COUNT + 1, 10**400])
+def test_t_count_has_an_upper_bound(capsys, t_count):
+    settings = ["--set", f"t_count={t_count}"]
+    if t_count <= analysis.MAX_T_COUNT:
+        # the grid is built and checked; running it would hold 100 MB per stack
+        assert _parse_run(load_config(None, settings[1:])).t_count == t_count
+        return
+    # beyond it, the grid is rejected before any time array is made
+    code, out, err = run(capsys, ["measure", *settings])
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: config key 't_count': t_count must be an integer >= 2 and <= 100000, "
+        f"got {t_count}\n"
+    )
+
+
+def test_float_texts_write_17_digits_and_every_zero_as_0():
+    values = [0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf, 1e-300, -1e-300, 0.1]
+    assert _float_texts(values) == [f"{value + 0.0:.17g}" for value in values]
+    assert _float_texts(values)[:2] == ["0", "0"]
+    assert _float_texts(np.array(values)) == _float_texts(values)  # numpy floats too
 
 
 @pytest.mark.parametrize("setting, message", [
-    ("t_count=abc", "t_count must be an integer >= 2, got 'abc'"),
-    ("t_count=[3]", "t_count must be an integer >= 2, got [3]"),
+    ("t_count=abc", "t_count must be an integer >= 2 and <= 100000, got 'abc'"),
+    ("t_count=[3]", "t_count must be an integer >= 2 and <= 100000, got [3]"),
     ("epsilon=1.5", "epsilon must lie in (0, 1), got 1.5"),
     ("omega_sq_b=-1", "omega_sq_b must be positive, got -1.0"),
 ], ids=["t_count_str", "t_count_list", "epsilon", "omega_sq_b"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from tridephase import linalg
 from tridephase.analysis import STATES, make_reservoirs
@@ -155,6 +156,60 @@ def test_block_matrix_beyond_the_tolerance_is_not_hermitian(seed, dim):
         HermiticityViolation, match=r"^matrix is not Hermitian: max \|M - M\^dagger\| = \S+ > 1\.0e-10$"
     ):
         hermitian_eigenvalues(stack)
+
+
+def same_bits(x, y) -> bool:
+    """Equal arrays, bit for bit, except that any NaN matches any NaN."""
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    nan = np.isnan(x)
+    return bool(np.array_equal(nan, np.isnan(y)) and x[~nan].tobytes() == y[~nan].tobytes())
+
+
+@st.composite
+def defect_inputs(draw):
+    """A matrix or stack with any complex entries, NaN and +-inf included;
+    half of them Hermitian but for a few entries, half in Fortran order."""
+    n = draw(st.integers(1, 8))
+    lead = draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+    entries = st.complex_numbers(allow_nan=True, allow_infinity=True)
+    a = draw(arrays(complex, lead + (n, n), elements=entries))
+    if draw(st.booleans()):
+        lower = np.tril_indices(n, -1)
+        a[..., lower[0], lower[1]] = a[..., lower[1], lower[0]].conj()
+        flips = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2))
+        for i, j in flips:
+            a[..., i, j] += draw(st.sampled_from([1e-300, 1e-11, 1e-6, np.inf, np.nan]))
+    if draw(st.booleans()):
+        a = np.asfortranarray(a)
+    return a
+
+
+@given(a=defect_inputs())
+@settings(max_examples=300, deadline=None)
+def test_hermiticity_defect_equals_the_whole_matrix_rule(a):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, huge - -huge
+        expected = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+        defect = hermiticity_defect(a)
+    assert type(defect) is (float if a.ndim == 2 else np.ndarray)
+    assert np.shape(defect) == a.shape[:-2]
+    assert same_bits(defect, expected)
+
+
+@pytest.mark.parametrize("cut_share", [0.0, 1.0, 0.5], ids=["one_pattern", "one_cut_pattern", "mixed"])
+@pytest.mark.parametrize("seed", range(20))
+def test_stack_spectra_equal_their_matrices_one_by_one(seed, cut_share):
+    rng = np.random.default_rng(seed)
+    stack = block_hermitian_stack(rng, 8, rows=12, cut_share=cut_share)
+    if cut_share == 0.5:
+        # another pattern for the first matrix: an entry stays where its mirror
+        # stays too, so the matrix stays Hermitian
+        stack[0] *= rng.random((8, 8)) < 0.5
+        stack[0] = stack[0] * (stack[0].T != 0)
+    singles = np.stack([hermitian_eigenvalues(m) for m in stack])
+    assert hermitian_eigenvalues(stack).tobytes() == singles.tobytes()
+    # the same matrices in a (3, 4, 8, 8) stack that is not in C order
+    strided = np.asfortranarray(stack.reshape(3, 4, 8, 8))
+    assert hermitian_eigenvalues(strided).tobytes() == singles.reshape(3, 4, 8).tobytes()
 
 
 @pytest.mark.parametrize("state", ["ghz", "w"])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tridephase import measures
 from tridephase.analysis import KERNELS, MARGINS
 from tridephase.evolution import dephasing_factors, evolve
 from tridephase.exceptions import ParameterError, ShapeError
@@ -74,6 +75,60 @@ def test_gmc_x_state_rejects_non_x_and_names_offender():
     rho = werner(w_state(), 0.5)
     with pytest.raises(ShapeError, match=r"\(1, 2\)"):
         gmc_x_state(rho)
+
+
+def x_shape_outcome(check, rho):
+    """The message `check(rho)` raises a ShapeError with, else None."""
+    try:
+        check(rho)
+    except ShapeError as exc:
+        return str(exc)
+    return None
+
+
+def whole_matrix_x_shape_check(rho):
+    """The X-shape rule on every entry: the first largest off-X modulus of
+    the stack (hypot, as Python's abs), with its element, must stay below
+    X_SHAPE_TOL."""
+    off_x = ~(np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1])
+    mags = np.where(off_x, np.hypot(rho.real, rho.imag), 0.0)
+    first = int(np.argmax(mags))
+    worst = float(mags.flat[first])
+    if worst >= measures.X_SHAPE_TOL:  # False for NaN
+        where = tuple(int(i) for i in np.unravel_index(first, mags.shape)[-2:])
+        raise ShapeError(f"matrix is not X-shaped: element {where} has modulus {worst:.3e}")
+
+
+def with_entry(rho, i, j, z):
+    rho = rho.copy()
+    rho[i, j], rho[j, i] = z, np.conj(z)
+    return rho
+
+
+def test_x_shape_check_keeps_the_whole_matrix_verdict_and_message():
+    tol = measures.X_SHAPE_TOL
+    base = werner(ghz_state(), 0.8)
+    above = with_entry(base, 1, 2, np.nextafter(tol, 1.0))
+    nan = with_entry(base, 3, 5, complex(np.nan, 0.0))
+    # a NaN is the largest modulus, and not >= X_SHAPE_TOL, so it passes
+    stacks = [[above], [nan], [above, nan], [nan, above], [base, above, base], [base]]
+    # moduli at the tolerance and at the half where the screen stops, in every
+    # direction, where np.abs and hypot can round apart
+    for radius in (tol, tol / 2):
+        for scale in (1 - 4e-16, 1.0, 1 + 4e-16):
+            stacks += [[with_entry(base, 2, 6, radius * scale * np.exp(1j * phase)) for phase in
+                        np.linspace(0.0, 2 * np.pi, 97)]]
+    outcomes = []  # per stack: the stack's, then each matrix's
+    for stack in stacks:
+        outcomes.append([])
+        for rho in [np.stack(stack), *stack]:
+            outcome = x_shape_outcome(measures._assert_x_shaped, rho)
+            assert outcome == x_shape_outcome(whole_matrix_x_shape_check, rho)
+            outcomes[-1].append(outcome)
+    message = "matrix is not X-shaped: element (1, 2) has modulus 1.000e-12"
+    assert [stack[0] for stack in outcomes[:6]] == [message, None, None, None, message, None]
+    near_tol = {outcome for stack in outcomes[6:9] for outcome in stack[1:]}
+    assert None in near_tol and len(near_tol) > 1  # the rule's edge is crossed
 
 
 def test_gmc_ghz_werner_threshold():

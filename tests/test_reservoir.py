@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import mpmath
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tridephase import reservoir
+from tridephase.evolution import gammas
 from tridephase.exceptions import MethodError, ParameterError, QuadratureError
 from tridephase.reservoir import (
     ZERO_TEMPERATURE,
@@ -378,6 +380,24 @@ def test_quadrature_holds_its_relative_tolerance_on_weak_coupling(eta, omega_c):
     for t in (0.1, 3.0):
         exact = gamma_exact(res, t)
         assert abs(gamma(res, t, GammaMethod.NUMERIC_QUADRATURE) - exact) <= 1e-8 * exact
+
+
+@pytest.mark.parametrize("protocol", [2, pickle.HIGHEST_PROTOCOL])
+def test_a_warm_reservoir_pickles_and_its_copy_gives_the_same_gamma(protocol):
+    res = ohmic(beta=0.5)
+    times = [0.0, 0.3, 1.7, 9.0]
+    warm = [gamma(res, t, GammaMethod.NUMERIC_QUADRATURE) for t in times]
+    gammas([res], times, GammaMethod.LOW_T_CLOSED_FORM)  # fills its Gamma table
+    plan, tables = res._quadrature_plan, res._gamma_tables
+    copy = pickle.loads(pickle.dumps(res, protocol))
+    assert copy == res and copy is not res
+    assert "_quadrature_plan" not in vars(copy) and "_gamma_tables" not in vars(copy)
+    # the original keeps its tables; the copy builds its own on first use
+    assert res._quadrature_plan is plan and res._gamma_tables is tables
+    assert [gamma(copy, t, GammaMethod.NUMERIC_QUADRATURE).hex() for t in times] == [
+        g.hex() for g in warm
+    ]
+    assert copy._quadrature_plan is not plan
 
 
 @pytest.mark.parametrize("value", [-1e-300, -math.inf, math.nan])

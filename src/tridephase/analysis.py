@@ -274,22 +274,23 @@ def freezing_intervals(ts: Sequence[float], values: Sequence[float]) -> list[tup
     if ts.shape != vs.shape or ts.ndim != 1 or ts.size < 2:
         raise ParameterError("need matching 1-d time and value arrays with >= 2 samples")
     _check_samples(ts, vs, "freezing interval")
+    ts, vs = ts.tolist(), vs.tolist()  # the same IEEE arithmetic, without numpy scalars
     tol = FREEZE_VALUE_TOL * vs[0]
     floor = FREEZE_VALUE_FLOOR * vs[0]
 
     runs: list[tuple[int, int]] = []  # [start, end] inclusive indices
     start = 0
     anchor = vs[0]
-    for i in range(1, ts.size):
+    for i in range(1, len(ts)):
         if abs(vs[i] - anchor) <= tol:
             continue
         runs.append((start, i - 1))
         start = i
         anchor = vs[i]
-    runs.append((start, ts.size - 1))
+    runs.append((start, len(ts) - 1))
 
     def span(run: tuple[int, int]) -> float:
-        return float(ts[run[1]] - ts[run[0]])
+        return ts[run[1]] - ts[run[0]]
 
     def stands_out(pos: int) -> bool:
         neighbours = [
@@ -305,7 +306,7 @@ def freezing_intervals(ts: Sequence[float], values: Sequence[float]) -> list[tup
         (a, b)
         for pos, (a, b) in enumerate(runs)
         if b - a + 1 >= FREEZE_MIN_POINTS
-        and vs[a : b + 1].min() >= floor
+        and min(vs[a : b + 1]) >= floor
         and stands_out(pos)
     ]
     merged: list[list[int]] = []
@@ -314,7 +315,7 @@ def freezing_intervals(ts: Sequence[float], values: Sequence[float]) -> list[tup
             merged[-1][1] = b
         else:
             merged.append([a, b])
-    return [(float(ts[a]), float(ts[b])) for a, b in merged]
+    return [(ts[a], ts[b]) for a, b in merged]
 
 
 def _per_omega_c(name: str, value: float, omega_c: float) -> float:

@@ -175,15 +175,11 @@ def _parse_run(config: dict, **grid_options) -> analysis.SweepGrid:
 def _csv_texts(column) -> list[str]:
     """The CSV text of each cell of a column, as csv.writer writes it in a row of several.
 
-    A cell's text is its _fmt text, formatted once for a column that holds
-    one object on every row.  When some text holds a comma, a quote or a
-    line break, csv.writer (csv.QUOTE_MINIMAL) writes the column's texts
-    and quotes those it must.
+    A cell's text is its _fmt text.  When some text holds a comma, a quote
+    or a line break, csv.writer (csv.QUOTE_MINIMAL) writes the column's
+    texts and quotes those it must.  A column known to hold floats goes to
+    _float_texts instead, as a float's text is never quoted.
     """
-    if len(column) > 1 and all(cell is column[0] for cell in column):
-        return _csv_texts(column[:1]) * len(column)
-    if all(type(cell) is float for cell in column):
-        return _float_texts(column)  # never quoted
     texts = [cell if type(cell) is str else _fmt(cell) for cell in column]
     if not _MAY_NEED_QUOTES("".join(texts)):
         return texts
@@ -209,26 +205,39 @@ def _json_item(fieldnames: list[str], row) -> dict:
 def _emit(fieldnames: list[str], curves, args) -> None:
     """Write a table to --out or standard output, one curve at a time.
 
-    `curves` yields (head, columns) per curve: row i of a curve is its head
-    cells followed by cell i of each column, two cells or more in all, and
-    a curve has one row or more.  CSV is the header line, then one string
-    per curve, each written with one write; JSON is one document, written
-    with one write.
+    `curves` yields (head, floats, columns, tail) per curve: row i of a
+    curve is its head cells, cell i of each column of `floats` (columns of
+    Python floats only) and then of each of `columns`, and its tail cells,
+    two cells or more in all.  A curve has one column or more, and one row
+    or more.  Head and tail cells are formatted once per curve.  CSV is the
+    header line, then one string per curve, each written with one write;
+    JSON is one document, written with one write.
     """
     out = sys.stdout if args.out is None else io.StringIO()
     if args.format == "csv":
         out.write(",".join(_csv_texts(fieldnames)) + "\n")
-        last = {}  # id(column) -> (column, its texts), over the last curve's columns
-        for head, columns in curves:
-            # a column the last curve had too (the time grid) keeps its texts;
-            # holding the column keeps its id from being reused
-            last = {id(column): last.get(id(column)) or (column, _csv_texts(column)) for column in columns}
+        last = {}  # id(column) -> (column, its texts), over the last curve's float columns
+        for head, floats, columns, tail in curves:
+            # a float column the last curve had too (the time grid) keeps its
+            # texts; holding the column keeps its id from being reused
+            last = {id(c): last.get(id(c)) or (c, _float_texts(c)) for c in floats}
+            texts = [last[id(c)][1] for c in floats] + [_csv_texts(c) for c in columns]
             lead = "".join(text + "," for text in _csv_texts(head))
-            rows = map(",".join, zip(*[last[id(column)][1] for column in columns]))
-            out.write(lead + ("\n" + lead).join(rows) + "\n")
+            end = "".join("," + text for text in _csv_texts(tail))
+            # one join per curve: each cell, then what follows it, a comma or
+            # the end of its row and the head of the next
+            k, n = len(texts), len(texts[0])
+            cells = [","] * (2 * k * n)
+            for j, column in enumerate(texts):
+                cells[2 * j :: 2 * k] = column
+            cells[2 * k - 1 :: 2 * k] = [end + "\n" + lead] * n
+            cells[-1] = end + "\n"
+            out.write(lead + "".join(cells))
     else:
         payload = [
-            _json_item(fieldnames, (*head, *row)) for head, columns in curves for row in zip(*columns)
+            _json_item(fieldnames, (*head, *row, *tail))
+            for head, floats, columns, tail in curves
+            for row in zip(*floats, *columns)
         ]
         out.write(json.dumps(payload, indent=2) + "\n")
     if args.out is None:
@@ -264,7 +273,7 @@ def cmd_evolve(config: dict, args) -> int:
     # re_ij and im_ij side by side, row-major over (i, j)
     elements = np.stack([evolved.real, evolved.imag], axis=-1).reshape(grid.t_count, 128)
     fields = ["t"] + [f"{part}_{i}{j}" for i in range(8) for j in range(8) for part in ("re", "im")]
-    _emit(fields, [((), [grid.times().tolist(), *elements.T.tolist()])], args)
+    _emit(fields, [((), [grid.times().tolist(), *elements.T.tolist()], [], ())], args)
     return 0
 
 
@@ -291,15 +300,18 @@ def _curve_table(config: dict, args, per_time: bool, timescales: bool) -> int:
 
     def table(curve):
         head = (*curve.parameters.values(), curve.name)
-        tail = ()
+        cells = ()
         if timescales:
             ts = curve.timescales
-            tail = (ts.t_p, ts.t_c, ts.t_c_reached, len(ts.freezing))
+            cells = (ts.t_p, ts.t_c, ts.t_c_reached, len(ts.freezing))
         if not per_time:
             intervals = "|".join(":".join(_float_texts(interval)) for interval in ts.freezing)
-            return head, [[cell] for cell in (*tail, intervals, ts.error or "")]
-        errors = [error or "" for error in curve.errors]
-        return head, [times, curve.values, *([cell] * len(times) for cell in tail), errors]
+            return head, [], [[cell] for cell in (*cells, intervals, ts.error or "")], ()
+        if any(curve.errors):  # an error is a nonempty text; its column follows the cells
+            errors = [error or "" for error in curve.errors]
+            repeated = [[cell] * len(times) for cell in cells]
+            return head, [times, curve.values], [*repeated, errors], ()
+        return head, [times, curve.values], [], (*cells, "")
 
     _emit(fields, map(table, curves), args)
     return 0

@@ -34,8 +34,9 @@ X_SHAPE_TOL = 1e-12
 class DensityStack:
     """A density matrix or (..., 8, 8) stack, validated once on construction.
 
-    Each partial-transpose spectrum is taken on first use and kept, so the
-    measures called on one DensityStack share its validation and spectra.
+    Each cut's negativity is computed on first use and kept, read-only, so
+    the measures called on one DensityStack share its validation and each
+    partial-transpose spectrum is taken once.
     """
 
     def __init__(self, rho):
@@ -46,7 +47,7 @@ class DensityStack:
     def _hold(self, array: np.ndarray) -> None:
         """Set every field over `array`, which has passed validation."""
         self.array = array
-        self._pt_spectra: dict[int, np.ndarray] = {}
+        self._negativities: dict[int, np.ndarray] = {}
 
     def rows(self) -> list[DensityStack]:
         """Each matrix of a stack as a DensityStack that shares this validation."""
@@ -59,10 +60,21 @@ class DensityStack:
 
     def pt_eigenvalues(self, subsystem: int) -> np.ndarray:
         """Ascending eigenvalues of the partial transpose on one qubit."""
-        if subsystem not in self._pt_spectra:
-            transposed = partial_transpose(self.array, QUBIT_DIMS, subsystem)
-            self._pt_spectra[subsystem] = hermitian_eigenvalues(transposed)
-        return self._pt_spectra[subsystem]
+        return hermitian_eigenvalues(partial_transpose(self.array, QUBIT_DIMS, subsystem))
+
+    def negativities(self, subsystem: int) -> np.ndarray:
+        """The (...) array of `negativity` on one cut, shared by every caller."""
+        if subsystem not in self._negativities:
+            eigs = self.pt_eigenvalues(subsystem)
+            # Eigenvalues ascend, so the negative ones lead each row, and there
+            # are at most 7 of them (the trace is 1).  A running sum adds them
+            # in that order; the zeros after them add nothing.
+            negative = eigs < -ZERO_EIGENVALUE_TOL
+            total = np.where(negative, eigs, 0.0).cumsum(axis=-1)[..., -1]
+            values = np.where(negative.any(axis=-1), -2.0 * total, 0.0)
+            values.setflags(write=False)  # returned to every measure of this stack
+            self._negativities[subsystem] = values
+        return self._negativities[subsystem]
 
 
 def _checked(rho) -> DensityStack:
@@ -97,9 +109,12 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 
 def _check_x_shape(worst: float, where: tuple[int, int]) -> None:
     """The X-shape rule: `worst`, the largest off-X modulus (first, in row-major
-    order, at element `where`), must stay below X_SHAPE_TOL."""
+    order, at element `where`; a NaN counts as the largest), must stay below
+    X_SHAPE_TOL."""
     if worst >= X_SHAPE_TOL:
         raise ShapeError(f"matrix is not X-shaped: element {where} has modulus {worst:.3e}")
+    if worst != worst:
+        raise ShapeError(f"matrix is not X-shaped: element {where} has a NaN modulus")
 
 
 def _assert_x_shaped(rho: np.ndarray) -> None:
@@ -109,7 +124,7 @@ def _assert_x_shaped(rho: np.ndarray) -> None:
     if (np.abs(rho[..., _OFF_X]) < X_SHAPE_TOL / 2).all():
         return
     mags = np.where(_OFF_X, _modulus(rho), 0.0)
-    first = int(np.argmax(mags))  # the worst matrix's first largest entry
+    first = int(np.argmax(mags))  # the first NaN, else the worst matrix's first largest entry
     where = tuple(int(i) for i in np.unravel_index(first, mags.shape)[-2:])
     _check_x_shape(float(mags.flat[first]), where)
 
@@ -160,13 +175,7 @@ def negativity(rho, subsystem: int):
     of shape (...); a single matrix gives a float.
     """
     stack = _checked(rho)
-    eigs = stack.pt_eigenvalues(subsystem)
-    # Eigenvalues ascend, so the negative ones lead each row, and there are
-    # at most 7 of them (the trace is 1).  A running sum adds them in that
-    # order; the zeros after them add nothing.
-    negative = eigs < -ZERO_EIGENVALUE_TOL
-    total = np.where(negative, eigs, 0.0).cumsum(axis=-1)[..., -1]
-    return per_matrix(np.where(negative.any(axis=-1), -2.0 * total, 0.0), stack.array)
+    return per_matrix(stack.negativities(subsystem), stack.array)
 
 
 def tripartite_negativity(rho):

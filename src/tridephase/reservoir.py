@@ -299,7 +299,7 @@ def gamma_exact(res: ReservoirSpec, t):
     for element.
     """
     _require_ohmic(res, GammaMethod.EXACT)
-    if np.ndim(t) == 0:
+    if type(t) is float or np.ndim(t) == 0:  # a Python float skips the array check
         return _ohmic_gamma(res, float(t))
     return np.array([_ohmic_gamma(res, tv) for tv in _time_array(t).tolist()])
 

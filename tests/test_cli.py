@@ -742,23 +742,45 @@ CELLS = st.one_of(
 )
 
 
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324]),
+)
+ERROR_TEXTS = st.text(alphabet=st.sampled_from('ab ,"\r\n:'), min_size=1, max_size=6)
+
+
+@st.composite
+def error_columns(draw, n):
+    """A curve's error column: empty cells with an error text on one row."""
+    errors = [""] * n
+    errors[draw(st.integers(0, n - 1))] = draw(ERROR_TEXTS)
+    return errors
+
+
 @st.composite
 def tables(draw):
-    """Field names and curves of random cells.
+    """Field names and curves of random cells, as (head, floats, columns, tail).
 
-    A column is drawn cell by cell or as one object on every row, and one
-    column object may serve several curves, as the time grid does.
+    A float column holds floats only; one float column object may serve
+    several curves, as the time grid does.  Another column is drawn cell by
+    cell, as one object on every row, or as an error column with an error
+    in mid-curve.
     """
     n = draw(st.integers(1, 4))
-    column = st.one_of(st.lists(CELLS, min_size=n, max_size=n), CELLS.map(lambda cell: [cell] * n))
-    shared = draw(column)
+    floats = st.lists(FLOATS, min_size=n, max_size=n)
+    column = st.one_of(
+        st.lists(CELLS, min_size=n, max_size=n), CELLS.map(lambda cell: [cell] * n), error_columns(n),
+    )
+    shared = draw(floats)
     curves = []
     for _ in range(draw(st.integers(1, 3))):
         head = tuple(draw(st.lists(CELLS, max_size=3)))
-        columns = draw(st.lists(
-            st.one_of(column, st.just(shared)), min_size=1 if head else 2, max_size=4,
-        ))
-        curves.append((head, columns))
+        float_columns = draw(st.lists(st.one_of(floats, st.just(shared)), max_size=3))
+        columns = draw(st.lists(column, min_size=0 if float_columns else 1, max_size=3))
+        tail = tuple(draw(st.lists(CELLS, max_size=3)))
+        if len(head) + len(float_columns) + len(columns) + len(tail) < 2:  # two cells or more
+            columns.append(draw(column))
+        curves.append((head, float_columns, columns, tail))
     fieldnames = draw(st.lists(st.text(alphabet=st.sampled_from('ab ,"\r\n'), max_size=4), min_size=2))
     return fieldnames, curves
 
@@ -770,9 +792,9 @@ def test_csv_output_equals_csv_writer(table):
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(fieldnames)
-    for head, columns in curves:
-        for row in zip(*columns):
-            writer.writerow([_fmt(cell) for cell in (*head, *row)])
+    for head, floats, columns, tail in curves:
+        for row in zip(*floats, *columns):
+            writer.writerow([_fmt(cell) for cell in (*head, *row, *tail)])
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         _emit(fieldnames, curves, SimpleNamespace(format="csv", out=None))

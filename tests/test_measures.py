@@ -89,13 +89,15 @@ def x_shape_outcome(check, rho):
 def whole_matrix_x_shape_check(rho):
     """The X-shape rule on every entry: the first largest off-X modulus of
     the stack (hypot, as Python's abs), with its element, must stay below
-    X_SHAPE_TOL."""
+    X_SHAPE_TOL; a NaN modulus is the largest, and a violation."""
     off_x = ~(np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1])
     mags = np.where(off_x, np.hypot(rho.real, rho.imag), 0.0)
     first = int(np.argmax(mags))
     worst = float(mags.flat[first])
-    if worst >= measures.X_SHAPE_TOL:  # False for NaN
-        where = tuple(int(i) for i in np.unravel_index(first, mags.shape)[-2:])
+    where = tuple(int(i) for i in np.unravel_index(first, mags.shape)[-2:])
+    if math.isnan(worst):
+        raise ShapeError(f"matrix is not X-shaped: element {where} has a NaN modulus")
+    if worst >= measures.X_SHAPE_TOL:
         raise ShapeError(f"matrix is not X-shaped: element {where} has modulus {worst:.3e}")
 
 
@@ -110,7 +112,7 @@ def test_x_shape_check_keeps_the_whole_matrix_verdict_and_message():
     base = werner(ghz_state(), 0.8)
     above = with_entry(base, 1, 2, np.nextafter(tol, 1.0))
     nan = with_entry(base, 3, 5, complex(np.nan, 0.0))
-    # a NaN is the largest modulus, and not >= X_SHAPE_TOL, so it passes
+    # a NaN is the largest modulus and a violation, wherever it is in the stack
     stacks = [[above], [nan], [above, nan], [nan, above], [base, above, base], [base]]
     # moduli at the tolerance and at the half where the screen stops, in every
     # direction, where np.abs and hypot can round apart
@@ -126,7 +128,11 @@ def test_x_shape_check_keeps_the_whole_matrix_verdict_and_message():
             assert outcome == x_shape_outcome(whole_matrix_x_shape_check, rho)
             outcomes[-1].append(outcome)
     message = "matrix is not X-shaped: element (1, 2) has modulus 1.000e-12"
-    assert [stack[0] for stack in outcomes[:6]] == [message, None, None, None, message, None]
+    nan_message = "matrix is not X-shaped: element (3, 5) has a NaN modulus"
+    assert [stack[0] for stack in outcomes[:6]] == [
+        message, nan_message, nan_message, nan_message, message, None,
+    ]
+    assert outcomes[2][1:] == outcomes[3][2:0:-1] == [message, nan_message]  # each matrix its own
     near_tol = {outcome for stack in outcomes[6:9] for outcome in stack[1:]}
     assert None in near_tol and len(near_tol) > 1  # the rule's edge is crossed
 

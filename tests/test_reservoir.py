@@ -57,6 +57,24 @@ def test_zero_t_closed_form_value():
     assert value == pytest.approx(1.1090354888959124, rel=1e-12)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    t=st.one_of(st.floats(0.0, 1e6), st.integers(0, 10**6)),
+    beta=st.sampled_from([ZERO_TEMPERATURE, 0.5, 150.0]),
+)
+def test_scalar_exact_gamma_of_any_time_type_is_the_array_path_bit_for_bit(t, beta):
+    # a Python float skips the array check; an int, a numpy scalar and a 0-d
+    # array take it, and all give the array path's bits
+    res = ohmic(beta=beta)
+    want = float(gamma_exact(res, np.array([float(t)]))[0]).hex()
+    for time in (t, float(t), np.float64(t), np.array(float(t))):
+        got = gamma_exact(res, time)
+        assert type(got) is float and got.hex() == want, type(time)
+        assert gamma(res, time, GammaMethod.EXACT).hex() == want, type(time)
+        if beta == ZERO_TEMPERATURE:
+            assert gamma(res, time, GammaMethod.ZERO_T_CLOSED_FORM).hex() == want, type(time)
+
+
 def test_quadrature_matches_zero_t_closed_form():
     res = ohmic(eta=0.2, omega=2.0)
     for t in np.geomspace(0.01, 20.0, 12):

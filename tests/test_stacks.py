@@ -6,6 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tridephase import analysis, measures
 from tridephase.analysis import MEASURES, STATES, SweepGrid, make_reservoirs, run_sweep
@@ -299,6 +300,53 @@ def test_run_sweep_values_equal_the_public_measures_on_the_evolved_stack():
         stack = evolve(werner(ghz_state(), curve.parameters["x"]), factors)
         assert same_bits(curve.values, public[curve.name](stack)), curve.name
         assert curve.errors == [None] * grid.t_count
+
+
+PUBLIC_MEASURES = {
+    "gmc": gmc_x_state,
+    "tripartite_negativity": tripartite_negativity,
+    **{
+        f"negativity_{c}": (lambda rho, q=q: negativity(rho, q))
+        for q, c in enumerate(measures.BIPARTITIONS)
+    },
+    "l1_coherence": l1_coherence,
+}
+
+
+def measure_outcome(fn, rho):
+    """fn(rho), or the text of the ShapeError it raises (gmc on a W-Werner state)."""
+    try:
+        return fn(rho)
+    except ShapeError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    state=st.sampled_from(sorted(STATES)),
+    x=st.floats(0.0, 1.0),
+    eta=st.floats(0.0, 2.0),
+    beta_a=st.sampled_from([math.inf, 0.5, 150.0]),
+    order=st.permutations(sorted(PUBLIC_MEASURES)),
+)
+def test_measures_in_any_order_on_one_stack_equal_fresh_stacks(state, x, eta, beta_a, order):
+    # each cut's negativity is kept on the stack: whichever measure asks
+    # first, every measure gives the bits it gives on a stack of its own
+    reservoirs = make_reservoirs(eta, 1.0, beta_a, 4.0, 16.0, (OMEGA, OMEGA, OMEGA))
+    factors = dephasing_factors(reservoirs, np.linspace(0.0, 3.0, 13), GammaMethod.EXACT)
+    stack = evolve(werner(STATES[state](), x), factors)
+    for rho in (stack, stack[7]):
+        shared = DensityStack(rho)
+        for name in order + order[::-1]:  # each measure again, once the others have run
+            got = measure_outcome(PUBLIC_MEASURES[name], shared)
+            want = measure_outcome(PUBLIC_MEASURES[name], DensityStack(rho))
+            assert got == want if isinstance(want, str) else same_bits(got, want), name
+    shared = DensityStack(stack)
+    for subsystem in range(3):
+        values = negativity(shared, subsystem)
+        assert values is shared.negativities(subsystem) and not values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 1.0
 
 
 def test_a_stack_that_fails_validation_is_replayed_row_by_row(monkeypatch):

@@ -17,35 +17,16 @@ import math
 import os
 import re
 import sys
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 
 from . import analysis, oracles
-from .analysis import PARAM_FIELDS
+from .analysis import PARAM_FIELDS, SweepGrid
 from .evolution import dephasing_factors, evolve
 from .exceptions import MethodError, ParameterError, TridephaseError
 from .reservoir import GammaMethod
-
-DEFAULT_CONFIG = {  # a key the library also has takes its SweepGrid default
-    "state": analysis.SweepGrid.state,
-    "x": 0.8,
-    "eta": 0.2,
-    "omega_c": analysis.SweepGrid.omega_c,
-    "omega_sq_a": 4.0,
-    "omega_sq_b": 4.0,
-    "omega_sq_c": 4.0,
-    "beta_a": "inf",
-    "k1": 1.0,
-    "k2": 1.0,
-    "t_start": 0.0,
-    "t_stop": 3.0,
-    "t_count": 121,
-    "measures": list(analysis.SweepGrid.measures),
-    "method": analysis.SweepGrid.method.value,
-    "timescales": analysis.SweepGrid.include_timescales,
-    "epsilon": analysis.SweepGrid.epsilon,
-}
 
 _METHODS = {m.value: m for m in GammaMethod}
 
@@ -143,33 +124,63 @@ def _as_bool(value, key: str) -> bool:
     return value
 
 
-def _parse_run(config: dict, **grid_options) -> analysis.SweepGrid:
-    """The SweepGrid of the keys every command reads plus `grid_options`.
+def _as_method(value, key: str) -> GammaMethod:
+    return _METHODS[_as_choice(value, key, _METHODS)]
 
-    The CLI parses JSON types and passes the values on in config units,
-    which are the grid's; SweepGrid checks every run value, reported by
-    _keyed under its key.
+
+def _as_measures(value, key: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"config key {key!r} must be a nonempty list")
+    return tuple(_as_choice(name, key, analysis.MEASURES) for name in value)
+
+
+_floats = partial(_as_list, parse=_as_float)
+
+# each config key: its default, its parser and the SweepGrid field it fills;
+# a key the library also has takes its SweepGrid default
+_CONFIG_KEYS = {
+    "state": (SweepGrid.state, partial(_as_choice, choices=analysis.STATES), "state"),
+    "x": (0.8, _floats, "xs"),
+    "eta": (0.2, _floats, "etas"),
+    "omega_c": (SweepGrid.omega_c, _as_float, "omega_c"),
+    "omega_sq_a": (4.0, _as_float, "omega_sqs"),
+    "omega_sq_b": (4.0, _as_float, "omega_sqs"),
+    "omega_sq_c": (4.0, _as_float, "omega_sqs"),
+    "beta_a": ("inf", partial(_as_list, parse=_as_beta), "beta_as"),
+    "k1": (1.0, _floats, "k1s"),
+    "k2": (1.0, _floats, "k2s"),
+    "t_start": (0.0, _as_float, "t_start"),
+    "t_stop": (3.0, _as_float, "t_stop"),
+    "t_count": (121, lambda value, key: value, "t_count"),  # SweepGrid checks it
+    "measures": (list(SweepGrid.measures), _as_measures, "measures"),
+    "method": (SweepGrid.method.value, _as_method, "method"),
+    "timescales": (SweepGrid.include_timescales, _as_bool, "include_timescales"),
+    "epsilon": (SweepGrid.epsilon, _as_float, "epsilon"),
+}
+
+DEFAULT_CONFIG = {key: default for key, (default, _, _) in _CONFIG_KEYS.items()}
+
+
+def _parse_run(config: dict, timescales: bool | None = None) -> SweepGrid:
+    """The SweepGrid of every config key, with time scales as `timescales` says
+    (None: as the `timescales` key says).
+
+    Each key is parsed in table order, and its JSON type checked; the values
+    go on in config units, which are the grid's.  SweepGrid checks every run
+    value, and a ParameterError or MethodError is reported under the first
+    key its message names, in the message's order, else under `x`.
     """
-    method = _METHODS[_as_choice(config["method"], "method", _METHODS)]
-    omega_keys = ("omega_sq_a", "omega_sq_b", "omega_sq_c")
-    return _keyed(
-        ("x", "eta", "beta_a", "k1", "k2", "method", "t_count", "epsilon", "t_start", "t_stop",
-         *omega_keys, "omega_c"),
-        analysis.SweepGrid,
-        xs=_as_list(config["x"], "x", _as_float),
-        etas=_as_list(config["eta"], "eta", _as_float),
-        beta_as=_as_list(config["beta_a"], "beta_a", _as_beta),
-        k1s=_as_list(config["k1"], "k1", _as_float),
-        k2s=_as_list(config["k2"], "k2", _as_float),
-        t_start=_as_float(config["t_start"], "t_start"),
-        t_stop=_as_float(config["t_stop"], "t_stop"),
-        t_count=config["t_count"],
-        omega_sqs=tuple(_as_float(config[key], key) for key in omega_keys),
-        method=method,
-        state=_as_choice(config["state"], "state", analysis.STATES),
-        omega_c=_as_float(config["omega_c"], "omega_c"),
-        **grid_options,
-    )
+    fields = {"omega_sqs": ()}  # the one field three keys fill, in key order
+    for key, (_, parse, field) in _CONFIG_KEYS.items():
+        value = parse(config[key], key)
+        fields[field] = fields[field] + (value,) if field == "omega_sqs" else value
+    if timescales is not None:
+        fields["include_timescales"] = timescales
+    try:
+        return SweepGrid(**fields)
+    except (ParameterError, MethodError) as exc:
+        named = [word for word in str(exc).replace(",", " ").split() if word in _CONFIG_KEYS]
+        raise ConfigError(f"config key {(named or ['x'])[0]!r}: {exc}") from exc
 
 
 def _csv_texts(column) -> list[str]:
@@ -249,20 +260,6 @@ def _emit(fieldnames: list[str], curves, args) -> None:
         raise ConfigError(f"cannot write output file: {exc}") from exc
 
 
-def _keyed(keys: tuple[str, ...], build, *args, **kwargs):
-    """build(*args, **kwargs), with a bad value reported as a ConfigError naming a key.
-
-    A ParameterError or MethodError is put on the first of `keys` that its
-    message names, in the message's order, else on keys[0].
-    """
-    try:
-        return build(*args, **kwargs)
-    except (ParameterError, MethodError) as exc:
-        named = [word for word in str(exc).replace(",", " ").split() if word in keys]
-        key = (named or keys)[0]
-        raise ConfigError(f"config key {key!r}: {exc}") from exc
-
-
 def cmd_evolve(config: dict, args) -> int:
     for key in ("x", "eta", "beta_a", "k1", "k2"):
         if isinstance(config[key], (list, tuple)):
@@ -277,20 +274,14 @@ def cmd_evolve(config: dict, args) -> int:
     return 0
 
 
-def _curve_table(config: dict, args, per_time: bool, timescales: bool) -> int:
-    """Write one row per curve, or per curve and time, from one run_sweep call.
+def _curve_table(config: dict, args, per_time: bool, timescales: bool | None) -> int:
+    """Write one row per curve, or per curve and time, from one run_sweep call;
+    `timescales` as _parse_run takes it.
 
     Every curve shares one time column, so its texts are formatted once.
     """
-    measures = config["measures"]
-    if not isinstance(measures, list) or not measures:
-        raise ConfigError("config key 'measures' must be a nonempty list")
-    for name in measures:
-        _as_choice(name, "measures", analysis.MEASURES)
-    epsilon = _as_float(config["epsilon"], "epsilon")
-    grid = _parse_run(
-        config, measures=tuple(measures), include_timescales=timescales, epsilon=epsilon
-    )
+    grid = _parse_run(config, timescales)
+    timescales = grid.include_timescales
     curves = analysis.run_sweep(grid)
     times = grid.times().tolist()
     fields = [*PARAM_FIELDS, "measure"] + (["t", "value"] if per_time else [])
@@ -326,8 +317,7 @@ def cmd_timescales(config: dict, args) -> int:
 
 
 def cmd_sweep(config: dict, args) -> int:
-    timescales = _as_bool(config["timescales"], "timescales")
-    return _curve_table(config, args, per_time=True, timescales=timescales)
+    return _curve_table(config, args, per_time=True, timescales=None)
 
 
 def cmd_selfcheck(args) -> int:

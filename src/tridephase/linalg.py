@@ -127,19 +127,20 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     q/2, |b|) with mid = p/2 + q/2, which does not overflow.  A larger
     block goes to numpy.linalg.eigvalsh.  A matrix whose pattern is one
     block is solved whole, as numpy.linalg.eigvalsh(S), so a dense matrix
-    keeps those exact bits.  Pure dephasing keeps the pattern of the
-    initial state: a dephased GHZ-Werner matrix and each of its partial
-    transposes are one 2x2 and six 1x1 blocks, and a W-Werner matrix is
-    one 3x3 and five 1x1 blocks.
+    keeps those exact bits.  Dephasing keeps the initial state's pattern,
+    bar entries that underflow to 0: a dephased GHZ-Werner matrix and each
+    of its partial transposes are one 2x2 and six 1x1 blocks, and a W-Werner
+    matrix one 3x3 and five 1x1 blocks, or finer where an entry underflowed.
 
     A stack of shape (..., n, n) gives eigenvalues of shape (..., n), each
     row equal to the single-matrix result bit for bit: each matrix is
     solved by the rule of its own pattern.  A stack whose matrices all have
-    the nonzero entries of its first, as every dephased stack does, is
-    solved whole, in one pass.  Any other stack takes one pass per
-    distinct pattern, each over the copied matrices of that pattern, so a
-    stack of many different patterns is slower than one dense solve.  One
-    matrix beyond the tolerance rejects the stack.
+    the nonzero entries of its first, as a dephased stack has unless an
+    entry underflows to 0 at some of its times only, is solved whole, in
+    one pass.  Any other stack takes one pass per distinct pattern, each
+    over the copied matrices of that pattern, so a stack of many different
+    patterns is slower than one dense solve.  One matrix beyond the
+    tolerance rejects the stack.
     """
     a = _as_square_stack(m)
     _check_hermitian(a)

@@ -237,7 +237,7 @@ def gamma_zero_t(res: ReservoirSpec, t: float) -> float:
     _require_ohmic(res, GammaMethod.ZERO_T_CLOSED_FORM)
     if res.beta != ZERO_TEMPERATURE:
         raise MethodError("method zero_t requires ZERO_TEMPERATURE (beta = inf)")
-    return gamma_exact(res, t)
+    return _ohmic_gamma(res, t)
 
 
 def gamma_low_t(res: ReservoirSpec, t: float) -> float:
@@ -379,12 +379,12 @@ def gamma(res: ReservoirSpec, t: float, method: GammaMethod) -> float:
     method cannot evaluate this reservoir at this time, and raises
     MethodError naming the method, the time and the value.
     """
-    _check_time(t)
     if method is GammaMethod.ZERO_T_CLOSED_FORM:
         value = gamma_zero_t(res, t)
     elif method is GammaMethod.LOW_T_CLOSED_FORM:
         value = gamma_low_t(res, t)
     elif method is GammaMethod.NUMERIC_QUADRATURE:
+        _check_time(t)  # each closed form checks t itself, after its method's rules
         plan = res._quadrature_plan  # MethodError on a cutoff quadrature cannot take
         value = 0.0 if t == 0.0 else _gamma_quadrature(t, plan)
     elif method is GammaMethod.EXACT:

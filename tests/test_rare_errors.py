@@ -64,6 +64,16 @@ def test_config_file_that_is_not_a_json_object(capsys, tmp_path, text, message):
     ("measure", "beta_a=hot", "config key 'beta_a' must be a number or \"inf\", got 'hot'"),
     ("measure", "measures=gmc", "config key 'measures' must be a nonempty list"),
     ("timescales", "measures=[]", "config key 'measures' must be a nonempty list"),
+    # every command checks every key, also one it does not read
+    *[
+        (command, setting, message)
+        for command in ("evolve", "measure", "timescales", "sweep")
+        for setting, message in (
+            ("measures=7", "config key 'measures' must be a nonempty list"),
+            ("epsilon=5", "config key 'epsilon': epsilon must lie in (0, 1), got 5.0"),
+            ("timescales=5", "config key 'timescales' must be true or false, got 5"),
+        )
+    ],
 ])
 def test_config_value_of_the_wrong_kind(capsys, command, setting, message):
     assert error_of(capsys, [command, "--set", setting]) == (1, "", f"error: {message}\n")

@@ -1,4 +1,5 @@
-"""The examples of README.md run: its python blocks and its CLI lines."""
+"""The examples of README.md run: its python blocks and its CLI lines; its table of
+config keys names every key of the CLI."""
 
 import contextlib
 import io
@@ -6,7 +7,7 @@ import re
 import shlex
 from pathlib import Path
 
-from tridephase.cli import main
+from tridephase.cli import DEFAULT_CONFIG, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -35,3 +36,14 @@ def test_readme_cli_examples_run(tmp_path, capsys):
             argv[i] = str(tmp_path / argv[i])
         assert main(argv) == 0, argv
         capsys.readouterr()
+
+
+def test_readme_config_keys_are_the_cli_keys():
+    section = re.search(r"^### Config keys.*?\n\n(.*?)\n\n", README.read_text(), re.MULTILINE | re.DOTALL)
+    keys = []
+    for cell in re.findall(r"^\| (.*?) \|", section.group(1), re.MULTILINE)[2:]:
+        for name in re.findall(r"`([a-z_0-9/]+)`", cell):
+            stem, _, suffixes = name.partition("/")  # omega_sq_a/b/c
+            keys.append(stem)
+            keys += [stem[:-1] + suffix for suffix in suffixes.split("/") if suffix]
+    assert keys == list(DEFAULT_CONFIG)

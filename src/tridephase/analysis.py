@@ -144,7 +144,8 @@ def _from_zero(
 
 def _check_samples(ts: Sequence[float], vs: Sequence[float], quantity: str) -> None:
     """Reject times that go backwards (equal neighbours pass: linspace can repeat
-    a time on a tiny range) and a curve that does not start above 0, NaN included."""
+    a time on a tiny range), a curve that does not start above 0, NaN included,
+    and a NaN value after the start, which no crossing search can place."""
     ts = np.asarray(ts, dtype=float)
     forward = ts[1:] >= ts[:-1]
     if not forward.all():  # NaN included
@@ -154,6 +155,8 @@ def _check_samples(ts: Sequence[float], vs: Sequence[float], quantity: str) -> N
         )
     if not vs[0] > 0.0:  # NaN included
         raise NoCorrelationError(f"measure starts at {float(vs[0])!r}; no {quantity} exists")
+    if any(map(math.isnan, vs)):
+        raise ParameterError(f"sample value at t = {float(ts[np.argmax(np.isnan(vs))])!r} is NaN")
 
 
 def _sampled_curve(

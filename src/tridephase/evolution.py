@@ -7,8 +7,7 @@ rho[u, v] by c_X = exp(-Gamma_X) exp(-2i Omega_X t) where it is 0 in u and
 
     rho[u, v](t) = rho[u, v](0) * F[u, v](t),   F = F_A * F_B * F_C,
 
-so the phase -(E_u - E_v) t composes from one-qubit phases at any t; the
-energy table (`energies`, `energy`) is gone.
+so the phase -(E_u - E_v) t composes from one-qubit phases at any t.
 """
 
 from __future__ import annotations

@@ -12,17 +12,14 @@ from .exceptions import HermiticityViolation, ParameterError, ShapeError
 HERMITICITY_TOL = 1e-10
 
 
-def _as_square(m) -> np.ndarray:
+def _as_square(m, stack: bool = False) -> np.ndarray:
+    """`m` as a complex square matrix, or with `stack` a (..., n, n) stack; not empty."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def _as_square_stack(m) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise ShapeError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    if (a.ndim < 2 if stack else a.ndim != 2) or a.shape[-2] != a.shape[-1]:
+        what = "a square matrix or a stack of them" if stack else "a square matrix"
+        raise ShapeError(f"expected {what}, got shape {a.shape}")
+    if a.size == 0:
+        raise ShapeError(f"expected a nonempty matrix or stack, got shape {a.shape}")
     return a
 
 
@@ -57,7 +54,7 @@ def hermiticity_defect(m):
     the conjugate of entry (i, j), exactly, and its modulus has the same bits,
     so the maximum, NaN included, is that of every entry.
     """
-    a = _as_square_stack(m)
+    a = _as_square(m, stack=True)
     rows, cols = _pairs(a.shape[-1])
     upper, lower = a[..., rows, cols], a[..., cols, rows]  # fancy indexing: fresh copies
     difference = np.subtract(upper, np.conjugate(lower, out=lower), out=upper)
@@ -134,30 +131,28 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 
     A stack of shape (..., n, n) gives eigenvalues of shape (..., n), each
     row equal to the single-matrix result bit for bit: each matrix is
-    solved by the rule of its own pattern.  A stack whose matrices all have
-    the nonzero entries of its first, as a dephased stack has unless an
-    entry underflows to 0 at some of its times only, is solved whole, in
-    one pass.  Any other stack takes one pass per distinct pattern, each
-    over the copied matrices of that pattern, so a stack of many different
-    patterns is slower than one dense solve.  One matrix beyond the
-    tolerance rejects the stack.
+    solved by the rule of its own pattern.  The stack is cut into runs of
+    consecutive matrices with the same nonzero entries, and each run is
+    solved in one pass over its slice, with no copy.  A dephased stack is
+    one run, plus one per time at which another entry underflows to 0; a
+    stack whose neighbours all differ in pattern pays one pass per matrix,
+    several times a dense solve.  One matrix beyond the tolerance rejects
+    the stack.
     """
-    a = _as_square_stack(m)
+    a = _as_square(m, stack=True)
     _check_hermitian(a)
     n = a.shape[-1]
     flat = a.reshape(-1, n, n)
     nonzero = flat != 0
-    if (nonzero == nonzero[0]).all():  # then M | M^T has one pattern too
-        pattern = nonzero[0] | nonzero[0].T
-        return _block_eigenvalues(flat, _blocks(pattern.tobytes(), n)).reshape(a.shape[:-1])
-    linked = (nonzero | nonzero.swapaxes(-1, -2)).reshape(len(flat), -1)
-    out = np.empty(flat.shape[:-1])
-    todo = np.arange(len(flat))
-    while todo.size:
-        pattern = linked[todo[0]]
-        same = (linked[todo] == pattern).all(axis=-1)
-        rows, todo = todo[same], todo[~same]
-        out[rows] = _block_eigenvalues(flat[rows], _blocks(pattern.tobytes(), n))
+    changed = nonzero[1:] != nonzero[:-1]
+    # the guard spares a one-run stack the per-matrix reduction
+    starts = (np.flatnonzero(changed.any(axis=(1, 2))) + 1).tolist() if changed.any() else []
+    bounds = [0, *starts, len(flat)]
+    spectra = [
+        _block_eigenvalues(flat[i:j], _blocks((nonzero[i] | nonzero[i].T).tobytes(), n))
+        for i, j in zip(bounds, bounds[1:])
+    ]
+    out = spectra[0] if len(spectra) == 1 else np.concatenate(spectra)
     return out.reshape(a.shape[:-1])
 
 
@@ -175,7 +170,7 @@ def partial_transpose(rho, dims, subsystem: int) -> np.ndarray:
     first); their product must equal the matrix dimension.  A stack of
     shape (..., n, n) is transposed matrix by matrix.
     """
-    a = _as_square_stack(rho)
+    a = _as_square(rho, stack=True)
     dims = _subsystem_dims(dims, a.shape[-1])
     if not 0 <= subsystem < len(dims):
         raise ShapeError(f"subsystem index {subsystem} out of range for {len(dims)} subsystems")

@@ -693,11 +693,21 @@ def one_point_grid(**changes):
     (lambda: one_point_grid(epsilon=math.nan), r"epsilon must lie in \(0, 1\)"),
     (lambda: preservation_time_zero_t(0.9, math.nan, 4.0, 1.0), "must be positive"),
     (lambda: gmc_ghz_werner(0.8, math.nan), "total decoherence exponent must be >= 0"),
+    # a NaN sample after the start: no crossing search can place it
+    (lambda: preservation_time_numeric(
+        lambda t: max(0.0, 1.0 - t), 2.0, samples=([0, 0.5, 1, 1.5, 2], [1, math.nan, 0, 0, 0])
+    ), r"^sample value at t = 0\.5 is NaN$"),
+    (lambda: characteristic_time(
+        lambda t: max(0.0, 1.0 - t), 2.0, samples=([0, 0.5, 1, 1.5, 2], [1, math.nan, 0, 0, 0])
+    ), r"^sample value at t = 0\.5 is NaN$"),
+    (lambda: freezing_intervals(range(8), [1, 1, 1, math.nan, 1, 1, 1, 1]),
+     r"^sample value at t = 3\.0 is NaN$"),
 ], ids=[
     "ohmic_eta", "ohmic_omega_c", "reservoir_omega_qubit", "reservoir_beta",
     "gradient_beta_a", "gradient_k1", "grid_omega_c", "grid_omega_sq", "grid_t_stop_inf",
     "grid_t_count_float", "grid_method_str", "grid_epsilon_big", "grid_epsilon_nan", "zero_t_eta",
-    "gmc_ghz_werner_gamma_total",
+    "gmc_ghz_werner_gamma_total", "preservation_nan_sample", "characteristic_nan_sample",
+    "freezing_nan_sample",
 ])
 def test_library_boundary_rejects_nan_and_infinite_t_stop(build, message):
     with pytest.raises(ParameterError, match=message):

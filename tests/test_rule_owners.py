@@ -17,8 +17,21 @@ from tridephase.analysis import SweepGrid, characteristic_time, preservation_tim
 from tridephase.cli import main
 from tridephase.evolution import dephasing_factors
 from tridephase.exceptions import HermiticityViolation, ParameterError, ShapeError
-from tridephase.linalg import partial_trace, partial_transpose
-from tridephase.measures import gmc_ghz_werner
+from tridephase.linalg import (
+    hermitian_eigenvalues,
+    hermiticity_defect,
+    partial_trace,
+    partial_transpose,
+    purity,
+)
+from tridephase.measures import (
+    DensityStack,
+    gmc_ghz_werner,
+    gmc_x_state,
+    l1_coherence,
+    negativity,
+    tripartite_negativity,
+)
 from tridephase.reservoir import (
     ZERO_TEMPERATURE,
     GammaMethod,
@@ -117,6 +130,32 @@ def test_subsystem_dimension_text_at_every_entry_point(entry, dims):
     with pytest.raises(ShapeError) as info:
         entry(np.eye(8) / 8, dims)
     assert str(info.value) == f"subsystem dimensions {dims} do not factor a 8-dimensional matrix"
+
+
+EMPTY_SHAPE_ENTRY_POINTS = {
+    "hermitian_eigenvalues": hermitian_eigenvalues,
+    "hermiticity_defect": hermiticity_defect,
+    "partial_transpose": lambda rho: partial_transpose(rho, [2, 2, 2], 0),
+    "assert_density_matrix": assert_density_matrix,
+    "DensityStack": DensityStack,
+    "negativity": lambda rho: negativity(rho, 0),
+    "tripartite_negativity": tripartite_negativity,
+    "gmc_x_state": gmc_x_state,
+    "l1_coherence": l1_coherence,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(EMPTY_SHAPE_ENTRY_POINTS))
+def test_empty_stack_text_at_every_entry_point(entry):
+    with pytest.raises(ShapeError) as info:
+        EMPTY_SHAPE_ENTRY_POINTS[entry](np.zeros((0, 8, 8)))
+    assert str(info.value) == "expected a nonempty matrix or stack, got shape (0, 8, 8)"
+
+
+def test_empty_matrix_text():
+    with pytest.raises(ShapeError) as info:
+        purity(np.zeros((0, 0)))
+    assert str(info.value) == "expected a nonempty matrix or stack, got shape (0, 0)"
 
 
 def run(capsys, argv):

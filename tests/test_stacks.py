@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tridephase import analysis, measures
+from tridephase import analysis, linalg, measures
 from tridephase.analysis import MEASURES, STATES, SweepGrid, make_reservoirs, run_sweep
 from tridephase.evolution import dephasing_factors, evolve
 from tridephase.exceptions import HermiticityViolation, MethodError, ParameterError, ShapeError
@@ -119,6 +119,30 @@ def test_linalg_and_validation_stack_equals_single_matrices(key):
             np.stack([partial_transpose(r, [2, 2, 2], subsystem) for r in stack]),
         )
     assert np.array_equal(assert_density_matrix(stack), stack)
+
+
+@pytest.mark.parametrize("key", ["ghz_underflow", "w_underflow"])
+def test_underflow_stack_spectra_solve_once_per_run(monkeypatch, key):
+    # the entry that underflows to 0 cuts each stack into two runs of one
+    # pattern, and each spectrum solves each run in one block pass
+    rho0, factors, _ = stacked_and_singles(key)
+    stack = evolve(rho0, factors)
+    rows = []
+    block_eigenvalues = linalg._block_eigenvalues
+
+    def counting(a, blocks):
+        rows.append(len(a))
+        return block_eigenvalues(a, blocks)
+
+    monkeypatch.setattr(linalg, "_block_eigenvalues", counting)
+    checked = DensityStack(stack)
+    spectra = [rows[:]]
+    for subsystem in range(3):
+        rows.clear()
+        checked.pt_eigenvalues(subsystem)
+        spectra.append(rows[:])
+    assert [len(runs) for runs in spectra] == [2] * 4
+    assert all(sum(runs) == TIMES.size for runs in spectra)
 
 
 def test_one_bad_matrix_rejects_the_stack():

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -134,43 +135,41 @@ def _itp(
     return 0.5 * (a + b)
 
 
-def _from_zero(
-    curve: Callable[[float], float], ts: list[float], vs: list[float]
-) -> tuple[list[float], list[float]]:
-    """A grid that starts after 0 with t = 0 and curve(0) in front, so a
-    crossing before the first sample is still bracketed."""
-    return ([0.0, *ts], [curve(0.0), *vs]) if ts[0] > 0.0 else (ts, vs)
-
-
-def _check_samples(ts: Sequence[float], vs: Sequence[float], quantity: str) -> None:
+def _check_samples(ts: list[float], vs: list[float], quantity: str) -> None:
     """Reject times that go backwards (equal neighbours pass: linspace can repeat
     a time on a tiny range), a curve that does not start above 0, NaN included,
     and a NaN value after the start, which no crossing search can place."""
-    ts = np.asarray(ts, dtype=float)
-    forward = ts[1:] >= ts[:-1]
-    if not forward.all():  # NaN included
-        i = int(np.argmin(forward))
-        raise ParameterError(
-            f"sample times must not decrease, got {float(ts[i + 1])!r} after {float(ts[i])!r}"
-        )
+    if not all(map(operator.le, ts, ts[1:])):  # NaN included
+        i = next(i for i in range(len(ts) - 1) if not ts[i] <= ts[i + 1])
+        raise ParameterError(f"sample times must not decrease, got {ts[i + 1]!r} after {ts[i]!r}")
     if not vs[0] > 0.0:  # NaN included
-        raise NoCorrelationError(f"measure starts at {float(vs[0])!r}; no {quantity} exists")
-    if any(map(math.isnan, vs)):
-        raise ParameterError(f"sample value at t = {float(ts[np.argmax(np.isnan(vs))])!r} is NaN")
+        raise NoCorrelationError(f"measure starts at {vs[0]!r}; no {quantity} exists")
+    for t in itertools.compress(ts, map(math.isnan, vs)):  # the first NaN value, if any
+        raise ParameterError(f"sample value at t = {t!r} is NaN")
+
+
+class _Samples(NamedTuple("_Samples", [("ts", list), ("vs", list), ("grid", int)])):
+    """A curve's samples as Python float lists, checked once.  A grid that starts after
+    0 gets t = 0 and curve(0) in front, to bracket a crossing before ts[grid], its first
+    sample; without a curve (the input of `freezing_intervals`) it is kept as it is."""
+
+    def __new__(cls, curve: Callable[[float], float] | None, ts: list, vs: list, quantity: str):
+        grid = 1 if ts[0] > 0.0 and curve is not None else 0
+        ts, vs = ([0.0, *ts], [curve(0.0), *vs]) if grid else (ts, vs)
+        _check_samples(ts, vs, quantity)
+        return super().__new__(cls, ts, vs, grid)
 
 
 def _sampled_curve(
     curve: Callable[[float], float],
     t_max: float,
-    samples: tuple[Sequence, Sequence] | None,
+    samples: tuple[Sequence, Sequence] | _Samples | None,
     quantity: str,
-) -> tuple[list[float], list[float]]:
-    """The sampled curve as lists from t = 0 to t_max, checked to go forward
-    and to start positive.
-
-    Without samples the curve is evaluated at 0 and at t_max 2^-k for
-    k = 48 ... 0; samples that start after 0 go through `_from_zero`.
-    """
+) -> _Samples:
+    """The sampled curve, checked, from t = 0 to t_max (a `_Samples` as it is);
+    without samples, the curve at 0 and at t_max 2^-k for k = 48 ... 0."""
+    if isinstance(samples, _Samples):
+        return samples
     if not 0.0 < t_max < math.inf:
         raise ParameterError(f"t_max must be positive and finite, got {t_max!r}")
     if samples is None:
@@ -179,9 +178,7 @@ def _sampled_curve(
     ts, vs = (list(map(float, seq)) for seq in samples)
     if len(ts) != len(vs) or not ts or ts[0] < 0.0 or ts[-1] != t_max:
         raise ParameterError("samples must be matching time and value lists from t >= 0 to t_max")
-    ts, vs = _from_zero(curve, ts, vs)
-    _check_samples(ts, vs, quantity)
-    return ts, vs
+    return _Samples(curve, ts, vs, quantity)
 
 
 def preservation_time_numeric(
@@ -206,7 +203,7 @@ def preservation_time_numeric(
     error for 0, t_p = 0 up to DEAD_THRESHOLD), and a grid that starts later
     gets the margin's own value at 0, which is not the measure's.
     """
-    ts, vs = _sampled_curve(measure_curve, t_max, samples, "preservation time")
+    ts, vs, _ = _sampled_curve(measure_curve, t_max, samples, "preservation time")
     if vs[0] <= DEAD_THRESHOLD:
         return 0.0
     if vs[-1] > DEAD_THRESHOLD:
@@ -244,7 +241,7 @@ def characteristic_time(
     `_itp` to relative width ROOT_REL_TOL.
     """
     _check_epsilon(epsilon)
-    ts, vs = _sampled_curve(measure_curve, t_max, samples, "characteristic time")
+    ts, vs, _ = _sampled_curve(measure_curve, t_max, samples, "characteristic time")
     target = (1.0 - epsilon) * vs[0]
 
     def alive(v: float) -> bool:
@@ -257,7 +254,9 @@ def characteristic_time(
     return CharacteristicTime(t_c, True)
 
 
-def freezing_intervals(ts: Sequence[float], values: Sequence[float]) -> list[tuple[float, float]]:
+def freezing_intervals(
+    ts: Sequence[float] | _Samples, values: Sequence[float] | None = None
+) -> list[tuple[float, float]]:
     """Maximal intervals where the sampled curve holds its value.
 
     Convention: the grid is split into runs that stay within
@@ -270,14 +269,15 @@ def freezing_intervals(ts: Sequence[float], values: Sequence[float]) -> list[tup
     staircase step from steady decay.  Adjacent qualifying runs merge into
     one reported interval.  Resolving an early plateau requires a grid that
     samples it (log-spaced times).  Times must not decrease; a repeated
-    time is allowed.
+    time is allowed.  A sweep passes its `_Samples` alone, read from its grid's start.
     """
-    ts = np.asarray(ts, dtype=float)
-    vs = np.asarray(values, dtype=float)
-    if ts.shape != vs.shape or ts.ndim != 1 or ts.size < 2:
-        raise ParameterError("need matching 1-d time and value arrays with >= 2 samples")
-    _check_samples(ts, vs, "freezing interval")
-    ts, vs = ts.tolist(), vs.tolist()  # the same IEEE arithmetic, without numpy scalars
+    samples = ts
+    if not isinstance(samples, _Samples):
+        ts, vs = np.asarray(ts, dtype=float), np.asarray(values, dtype=float)
+        if ts.shape != vs.shape or ts.ndim != 1 or ts.size < 2:
+            raise ParameterError("need matching 1-d time and value arrays with >= 2 samples")
+        samples = _Samples(None, ts.tolist(), vs.tolist(), "freezing interval")
+    ts, vs = samples.ts[samples.grid :], samples.vs[samples.grid :]
     tol = FREEZE_VALUE_TOL * vs[0]
     floor = FREEZE_VALUE_FLOOR * vs[0]
 
@@ -544,26 +544,24 @@ def _timescales(
     `times` are the grid's channel times, and `grid_time` maps each to its
     grid.times() value.
 
-    The root finders and the freezing detection run on the channel times:
-    t_p on the curve's margin and T_c on its kernel, with t = 0 and its
-    kernel value in front of a grid that starts later.  t_p and a reached
-    T_c are then multiplied by omega_c, while an unreached T_c (the last
-    sample) and each end of a freezing interval are reported at the
-    grid.times() of their samples.  A failed channel,
-    a failed row or a failed root search all end here, as the error of the
-    curve's time scales (the first row error wins).
+    The root finders and the freezing detection run on the channel times,
+    checked once as one `_Samples`: t_p on the curve's margin and T_c on its
+    kernel, with t = 0 and the kernel's value in front of a grid that starts
+    later, so a dead start is the measure's and not the margin's.  t_p and a
+    reached T_c are then multiplied by omega_c, while an unreached T_c (the
+    last sample) and each end of a freezing interval are reported at the
+    grid.times() of their samples.  A failed channel, a failed row or a
+    failed root search all end here, as the error of the curve's time scales
+    (the first row error wins).
     """
     error = next((e for e in errors if e is not None), None)
     if error is None:
         try:
-            # from t = 0 with the kernel's value, so a dead start is the
-            # measure's and not the margin's
-            samples = _from_zero(kernel, times, values)
-            t_max = times[-1]
-            t_p = preservation_time_numeric(margin, t_max, samples=samples)
-            t_c, reached = characteristic_time(kernel, t_max, grid.epsilon, samples=samples)
+            samples = _Samples(kernel, times, values, "preservation time")  # t_p read them first
+            t_p = preservation_time_numeric(margin, times[-1], samples=samples)
+            t_c, reached = characteristic_time(kernel, times[-1], grid.epsilon, samples=samples)
             # a curve already dead at its first sample has nothing to freeze
-            freezing = [] if values[0] <= 0.0 else freezing_intervals(times, values)
+            freezing = [] if values[0] <= 0.0 else freezing_intervals(samples)
             return TimescaleResult(
                 t_p * grid.omega_c,
                 t_c * grid.omega_c if reached else grid_time[t_c],

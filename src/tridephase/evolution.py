@@ -53,8 +53,8 @@ def dephasing_factors(reservoirs: Sequence[ReservoirSpec], t, method: GammaMetho
     """The complex factor F of the channel on qubits A, B, C, each in its reservoir.
 
     Each reservoir carries its qubit's splitting Omega_X.  `t` is one time
-    (an 8x8 F) or a 1-d time array (a (T, 8, 8) F, matrix i at t[i]); a
-    negative or non-finite time is rejected, and so is a largest time whose
+    (an 8x8 F) or a nonempty 1-d time array (a (T, 8, 8) F, matrix i at t[i]);
+    a negative or non-finite time is rejected, and so is a largest time whose
     largest phase, 2 (Omega_A + Omega_B + Omega_C) t, overflows.  Gamma comes
     from `gammas`.  As Gamma >= 0, F has a unit diagonal, equals its
     conjugate transpose bit for bit and has |F| <= 1 up to round-off.
@@ -65,7 +65,7 @@ def dephasing_factors(reservoirs: Sequence[ReservoirSpec], t, method: GammaMetho
     times = ts.reshape(-1).tolist()
     damps = np.array([math.exp(-g) for g in gammas(reservoirs, times, method)]).reshape(-1, 3)
     omegas = [res.omega_qubit for res in reservoirs]
-    t_max = max(times, default=0.0)
+    t_max = max(times)
     if not 2.0 * (omegas[0] + omegas[1] + omegas[2]) * t_max < math.inf:  # NaN included
         raise ParameterError(f"phase 2 (Omega_A + Omega_B + Omega_C) t overflows at t = {t_max!r}")
     c = damps * np.exp(-2j * np.array(omegas) * ts.reshape(-1, 1))

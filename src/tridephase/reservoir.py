@@ -219,10 +219,12 @@ def _check_time(t: float) -> None:
 
 
 def _time_array(t) -> np.ndarray:
-    """t, one time or a 1-d time array, as a float array."""
+    """t, one time or a nonempty 1-d time array, as a float array."""
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise ParameterError(f"times must be a float or a 1-d array, got shape {ts.shape}")
+    if ts.size == 0:
+        raise ParameterError("times must hold at least one time, got an empty array")
     return ts
 
 

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from tridephase import evolution
+from tridephase import analysis, evolution
 from tridephase.analysis import (
     DEAD_THRESHOLD,
     DEFAULT_EPSILON,
+    KERNELS,
+    MARGINS,
+    MEASURES,
     PARAM_FIELDS,
     ROOT_REL_TOL,
     SweepGrid,
+    TimescaleResult,
     characteristic_time,
     freezing_intervals,
     make_reservoirs,
@@ -770,3 +774,125 @@ def test_run_in_units_of_one_over_omega_c_does_not_depend_on_omega_c(run, omega_
             assert value == pytest.approx(ref_value, rel=ROOT_REL_TOL, abs=0)
         assert ts.t_c_reached == ref_ts.t_c_reached
         assert len(ts.freezing) == len(ref_ts.freezing)
+
+
+def timescale_grid(**changes):
+    fields = dict(
+        state="w", xs=[0.6, 0.9], etas=[0.2], beta_as=[2.0], k1s=[4.0], k2s=[16.0],
+        t_start=0.0, t_stop=3.0, t_count=9, omega_sqs=OMEGA_SQS,
+        measures=("tripartite_negativity", "negativity_a_bc", "l1_coherence"),
+        method=GammaMethod.LOW_T_CLOSED_FORM, include_timescales=True,
+    )
+    return SweepGrid(**{**fields, **changes})
+
+
+def curve_forms(grid, curve):
+    """The margin and kernel that `run_sweep` searches for this curve's t_p and T_c."""
+    reservoirs = next(
+        res for point, res in grid.reservoir_sets
+        if point == tuple(curve.parameters[key] for key in ("eta", "beta_a", "k1", "k2"))
+    )
+    return tuple(
+        analysis._gamma_curve(forms[grid.state, curve.name], curve.parameters["x"],
+                              reservoirs, grid.method)
+        for forms in (MARGINS, KERNELS)
+    )
+
+
+@pytest.mark.parametrize("t_start", [0.0, 0.5])
+def test_a_sweep_checks_each_curves_samples_once(monkeypatch, t_start):
+    calls = []
+    check = analysis._check_samples
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(analysis, "_check_samples", counted)
+    curves = run_sweep(timescale_grid(t_start=t_start))
+    # every curve starts alive, so t_p, T_c and freezing all read its samples
+    assert all(c.timescales.error is None and c.values[0] > 0.0 for c in curves)
+    assert len(calls) == len(curves) == 6
+
+
+def raw_timescales(grid, curve):
+    """What `run_sweep` reports for a curve, from the public time-scale functions
+    on plain lists: t = 0 and the kernel's value go in front of a later grid."""
+    margin, kernel = curve_forms(grid, curve)
+    times = grid.channel_times().tolist()
+    grid_time = dict(zip(times, grid.times().tolist()))
+    ts, vs = times, curve.values
+    if ts[0] > 0.0:
+        ts, vs = [0.0, *ts], [kernel(0.0), *vs]
+    try:
+        t_p = preservation_time_numeric(margin, times[-1], samples=(ts, vs))
+        t_c, reached = characteristic_time(kernel, times[-1], grid.epsilon, samples=(ts, vs))
+        freezing = [] if curve.values[0] <= 0.0 else freezing_intervals(times, curve.values)
+        return TimescaleResult(
+            t_p * grid.omega_c,
+            t_c * grid.omega_c if reached else grid_time[t_c],
+            reached,
+            [(grid_time[a], grid_time[b]) for a, b in freezing],
+        )
+    except Exception as exc:
+        return TimescaleResult(math.nan, math.nan, False, [], f"{type(exc).__name__}: {exc}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    state=st.sampled_from(["ghz", "w"]),
+    method=st.sampled_from([GammaMethod.LOW_T_CLOSED_FORM, GammaMethod.EXACT]),
+    x=st.floats(0.3, 1.0),
+    eta=st.floats(0.01, 0.5),
+    beta_a=st.floats(0.2, 50.0),
+    k1=st.floats(1.0, 16.0),
+    t_start=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+    span=st.floats(0.5, 5.0),
+    t_count=st.integers(5, 25),
+)
+# GMC dead at its first grid sample: t_p and T_c from the bracket [0, t_start], no freezing
+@example(state="ghz", method=GammaMethod.EXACT, x=0.6, eta=0.4, beta_a=50.0, k1=1.0,
+         t_start=2.0, span=3.0, t_count=5)
+# GMC dead at t = 0 (x <= 3/7): the dead-start error
+@example(state="ghz", method=GammaMethod.LOW_T_CLOSED_FORM, x=0.4, eta=0.2, beta_a=2.0, k1=4.0,
+         t_start=0.5, span=2.5, t_count=6)
+# a frozen W coherence on a grid that starts after 0
+@example(state="w", method=GammaMethod.LOW_T_CLOSED_FORM, x=1.0, eta=0.001, beta_a=0.001,
+         k1=1e5, t_start=0.1, span=3.2, t_count=41)
+def test_sweep_timescales_equal_the_public_functions_on_plain_lists(
+    state, method, x, eta, beta_a, k1, t_start, span, t_count
+):
+    grid = SweepGrid(
+        state=state, xs=[x], etas=[eta], beta_as=[beta_a], k1s=[k1], k2s=[k1],
+        t_start=t_start, t_stop=t_start + span, t_count=t_count, omega_sqs=OMEGA_SQS,
+        measures=tuple(MEASURES), method=method, include_timescales=True,
+    )
+    for curve in run_sweep(grid):
+        if any(curve.errors):  # a row error is reported before any sample is read
+            continue
+        assert repr(curve.timescales) == repr(raw_timescales(grid, curve)), curve.name
+
+
+class NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"np.{name} used")
+
+
+@pytest.mark.parametrize("t_start", [0.0, 0.1])
+def test_timescales_make_no_numpy_call(monkeypatch, t_start):
+    # hot A kills two of the W state's three coherences; cold B, C freeze the third
+    grid = timescale_grid(
+        xs=[1.0], etas=[0.001], beta_as=[0.001], k1s=[1e5], k2s=[1e5],
+        measures=("l1_coherence",), t_start=t_start, t_stop=3.3, t_count=41,
+    )
+    (curve,) = run_sweep(grid)
+    assert curve.timescales.error is None and len(curve.timescales.freezing) == 1
+    margin, kernel = curve_forms(grid, curve)
+    times = grid.channel_times().tolist()
+    grid_time = dict(zip(times, grid.times().tolist()))
+    monkeypatch.setattr(analysis, "np", NoNumpy())
+    result = analysis._timescales(
+        margin, kernel, grid, times, grid_time, curve.values, curve.errors
+    )
+    assert result.error is None
+    assert repr(result) == repr(curve.timescales)

@@ -15,7 +15,7 @@ import tridephase.linalg
 from tridephase import oracles
 from tridephase.analysis import SweepGrid, characteristic_time, preservation_time_zero_t
 from tridephase.cli import main
-from tridephase.evolution import dephasing_factors
+from tridephase.evolution import dephasing_factors, evolve
 from tridephase.exceptions import HermiticityViolation, ParameterError, ShapeError
 from tridephase.linalg import (
     hermitian_eigenvalues,
@@ -103,6 +103,26 @@ def test_time_array_text_at_every_entry_point(entry):
     with pytest.raises(ParameterError) as info:
         TIME_ARRAY_ENTRY_POINTS[entry](np.ones((2, 3)))
     assert str(info.value) == "times must be a float or a 1-d array, got shape (2, 3)"
+
+
+COLD = ReservoirSpec(OhmicSpectralDensity(0.2, 1.0), ZERO_TEMPERATURE, 2.0)
+
+EMPTY_TIME_ENTRY_POINTS = {
+    "gamma_exact": lambda ts: gamma_exact(WARM, ts),
+    "dephasing_factors": lambda ts: dephasing_factors((WARM,) * 3, ts, GammaMethod.EXACT),
+    "evolve": lambda ts: evolve(
+        werner(ghz_state(), 0.9), dephasing_factors((COLD,) * 3, ts, GammaMethod.ZERO_T_CLOSED_FORM)
+    ),
+}
+
+
+@pytest.mark.parametrize("times", [np.array([]), []], ids=["array", "list"])
+@pytest.mark.parametrize("entry", sorted(EMPTY_TIME_ENTRY_POINTS))
+def test_empty_time_array_text_at_every_entry_point(entry, times):
+    # rejected where the times enter, not as a ShapeError in the first measure
+    with pytest.raises(ParameterError) as info:
+        EMPTY_TIME_ENTRY_POINTS[entry](times)
+    assert str(info.value) == "times must hold at least one time, got an empty array"
 
 
 EPSILON_ENTRY_POINTS = {

@@ -144,20 +144,30 @@ def _check_samples(ts: list[float], vs: list[float], quantity: str) -> None:
         raise ParameterError(f"sample times must not decrease, got {ts[i + 1]!r} after {ts[i]!r}")
     if not vs[0] > 0.0:  # NaN included
         raise NoCorrelationError(f"measure starts at {vs[0]!r}; no {quantity} exists")
-    for t in itertools.compress(ts, map(math.isnan, vs)):  # the first NaN value, if any
-        raise ParameterError(f"sample value at t = {t!r} is NaN")
+    nan_at = next(itertools.compress(ts, map(math.isnan, vs)), None)
+    if nan_at is not None:
+        raise ParameterError(f"sample value at t = {nan_at!r} is NaN")
 
 
-class _Samples(NamedTuple("_Samples", [("ts", list), ("vs", list), ("grid", int)])):
-    """A curve's samples as Python float lists, checked once.  A grid that starts after
-    0 gets t = 0 and curve(0) in front, to bracket a crossing before ts[grid], its first
-    sample; without a curve (the input of `freezing_intervals`) it is kept as it is."""
+class _Samples(NamedTuple):
+    """A curve's samples as Python float lists, checked by `_checked_samples`;
+    ts[grid] is the first sample of the grid they came from."""
 
-    def __new__(cls, curve: Callable[[float], float] | None, ts: list, vs: list, quantity: str):
-        grid = 1 if ts[0] > 0.0 and curve is not None else 0
-        ts, vs = ([0.0, *ts], [curve(0.0), *vs]) if grid else (ts, vs)
-        _check_samples(ts, vs, quantity)
-        return super().__new__(cls, ts, vs, grid)
+    ts: list
+    vs: list
+    grid: int
+
+
+def _checked_samples(
+    curve: Callable[[float], float] | None, ts: list, vs: list, quantity: str
+) -> _Samples:
+    """ts and vs checked, with t = 0 and curve(0) in front of a grid that starts after 0,
+    to bracket a crossing before its first sample; without a curve, as they are."""
+    grid = 1 if ts[0] > 0.0 and curve is not None else 0
+    if grid:
+        ts, vs = [0.0, *ts], [curve(0.0), *vs]
+    _check_samples(ts, vs, quantity)
+    return _Samples(ts, vs, grid)
 
 
 def _sampled_curve(
@@ -168,17 +178,17 @@ def _sampled_curve(
 ) -> _Samples:
     """The sampled curve, checked, from t = 0 to t_max (a `_Samples` as it is);
     without samples, the curve at 0 and at t_max 2^-k for k = 48 ... 0."""
-    if isinstance(samples, _Samples):
-        return samples
     if not 0.0 < t_max < math.inf:
         raise ParameterError(f"t_max must be positive and finite, got {t_max!r}")
+    if isinstance(samples, _Samples):
+        return samples
     if samples is None:
         grid = [0.0] + [t_max * 2.0**-k for k in range(48, -1, -1)]
         samples = (grid, [curve(t) for t in grid])
     ts, vs = (list(map(float, seq)) for seq in samples)
     if len(ts) != len(vs) or not ts or ts[0] < 0.0 or ts[-1] != t_max:
         raise ParameterError("samples must be matching time and value lists from t >= 0 to t_max")
-    return _Samples(curve, ts, vs, quantity)
+    return _checked_samples(curve, ts, vs, quantity)
 
 
 def preservation_time_numeric(
@@ -254,9 +264,7 @@ def characteristic_time(
     return CharacteristicTime(t_c, True)
 
 
-def freezing_intervals(
-    ts: Sequence[float] | _Samples, values: Sequence[float] | None = None
-) -> list[tuple[float, float]]:
+def freezing_intervals(ts: Sequence[float], values: Sequence[float]) -> list[tuple[float, float]]:
     """Maximal intervals where the sampled curve holds its value.
 
     Convention: the grid is split into runs that stay within
@@ -269,28 +277,24 @@ def freezing_intervals(
     staircase step from steady decay.  Adjacent qualifying runs merge into
     one reported interval.  Resolving an early plateau requires a grid that
     samples it (log-spaced times).  Times must not decrease; a repeated
-    time is allowed.  A sweep passes its `_Samples` alone, read from its grid's start.
+    time is allowed.  Internally, `ts` may be a sweep's checked `_Samples`
+    with `values` its grid values: the record's grid part is then read as is.
     """
     samples = ts
     if not isinstance(samples, _Samples):
         ts, vs = np.asarray(ts, dtype=float), np.asarray(values, dtype=float)
         if ts.shape != vs.shape or ts.ndim != 1 or ts.size < 2:
             raise ParameterError("need matching 1-d time and value arrays with >= 2 samples")
-        samples = _Samples(None, ts.tolist(), vs.tolist(), "freezing interval")
+        samples = _checked_samples(None, ts.tolist(), vs.tolist(), "freezing interval")
     ts, vs = samples.ts[samples.grid :], samples.vs[samples.grid :]
     tol = FREEZE_VALUE_TOL * vs[0]
     floor = FREEZE_VALUE_FLOOR * vs[0]
 
-    runs: list[tuple[int, int]] = []  # [start, end] inclusive indices
-    start = 0
-    anchor = vs[0]
+    starts = [0]  # a run ends before the first value off its entry value by more than tol
     for i in range(1, len(ts)):
-        if abs(vs[i] - anchor) <= tol:
-            continue
-        runs.append((start, i - 1))
-        start = i
-        anchor = vs[i]
-    runs.append((start, len(ts) - 1))
+        if not abs(vs[i] - vs[starts[-1]]) <= tol:
+            starts.append(i)
+    runs = [(a, b - 1) for a, b in zip(starts, [*starts[1:], len(ts)])]  # [start, end] inclusive
 
     def span(run: tuple[int, int]) -> float:
         return ts[run[1]] - ts[run[0]]
@@ -366,15 +370,8 @@ class SweepGrid:
     def __post_init__(self):
         if not self.omega_c > 0:
             raise ParameterError(f"omega_c must be positive, got {self.omega_c!r}")
-        for name, seq in (
-            ("xs", self.xs),
-            ("etas", self.etas),
-            ("beta_as", self.beta_as),
-            ("k1s", self.k1s),
-            ("k2s", self.k2s),
-            ("measures", self.measures),
-        ):
-            if len(seq) == 0:
+        for name in ("xs", "etas", "beta_as", "k1s", "k2s", "measures"):
+            if len(getattr(self, name)) == 0:
                 raise ParameterError(f"{name} must be nonempty")
         if not isinstance(self.t_count, numbers.Integral) or not 2 <= self.t_count <= MAX_T_COUNT:
             raise ParameterError(
@@ -545,7 +542,8 @@ def _timescales(
     grid.times() value.
 
     The root finders and the freezing detection run on the channel times,
-    checked once as one `_Samples`: t_p on the curve's margin and T_c on its
+    checked once as one `_Samples` (a check names t_p, the first to read
+    them, as its quantity): t_p on the curve's margin and T_c on its
     kernel, with t = 0 and the kernel's value in front of a grid that starts
     later, so a dead start is the measure's and not the margin's.  t_p and a
     reached T_c are then multiplied by omega_c, while an unreached T_c (the
@@ -557,11 +555,11 @@ def _timescales(
     error = next((e for e in errors if e is not None), None)
     if error is None:
         try:
-            samples = _Samples(kernel, times, values, "preservation time")  # t_p read them first
+            samples = _checked_samples(kernel, times, values, "preservation time")
             t_p = preservation_time_numeric(margin, times[-1], samples=samples)
             t_c, reached = characteristic_time(kernel, times[-1], grid.epsilon, samples=samples)
             # a curve already dead at its first sample has nothing to freeze
-            freezing = [] if values[0] <= 0.0 else freezing_intervals(samples)
+            freezing = [] if values[0] <= 0.0 else freezing_intervals(samples, values)
             return TimescaleResult(
                 t_p * grid.omega_c,
                 t_c * grid.omega_c if reached else grid_time[t_c],

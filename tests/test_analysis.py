@@ -195,6 +195,9 @@ def test_freezing_validation():
     # a NaN start is not above 0 either
     with pytest.raises(NoCorrelationError, match=r"^measure starts at nan; no freezing interval exists$"):
         freezing_intervals(list(range(8)), [math.nan] * 8)
+    # the values are required: times alone are no curve
+    with pytest.raises(TypeError):
+        freezing_intervals([0.0, 1.0])
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -821,10 +824,10 @@ def raw_timescales(grid, curve):
     margin, kernel = curve_forms(grid, curve)
     times = grid.channel_times().tolist()
     grid_time = dict(zip(times, grid.times().tolist()))
-    ts, vs = times, curve.values
-    if ts[0] > 0.0:
-        ts, vs = [0.0, *ts], [kernel(0.0), *vs]
     try:
+        ts, vs = times, curve.values
+        if ts[0] > 0.0:
+            ts, vs = [0.0, *ts], [kernel(0.0), *vs]
         t_p = preservation_time_numeric(margin, times[-1], samples=(ts, vs))
         t_c, reached = characteristic_time(kernel, times[-1], grid.epsilon, samples=(ts, vs))
         freezing = [] if curve.values[0] <= 0.0 else freezing_intervals(times, curve.values)
@@ -859,6 +862,9 @@ def raw_timescales(grid, curve):
 # a frozen W coherence on a grid that starts after 0
 @example(state="w", method=GammaMethod.LOW_T_CLOSED_FORM, x=1.0, eta=0.001, beta_a=0.001,
          k1=1e5, t_start=0.1, span=3.2, t_count=41)
+# W GMC whose kernel raises at the prepended t = 0: the curve's error, as a row's would be
+@example(state="w", method=GammaMethod.LOW_T_CLOSED_FORM, x=1.0, eta=0.5, beta_a=0.5, k1=1.0,
+         t_start=1.0, span=1.0, t_count=5)
 def test_sweep_timescales_equal_the_public_functions_on_plain_lists(
     state, method, x, eta, beta_a, k1, t_start, span, t_count
 ):

@@ -346,9 +346,11 @@ class SweepGrid:
     `omega_sqs` holds the squared splittings (Omega_A^2, Omega_B^2,
     Omega_C^2) of every run.
 
-    Construction checks every field's range, then builds and keeps the run's
-    `initial_states` and `reservoir_sets`, evaluating Gamma(0) with `method`,
-    so a value the run cannot build raises here, with its owner's message.
+    Construction checks the shape of each list field, each name (as a str
+    before it is hashed) and every field's range, then builds and keeps the
+    run's `initial_states` and `reservoir_sets`, evaluating Gamma(0) with
+    `method`, so a value the run cannot build raises here, with its owner's
+    message.
     """
 
     xs: Sequence[float]
@@ -370,9 +372,17 @@ class SweepGrid:
     def __post_init__(self):
         if not self.omega_c > 0:
             raise ParameterError(f"omega_c must be positive, got {self.omega_c!r}")
+        if self.omega_c == math.inf:
+            raise ParameterError("omega_c must be finite, got inf")
         for name in ("xs", "etas", "beta_as", "k1s", "k2s", "measures"):
-            if len(getattr(self, name)) == 0:
-                raise ParameterError(f"{name} must be nonempty")
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not value:
+                raise ParameterError(f"{name} must be a nonempty list or tuple, got {value!r}")
+        if not (isinstance(self.state, str) and self.state in STATES):
+            raise ParameterError(f"unknown state {self.state!r}; choose from {sorted(STATES)}")
+        unknown = [m for m in self.measures if not (isinstance(m, str) and m in MEASURES)]
+        if unknown:
+            raise ParameterError(f"unknown measures {unknown!r}; choose from {sorted(MEASURES)}")
         if not isinstance(self.t_count, numbers.Integral) or not 2 <= self.t_count <= MAX_T_COUNT:
             raise ParameterError(
                 f"t_count must be an integer >= 2 and <= {MAX_T_COUNT}, got {self.t_count!r}"
@@ -393,11 +403,6 @@ class SweepGrid:
         if not isinstance(self.method, GammaMethod):
             raise ParameterError(f"method must be a GammaMethod, got {self.method!r}")
         _check_epsilon(self.epsilon)
-        unknown = set(self.measures) - set(MEASURES)
-        if unknown:
-            raise ParameterError(f"unknown measures: {sorted(unknown)}")
-        if self.state not in STATES:
-            raise ParameterError(f"unknown state {self.state!r}; choose from {sorted(STATES)}")
         self.initial_states, self.reservoir_sets  # every x is built before any reservoir
 
     @cached_property

@@ -84,10 +84,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 
 def _as_list(value, key: str, parse) -> list[float]:
     values = value if isinstance(value, (list, tuple)) else [value]
-    out = [parse(v, key) for v in values]
-    if not out:
-        raise ConfigError(f"config key {key!r} must not be an empty list")
-    return out
+    return [parse(v, key) for v in values]
 
 
 def _as_float(value, key: str) -> float:
@@ -112,12 +109,6 @@ def _as_beta(value, key: str) -> float:
     return _as_float(value, key)
 
 
-def _as_choice(value, key: str, choices) -> str:
-    if not isinstance(value, str) or value not in choices:
-        raise ConfigError(f"config key {key!r} must be one of {sorted(choices)}, got {value!r}")
-    return value
-
-
 def _as_bool(value, key: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"config key {key!r} must be true or false, got {value!r}")
@@ -125,13 +116,14 @@ def _as_bool(value, key: str) -> bool:
 
 
 def _as_method(value, key: str) -> GammaMethod:
-    return _METHODS[_as_choice(value, key, _METHODS)]
+    if not isinstance(value, str) or value not in _METHODS:
+        raise ConfigError(f"config key {key!r} must be one of {sorted(_METHODS)}, got {value!r}")
+    return _METHODS[value]
 
 
-def _as_measures(value, key: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"config key {key!r} must be a nonempty list")
-    return tuple(_as_choice(name, key, analysis.MEASURES) for name in value)
+def _as_is(value, key: str):
+    """The value as given: SweepGrid checks it."""
+    return value
 
 
 _floats = partial(_as_list, parse=_as_float)
@@ -139,7 +131,7 @@ _floats = partial(_as_list, parse=_as_float)
 # each config key: its default, its parser and the SweepGrid field it fills;
 # a key the library also has takes its SweepGrid default
 _CONFIG_KEYS = {
-    "state": (SweepGrid.state, partial(_as_choice, choices=analysis.STATES), "state"),
+    "state": (SweepGrid.state, _as_is, "state"),
     "x": (0.8, _floats, "xs"),
     "eta": (0.2, _floats, "etas"),
     "omega_c": (SweepGrid.omega_c, _as_float, "omega_c"),
@@ -151,14 +143,17 @@ _CONFIG_KEYS = {
     "k2": (1.0, _floats, "k2s"),
     "t_start": (0.0, _as_float, "t_start"),
     "t_stop": (3.0, _as_float, "t_stop"),
-    "t_count": (121, lambda value, key: value, "t_count"),  # SweepGrid checks it
-    "measures": (list(SweepGrid.measures), _as_measures, "measures"),
+    "t_count": (121, _as_is, "t_count"),
+    "measures": (list(SweepGrid.measures), _as_is, "measures"),
     "method": (SweepGrid.method.value, _as_method, "method"),
     "timescales": (SweepGrid.include_timescales, _as_bool, "include_timescales"),
     "epsilon": (SweepGrid.epsilon, _as_float, "epsilon"),
 }
 
 DEFAULT_CONFIG = {key: default for key, (default, _, _) in _CONFIG_KEYS.items()}
+
+# the key that each config key and each SweepGrid field it fills stands for in a message
+_KEY_OF = {name: key for key, (_, _, field) in _CONFIG_KEYS.items() for name in (field, key)}
 
 
 def _parse_run(config: dict, timescales: bool | None = None) -> SweepGrid:
@@ -168,7 +163,8 @@ def _parse_run(config: dict, timescales: bool | None = None) -> SweepGrid:
     Each key is parsed in table order, and its JSON type checked; the values
     go on in config units, which are the grid's.  SweepGrid checks every run
     value, and a ParameterError or MethodError is reported under the first
-    key its message names, in the message's order, else under `x`.
+    key or grid field its message names, in the message's order (a field
+    under the key that fills it), else under `x`.
     """
     fields = {"omega_sqs": ()}  # the one field three keys fill, in key order
     for key, (_, parse, field) in _CONFIG_KEYS.items():
@@ -179,7 +175,7 @@ def _parse_run(config: dict, timescales: bool | None = None) -> SweepGrid:
     try:
         return SweepGrid(**fields)
     except (ParameterError, MethodError) as exc:
-        named = [word for word in str(exc).replace(",", " ").split() if word in _CONFIG_KEYS]
+        named = [_KEY_OF[word] for word in str(exc).replace(",", " ").split() if word in _KEY_OF]
         raise ConfigError(f"config key {(named or ['x'])[0]!r}: {exc}") from exc
 
 

@@ -70,20 +70,19 @@ def _check_hermitian(a: np.ndarray) -> None:
 
 
 @functools.lru_cache(maxsize=64)
-def _blocks(pattern: bytes, n: int) -> tuple | None:
+def _blocks(pattern: bytes, n: int) -> tuple:
     """The blocks of a symmetric n x n boolean nonzero pattern (its bytes,
-    row-major), or None when it is one block: the indices of every 1x1
-    block, the two indices of each 2x2 block as two arrays, and the
-    ascending indices of each larger block, as a column."""
+    row-major): the indices of every 1x1 block, the two indices of each 2x2
+    block as two arrays, and the ascending indices of each larger block, as
+    a column.  A pattern that is one block is one larger block, whatever n."""
     reach = np.frombuffer(pattern, bool).reshape(n, n) | np.eye(n, dtype=bool)
     for _ in range((n - 1).bit_length()):  # after k squarings: every path of <= 2^k links
         reach = reach @ reach
     blocks = sorted({tuple(np.flatnonzero(row)) for row in reach})
-    if len(blocks) == 1:
-        return None
-    ones = np.array([b for b in blocks if len(b) == 1], dtype=np.intp).reshape(-1)
-    pairs = np.array([b for b in blocks if len(b) == 2], dtype=np.intp).reshape(-1, 2)
-    larger = tuple(np.array(b)[:, None] for b in blocks if len(b) > 2)
+    small = blocks if len(blocks) > 1 else []
+    ones = np.array([b for b in small if len(b) == 1], dtype=np.intp).reshape(-1)
+    pairs = np.array([b for b in small if len(b) == 2], dtype=np.intp).reshape(-1, 2)
+    larger = tuple(np.array(b)[:, None] for b in blocks if len(b) > 2 or not small)
     plan = (ones, pairs[:, 0], pairs[:, 1], larger)
     for index in (*plan[:3], *larger):
         index.setflags(write=False)  # shared by every call with this pattern
@@ -97,8 +96,6 @@ def _symmetrized(a: np.ndarray) -> np.ndarray:
 def _block_eigenvalues(a: np.ndarray, blocks) -> np.ndarray:
     """Ascending eigenvalues of the symmetrized matrices of a (k, n, n)
     stack whose matrices all have the blocks `blocks` (see `_blocks`)."""
-    if blocks is None:
-        return np.linalg.eigvalsh(_symmetrized(a))
     ones, first, second, larger = blocks
     p, q = a[:, first, first].real, a[:, second, second].real
     b = 0.5 * a[:, second, first] + 0.5 * a[:, first, second].conj()
@@ -106,7 +103,8 @@ def _block_eigenvalues(a: np.ndarray, blocks) -> np.ndarray:
     half = np.hypot(0.5 * p - 0.5 * q, np.abs(b))
     parts = [a[:, ones, ones].real, mid - half, mid + half]
     parts += [np.linalg.eigvalsh(_symmetrized(a[:, i, i.T])) for i in larger]
-    return np.sort(np.concatenate(parts, axis=-1), axis=-1)
+    # stable: a one-block spectrum keeps eigvalsh's bits, -0.0 and 0.0 included
+    return np.sort(np.concatenate(parts, axis=-1), axis=-1, kind="stable")
 
 
 def hermitian_eigenvalues(m) -> np.ndarray:
@@ -123,8 +121,8 @@ def hermitian_eigenvalues(m) -> np.ndarray:
     2x2 block with diagonal p, q and off-diagonal b is mid +- hypot(p/2 -
     q/2, |b|) with mid = p/2 + q/2, which does not overflow.  A larger
     block goes to numpy.linalg.eigvalsh.  A matrix whose pattern is one
-    block is solved whole, as numpy.linalg.eigvalsh(S), so a dense matrix
-    keeps those exact bits.  Dephasing keeps the initial state's pattern,
+    block is one larger block, so a dense matrix keeps the exact bits of
+    numpy.linalg.eigvalsh(S).  Dephasing keeps the initial state's pattern,
     bar entries that underflow to 0: a dephased GHZ-Werner matrix and each
     of its partial transposes are one 2x2 and six 1x1 blocks, and a W-Werner
     matrix one 3x3 and five 1x1 blocks, or finer where an entry underflowed.

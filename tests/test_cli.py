@@ -20,6 +20,8 @@ from tridephase.cli import PARAM_FIELDS, _emit, _float_texts, _fmt, _parse_run, 
 from tridephase.exceptions import ShapeError
 from tridephase.states import ghz_state, werner
 
+from golden import GOLDEN_DIR, GOLDEN_RUNS
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -256,7 +258,9 @@ def test_config_value_of_the_wrong_type_names_its_key(capsys, setting, key):
     code, out, err = run(capsys, ["sweep", "--set", setting, "--set", "t_count=3"])
     assert code == 1
     assert out == ""
-    assert err.startswith(f"error: config key {key!r} must be ")
+    # SweepGrid checks a state or measure name, and its message follows the key
+    follows = ": unknown " if key in ("state", "measures") else " must be "
+    assert err.startswith(f"error: config key {key!r}{follows}")
 
 
 def test_measure_gmc_below_threshold_all_zero(capsys):
@@ -669,61 +673,6 @@ def test_timescales_kept_for_a_curve_dead_at_its_first_sample(capsys):
         assert float(row["t_p"]) == pytest.approx(closed, rel=ROOT_REL_TOL)
         assert row["t_c_reached"] == "true"
         assert row["freezing_count"] == "0" and row["error"] == ""
-
-
-GOLDEN_DIR = Path(__file__).parent / "data"
-
-# Closed-form Gamma and the gmc / l1_coherence measures only, so no value
-# depends on eigvalsh or quad rounding.
-GOLDEN_RUNS = {
-    "evolve_zero_t.json": [
-        "evolve", "--format", "json", "--set", "x=0.8", "--set", "eta=0.2",
-        "--set", "t_stop=2", "--set", "t_count=3",
-    ],
-    # the same run as CSV: rows with an empty prefix
-    "evolve_zero_t.csv": [
-        "evolve", "--set", "x=0.8", "--set", "eta=0.2", "--set", "t_stop=2", "--set", "t_count=3",
-    ],
-    "measure_zero_t.csv": [
-        "measure", "--set", "x=[0.5,0.9]", "--set", "eta=0.2",
-        "--set", 'measures=["gmc","l1_coherence"]', "--set", "t_stop=3", "--set", "t_count=11",
-    ],
-    "timescales_low_t.csv": [
-        "timescales", "--set", "x=[0.6,0.9]", "--set", "eta=[0.1,0.3]", "--set", "method=low_t",
-        "--set", "beta_a=20", "--set", "k1=4", "--set", "k2=16",
-        "--set", 'measures=["gmc","l1_coherence"]', "--set", "t_stop=4", "--set", "t_count=21",
-    ],
-    "sweep_w_timescales.csv": [
-        "sweep", "--set", "state=w", "--set", "timescales=true", "--set", "x=[0.7,0.95]",
-        "--set", "eta=0.2", "--set", 'measures=["gmc","l1_coherence"]', "--set", "t_stop=3",
-        "--set", "t_count=6",
-    ],
-    # the gmc rows of the W state carry ShapeError and null values
-    "sweep_w_timescales.json": [
-        "sweep", "--format", "json", "--set", "state=w", "--set", "timescales=true",
-        "--set", "x=[0.7,0.95]", "--set", "eta=0.2", "--set", 'measures=["gmc","l1_coherence"]',
-        "--set", "t_stop=3", "--set", "t_count=6",
-    ],
-    # t_p is infinite at x = 1: null plus t_p_infinite
-    "timescales_x1.json": [
-        "timescales", "--format", "json", "--set", "x=1.0",
-        "--set", 'measures=["gmc","l1_coherence"]', "--set", "t_stop=2", "--set", "t_count=5",
-    ],
-    # omega_c != 1: one freezing interval, printed on the configured grid
-    "timescales_w_freezing_omega_c3.csv": [
-        "timescales", "--set", "omega_c=3", "--set", "state=w", "--set", "x=1",
-        "--set", "eta=0.001", "--set", "beta_a=0.001", "--set", "k1=1e5", "--set", "k2=1e5",
-        "--set", "method=low_t", "--set", "t_start=0.1", "--set", "t_stop=3.3",
-        "--set", "t_count=41", "--set", 'measures=["l1_coherence"]',
-    ],
-    # omega_c != 1: (0.9 / 3) * 3 is not 0.9, and t_start > 0
-    "measure_low_t_omega_c3.json": [
-        "measure", "--format", "json", "--set", "omega_c=3", "--set", "beta_a=[0.9,3.1]",
-        "--set", "method=low_t", "--set", "t_start=0.5", "--set", "t_stop=3.7",
-        "--set", "t_count=9", "--set", 'measures=["gmc","l1_coherence"]', "--set", "x=0.9",
-        "--set", "eta=0.02",
-    ],
-}
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))

@@ -145,6 +145,26 @@ def test_one_block_matrix_keeps_the_bits_of_eigvalsh(seed, dim):
     assert hermitian_eigenvalues(m).tobytes() == np.linalg.eigvalsh((m + m.conj().T) / 2).tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_a_one_block_pattern_is_one_larger_block(n):
+    # a path links every index, so the pattern is one block, whatever n
+    path = np.eye(n, k=1, dtype=bool) | np.eye(n, k=-1, dtype=bool)
+    ones, first, second, larger = linalg._blocks(path.tobytes(), n)
+    assert ones.size == first.size == second.size == 0
+    (whole,) = larger
+    assert whole.tolist() == [[i] for i in range(n)]
+
+
+def test_a_one_block_spectrum_keeps_its_zero_signs_through_the_sort(monkeypatch):
+    # an ascending row with -0.0 and 0.0 mixed, as eigvalsh may return it; on
+    # a row this long numpy's default sort reorders such zeros
+    row = np.array([-2.0, *[-0.0, 0.0, 0.0, -0.0] * 4, 3.0])
+    monkeypatch.setattr(linalg.np.linalg, "eigvalsh", lambda a: np.tile(row, (len(a), 1)))
+    n = row.size
+    spectra = hermitian_eigenvalues(np.ones((2, n, n), complex))
+    assert spectra.tobytes() == np.tile(row, (2, 1)).tobytes()
+
+
 @given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from([2, 4, 8]))
 @settings(max_examples=50, deadline=None)
 def test_block_matrix_beyond_the_tolerance_is_not_hermitian(seed, dim):

@@ -58,18 +58,24 @@ def test_config_file_that_is_not_a_json_object(capsys, tmp_path, text, message):
 
 @pytest.mark.parametrize("command, setting, message", [
     ("measure", "x", "--set expects key=value, got 'x'"),
-    ("measure", "x=[]", "config key 'x' must not be an empty list"),
+    ("measure", "x=[]", "config key 'x': xs must be a nonempty list or tuple, got []"),
+    # a grid field's message goes under the key that fills it, not under x
+    ("measure", "eta=[]", "config key 'eta': etas must be a nonempty list or tuple, got []"),
+    ("measure", "k2=[]", "config key 'k2': k2s must be a nonempty list or tuple, got []"),
+    ("measure", 'state=["ghz"]', "config key 'state': unknown state ['ghz']; choose from ['ghz', 'w']"),
     ("measure", "eta=abc", "config key 'eta' must be a number, got 'abc'"),
     ("measure", "eta=true", "config key 'eta' must be a number, got True"),
     ("measure", "beta_a=hot", "config key 'beta_a' must be a number or \"inf\", got 'hot'"),
-    ("measure", "measures=gmc", "config key 'measures' must be a nonempty list"),
-    ("timescales", "measures=[]", "config key 'measures' must be a nonempty list"),
+    ("measure", "measures=gmc",
+     "config key 'measures': measures must be a nonempty list or tuple, got 'gmc'"),
+    ("timescales", "measures=[]",
+     "config key 'measures': measures must be a nonempty list or tuple, got []"),
     # every command checks every key, also one it does not read
     *[
         (command, setting, message)
         for command in ("evolve", "measure", "timescales", "sweep")
         for setting, message in (
-            ("measures=7", "config key 'measures' must be a nonempty list"),
+            ("measures=7", "config key 'measures': measures must be a nonempty list or tuple, got 7"),
             ("epsilon=5", "config key 'epsilon': epsilon must lie in (0, 1), got 5.0"),
             ("timescales=5", "config key 'timescales' must be true or false, got 5"),
         )

@@ -215,6 +215,30 @@ def test_grid_t_range_rules(t_start, t_stop, message):
     assert str(info.value) == message
 
 
+MEASURE_NAMES = "['gmc', 'l1_coherence', 'negativity_a_bc', 'negativity_b_ac', " \
+    "'negativity_c_ab', 'tripartite_negativity']"
+
+
+# SweepGrid owns the shape of each list field and each name; every input here
+# names the field it fills
+@pytest.mark.parametrize("changes, message", [
+    (dict(xs=0.9), "xs must be a nonempty list or tuple, got 0.9"),
+    (dict(etas="0.2"), "etas must be a nonempty list or tuple, got '0.2'"),
+    (dict(k1s=[]), "k1s must be a nonempty list or tuple, got []"),
+    (dict(measures=7), "measures must be a nonempty list or tuple, got 7"),
+    # a string is not split into its letters
+    (dict(measures="gmc"), "measures must be a nonempty list or tuple, got 'gmc'"),
+    (dict(measures=[["gmc"]]), f"unknown measures [['gmc']]; choose from {MEASURE_NAMES}"),
+    (dict(measures=("gmc", "bogus")), f"unknown measures ['bogus']; choose from {MEASURE_NAMES}"),
+    (dict(state=["ghz"]), "unknown state ['ghz']; choose from ['ghz', 'w']"),
+    (dict(omega_c=math.inf), "omega_c must be finite, got inf"),
+])
+def test_grid_lists_and_names_are_checked_by_the_grid(changes, message):
+    with pytest.raises(ParameterError) as info:
+        grid(**changes)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("shape", [(8, 8), (3, 8, 8)])
 def test_one_validation_computes_the_hermiticity_defect_once(monkeypatch, shape):
     original = tridephase.linalg.hermiticity_defect

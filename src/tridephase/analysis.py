@@ -414,7 +414,8 @@ class SweepGrid:
     @cached_property
     def reservoir_sets(self) -> tuple[tuple[tuple, tuple[ReservoirSpec, ...]], ...]:
         """Each (eta, beta_a, k1, k2) with its reservoirs, in itertools.product order;
-        equal reservoirs are one object, so the sets share its quadrature and Gamma tables."""
+        equal reservoirs are one object, so the sets share its quadrature rules
+        and Gamma tables."""
         sets, shared = [], {}
         for eta, beta_a, k1, k2 in itertools.product(self.etas, self.beta_as, self.k1s, self.k2s):
             made = make_reservoirs(eta, self.omega_c, beta_a, k1, k2, self.omegas())

@@ -1,7 +1,7 @@
-"""scipy is loaded on the first quadrature, not at start-up.
+"""No command loads scipy: quadrature has a rule of its own.
 
 Each check runs in a fresh interpreter, since this test session has
-imported scipy long before.
+imported scipy long before (its oracles use it).
 """
 
 import json
@@ -71,24 +71,33 @@ def test_quadrature_grid_checks_its_run_without_loading_scipy():
     assert scipy_modules_after(code) == []
 
 
-def test_one_quadrature_gamma_loads_scipy_integrate():
+def test_quadrature_runs_and_selfcheck_load_no_scipy():
     code = (
-        "from tridephase import GammaMethod, OhmicSpectralDensity, ReservoirSpec, gamma\n"
-        "res = ReservoirSpec(OhmicSpectralDensity(0.2, 1.0), 2.0, 2.0)\n"
-        "assert gamma(res, 1.0, GammaMethod.NUMERIC_QUADRATURE) > 0\n"
+        "import contextlib, io, tridephase.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert tridephase.cli.main(['timescales', '--set', 'method=quadrature',\n"
+        "                                '--set', 't_count=5']) == 0\n"
+        "    assert tridephase.cli.main(['selfcheck']) == 0\n"
     )
-    assert "scipy.integrate" in scipy_modules_after(code)
+    assert scipy_modules_after(code) == []
 
 
-def test_reservoir_integrate_is_scipy_integrate_and_its_quad_is_called():
-    # bench/child.py wraps reservoir.integrate.quad at start-up
+def test_reservoir_integrate_is_the_package_rule_and_each_gamma_calls_its_quad_once():
+    # bench/child.py wraps reservoir.integrate.quad at start-up and reads the
+    # estimate and info["neval"] of each result
     code = (
-        "import scipy.integrate, tridephase.reservoir as reservoir\n"
-        "assert reservoir.integrate is scipy.integrate\n"
-        "calls, quad = [], reservoir.integrate.quad\n"
-        "reservoir.integrate.quad = lambda *a, **k: calls.append(1) or quad(*a, **k)\n"
+        "import tridephase.integrate, tridephase.reservoir as reservoir\n"
+        "assert reservoir.integrate is tridephase.integrate\n"
+        "results, quad = [], reservoir.integrate.quad\n"
+        "reservoir.integrate.quad = lambda *a, **k: results.append(quad(*a, **k)) or results[-1]\n"
         "res = reservoir.ReservoirSpec(reservoir.OhmicSpectralDensity(0.2, 1.0), 2.0, 2.0)\n"
-        "reservoir.gamma(res, 1.0, reservoir.GammaMethod.NUMERIC_QUADRATURE)\n"
-        "assert calls == [1]\n"
+        "for t in (1.0, 1.0, 0.0, 1e-3, 7.5):\n"
+        "    before = len(results)\n"
+        "    value = reservoir.gamma(res, t, reservoir.GammaMethod.NUMERIC_QUADRATURE)\n"
+        "    assert len(results) == before + (t > 0.0), t\n"
+        "    if t > 0.0:\n"
+        "        got, estimate, info = results[-1]\n"
+        "        assert got == value > 0.0 and 0.0 <= estimate <= 1e-8 * value, t\n"
+        "        assert type(info['neval']) is int and info['neval'] > 21, t\n"
     )
-    assert "scipy.integrate" in scipy_modules_after(code)
+    assert scipy_modules_after(code) == []

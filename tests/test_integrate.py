@@ -1,0 +1,38 @@
+import numpy as np
+import pytest
+
+from tridephase import integrate
+
+
+@pytest.mark.parametrize("weights, degree", [
+    (integrate.KRONROD_WEIGHTS, 31),
+    (integrate.GAUSS_WEIGHTS, 19),
+], ids=["kronrod_21", "gauss_10"])
+def test_rule_is_exact_on_polynomials_up_to_its_degree(weights, degree):
+    # the n-point Gauss rule is exact to degree 2n - 1, its Kronrod extension
+    # to 3n + 1, and no higher; x^k integrates to 2 / (k + 1) over [-1, 1]
+    # for even k, to 0 for odd k
+    def moment_error(k):
+        return abs(weights @ integrate.NODES**k - (2.0 / (k + 1) if k % 2 == 0 else 0.0))
+
+    assert max(moment_error(k) for k in range(degree + 1)) <= 2e-16
+    assert moment_error(degree + 1) > 1e-12
+
+
+def test_composite_splits_each_interval_into_equal_pieces_no_wider_than_width():
+    # [0, 1], [1, 1.5] and [1.5, 4] split into 2, 1 and 5 pieces of width 0.5
+    nodes, weights = integrate.composite(np.array([0.0, 1.0, 1.5, 4.0]), 0.6)
+    assert nodes.shape == (8 * 21,) and weights.shape == (2, 8 * 21)
+    centres = nodes.reshape(8, 21)[:, 10]
+    assert centres.tolist() == pytest.approx([0.25, 0.75, 1.25, 1.75, 2.25, 2.75, 3.25, 3.75])
+    assert weights.sum(axis=1).tolist() == pytest.approx([4.0, 4.0], rel=1e-15)
+
+
+def test_quad_returns_the_kronrod_value_the_two_rules_difference_and_the_node_count():
+    # f(w) = 1 on [0, 2]: int sin^2(w t / 2) dw = 1 - sin(2 t) / (2 t)
+    nodes, weights = integrate.composite(np.array([0.0, 2.0]), 1.0)
+    rule = integrate.Rule(0.5 * nodes, weights)
+    value, estimate, info = integrate.quad(rule, 1.5)
+    assert value == pytest.approx(1.0 - np.sin(3.0) / 3.0, rel=1e-15)
+    assert 0.0 <= estimate <= 1e-12
+    assert info == {"neval": 42}

@@ -149,46 +149,45 @@ def _check_samples(ts: list[float], vs: list[float], quantity: str) -> None:
         raise ParameterError(f"sample value at t = {nan_at!r} is NaN")
 
 
-class _Samples(NamedTuple):
-    """A curve's samples as Python float lists, checked by `_checked_samples`;
-    ts[grid] is the first sample of the grid they came from."""
-
-    ts: list
-    vs: list
-    grid: int
-
-
-def _checked_samples(
-    curve: Callable[[float], float] | None, ts: list, vs: list, quantity: str
-) -> _Samples:
-    """ts and vs checked, with t = 0 and curve(0) in front of a grid that starts after 0,
-    to bracket a crossing before its first sample; without a curve, as they are."""
-    grid = 1 if ts[0] > 0.0 and curve is not None else 0
-    if grid:
-        ts, vs = [0.0, *ts], [curve(0.0), *vs]
-    _check_samples(ts, vs, quantity)
-    return _Samples(ts, vs, grid)
+def _sample_lists(ts: Sequence, vs: Sequence) -> tuple[list, list]:
+    """ts and vs as Python float lists, by the input rule of every sampled curve:
+    1-d (read as `ndim`, so an array costs no numpy call) and of one nonzero
+    length, with finite times from t >= 0; `_check_samples` checks the rest."""
+    flat = getattr(ts, "ndim", 1) == getattr(vs, "ndim", 1) == 1
+    try:
+        ts, vs = (list(map(float, ts)), list(map(float, vs))) if flat else ([], [])
+    except TypeError:  # a nested list, or not a sequence
+        ts, vs = [], []
+    if not ts or len(ts) != len(vs):
+        raise ParameterError("samples must be matching nonempty 1-d time and value sequences")
+    if not (0.0 <= ts[0] and ts[-1] < math.inf):  # NaN included
+        raise ParameterError(
+            f"sample times must be finite from t >= 0, got {ts[0]!r} to {ts[-1]!r}"
+        )
+    return ts, vs
 
 
 def _sampled_curve(
     curve: Callable[[float], float],
     t_max: float,
-    samples: tuple[Sequence, Sequence] | _Samples | None,
+    samples: tuple[Sequence, Sequence] | None,
     quantity: str,
-) -> _Samples:
-    """The sampled curve, checked, from t = 0 to t_max (a `_Samples` as it is);
+) -> tuple[list, list]:
+    """The sampled curve, checked, from t = 0 to t_max: t = 0 and curve(0) go in
+    front of samples that start later, to bracket a crossing before the first;
     without samples, the curve at 0 and at t_max 2^-k for k = 48 ... 0."""
     if not 0.0 < t_max < math.inf:
         raise ParameterError(f"t_max must be positive and finite, got {t_max!r}")
-    if isinstance(samples, _Samples):
-        return samples
     if samples is None:
         grid = [0.0] + [t_max * 2.0**-k for k in range(48, -1, -1)]
         samples = (grid, [curve(t) for t in grid])
-    ts, vs = (list(map(float, seq)) for seq in samples)
-    if len(ts) != len(vs) or not ts or ts[0] < 0.0 or ts[-1] != t_max:
-        raise ParameterError("samples must be matching time and value lists from t >= 0 to t_max")
-    return _checked_samples(curve, ts, vs, quantity)
+    ts, vs = _sample_lists(*samples)
+    if ts[-1] != t_max:
+        raise ParameterError(f"samples must end at t_max = {t_max!r}, got {ts[-1]!r}")
+    if ts[0] > 0.0:
+        ts, vs = [0.0, *ts], [curve(0.0), *vs]
+    _check_samples(ts, vs, quantity)
+    return ts, vs
 
 
 def preservation_time_numeric(
@@ -199,21 +198,21 @@ def preservation_time_numeric(
 ) -> float:
     """Last time the curve stays above DEAD_THRESHOLD; +inf if alive at t_max.
 
-    The curve is sampled as `samples=(times, values)`, a grid ending at
-    t_max whose times never decrease, or by default at 0 and t_max 2^-k for
-    k = 48 ... 0.  The bracket [t_i, t_i+1] around the last sample above the
-    threshold is searched by `_itp` to relative width ROOT_REL_TOL, so a
-    curve that dies, revives and dies again gives its last crossing to grid
-    resolution.  `measure_curve`
-    may be the measure or a margin for it (MARGINS): a curve that exceeds
-    DEAD_THRESHOLD exactly where the measure does, whose values below the
-    threshold guide the search where the clipped measure is flat.  A margin
+    The curve is sampled as `samples=(times, values)`, two 1-d sequences
+    of one length whose finite times start at t >= 0, never decrease and
+    end at t_max, or by default at 0 and t_max 2^-k for k = 48 ... 0.  The
+    bracket [t_i, t_i+1] around the last sample above the threshold is
+    searched by `_itp` to relative width ROOT_REL_TOL, so a curve that dies,
+    revives and dies again gives its last crossing to grid resolution.
+    `measure_curve` may be the measure or a margin for it (MARGINS): a curve
+    that exceeds DEAD_THRESHOLD exactly where the measure does, whose values
+    below the threshold guide the search where the clipped measure is flat.  A margin
     should come with samples from t = 0 whose first value is the measure's,
     as `run_sweep` passes them: the value at 0 decides a dead start (an
     error for 0, t_p = 0 up to DEAD_THRESHOLD), and a grid that starts later
     gets the margin's own value at 0, which is not the measure's.
     """
-    ts, vs, _ = _sampled_curve(measure_curve, t_max, samples, "preservation time")
+    ts, vs = _sampled_curve(measure_curve, t_max, samples, "preservation time")
     if vs[0] <= DEAD_THRESHOLD:
         return 0.0
     if vs[-1] > DEAD_THRESHOLD:
@@ -251,7 +250,7 @@ def characteristic_time(
     `_itp` to relative width ROOT_REL_TOL.
     """
     _check_epsilon(epsilon)
-    ts, vs, _ = _sampled_curve(measure_curve, t_max, samples, "characteristic time")
+    ts, vs = _sampled_curve(measure_curve, t_max, samples, "characteristic time")
     target = (1.0 - epsilon) * vs[0]
 
     def alive(v: float) -> bool:
@@ -276,17 +275,14 @@ def freezing_intervals(ts: Sequence[float], values: Sequence[float]) -> list[tup
     must stand out against an adjacent transit, which is what separates a
     staircase step from steady decay.  Adjacent qualifying runs merge into
     one reported interval.  Resolving an early plateau requires a grid that
-    samples it (log-spaced times).  Times must not decrease; a repeated
-    time is allowed.  Internally, `ts` may be a sweep's checked `_Samples`
-    with `values` its grid values: the record's grid part is then read as is.
+    samples it (log-spaced times).  The samples are read as
+    `preservation_time_numeric` reads them, with any last time and at least
+    2 samples; a repeated time is allowed.
     """
-    samples = ts
-    if not isinstance(samples, _Samples):
-        ts, vs = np.asarray(ts, dtype=float), np.asarray(values, dtype=float)
-        if ts.shape != vs.shape or ts.ndim != 1 or ts.size < 2:
-            raise ParameterError("need matching 1-d time and value arrays with >= 2 samples")
-        samples = _checked_samples(None, ts.tolist(), vs.tolist(), "freezing interval")
-    ts, vs = samples.ts[samples.grid :], samples.vs[samples.grid :]
+    ts, vs = _sample_lists(ts, values)
+    if len(ts) < 2:
+        raise ParameterError(f"freezing detection needs at least 2 samples, got {len(ts)}")
+    _check_samples(ts, vs, "freezing interval")
     tol = FREEZE_VALUE_TOL * vs[0]
     floor = FREEZE_VALUE_FLOOR * vs[0]
 
@@ -547,11 +543,10 @@ def _timescales(
     `times` are the grid's channel times, and `grid_time` maps each to its
     grid.times() value.
 
-    The root finders and the freezing detection run on the channel times,
-    checked once as one `_Samples` (a check names t_p, the first to read
-    them, as its quantity): t_p on the curve's margin and T_c on its
-    kernel, with t = 0 and the kernel's value in front of a grid that starts
-    later, so a dead start is the measure's and not the margin's.  t_p and a
+    The root finders and the freezing detection run on the channel times, as
+    plain lists: t_p on the curve's margin and T_c on its kernel, with t = 0
+    and the kernel's value in front of a grid that starts later, so a dead
+    start is the measure's and not the margin's.  t_p and a
     reached T_c are then multiplied by omega_c, while an unreached T_c (the
     last sample) and each end of a freezing interval are reported at the
     grid.times() of their samples.  A failed channel, a failed row or a
@@ -561,11 +556,13 @@ def _timescales(
     error = next((e for e in errors if e is not None), None)
     if error is None:
         try:
-            samples = _checked_samples(kernel, times, values, "preservation time")
+            samples = (times, values)
+            if times[0] > 0.0:
+                samples = ([0.0, *times], [kernel(0.0), *values])
             t_p = preservation_time_numeric(margin, times[-1], samples=samples)
             t_c, reached = characteristic_time(kernel, times[-1], grid.epsilon, samples=samples)
             # a curve already dead at its first sample has nothing to freeze
-            freezing = [] if values[0] <= 0.0 else freezing_intervals(samples, values)
+            freezing = [] if values[0] <= 0.0 else freezing_intervals(times, values)
             return TimescaleResult(
                 t_p * grid.omega_c,
                 t_c * grid.omega_c if reached else grid_time[t_c],

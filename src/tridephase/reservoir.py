@@ -378,7 +378,8 @@ def _gamma_quadrature(res: ReservoirSpec, plan: _QuadraturePlan, t: float) -> fl
     if rule is None:
         rule = plan.rules[binade] = _quadrature_rule(res, plan, binade)
     value, abserr, _ = integrate.quad(rule, t)
-    if not abserr <= 10.0 * max(plan.epsabs, QUAD_EPSREL * abs(value)):
+    # a subnormal eta underflows epsabs to 0, where a one-ulp estimate would fail
+    if not abserr <= 10.0 * max(plan.epsabs, QUAD_EPSREL * abs(value), sys.float_info.min):
         raise QuadratureError(
             f"decoherence integral did not converge (error estimate {abserr:.3e})",
             error_estimate=abserr,

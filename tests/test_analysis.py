@@ -198,6 +198,35 @@ def test_freezing_validation():
     # the values are required: times alone are no curve
     with pytest.raises(TypeError):
         freezing_intervals([0.0, 1.0])
+    # the times start at t >= 0, as for t_p and T_c
+    with pytest.raises(ParameterError, match=r"^sample times must be finite from t >= 0, got -1.0 to 1.0$"):
+        freezing_intervals([-1.0, 0.0, 1.0], [1.0] * 3)
+    with pytest.raises(ParameterError, match=r"^sample times must be finite from t >= 0, got 0.0 to inf$"):
+        freezing_intervals([0.0, 1.0, math.inf], [1.0] * 3)
+
+
+SAMPLED_ENTRY_POINTS = {
+    "preservation_time_numeric": lambda ts, vs: preservation_time_numeric(
+        lambda t: 1.0, 2.0, samples=(ts, vs)
+    ),
+    "characteristic_time": lambda ts, vs: characteristic_time(lambda t: 1.0, 2.0, samples=(ts, vs)),
+    "freezing_intervals": freezing_intervals,
+}
+
+
+@pytest.mark.parametrize("ts, vs", [
+    (np.array([[0.0, 1.0, 2.0]]), np.array([[1.0, 1.0, 1.0]])),
+    (np.array([[0.0], [1.0], [2.0]]), [1.0, 1.0, 1.0]),
+    ([[0.0], [1.0], [2.0]], [1.0, 1.0, 1.0]),
+    ([0.0, 1.0, 2.0], [[1.0], [1.0], [1.0]]),
+    ([0.0, 1.0, 2.0], [1.0, 1.0]),
+    ([], []),
+], ids=["2d_arrays", "column_times", "nested_times", "nested_values", "lengths", "empty"])
+@pytest.mark.parametrize("entry", sorted(SAMPLED_ENTRY_POINTS))
+def test_malformed_samples_text_at_every_entry_point(entry, ts, vs):
+    with pytest.raises(ParameterError) as info:
+        SAMPLED_ENTRY_POINTS[entry](ts, vs)
+    assert str(info.value) == "samples must be matching nonempty 1-d time and value sequences"
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -802,22 +831,6 @@ def curve_forms(grid, curve):
     )
 
 
-@pytest.mark.parametrize("t_start", [0.0, 0.5])
-def test_a_sweep_checks_each_curves_samples_once(monkeypatch, t_start):
-    calls = []
-    check = analysis._check_samples
-
-    def counted(*args):
-        calls.append(args)
-        return check(*args)
-
-    monkeypatch.setattr(analysis, "_check_samples", counted)
-    curves = run_sweep(timescale_grid(t_start=t_start))
-    # every curve starts alive, so t_p, T_c and freezing all read its samples
-    assert all(c.timescales.error is None and c.values[0] > 0.0 for c in curves)
-    assert len(calls) == len(curves) == 6
-
-
 def raw_timescales(grid, curve):
     """What `run_sweep` reports for a curve, from the public time-scale functions
     on plain lists: t = 0 and the kernel's value go in front of a later grid."""
@@ -902,3 +915,13 @@ def test_timescales_make_no_numpy_call(monkeypatch, t_start):
     )
     assert result.error is None
     assert repr(result) == repr(curve.timescales)
+
+
+@pytest.mark.parametrize("as_array", [False, True], ids=["lists", "array"])
+def test_freezing_intervals_make_no_numpy_call(monkeypatch, as_array):
+    ts = np.linspace(0.0, 10.0, 1001)
+    values = np.where(ts < 3.0, 1.0, np.where(ts < 3.2, 1.0 - (ts - 3.0) / 0.2 * 0.6, 0.4))
+    expected = freezing_intervals(ts, values)
+    samples = (ts, values) if as_array else (ts.tolist(), values.tolist())
+    monkeypatch.setattr(analysis, "np", NoNumpy())
+    assert freezing_intervals(*samples) == expected and len(expected) == 2

@@ -101,6 +101,8 @@ WEAK = tuple(ReservoirSpec(OhmicSpectralDensity(1e-12, 6.5), 1.0, OMEGA) for _ i
 @example(channel=(reservoirs(eta=40.0), [0.0, 1.0, 30.0], GammaMethod.EXACT))
 @example(channel=(HOT, [1e-9 * 1e-4 / math.pi, 1e-3 * 1e-4 / math.pi], GammaMethod.LOW_T_CLOSED_FORM))
 @example(channel=(WEAK, 3.0, GammaMethod.NUMERIC_QUADRATURE))
+# a subnormal eta: the quadrature's absolute tolerance underflows to 0
+@example(channel=(reservoirs(eta=5e-324, beta=1.0), [0.0, 1.5], GammaMethod.NUMERIC_QUADRATURE))
 @settings(max_examples=80, deadline=None)
 def test_dephasing_factors_invariants(channel):
     """The invariants that follow from Gamma >= 0: the diagonal and Hermiticity

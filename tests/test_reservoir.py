@@ -408,6 +408,15 @@ def test_quadrature_holds_its_relative_tolerance_on_weak_coupling(eta, omega_c):
         assert abs(gamma(res, t, GammaMethod.NUMERIC_QUADRATURE) - exact) <= 1e-8 * exact
 
 
+
+@pytest.mark.parametrize("eta", [5e-324, 1e-320, 2.5e-314])
+def test_quadrature_converges_on_a_subnormal_coupling(eta):
+    # its absolute tolerance underflows to 0, and a one-ulp error estimate must pass;
+    # Gamma is subnormal, with digits lost to its few significant bits
+    res = ohmic(eta=eta, omega_c=1.0, beta=1.0, omega=2.0)
+    for t in (0.1, 1.5, 3.0):
+        exact = gamma_exact(res, t)
+        assert abs(gamma(res, t, GammaMethod.NUMERIC_QUADRATURE) - exact) <= 1e-8 * exact + 1e-318
 @pytest.mark.parametrize("protocol", [2, pickle.HIGHEST_PROTOCOL])
 def test_a_warm_reservoir_pickles_and_its_copy_gives_the_same_gamma(protocol):
     res = ohmic(beta=0.5)

@@ -604,15 +604,22 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     Gamma of its time: the search for t_p its margin, MARGINS[state,
     measure], passed to `preservation_time_numeric` as its curve, and the
     search for T_c its kernel, KERNELS[state, measure]; the grid's matrices
-    are the values printed.  A recorded error is an evaluation failure (channel, measure
+    are the values printed.  Before the channels, one `gammas` call fills the
+    table of every distinct reservoir over the grid, time after time, until
+    a Gamma raises.  A recorded error is an evaluation failure (channel, measure
     or root finder); it never aborts the sweep.
     """
     times = grid.channel_times()
     ts = times.tolist()
     grid_time = dict(zip(ts, grid.times().tolist()))
     curves: list[CurveResult] = []
+    sets = dict.fromkeys(reservoirs for _, reservoirs in grid.reservoir_sets)
+    try:  # one time after the other, so reservoirs on one quadrature domain share each sin^2
+        gammas(list(dict.fromkeys(itertools.chain(*sets))), ts, grid.method)
+    except Exception:  # not stored: the channels below raise each set's own first failure
+        pass
     channels: dict[tuple, object] = {}  # reservoir set -> factors or the text of their error
-    for reservoirs in dict.fromkeys(reservoirs for _, reservoirs in grid.reservoir_sets):
+    for reservoirs in sets:
         try:
             channels[reservoirs] = dephasing_factors(reservoirs, times, grid.method)
         except Exception as exc:  # every curve of this reservoir set carries it

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -212,24 +213,27 @@ def _json_item(fieldnames: list[str], row) -> dict:
 def _emit(fieldnames: list[str], curves, args) -> None:
     """Write a table to --out or standard output, one curve at a time.
 
-    `curves` yields (head, floats, columns, tail) per curve: row i of a
-    curve is its head cells, cell i of each column of `floats` (columns of
-    Python floats only) and then of each of `columns`, and its tail cells,
-    two cells or more in all.  A curve has one column or more, and one row
-    or more.  Head and tail cells are formatted once per curve.  CSV is the
-    header line, then one string per curve, each written with one write;
-    JSON is one document, written with one write.
+    `curves` yields (heads, floats, columns, tail) per curve: row i of a
+    curve is the cells of each of its `heads`, cell i of each column of
+    `floats` (columns of Python floats only) and then of each of `columns`,
+    and its tail cells, two cells or more in all.  A curve has one column or
+    more, and one row or more.  Tail cells are formatted once per curve, and
+    a head or a float column that the last curve had too (the same object)
+    keeps its texts.  CSV is the header line, then one string per curve,
+    each written with one write; JSON is one document, written with one write.
     """
     out = sys.stdout if args.out is None else io.StringIO()
     if args.format == "csv":
         out.write(",".join(_csv_texts(fieldnames)) + "\n")
-        last = {}  # id(column) -> (column, its texts), over the last curve's float columns
-        for head, floats, columns, tail in curves:
-            # a float column the last curve had too (the time grid) keeps its
-            # texts; holding the column keeps its id from being reused
-            last = {id(c): last.get(id(c)) or (c, _float_texts(c)) for c in floats}
+        last = {}  # id(part) -> (part, its texts), over the last curve's heads and float columns
+        for heads, floats, columns, tail in curves:
+            # a part the last curve had too (a stack's parameters, the time
+            # grid) keeps its texts; holding the part keeps its id from being reused
+            kept = {id(c): last.get(id(c)) or (c, _float_texts(c)) for c in floats}
+            kept.update((id(h), last.get(id(h)) or (h, _csv_texts(h))) for h in heads)
+            last = kept
             texts = [last[id(c)][1] for c in floats] + [_csv_texts(c) for c in columns]
-            lead = "".join(text + "," for text in _csv_texts(head))
+            lead = "".join(text + "," for h in heads for text in last[id(h)][1])
             end = "".join("," + text for text in _csv_texts(tail))
             # one join per curve: each cell, then what follows it, a comma or
             # the end of its row and the head of the next
@@ -242,8 +246,8 @@ def _emit(fieldnames: list[str], curves, args) -> None:
             out.write(lead + "".join(cells))
     else:
         payload = [
-            _json_item(fieldnames, (*head, *row, *tail))
-            for head, floats, columns, tail in curves
+            _json_item(fieldnames, (*itertools.chain(*heads), *row, *tail))
+            for heads, floats, columns, tail in curves
             for row in zip(*floats, *columns)
         ]
         out.write(json.dumps(payload, indent=2) + "\n")
@@ -274,7 +278,9 @@ def _curve_table(config: dict, args, per_time: bool, timescales: bool | None) ->
     """Write one row per curve, or per curve and time, from one run_sweep call;
     `timescales` as _parse_run takes it.
 
-    Every curve shares one time column, so its texts are formatted once.
+    Every curve shares one time column, and the curves of one stack share
+    one parameters dict and so one head of its cells, so the texts of each
+    are formatted once.
     """
     grid = _parse_run(config, timescales)
     timescales = grid.include_timescales
@@ -285,20 +291,23 @@ def _curve_table(config: dict, args, per_time: bool, timescales: bool | None) ->
         fields += ["t_p", "t_c", "t_c_reached", "freezing_count"]
     fields += ["error"] if per_time else ["freezing_intervals", "error"]
 
+    stack_heads = {}  # id(parameters) -> its cells; `curves` holds every dict, so no id is reused
+
     def table(curve):
-        head = (*curve.parameters.values(), curve.name)
+        parameters = curve.parameters
+        heads = (stack_heads.setdefault(id(parameters), tuple(parameters.values())), (curve.name,))
         cells = ()
         if timescales:
             ts = curve.timescales
             cells = (ts.t_p, ts.t_c, ts.t_c_reached, len(ts.freezing))
         if not per_time:
             intervals = "|".join(":".join(_float_texts(interval)) for interval in ts.freezing)
-            return head, [], [[cell] for cell in (*cells, intervals, ts.error or "")], ()
+            return heads, [], [[cell] for cell in (*cells, intervals, ts.error or "")], ()
         if any(curve.errors):  # an error is a nonempty text; its column follows the cells
             errors = [error or "" for error in curve.errors]
             repeated = [[cell] * len(times) for cell in cells]
-            return head, [times, curve.values], [*repeated, errors], ()
-        return head, [times, curve.values], [], (*cells, "")
+            return heads, [times, curve.values], [*repeated, errors], ()
+        return heads, [times, curve.values], [], (*cells, "")
 
     _emit(fields, map(table, curves), args)
     return 0

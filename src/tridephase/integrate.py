@@ -3,10 +3,13 @@
 Each panel carries the Kronrod 21-point rule and the Gauss 10-point rule
 whose nodes it shares (QUADPACK's qk21; Piessens, de Doncker-Kapenga,
 Ueberhuber & Kahaner, QUADPACK, Springer 1983), so the error estimate
-costs no extra node.  A `Rule` holds the nodes of every panel, halved, and
-both rules' weights already multiplied by the t-independent factor f(w);
-`quad` then evaluates it at a time with one sin^2 over the nodes and one
-matrix product.
+costs no extra node.  A `NodeSet` holds the nodes of every panel, halved,
+both rules' weights before any factor, and the sin^2 over the nodes at the
+last time asked.  A `Rule` holds both rules' weights already multiplied by
+the t-independent factor f(w); `quad` then evaluates it at a time with one
+matrix product, and with one sin^2 over the nodes unless the rule's node
+set last computed it at that time, so rules for several f(w) on one node
+set share it.
 """
 
 from __future__ import annotations
@@ -57,13 +60,38 @@ def _on_the_interval():
 NODES, KRONROD_WEIGHTS, GAUSS_WEIGHTS = _on_the_interval()
 
 
+class NodeSet:
+    """nodes: w at every node; half_nodes: w / 2; weights: a (2, n) array
+    whose rows are the Kronrod and the Gauss weight of each node (0 where the
+    Gauss rule has no node).  `sin_squared` keeps the sin^2 of the last time
+    it was asked, as one (t, values) tuple swapped whole, so a reader in any
+    thread sees a time with its own values."""
+
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray):
+        self.nodes = nodes
+        self.half_nodes = 0.5 * nodes
+        self.weights = weights
+        self._last = (None, None)
+
+    def sin_squared(self, t: float) -> np.ndarray:
+        """sin^2(w t / 2) at every node, read-only."""
+        last_t, values = self._last
+        if last_t != t:
+            values = _sin_squared(self.half_nodes, t)
+            values.setflags(write=False)
+            self._last = (t, values)
+        return values
+
+
 class Rule(NamedTuple):
     """half_nodes: w / 2 at every node; weights: a (2, n) array whose rows are
     the Kronrod and the Gauss weight of each node times f(w) (0 where the
-    Gauss rule has no node)."""
+    Gauss rule has no node); node_set: the NodeSet of these nodes, whose
+    last sin^2 the rule reuses, or None to compute it at every call."""
 
     half_nodes: np.ndarray
     weights: np.ndarray
+    node_set: NodeSet | None = None
 
 
 def composite(edges: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
@@ -80,8 +108,16 @@ def composite(edges: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, np.stack([(half * KRONROD_WEIGHTS).ravel(), (half * GAUSS_WEIGHTS).ravel()])
 
 
+def _sin_squared(half_nodes: np.ndarray, t: float) -> np.ndarray:
+    s = np.sin(half_nodes * t)
+    return s * s
+
+
 def quad(rule: Rule, t: float) -> tuple[float, float, dict]:
     """(Kronrod value, |Kronrod - Gauss|, {"neval": nodes}) of the integral at t."""
-    s = np.sin(rule.half_nodes * t)
-    kronrod, gauss = (rule.weights @ (s * s)).tolist()
+    if rule.node_set is None:
+        sines = _sin_squared(rule.half_nodes, t)
+    else:
+        sines = rule.node_set.sin_squared(t)
+    kronrod, gauss = (rule.weights @ sines).tolist()
     return kronrod, abs(kronrod - gauss), {"neval": rule.half_nodes.size}

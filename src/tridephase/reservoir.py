@@ -31,12 +31,16 @@ whose singularity at w = 0 is removable, is continued flat below
 1e-8 cutoff / 60 (1e-8 w_c for Ohmic), which makes [0, omega_eps] one node.
 Above it the panels run 4 per decade, each split into equal pieces no wider
 than two periods of sin^2(w t / 2) at the top of t's binade [2^(e-1), 2^e),
-so a Gamma bit depends on t alone, never on the grid.  Each reservoir keeps
-one rule per binade it has used, its weights multiplied by the
-t-independent 8 Omega^2 J(w) / w^2 / tanh(beta w / 2), evaluated once on
-the node array (node by node for a custom density).  Gamma(t) is then one
-sin^2 over the nodes and one matrix product, which also gives the 10-point
-Gauss value whose difference is the error estimate.  Past _PANEL_LIMIT
+so a Gamma bit depends on t alone, never on the grid.  The nodes and
+weights of a binade depend only on the quadrature domain (omega_eps, cutoff),
+so every live reservoir on one domain shares one `integrate.NodeSet` per
+binade, built once, and with it the sin^2 over the nodes at the last time
+asked; the store goes with the last reservoir that holds it.  Each
+reservoir keeps one rule per binade it has used, the node set's weights
+multiplied by its own t-independent 8 Omega^2 J(w) / w^2 / tanh(beta w / 2),
+evaluated once on the node array (node by node for a custom density).
+Gamma(t) is then that sin^2 and one matrix product, which also gives the
+10-point Gauss value whose difference is the error estimate.  Past _PANEL_LIMIT
 pieces the pieces widen instead, and the estimate decides: at long enough
 times a QuadratureError, never a silent miss.
 
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import math
 import sys
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -156,19 +161,13 @@ class ReservoirSpec:
         A cutoff that quadrature cannot take raises MethodError here, which
         caches nothing, so it raises again at every t, 0 included.
         """
-        omega_eps, cutoff = _quadrature_domain(self.spectral)
+        omega_eps, cutoff = key = _quadrature_domain(self.spectral)
+        domain = _DOMAINS.get(key) or _DOMAINS.setdefault(key, _QuadratureDomain(omega_eps, cutoff))
         # QUAD_EPSABS is an error budget for an integrand of order one; a weaker
         # one, 8 Omega^2 J(w)/w below 1 at the flat continuation (8 Omega^2 eta
         # for Ohmic), gets a budget that scales with it
         weak = 8.0 * self.omega_qubit**2 * self.spectral(omega_eps) / omega_eps
-        epsabs = QUAD_EPSABS * min(1.0, weak)
-        decades = math.log10(cutoff / omega_eps)
-        edges = np.geomspace(omega_eps, cutoff, math.ceil(_PANELS_PER_DECADE * decades) + 1)
-        # below the first binade two periods at its top are wider than the
-        # cutoff, above the last the panel limit sets the width: all share its rule
-        first = math.frexp(4.0 * math.pi / cutoff)[1] - 1
-        last = math.frexp(4.0 * math.pi * _PANEL_LIMIT / cutoff)[1]
-        return _QuadraturePlan(edges, float(epsabs), first, last, {})
+        return _QuadraturePlan(domain, float(QUAD_EPSABS * min(1.0, weak)), {})
 
     @cached_property
     def _gamma_tables(self) -> defaultdict[GammaMethod, dict[float, float]]:
@@ -181,14 +180,32 @@ class ReservoirSpec:
         return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
-class _QuadraturePlan(NamedTuple):
-    """edges: the geometric panel edges from omega_eps to the cutoff;
-    rules: binade -> integrate.Rule, filled by _quadrature_rule on first use."""
+class _QuadratureDomain:
+    """What every reservoir on one (omega_eps, cutoff) shares: the geometric
+    panel edges from omega_eps to the cutoff, the binades whose rules differ,
+    and node_sets: binade -> integrate.NodeSet, filled by _node_set on first use."""
 
-    edges: np.ndarray
+    def __init__(self, omega_eps: float, cutoff: float):
+        decades = math.log10(cutoff / omega_eps)
+        self.edges = np.geomspace(omega_eps, cutoff, math.ceil(_PANELS_PER_DECADE * decades) + 1)
+        # below the first binade two periods at its top are wider than the
+        # cutoff, above the last the panel limit sets the width: all share its rule
+        self.first_binade = math.frexp(4.0 * math.pi / cutoff)[1] - 1
+        self.last_binade = math.frexp(4.0 * math.pi * _PANEL_LIMIT / cutoff)[1]
+        self.node_sets: dict[int, integrate.NodeSet] = {}
+
+
+# (omega_eps, cutoff) -> the _QuadratureDomain of the live reservoirs on it;
+# an entry goes when the last reservoir plan that holds it does
+_DOMAINS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+class _QuadraturePlan(NamedTuple):
+    """domain: the shared _QuadratureDomain; rules: binade -> this reservoir's
+    integrate.Rule, filled by _quadrature_rule on first use."""
+
+    domain: _QuadratureDomain
     epsabs: float
-    first_binade: int
-    last_binade: int
     rules: dict[int, integrate.Rule]
 
 
@@ -346,20 +363,30 @@ def _quadrature_domain(spectral: SpectralDensity) -> tuple[float, float]:
     )
 
 
-def _quadrature_rule(res: ReservoirSpec, plan: _QuadraturePlan, binade: int) -> integrate.Rule:
-    """The rule of every t in [2^(binade - 1), 2^binade).
+def _node_set(domain: _QuadratureDomain, binade: int) -> integrate.NodeSet:
+    """The nodes and weights of every t in [2^(binade - 1), 2^binade).
 
     Each geometric panel is split into equal pieces no wider than two periods
     of sin^2(w t / 2) at the binade's top, or than cutoff / _PANEL_LIMIT,
     whichever is wider.  Below omega_eps the integrand is continued flat, so
     [0, omega_eps] is one node at omega_eps that both rules weigh by omega_eps.
     """
-    edges = plan.edges
+    edges = domain.edges
     omega_eps, cutoff = float(edges[0]), float(edges[-1])
     width = max(math.ldexp(4.0 * math.pi, -binade), cutoff / _PANEL_LIMIT)
     nodes, weights = integrate.composite(edges, width)
-    w = np.concatenate([[omega_eps], nodes])
-    weights = np.concatenate([[[omega_eps], [omega_eps]], weights], axis=1)
+    return integrate.NodeSet(
+        np.concatenate([[omega_eps], nodes]),
+        np.concatenate([[[omega_eps], [omega_eps]], weights], axis=1),
+    )
+
+
+def _quadrature_rule(res: ReservoirSpec, plan: _QuadraturePlan, binade: int) -> integrate.Rule:
+    """The rule of every t in [2^(binade - 1), 2^binade): the domain's node set
+    of the binade, its weights times this reservoir's factor."""
+    node_sets = plan.domain.node_sets
+    node_set = node_sets.get(binade) or node_sets.setdefault(binade, _node_set(plan.domain, binade))
+    w = node_set.nodes
     spectral = res.spectral
     # a factor that overflows (or a tanh that underflows to 0) makes a weight
     # inf or NaN, and the error estimate NaN: a QuadratureError at every t
@@ -369,11 +396,12 @@ def _quadrature_rule(res: ReservoirSpec, plan: _QuadraturePlan, binade: int) -> 
         else:
             j = np.array([spectral(v) for v in w.tolist()], dtype=float)
         factor = 8.0 * res.omega_qubit**2 * j / (w * w) / np.tanh(0.5 * res.beta * w)
-        return integrate.Rule(0.5 * w, weights * factor)
+        return integrate.Rule(node_set.half_nodes, node_set.weights * factor, node_set)
 
 
 def _gamma_quadrature(res: ReservoirSpec, plan: _QuadraturePlan, t: float) -> float:
-    binade = min(max(math.frexp(t)[1], plan.first_binade), plan.last_binade)
+    domain = plan.domain
+    binade = min(max(math.frexp(t)[1], domain.first_binade), domain.last_binade)
     rule = plan.rules.get(binade)
     if rule is None:
         rule = plan.rules[binade] = _quadrature_rule(res, plan, binade)

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tridephase.reservoir
-from tridephase import analysis
+from tridephase import analysis, cli
 from tridephase.analysis import ROOT_REL_TOL, preservation_time_zero_t
 from tridephase.cli import PARAM_FIELDS, _emit, _float_texts, _fmt, _parse_run, load_config, main
 from tridephase.exceptions import ShapeError
@@ -708,12 +709,12 @@ def error_columns(draw, n):
 
 @st.composite
 def tables(draw):
-    """Field names and curves of random cells, as (head, floats, columns, tail).
+    """Field names and curves of random cells, as (heads, floats, columns, tail).
 
     A float column holds floats only; one float column object may serve
-    several curves, as the time grid does.  Another column is drawn cell by
-    cell, as one object on every row, or as an error column with an error
-    in mid-curve.
+    several curves, as the time grid does, and so may one head, as a
+    stack's parameters do.  Another column is drawn cell by cell, as one
+    object on every row, or as an error column with an error in mid-curve.
     """
     n = draw(st.integers(1, 4))
     floats = st.lists(FLOATS, min_size=n, max_size=n)
@@ -721,15 +722,18 @@ def tables(draw):
         st.lists(CELLS, min_size=n, max_size=n), CELLS.map(lambda cell: [cell] * n), error_columns(n),
     )
     shared = draw(floats)
+    head = st.lists(CELLS, max_size=3).map(tuple)
+    shared_head = draw(head)
     curves = []
     for _ in range(draw(st.integers(1, 3))):
-        head = tuple(draw(st.lists(CELLS, max_size=3)))
+        heads = draw(st.lists(st.one_of(head, st.just(shared_head)), max_size=2))
         float_columns = draw(st.lists(st.one_of(floats, st.just(shared)), max_size=3))
         columns = draw(st.lists(column, min_size=0 if float_columns else 1, max_size=3))
         tail = tuple(draw(st.lists(CELLS, max_size=3)))
-        if len(head) + len(float_columns) + len(columns) + len(tail) < 2:  # two cells or more
+        cells = sum(map(len, heads)) + len(float_columns) + len(columns) + len(tail)
+        if cells < 2:  # two cells or more
             columns.append(draw(column))
-        curves.append((head, float_columns, columns, tail))
+        curves.append((heads, float_columns, columns, tail))
     fieldnames = draw(st.lists(st.text(alphabet=st.sampled_from('ab ,"\r\n'), max_size=4), min_size=2))
     return fieldnames, curves
 
@@ -741,9 +745,9 @@ def test_csv_output_equals_csv_writer(table):
     expected = io.StringIO()
     writer = csv.writer(expected, lineterminator="\n")
     writer.writerow(fieldnames)
-    for head, floats, columns, tail in curves:
+    for heads, floats, columns, tail in curves:
         for row in zip(*floats, *columns):
-            writer.writerow([_fmt(cell) for cell in (*head, *row, *tail)])
+            writer.writerow([_fmt(cell) for cell in (*itertools.chain(*heads), *row, *tail)])
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         _emit(fieldnames, curves, SimpleNamespace(format="csv", out=None))
@@ -795,3 +799,22 @@ def test_output_is_written_one_curve_at_a_time(monkeypatch, command, fmt, writes
     ]
     assert main([command, "--format", fmt, "--set", "t_count=5", *grid]) == 0
     assert len(stdout.writes) == writes
+
+
+@pytest.mark.parametrize("command", ["measure", "timescales", "sweep"])
+def test_a_stacks_parameter_cells_are_formatted_once(monkeypatch, capsys, command):
+    # 2 x times 2 eta make 4 stacks, each of three measures: one head text per stack
+    real_csv_texts = cli._csv_texts
+    heads = []
+
+    def counting(column):
+        if len(column) == len(PARAM_FIELDS):
+            heads.append(tuple(column))
+        return real_csv_texts(column)
+
+    monkeypatch.setattr(cli, "_csv_texts", counting)
+    argv = [command, "--set", "x=[0.5,0.9]", "--set", "eta=[0.1,0.2]", "--set", "t_count=5",
+            "--set", 'measures=["gmc","l1_coherence","tripartite_negativity"]']
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) > 12
+    assert len(heads) == len(set(heads)) == 4

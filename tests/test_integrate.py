@@ -36,3 +36,29 @@ def test_quad_returns_the_kronrod_value_the_two_rules_difference_and_the_node_co
     assert value == pytest.approx(1.0 - np.sin(3.0) / 3.0, rel=1e-15)
     assert 0.0 <= estimate <= 1e-12
     assert info == {"neval": 42}
+
+
+def test_rules_on_one_node_set_share_its_last_sin_squared_and_keep_their_own_bits(monkeypatch):
+    # two factors f(w) on one node set: one sin^2 per change of time, and
+    # each value and estimate bit for bit those of a rule that computes its own
+    nodes, weights = integrate.composite(np.array([0.0, 1.0, 3.0]), 0.4)
+    node_set = integrate.NodeSet(nodes, weights)
+    factors = [np.exp(-nodes), 1.0 + nodes**2]
+    shared = [integrate.Rule(node_set.half_nodes, weights * f, node_set) for f in factors]
+    plain = [integrate.Rule(0.5 * nodes, weights * f) for f in factors]
+    times = (1.5, 1.5, 0.7, 1.5)
+    want = [[integrate.quad(rule, t) for rule in plain] for t in times]
+    real_sin_squared = integrate._sin_squared
+    calls = []
+
+    def counting(half_nodes, t):
+        calls.append(t)
+        return real_sin_squared(half_nodes, t)
+
+    monkeypatch.setattr(integrate, "_sin_squared", counting)
+    got = [[integrate.quad(rule, t) for rule in shared] for t in times]
+    assert calls == [1.5, 0.7, 1.5]
+    assert [[(v.hex(), e.hex(), info) for v, e, info in row] for row in got] == [
+        [(v.hex(), e.hex(), info) for v, e, info in row] for row in want
+    ]
+    assert not node_set.sin_squared(1.5).flags.writeable

@@ -335,9 +335,9 @@ def test_quadrature_rules_are_capped_and_shared_beyond_the_last_binade():
     for t in (1e4, 1e10, 1e300):
         assert gamma(res, t, GammaMethod.NUMERIC_QUADRATURE) == 0.0
     (rule,) = plan.rules.values()
-    panels = reservoir._PANEL_LIMIT + len(plan.edges) - 1
+    panels = reservoir._PANEL_LIMIT + len(plan.domain.edges) - 1
     assert rule.half_nodes.size <= 21 * panels + 1
-    assert list(plan.rules) == [plan.last_binade]
+    assert list(plan.rules) == [plan.domain.last_binade]
 
 
 def test_quadrature_failure_reports_estimate():

@@ -605,16 +605,18 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     measure], passed to `preservation_time_numeric` as its curve, and the
     search for T_c its kernel, KERNELS[state, measure]; the grid's matrices
     are the values printed.  Before the channels, one `gammas` call fills the
-    table of every distinct reservoir over the grid, time after time, until
-    a Gamma raises.  A recorded error is an evaluation failure (channel, measure
-    or root finder); it never aborts the sweep.
+    table of every distinct reservoir over the grid: under quadrature each
+    reservoir's up to its own first failure, and otherwise time after time
+    until a Gamma raises.  Each channel then raises its own set's first
+    failure.  A recorded error is an evaluation failure (channel,
+    measure or root finder); it never aborts the sweep.
     """
     times = grid.channel_times()
     ts = times.tolist()
     grid_time = dict(zip(ts, grid.times().tolist()))
     curves: list[CurveResult] = []
     sets = dict.fromkeys(reservoirs for _, reservoirs in grid.reservoir_sets)
-    try:  # one time after the other, so reservoirs on one quadrature domain share each sin^2
+    try:  # every reservoir at once, so those on one quadrature domain share each sin^2 block
         gammas(list(dict.fromkeys(itertools.chain(*sets))), ts, grid.method)
     except Exception:  # not stored: the channels below raise each set's own first failure
         pass

@@ -217,23 +217,30 @@ def _emit(fieldnames: list[str], curves, args) -> None:
     curve is the cells of each of its `heads`, cell i of each column of
     `floats` (columns of Python floats only) and then of each of `columns`,
     and its tail cells, two cells or more in all.  A curve has one column or
-    more, and one row or more.  Tail cells are formatted once per curve, and
-    a head or a float column that the last curve had too (the same object)
-    keeps its texts.  CSV is the header line, then one string per curve,
+    more, and one row or more.  Tail cells are formatted once per curve; a
+    head that the last curve had too (the same object) keeps its texts, and
+    so does a float column equal (==) to one of the last curve's, as equal
+    floats have one text.  CSV is the header line, then one string per curve,
     each written with one write; JSON is one document, written with one write.
     """
     out = sys.stdout if args.out is None else io.StringIO()
     if args.format == "csv":
         out.write(",".join(_csv_texts(fieldnames)) + "\n")
-        last = {}  # id(part) -> (part, its texts), over the last curve's heads and float columns
+        last_heads = {}  # id(head) -> (head, its texts), over the last curve's heads
+        last_floats = []  # (column, its texts) of each of the last curve's float columns
         for heads, floats, columns, tail in curves:
-            # a part the last curve had too (a stack's parameters, the time
-            # grid) keeps its texts; holding the part keeps its id from being reused
-            kept = {id(c): last.get(id(c)) or (c, _float_texts(c)) for c in floats}
-            kept.update((id(h), last.get(id(h)) or (h, _csv_texts(h))) for h in heads)
-            last = kept
-            texts = [last[id(c)][1] for c in floats] + [_csv_texts(c) for c in columns]
-            lead = "".join(text + "," for h in heads for text in last[id(h)][1])
+            # a stack's parameters keep their texts by identity, since equal
+            # heads may print otherwise ((1,) == (True,)); holding a head keeps
+            # its id from being reused.  The time grid, or a measure whose
+            # values equal the last measure's, keeps its texts by equality
+            last_heads = {id(h): last_heads.get(id(h)) or (h, _csv_texts(h)) for h in heads}
+            last_floats = [
+                (c, next((texts for kept, texts in last_floats if kept == c), None)
+                 or _float_texts(c))
+                for c in floats
+            ]
+            texts = [texts for _, texts in last_floats] + [_csv_texts(c) for c in columns]
+            lead = "".join(text + "," for h in heads for text in last_heads[id(h)][1])
             end = "".join("," + text for text in _csv_texts(tail))
             # one join per curve: each cell, then what follows it, a comma or
             # the end of its row and the head of the next

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import ParameterError
-from .reservoir import GammaMethod, ReservoirSpec, _time_array, gamma
+from .reservoir import GammaMethod, ReservoirSpec, _fill_quadrature_tables, _time_array, gamma
 from .states import DIM, assert_density_matrix
 
 
@@ -36,9 +36,16 @@ def gammas(
     Evaluated in that order, so the first failing time raises.  Each Gamma
     is read from, or after its `gamma` call stored in, its reservoir's own
     time -> Gamma table for `method`, which lives as long as the reservoir.
-    A Gamma that raises is not stored.
+    A Gamma that raises is not stored.  Asked for several times under
+    quadrature, `_fill_quadrature_tables` first stores the missing Gamma
+    that converge, with the bits of their `gamma` calls, each reservoir's
+    up to its first failure and others past it; `gamma` then evaluates
+    what is still missing, and the first failure in time-major order
+    raises, as it would alone.
     """
     tables = [res._gamma_tables[method] for res in reservoirs]
+    if method is GammaMethod.NUMERIC_QUADRATURE and len(times) > 1:
+        _fill_quadrature_tables(reservoirs, times)
     values = []
     for t in times:
         for res, table in zip(reservoirs, tables):

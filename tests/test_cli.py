@@ -712,9 +712,10 @@ def tables(draw):
     """Field names and curves of random cells, as (heads, floats, columns, tail).
 
     A float column holds floats only; one float column object may serve
-    several curves, as the time grid does, and so may one head, as a
-    stack's parameters do.  Another column is drawn cell by cell, as one
-    object on every row, or as an error column with an error in mid-curve.
+    several curves, as the time grid does, or an equal copy of it, as equal
+    measures do, and one head may serve several, as a stack's parameters
+    do.  Another column is drawn cell by cell, as one object on every row,
+    or as an error column with an error in mid-curve.
     """
     n = draw(st.integers(1, 4))
     floats = st.lists(FLOATS, min_size=n, max_size=n)
@@ -727,7 +728,10 @@ def tables(draw):
     curves = []
     for _ in range(draw(st.integers(1, 3))):
         heads = draw(st.lists(st.one_of(head, st.just(shared_head)), max_size=2))
-        float_columns = draw(st.lists(st.one_of(floats, st.just(shared)), max_size=3))
+        # the shared column itself, or an equal copy whose zeros may change sign
+        copies = st.sampled_from([list, lambda c: [0.0 if v == 0.0 else v for v in c]])
+        shared_or_equal = st.one_of(st.just(shared), copies.map(lambda copy: copy(shared)))
+        float_columns = draw(st.lists(st.one_of(floats, shared_or_equal), max_size=3))
         columns = draw(st.lists(column, min_size=0 if float_columns else 1, max_size=3))
         tail = tuple(draw(st.lists(CELLS, max_size=3)))
         cells = sum(map(len, heads)) + len(float_columns) + len(columns) + len(tail)
@@ -799,6 +803,28 @@ def test_output_is_written_one_curve_at_a_time(monkeypatch, command, fmt, writes
     ]
     assert main([command, "--format", fmt, "--set", "t_count=5", *grid]) == 0
     assert len(stdout.writes) == writes
+
+
+def test_equal_value_columns_are_formatted_once(monkeypatch, capsys):
+    # on GHZ-Werner states the tripartite negativity and the three cut
+    # negativities are equal columns, so of a stack's six value columns three
+    # are formatted, and the time grid once for the whole table
+    real_float_texts = cli._float_texts
+    columns = []
+
+    def counting(values):
+        if len(values) == 5:
+            columns.append(values)
+        return real_float_texts(values)
+
+    monkeypatch.setattr(cli, "_float_texts", counting)
+    measures = ["gmc", "tripartite_negativity", "negativity_a_bc", "negativity_b_ac",
+                "negativity_c_ab", "l1_coherence"]
+    argv = ["measure", "--set", "x=[0.5,0.9]", "--set", "t_count=5", "--set", "eta=0.3",
+            "--set", f"measures={json.dumps(measures)}"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 2 * 6 * 5
+    assert len(columns) == 1 + 2 * 3
 
 
 @pytest.mark.parametrize("command", ["measure", "timescales", "sweep"])

@@ -317,11 +317,11 @@ def test_quadrature_is_within_1e_12_of_exact(omega_c, omega_c_beta, omega_c_t):
 
 @pytest.mark.parametrize("omega_c_beta, omega_c_t", [
     *((b, t) for b in (0.5, 624.0, ZERO_TEMPERATURE) for t in (10.0, 30.0, 100.0, 300.0)),
-    (0.5, 1000.0),
+    *((b, t) for b in (0.5, 624.0, ZERO_TEMPERATURE) for t in (1000.0, 2000.0, 2500.0)),
 ])
 def test_quadrature_holds_its_tolerance_at_long_times(omega_c_beta, omega_c_t):
-    # the points where scipy's adaptive quad converged: the fixed rule still
-    # converges there, and to within QUAD_EPSREL of exact
+    # the points where scipy's adaptive quad converged, and the fixed rule's
+    # reach beyond them: it converges there, and to within QUAD_EPSREL of exact
     res = ohmic(eta=0.326, omega_c=1.0, beta=omega_c_beta, omega=2.0)
     exact = gamma_exact(res, omega_c_t)
     assert abs(gamma(res, omega_c_t, GammaMethod.NUMERIC_QUADRATURE) - exact) <= QUAD_EPSREL * exact

@@ -8,12 +8,14 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tridephase import integrate, reservoir
 from tridephase.analysis import SweepGrid, _error_text, run_sweep
 from tridephase.cli import main
-from tridephase.evolution import dephasing_factors
+from tridephase.evolution import dephasing_factors, gammas
+from tridephase.exceptions import QuadratureError
 from tridephase.reservoir import (
     ZERO_TEMPERATURE,
     CustomSpectralDensity,
@@ -83,6 +85,52 @@ def test_threads_give_each_reservoirs_own_bits():
     finally:
         sys.setswitchinterval(interval)
     assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(0, 4), min_size=1, max_size=4),
+    st.lists(st.one_of(TIMES, st.sampled_from([2600.0, 4000.0, 6000.0])), min_size=2, max_size=12),
+)
+# the first failure, time-major, is the second reservoir's at 2600, while
+# the first reservoir's own first failure is at 4000 on another domain
+@example(indices=[0, 3], times=[2600.0, 4000.0])
+@example(indices=[4, 2, 4], times=[0.0, 9.0, 0.3, 9.0, 2600.0])
+def test_a_multi_time_call_stores_each_reservoirs_own_bits_and_raises_the_first_failure(
+    indices, times
+):
+    # past its reach a rule raises QuadratureError: the Gamma that fails is not
+    # stored, and the first (time, reservoir) that fails, time-major, raises
+    times = times + times[:2]  # repeated times
+    shared = specs()
+    chosen = [shared[i] for i in indices]
+    with mock.patch.object(reservoir, "_DOMAINS", weakref.WeakValueDictionary()):
+        fresh = [ReservoirSpec(r.spectral, r.beta, r.omega_qubit) for r in shared]
+        want = {(i, t): outcome(fresh[i], t) for i in set(indices) for t in times}
+    first_failure = next(
+        (want[i, t] for t in times for i in indices if not want[i, t].startswith(("0x", "-0x"))),
+        None,
+    )
+    try:
+        got = [g.hex() for g in gammas(chosen, times, QUADRATURE)]
+    except Exception as exc:
+        assert _error_text(exc) == first_failure
+    else:
+        assert first_failure is None
+        assert got == [want[i, t] for t in times for i in indices]
+    for i in set(indices):
+        for t, value in shared[i]._gamma_tables[QUADRATURE].items():
+            assert value.hex() == want[i, t]
+
+
+def test_a_multi_time_call_stops_each_reservoir_at_its_first_failure():
+    # the cold reservoir fails at 2600, so its 60 is left for gamma, which the
+    # call never reaches; the hot one converges at every time and stores them all
+    hot, _, cold = specs()[:3]
+    with pytest.raises(QuadratureError):
+        gammas([hot, cold], [9.0, 2600.0, 60.0], QUADRATURE)
+    assert set(hot._gamma_tables[QUADRATURE]) == {9.0, 2600.0, 60.0}
+    assert set(cold._gamma_tables[QUADRATURE]) == {9.0}
 
 
 def w2_grid(**changes) -> SweepGrid:
@@ -173,6 +221,6 @@ def test_sets_that_fail_past_the_rules_reach_raise_their_own_first_error():
                 want = _error_text(exc)
                 failures.append(want)
         assert set(curve.errors) == {want}
-    # the 8 sets of eta = 0.3 fail, on three first failures between them
-    assert len(failures) == 8 and len(set(failures)) == 3
+    # the 8 sets of eta = 0.3 fail
+    assert len(failures) == 8
     assert all(error.startswith("QuadratureError: decoherence integral") for error in failures)

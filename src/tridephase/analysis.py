@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .exceptions import NoCorrelationError, ParameterError
-from .evolution import dephasing_factors, evolve, gammas
+from .evolution import check_phase, dephasing_factors, evolve, gammas
 from .measures import (
     BIPARTITIONS,
     GHZ_WERNER_FORMS,
@@ -343,8 +343,9 @@ class SweepGrid:
     Omega_C^2) of every run.
 
     Construction checks the shape of each list field, each name (as a str
-    before it is hashed) and every field's range, then builds and keeps the
-    run's `initial_states` and `reservoir_sets`, evaluating Gamma(0) with
+    before it is hashed), every field's range and the channel's largest
+    phase (`evolution.check_phase`), then builds and keeps the run's
+    `initial_states` and `reservoir_sets`, evaluating Gamma(0) with
     `method`, so a value the run cannot build raises here, with its owner's
     message.
     """
@@ -396,6 +397,8 @@ class SweepGrid:
         for name, value in zip(("omega_sq_a", "omega_sq_b", "omega_sq_c"), self.omega_sqs):
             if not value > 0:  # NaN included
                 raise ParameterError(f"{name} must be positive, got {value!r}")
+        # the largest channel time, linspace's endpoint
+        check_phase(self.omegas(), self.t_stop / self.omega_c, "t_stop / omega_c")
         if not isinstance(self.method, GammaMethod):
             raise ParameterError(f"method must be a GammaMethod, got {self.method!r}")
         _check_epsilon(self.epsilon)

@@ -38,8 +38,9 @@ def gammas(
     time -> Gamma table for `method`, which lives as long as the reservoir.
     A Gamma that raises is not stored.  Asked for several times under
     quadrature, `_fill_quadrature_tables` first stores the missing Gamma
-    that converge, with the bits of their `gamma` calls, each reservoir's
-    up to its first failure and others past it; `gamma` then evaluates
+    that converge, each reservoir's up to its first failure and others past
+    it, through `integrate.sin_squared` and `integrate.weigh`, the one rule
+    of `gamma` too, so with its bits by construction; `gamma` then evaluates
     what is still missing, and the first failure in time-major order
     raises, as it would alone.
     """
@@ -56,15 +57,22 @@ def gammas(
     return values
 
 
+def check_phase(omegas: Sequence[float], t_max: float, shown: str = "t") -> None:
+    """Reject a largest time t_max, shown as `shown`, whose largest phase
+    2 (Omega_A + Omega_B + Omega_C) t_max overflows."""
+    if not 2.0 * (omegas[0] + omegas[1] + omegas[2]) * t_max < math.inf:  # NaN included
+        raise ParameterError(f"phase 2 (Omega_A + Omega_B + Omega_C) t overflows at {shown} = {t_max!r}")
+
+
 def dephasing_factors(reservoirs: Sequence[ReservoirSpec], t, method: GammaMethod) -> np.ndarray:
     """The complex factor F of the channel on qubits A, B, C, each in its reservoir.
 
     Each reservoir carries its qubit's splitting Omega_X.  `t` is one time
     (an 8x8 F) or a nonempty 1-d time array (a (T, 8, 8) F, matrix i at t[i]);
     a negative or non-finite time is rejected, and so is a largest time whose
-    largest phase, 2 (Omega_A + Omega_B + Omega_C) t, overflows.  Gamma comes
-    from `gammas`.  As Gamma >= 0, F has a unit diagonal, equals its
-    conjugate transpose bit for bit and has |F| <= 1 up to round-off.
+    largest phase overflows (`check_phase`).  Gamma comes from `gammas`.
+    As Gamma >= 0, F has a unit diagonal, equals its conjugate transpose
+    bit for bit and has |F| <= 1 up to round-off.
     """
     if len(reservoirs) != 3:
         raise ParameterError(f"expected three reservoirs, got {len(reservoirs)}")
@@ -72,9 +80,7 @@ def dephasing_factors(reservoirs: Sequence[ReservoirSpec], t, method: GammaMetho
     times = ts.reshape(-1).tolist()
     damps = np.array([math.exp(-g) for g in gammas(reservoirs, times, method)]).reshape(-1, 3)
     omegas = [res.omega_qubit for res in reservoirs]
-    t_max = max(times)
-    if not 2.0 * (omegas[0] + omegas[1] + omegas[2]) * t_max < math.inf:  # NaN included
-        raise ParameterError(f"phase 2 (Omega_A + Omega_B + Omega_C) t overflows at t = {t_max!r}")
+    check_phase(omegas, max(times))
     c = damps * np.exp(-2j * np.array(omegas) * ts.reshape(-1, 1))
     one = np.ones_like(c)
     channels = np.stack([one, c, c.conj(), one], axis=-1)  # [t, X]: X's 2x2 channel, flattened

@@ -5,11 +5,11 @@ whose nodes it shares (QUADPACK's qk21; Piessens, de Doncker-Kapenga,
 Ueberhuber & Kahaner, QUADPACK, Springer 1983), so the error estimate
 costs no extra node.  A `NodeSet` holds the nodes of every panel, halved,
 both rules' weights before any factor, and the sin^2 over the nodes at the
-last time asked.  A `Rule` holds both rules' weights already multiplied by
-the t-independent factor f(w); `quad` then evaluates it at a time with one
-matrix product, and with one sin^2 over the nodes unless the rule's node
-set last computed it at that time, so rules for several f(w) on one node
-set share it.
+last time asked; a `Rule`, both rules' weights times the t-independent
+factor f(w), and its node set.  `sin_squared` and `weigh` are the one rule,
+at one time or at each row of a block of times, so a block gives each
+time's bits by construction.  `quad` runs them at one time on the node
+set's last sin^2, which rules for several f(w) on one node set share.
 """
 
 from __future__ import annotations
@@ -77,21 +77,19 @@ class NodeSet:
         """sin^2(w t / 2) at every node, read-only."""
         last_t, values = self._last
         if last_t != t:
-            values = _sin_squared(self.half_nodes, t)
+            values = sin_squared(self.half_nodes, t)
             values.setflags(write=False)
             self._last = (t, values)
         return values
 
 
 class Rule(NamedTuple):
-    """half_nodes: w / 2 at every node; weights: a (2, n) array whose rows are
-    the Kronrod and the Gauss weight of each node times f(w) (0 where the
-    Gauss rule has no node); node_set: the NodeSet of these nodes, whose
-    last sin^2 the rule reuses, or None to compute it at every call."""
+    """weights: a (2, n) array whose rows are the Kronrod and the Gauss weight
+    of each node times f(w) (0 where the Gauss rule has no node); node_set:
+    the NodeSet of these nodes, whose last sin^2 the rule reuses."""
 
-    half_nodes: np.ndarray
     weights: np.ndarray
-    node_set: NodeSet | None = None
+    node_set: NodeSet
 
 
 def composite(edges: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
@@ -108,16 +106,21 @@ def composite(edges: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, np.stack([(half * KRONROD_WEIGHTS).ravel(), (half * GAUSS_WEIGHTS).ravel()])
 
 
-def _sin_squared(half_nodes: np.ndarray, t: float) -> np.ndarray:
-    s = np.sin(half_nodes * t)
-    return s * s
+def sin_squared(half_nodes: np.ndarray, times) -> np.ndarray:
+    """sin^2(w t / 2) at every node: an (n,) array at one time, a (k, n) block
+    at a (k, 1) column of k times."""
+    sines = np.sin(half_nodes * times)
+    sines *= sines
+    return sines
+
+
+def weigh(weights: np.ndarray, sines: np.ndarray) -> np.ndarray:
+    """The (Kronrod, Gauss) pair of (2, n) weights on an (n,) sin^2, or a (k, 2)
+    pair per row of a (k, n) block, each row one (2, n) by (n,) product."""
+    return (weights @ sines[..., None])[..., 0]
 
 
 def quad(rule: Rule, t: float) -> tuple[float, float, dict]:
     """(Kronrod value, |Kronrod - Gauss|, {"neval": nodes}) of the integral at t."""
-    if rule.node_set is None:
-        sines = _sin_squared(rule.half_nodes, t)
-    else:
-        sines = rule.node_set.sin_squared(t)
-    kronrod, gauss = (rule.weights @ sines).tolist()
-    return kronrod, abs(kronrod - gauss), {"neval": rule.half_nodes.size}
+    kronrod, gauss = weigh(rule.weights, rule.node_set.sin_squared(t)).tolist()
+    return kronrod, abs(kronrod - gauss), {"neval": rule.weights.shape[1]}

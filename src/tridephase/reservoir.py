@@ -417,7 +417,7 @@ def _quadrature_rule(res: ReservoirSpec, plan: _QuadraturePlan, binade: int) -> 
             j = np.array([spectral(v) for v in w.tolist()], dtype=float)
         factor = 8.0 * res.omega_qubit**2 * j / (w * w) / np.tanh(0.5 * res.beta * w)
         weights = node_set.weights * factor
-    rule = plan.rules[binade] = integrate.Rule(node_set.half_nodes, weights, node_set)
+    rule = plan.rules[binade] = integrate.Rule(weights, node_set)
     return rule
 
 
@@ -442,13 +442,14 @@ def _fill_quadrature_tables(reservoirs: Sequence[ReservoirSpec], times: Sequence
 
     The missing times of one domain and binade share one sin^2 block over
     the binade's node set, built at most _BLOCK_BYTES at a time, and each
-    rule weighs it with one broadcast product: at each time the (2, n) by
-    (n,) product of `integrate.quad`, so every stored Gamma has the bits of
-    `gamma`.  What does not reach a rule is left to `gamma`, to evaluate or
-    to raise in its turn: a time that is not positive and finite, and a
-    reservoir whose plan or rule raises.  A Gamma that fails the convergence
-    test of `gamma` is not stored, and the blocks still to come skip its
-    reservoir.  The blocks of one group run in the order of `times`.
+    rule weighs it: `integrate.sin_squared` and `integrate.weigh`, the one
+    rule `integrate.quad` runs at one time, so every stored Gamma has the
+    bits of `gamma` by construction.  What does not reach a rule is left to
+    `gamma`, to evaluate or to raise in its turn: a time that is not
+    positive and finite, and a reservoir whose plan or rule raises.  A
+    Gamma that fails the convergence test of `gamma` is not stored, and the
+    blocks still to come skip its reservoir.  The blocks of one group run
+    in the order of `times`.
     """
     groups = defaultdict(list)  # (domain, binade) -> [(plan, rule, table)] of the reservoirs there
     wanted = defaultdict(dict)  # (domain, binade) -> the times any of them lacks, in order
@@ -478,10 +479,9 @@ def _fill_quadrature_tables(reservoirs: Sequence[ReservoirSpec], times: Sequence
             if not members:
                 break
             block = ts[start : start + rows]
-            sines = np.sin(np.multiply.outer(block, half_nodes))
-            sines *= sines
+            sines = integrate.sin_squared(half_nodes, np.array(block)[:, None])
             for plan, rule, table in members:
-                pairs = (rule.weights[None] @ sines[:, :, None]).reshape(-1, 2).tolist()
+                pairs = integrate.weigh(rule.weights, sines).tolist()
                 for t, (kronrod, gauss) in zip(block, pairs):
                     if t in table:
                         continue

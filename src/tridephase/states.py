@@ -79,11 +79,3 @@ def assert_density_matrix(rho) -> np.ndarray:
     if not min_eig >= -PSD_TOL:
         raise ParameterError(f"density matrix has negative eigenvalue {min_eig:.3e}")
     return a
-
-
-def is_density_matrix(rho) -> bool:
-    try:
-        assert_density_matrix(rho)
-    except ParameterError:
-        return False
-    return True

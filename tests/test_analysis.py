@@ -393,6 +393,28 @@ def test_sweep_grid_validation():
                   state="ghz5")
 
 
+def test_sweep_grid_rejects_a_largest_time_whose_phase_overflows():
+    # the grid rejects what dephasing_factors would reject at its largest
+    # channel time t_stop / omega_c, before any Gamma is evaluated
+    def grid(t_stop, omega_c=1.0):
+        return SweepGrid(xs=[0.5], etas=[0.1], beta_as=[math.inf], k1s=[1.0], k2s=[1.0],
+                         t_start=0.0, t_stop=t_stop, t_count=2, omega_sqs=(1e300, 1.0, 1.0),
+                         omega_c=omega_c)
+
+    phase = "phase 2 (Omega_A + Omega_B + Omega_C) t overflows at t_stop / omega_c = {}"
+    with pytest.raises(ParameterError) as info:
+        grid(1e300)
+    assert str(info.value) == phase.format("1e+300")
+    with pytest.raises(ParameterError) as info:
+        grid(1e300, omega_c=2.0)
+    assert str(info.value) == phase.format("5e+299")
+    # a largest phase of about 2e290 is still finite, and so is the channel
+    ok = grid(1e300, omega_c=1e160)
+    ((_, reservoirs),) = ok.reservoir_sets
+    factors = evolution.dephasing_factors(reservoirs, ok.channel_times(), ok.method)
+    assert np.isfinite(factors).all()
+
+
 @pytest.mark.parametrize("changes, error, message", [
     (dict(xs=[0.9, 1.5]), ParameterError, r"mixing parameter must lie in \[0, 1\], got 1.5"),
     (dict(etas=[0.2, -1.0]), ParameterError, "coupling constant eta must be >= 0, got -1.0"),

@@ -118,22 +118,24 @@ def test_grid_rows_carry_the_underflowed_gradient_error(capsys):
 
 
 PHASE_OVERFLOW_RUN = ["--set", "t_stop=1e300", "--set", "omega_sq_a=1e300", "--set", "t_count=3"]
-PHASE_OVERFLOW = "phase 2 (Omega_A + Omega_B + Omega_C) t overflows at t = 1e+300"
+PHASE_OVERFLOW = "phase 2 (Omega_A + Omega_B + Omega_C) t overflows at t_stop / omega_c = 1e+300"
 
 
 def test_evolve_rejects_an_overflowing_phase(capsys):
     code, out, err = run(capsys, ["evolve", *PHASE_OVERFLOW_RUN])
     assert (code, out) == (1, "")
-    assert err == f"error: {PHASE_OVERFLOW}\n"
+    assert err == f"error: config key 't_stop': {PHASE_OVERFLOW}\n"
 
 
 def test_measure_rows_carry_an_overflowing_phase(capsys):
-    # every row of the reservoir set carries the channel's error, as for a Gamma failure
+    # the grid rejects the run under t_stop, as evolve does: no row carries
+    # the channel's error, not even the row at t = 0
     code, out, err = run(capsys, ["measure", *PHASE_OVERFLOW_RUN])
-    assert (code, err) == (0, "")
-    rows = read_csv(out)
-    assert [row["value"] for row in rows] == ["nan"] * 3
-    assert [row["error"] for row in rows] == [f"ParameterError: {PHASE_OVERFLOW}"] * 3
+    assert (code, out) == (1, "")
+    assert err == f"error: config key 't_stop': {PHASE_OVERFLOW}\n"
+    code, out, err = run(capsys, ["measure", "--set", "t_count=2", "--set", "t_stop=1e308"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: config key 't_stop': phase 2 (Omega_A + Omega_B + Omega_C)")
 
 
 BAD_RUN_VALUES = {

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tridephase import integrate
 
@@ -31,7 +32,7 @@ def test_composite_splits_each_interval_into_equal_pieces_no_wider_than_width():
 def test_quad_returns_the_kronrod_value_the_two_rules_difference_and_the_node_count():
     # f(w) = 1 on [0, 2]: int sin^2(w t / 2) dw = 1 - sin(2 t) / (2 t)
     nodes, weights = integrate.composite(np.array([0.0, 2.0]), 1.0)
-    rule = integrate.Rule(0.5 * nodes, weights)
+    rule = integrate.Rule(weights, integrate.NodeSet(nodes, weights))
     value, estimate, info = integrate.quad(rule, 1.5)
     assert value == pytest.approx(1.0 - np.sin(3.0) / 3.0, rel=1e-15)
     assert 0.0 <= estimate <= 1e-12
@@ -40,25 +41,62 @@ def test_quad_returns_the_kronrod_value_the_two_rules_difference_and_the_node_co
 
 def test_rules_on_one_node_set_share_its_last_sin_squared_and_keep_their_own_bits(monkeypatch):
     # two factors f(w) on one node set: one sin^2 per change of time, and
-    # each value and estimate bit for bit those of a rule that computes its own
+    # each value and estimate bit for bit those of the rule written out here
     nodes, weights = integrate.composite(np.array([0.0, 1.0, 3.0]), 0.4)
     node_set = integrate.NodeSet(nodes, weights)
     factors = [np.exp(-nodes), 1.0 + nodes**2]
-    shared = [integrate.Rule(node_set.half_nodes, weights * f, node_set) for f in factors]
-    plain = [integrate.Rule(0.5 * nodes, weights * f) for f in factors]
+    shared = [integrate.Rule(weights * f, node_set) for f in factors]
     times = (1.5, 1.5, 0.7, 1.5)
-    want = [[integrate.quad(rule, t) for rule in plain] for t in times]
-    real_sin_squared = integrate._sin_squared
+
+    def reference(f, t):
+        kronrod, gauss = ((weights * f) @ np.sin(0.5 * nodes * t) ** 2).tolist()
+        return kronrod, abs(kronrod - gauss), {"neval": nodes.size}
+
+    want = [[reference(f, t) for f in factors] for t in times]
+    real_sin_squared = integrate.sin_squared
     calls = []
 
     def counting(half_nodes, t):
         calls.append(t)
         return real_sin_squared(half_nodes, t)
 
-    monkeypatch.setattr(integrate, "_sin_squared", counting)
+    monkeypatch.setattr(integrate, "sin_squared", counting)
     got = [[integrate.quad(rule, t) for rule in shared] for t in times]
     assert calls == [1.5, 0.7, 1.5]
     assert [[(v.hex(), e.hex(), info) for v, e, info in row] for row in got] == [
         [(v.hex(), e.hex(), info) for v, e, info in row] for row in want
     ]
     assert not node_set.sin_squared(1.5).flags.writeable
+
+
+@st.composite
+def blocks(draw):
+    """A composite rule's node set, 1-3 factors f(w) and a block of 1-40
+    times, drawn from a few so that some repeat, with a time of 0."""
+    lengths = draw(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=4))
+    start = draw(st.floats(0.0, 1.0))
+    edges = np.cumsum([start, *lengths])
+    nodes, weights = integrate.composite(edges, draw(st.floats(0.1, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = [10.0 ** rng.uniform(-3.0, 3.0, nodes.size) for _ in range(draw(st.integers(1, 3)))]
+    pool = draw(st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=20))
+    times = draw(st.lists(st.sampled_from(pool), min_size=0, max_size=39))
+    times.insert(draw(st.integers(0, len(times))), 0.0)
+    return integrate.NodeSet(nodes, weights), factors, times
+
+
+@settings(max_examples=100, deadline=None)
+@given(blocks())
+def test_a_block_gives_each_times_bits(drawn):
+    # each row of a block is the (2, n) by (n,) product of its time alone;
+    # a plain matrix product of the weights and the block sums in another order
+    node_set, factors, times = drawn
+    column = np.array(times)[:, None]
+    sines = integrate.sin_squared(node_set.half_nodes, column)
+    for f in factors:
+        rule = integrate.Rule(node_set.weights * f, node_set)
+        rows = integrate.weigh(rule.weights, sines).tolist()
+        assert len(rows) == len(times)
+        for t, (kronrod, gauss) in zip(times, rows):
+            value, estimate, _ = integrate.quad(rule, t)
+            assert (kronrod.hex(), abs(kronrod - gauss).hex()) == (value.hex(), estimate.hex())

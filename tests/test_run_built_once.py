@@ -172,7 +172,7 @@ def test_quadrature_tables_live_for_one_run_and_equal_reservoirs_share_one(monke
         rules.clear()
         assert main(argv) == 0
         runs.append(dict(counts, rules=len(rules)))
-        assert counts["j"] == sum(rule.half_nodes.size for rule in rules.values())
+        assert counts["j"] == sum(rule.weights.shape[1] for rule in rules.values())
     assert runs[0] == runs[1]
     assert runs[0]["rules"] > 0
     capsys.readouterr()

@@ -7,7 +7,6 @@ from tridephase.linalg import hermitian_eigenvalues, purity
 from tridephase.states import (
     assert_density_matrix,
     ghz_state,
-    is_density_matrix,
     maximally_mixed,
     projector,
     w_state,
@@ -88,15 +87,16 @@ def test_werner_diagonal_and_positivity(seed, x):
 
 def test_density_matrix_validation():
     assert_density_matrix(werner(w_state(), 0.3))
-    assert is_density_matrix(maximally_mixed())
-    assert not is_density_matrix(np.eye(8))
+    assert_density_matrix(maximally_mixed())
+    with pytest.raises(ParameterError):
+        assert_density_matrix(np.eye(8))
     bad = maximally_mixed()
     bad[0, 1] = 0.5  # breaks positivity and hermiticity
-    assert not is_density_matrix(bad)
+    with pytest.raises(ParameterError):
+        assert_density_matrix(bad)
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (3, 8, 8)], ids=["matrix", "stack"])
 def test_nan_matrix_is_rejected_as_not_hermitian(shape):
     with pytest.raises(ParameterError, match="not Hermitian"):
         assert_density_matrix(np.full(shape, np.nan, dtype=complex))
-    assert not is_density_matrix(np.full(shape, np.nan, dtype=complex))

@@ -477,8 +477,10 @@ def make_reservoirs(
     leaves k1 and k2 unused.  Otherwise beta_a, k1 and k2 must be positive,
     and so must beta_A, k1 beta_A and k2 beta_A after rounding: one that
     underflows to 0 or overflows to inf is rejected by the name of its
-    factor, with beta_a quoted as given.
+    factor, with beta_a quoted as given.  omegas must hold three splittings.
     """
+    if len(omegas) != 3:
+        raise ParameterError(f"make_reservoirs takes three splittings, got {omegas!r}")
     spectral = OhmicSpectralDensity(eta, omega_c)
     if beta_a == ZERO_TEMPERATURE:
         betas = (beta_a, beta_a, beta_a)

@@ -10,7 +10,6 @@ of row objects, written to --out or standard output.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import itertools
 import json
@@ -19,7 +18,6 @@ import os
 import re
 import sys
 from functools import partial
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -31,7 +29,7 @@ from .reservoir import GammaMethod
 
 _METHODS = {m.value: m for m in GammaMethod}
 
-# a text with none of these is never quoted by csv.writer (csv.QUOTE_MINIMAL)
+# a CSV text that holds any of these is quoted (RFC 4180)
 _MAY_NEED_QUOTES = re.compile('[,"\r\n]').search
 
 
@@ -181,20 +179,17 @@ def _parse_run(config: dict, timescales: bool | None = None) -> SweepGrid:
 
 
 def _csv_texts(column) -> list[str]:
-    """The CSV text of each cell of a column, as csv.writer writes it in a row of several.
+    """The CSV text of each cell of a column.
 
-    A cell's text is its _fmt text.  When some text holds a comma, a quote
-    or a line break, csv.writer (csv.QUOTE_MINIMAL) writes the column's
-    texts and quotes those it must.  A column known to hold floats goes to
-    _float_texts instead, as a float's text is never quoted.
+    A cell's text is its _fmt text, quoted when it holds a comma, a quote,
+    \r or \n, with each quote doubled (RFC 4180), on every Python.  A column
+    known to hold floats goes to _float_texts instead, as a float's text is
+    never quoted.
     """
     texts = [cell if type(cell) is str else _fmt(cell) for cell in column]
     if not _MAY_NEED_QUOTES("".join(texts)):
         return texts
-    lines = []  # csv.writer makes one write per row
-    csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n").writerows([text] for text in texts)
-    # csv quotes a lone empty cell; in a row of several it stays empty
-    return [line[:-1] if text else "" for text, line in zip(texts, lines)]
+    return ['"' + text.replace('"', '""') + '"' if _MAY_NEED_QUOTES(text) else text for text in texts]
 
 
 def _json_item(fieldnames: list[str], row) -> dict:

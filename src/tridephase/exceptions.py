@@ -22,7 +22,7 @@ class MethodError(TridephaseError):
 
 
 class QuadratureError(TridephaseError):
-    """Adaptive quadrature did not reach the requested accuracy."""
+    """The fixed Gauss-Kronrod rule's error estimate missed the tolerance."""
 
     def __init__(self, message: str, error_estimate: float):
         super().__init__(message)

@@ -5,16 +5,15 @@ whose nodes it shares (QUADPACK's qk21; Piessens, de Doncker-Kapenga,
 Ueberhuber & Kahaner, QUADPACK, Springer 1983), so the error estimate
 costs no extra node.  A `NodeSet` holds the nodes of every panel, halved,
 both rules' weights before any factor, and the sin^2 over the nodes at the
-last time asked; a `Rule`, both rules' weights times the t-independent
-factor f(w), and its node set.  `sin_squared` and `weigh` are the one rule,
-at one time or at each row of a block of times, so a block gives each
-time's bits by construction.  `quad` runs them at one time on the node
-set's last sin^2, which rules for several f(w) on one node set share.
+last time asked.  A rule for one f(w) is its (2, n) weight array, both
+rules' weights times the t-independent factor f(w).  `sin_squared` and
+`weigh` are the one rule, at one time or at each row of a block of times,
+so a block gives each time's bits by construction.  `quad` runs them at
+one time on the node set's last sin^2, which the weight arrays of several
+f(w) on one node set share.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,15 +82,6 @@ class NodeSet:
         return values
 
 
-class Rule(NamedTuple):
-    """weights: a (2, n) array whose rows are the Kronrod and the Gauss weight
-    of each node times f(w) (0 where the Gauss rule has no node); node_set:
-    the NodeSet of these nodes, whose last sin^2 the rule reuses."""
-
-    weights: np.ndarray
-    node_set: NodeSet
-
-
 def composite(edges: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
     """(nodes, (2, n) Kronrod and Gauss weights) of the 21-point rule on the
     panels that split each interval between consecutive edges into the
@@ -120,7 +110,8 @@ def weigh(weights: np.ndarray, sines: np.ndarray) -> np.ndarray:
     return (weights @ sines[..., None])[..., 0]
 
 
-def quad(rule: Rule, t: float) -> tuple[float, float, dict]:
-    """(Kronrod value, |Kronrod - Gauss|, {"neval": nodes}) of the integral at t."""
-    kronrod, gauss = weigh(rule.weights, rule.node_set.sin_squared(t)).tolist()
-    return kronrod, abs(kronrod - gauss), {"neval": rule.weights.shape[1]}
+def quad(weights: np.ndarray, node_set: NodeSet, t: float) -> tuple[float, float, dict]:
+    """(Kronrod value, |Kronrod - Gauss|, {"neval": nodes}) of the integral at
+    t, by the (2, n) weights times f(w) on the node set's sin^2."""
+    kronrod, gauss = weigh(weights, node_set.sin_squared(t)).tolist()
+    return kronrod, abs(kronrod - gauss), {"neval": weights.shape[1]}

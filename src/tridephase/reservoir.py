@@ -209,11 +209,12 @@ _DOMAINS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 class _QuadraturePlan(NamedTuple):
     """domain: the shared _QuadratureDomain; rules: binade -> this reservoir's
-    integrate.Rule, filled by _quadrature_rule on first use."""
+    (2, n) weight array on the domain's node set of the binade, the Kronrod
+    and Gauss weights times its factor, filled by _quadrature_rule on first use."""
 
     domain: _QuadratureDomain
     epsabs: float
-    rules: dict[int, integrate.Rule]
+    rules: dict[int, np.ndarray]
 
 
 class GammaMethod(Enum):
@@ -398,12 +399,13 @@ def _binade(domain: _QuadratureDomain, t: float) -> int:
     return min(max(math.frexp(t)[1], domain.first_binade), domain.last_binade)
 
 
-def _quadrature_rule(res: ReservoirSpec, plan: _QuadraturePlan, binade: int) -> integrate.Rule:
-    """The rule of every t in [2^(binade - 1), 2^binade), built on first use:
-    the domain's node set of the binade, its weights times this reservoir's factor."""
-    rule = plan.rules.get(binade)
-    if rule is not None:
-        return rule
+def _quadrature_rule(res: ReservoirSpec, plan: _QuadraturePlan, binade: int) -> np.ndarray:
+    """The (2, n) weight array of every t in [2^(binade - 1), 2^binade), built
+    on first use: the weights of the domain's node set of the binade, which
+    this also builds on first use, times this reservoir's factor."""
+    weights = plan.rules.get(binade)
+    if weights is not None:
+        return weights
     node_sets = plan.domain.node_sets
     node_set = node_sets.get(binade) or node_sets.setdefault(binade, _node_set(plan.domain, binade))
     w = node_set.nodes
@@ -416,9 +418,8 @@ def _quadrature_rule(res: ReservoirSpec, plan: _QuadraturePlan, binade: int) -> 
         else:
             j = np.array([spectral(v) for v in w.tolist()], dtype=float)
         factor = 8.0 * res.omega_qubit**2 * j / (w * w) / np.tanh(0.5 * res.beta * w)
-        weights = node_set.weights * factor
-    rule = plan.rules[binade] = integrate.Rule(weights, node_set)
-    return rule
+        weights = plan.rules[binade] = node_set.weights * factor
+    return weights
 
 
 def _converged(plan: _QuadraturePlan, value: float, abserr: float) -> float:
@@ -433,7 +434,9 @@ def _converged(plan: _QuadraturePlan, value: float, abserr: float) -> float:
 
 
 def _gamma_quadrature(res: ReservoirSpec, plan: _QuadraturePlan, t: float) -> float:
-    value, abserr, _ = integrate.quad(_quadrature_rule(res, plan, _binade(plan.domain, t)), t)
+    binade = _binade(plan.domain, t)
+    weights = _quadrature_rule(res, plan, binade)  # builds the binade's node set on first use
+    value, abserr, _ = integrate.quad(weights, plan.domain.node_sets[binade], t)
     return _converged(plan, value, abserr)
 
 
@@ -442,16 +445,16 @@ def _fill_quadrature_tables(reservoirs: Sequence[ReservoirSpec], times: Sequence
 
     The missing times of one domain and binade share one sin^2 block over
     the binade's node set, built at most _BLOCK_BYTES at a time, and each
-    rule weighs it: `integrate.sin_squared` and `integrate.weigh`, the one
-    rule `integrate.quad` runs at one time, so every stored Gamma has the
-    bits of `gamma` by construction.  What does not reach a rule is left to
-    `gamma`, to evaluate or to raise in its turn: a time that is not
-    positive and finite, and a reservoir whose plan or rule raises.  A
-    Gamma that fails the convergence test of `gamma` is not stored, and the
-    blocks still to come skip its reservoir.  The blocks of one group run
-    in the order of `times`.
+    reservoir's weight array of the binade weighs it: `integrate.sin_squared`
+    and `integrate.weigh`, the one rule `integrate.quad` runs at one time,
+    so every stored Gamma has the bits of `gamma` by construction.  What
+    does not reach a weight array is left to `gamma`, to evaluate or to
+    raise in its turn: a time that is not positive and finite, and a
+    reservoir whose plan or weights raise.  A Gamma that fails the
+    convergence test of `gamma` is not stored, and the blocks still to come
+    skip its reservoir.  The blocks of one group run in the order of `times`.
     """
-    groups = defaultdict(list)  # (domain, binade) -> [(plan, rule, table)] of the reservoirs there
+    groups = defaultdict(list)  # (domain, binade) -> [(plan, weights, table)] of the reservoirs there
     wanted = defaultdict(dict)  # (domain, binade) -> the times any of them lacks, in order
     for res in {id(res): res for res in reservoirs}.values():
         table = res._gamma_tables[GammaMethod.NUMERIC_QUADRATURE]
@@ -480,8 +483,8 @@ def _fill_quadrature_tables(reservoirs: Sequence[ReservoirSpec], times: Sequence
                 break
             block = ts[start : start + rows]
             sines = integrate.sin_squared(half_nodes, np.array(block)[:, None])
-            for plan, rule, table in members:
-                pairs = integrate.weigh(rule.weights, sines).tolist()
+            for plan, weights, table in members:
+                pairs = integrate.weigh(weights, sines).tolist()
                 for t, (kronrod, gauss) in zip(block, pairs):
                     if t in table:
                         continue

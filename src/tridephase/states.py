@@ -35,7 +35,7 @@ def projector(psi) -> np.ndarray:
     """|psi><psi| for a normalized pure state."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
     norm_sq = float(np.vdot(v, v).real)
-    if abs(norm_sq - 1.0) > NORM_TOL:
+    if not abs(norm_sq - 1.0) <= NORM_TOL:  # NaN included
         raise ParameterError(f"pure state is not normalized: |psi|^2 = {norm_sq!r}")
     return np.outer(v, v.conj())
 

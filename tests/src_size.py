@@ -1,6 +1,9 @@
 """The size of src/, each line counted once as code, docstring, comment or blank.
 
-    PYTHONPATH=src python tests/src_size.py    # one row per module, then the total
+    python tests/src_size.py [PACKAGE_DIR]    # one row per module, then the total
+
+PACKAGE_DIR defaults to this checkout's src/tridephase; another one counts,
+say, a parent commit's copy made by `git archive` or `git worktree`.
 
 A blank line holds only white space, inside a docstring too.  Any other
 line is a docstring line if it is part of a string literal that `ast` reads
@@ -74,10 +77,11 @@ def sizes(src: Path = SRC) -> dict[str, dict[str, int]]:
     return table
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
     print(f"| file | lines | {' | '.join(KINDS)} |")
     print("|---|---:|" + "---:|" * len(KINDS))
-    for name, row in sizes().items():
+    for name, row in sizes(Path(args[0]) if args else SRC).items():
         cells = " | ".join(f"{row[kind]:,}" for kind in KINDS)
         print(f"| {name} | {sum(row.values()):,} | {cells} |")
     return 0

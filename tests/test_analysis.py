@@ -439,6 +439,13 @@ def test_make_reservoirs_zero_temperature():
     assert gradient(math.inf, 0.0, math.nan) == gradient(math.inf, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("omegas", [(), (2.0,), (2.0, 2.0), (2.0, 2.0, 2.0, 2.0)])
+def test_make_reservoirs_takes_three_splittings(omegas):
+    # zip would build as many reservoirs as the shorter of betas and omegas
+    with pytest.raises(ParameterError, match=r"^make_reservoirs takes three splittings, got \("):
+        make_reservoirs(0.2, 1.0, 1.0, 1.0, 1.0, omegas)
+
+
 def sampled(curve, ts):
     ts = [float(t) for t in ts]
     return ts, [curve(t) for t in ts]

@@ -17,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 import tridephase.reservoir
 from tridephase import analysis, cli
 from tridephase.analysis import ROOT_REL_TOL, preservation_time_zero_t
-from tridephase.cli import PARAM_FIELDS, _emit, _float_texts, _fmt, _parse_run, load_config, main
+from tridephase.cli import (
+    PARAM_FIELDS, _csv_texts, _emit, _float_texts, _fmt, _parse_run, load_config, main,
+)
 from tridephase.exceptions import ShapeError
 from tridephase.states import ghz_state, werner
 
@@ -744,20 +746,43 @@ def tables(draw):
     return fieldnames, curves
 
 
+def csv_writer_line(cells) -> str:
+    """One row as csv.writer writes it, ended by a line feed.  It is written
+    with a CR LF terminator, with which csv.writer quotes a lone CR on every
+    Python (with an LF terminator, only from 3.13), and that is stripped."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="\r\n").writerow(cells)
+    return line.getvalue()[:-2] + "\n"
+
+
 @settings(max_examples=400, deadline=None)
 @given(tables())
 def test_csv_output_equals_csv_writer(table):
     fieldnames, curves = table
-    expected = io.StringIO()
-    writer = csv.writer(expected, lineterminator="\n")
-    writer.writerow(fieldnames)
+    expected = [csv_writer_line(fieldnames)]
     for heads, floats, columns, tail in curves:
         for row in zip(*floats, *columns):
-            writer.writerow([_fmt(cell) for cell in (*itertools.chain(*heads), *row, *tail)])
+            cells = (*itertools.chain(*heads), *row, *tail)
+            expected.append(csv_writer_line([_fmt(cell) for cell in cells]))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         _emit(fieldnames, curves, SimpleNamespace(format="csv", out=None))
-    assert out.getvalue() == expected.getvalue()
+    assert out.getvalue() == "".join(expected)
+
+
+def test_csv_quoting_is_the_same_on_every_python():
+    # literal texts, so each Python checks the same bytes: a \r is quoted
+    # (csv.writer leaves it bare before 3.13), and a NUL in a text that needs
+    # quotes is quoted (csv.writer raises on 3.10)
+    texts = ["a\rb", 'q"', "", "a\x00b,", "plain"]
+    assert _csv_texts(texts) == ['"a\rb"', '"q"""', "", '"a\x00b,"', "plain"]
+    assert _csv_texts(["a\rb", "x"]) == ['"a\rb"', "x"]
+    # a row of such cells reads back whole; csv.reader rejects a NUL on 3.10
+    cells = ["a\rb", 'q"', "", "a\nb,", "plain"]
+    out, args = io.StringIO(), SimpleNamespace(format="csv", out=None)
+    with contextlib.redirect_stdout(out):
+        _emit(["h"] * 5, [((), [], [[cell] for cell in cells], ())], args)
+    assert list(csv.reader(io.StringIO(out.getvalue(), newline=""))) == [["h"] * 5, cells]
 
 
 def test_an_error_text_that_needs_quotes_reads_back(capsys, monkeypatch):

@@ -296,11 +296,12 @@ def test_quadrature_integrand_is_the_ohmic_form_bit_for_bit(
 
     # below omega_eps = 1e-8 omega_c the integrand is continued flat: one
     # node at omega_eps that both rules weigh alike
-    (rule,) = fresh._quadrature_plan.rules.values()
+    plan = fresh._quadrature_plan
+    ((binade, weights),) = plan.rules.items()
     omega_eps = 1e-8 * (60.0 * omega_c) / 60.0
-    half_nodes = rule.node_set.half_nodes
+    half_nodes = plan.domain.node_sets[binade].half_nodes
     assert 2.0 * half_nodes[0] == omega_eps < 2.0 * half_nodes[1:].min()
-    assert rule.weights[0, 0] == rule.weights[1, 0] > 0.0
+    assert weights[0, 0] == weights[1, 0] > 0.0
 
 
 @settings(max_examples=200, deadline=None)
@@ -335,9 +336,9 @@ def test_quadrature_rules_are_capped_and_shared_beyond_the_last_binade():
     plan = res._quadrature_plan
     for t in (1e4, 1e10, 1e300):
         assert gamma(res, t, GammaMethod.NUMERIC_QUADRATURE) == 0.0
-    (rule,) = plan.rules.values()
+    (weights,) = plan.rules.values()
     panels = reservoir._PANEL_LIMIT + len(plan.domain.edges) - 1
-    assert rule.weights.shape[1] <= 21 * panels + 1
+    assert weights.shape[1] <= 21 * panels + 1
     assert list(plan.rules) == [plan.domain.last_binade]
 
 

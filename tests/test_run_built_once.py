@@ -158,9 +158,9 @@ def test_quadrature_tables_live_for_one_run_and_equal_reservoirs_share_one(monke
         return real_j(spectral, omega)
 
     def recording_rule(res, plan, binade):
-        rule = real_rule(res, plan, binade)
-        rules[id(rule)] = rule
-        return rule
+        weights = real_rule(res, plan, binade)
+        rules[id(weights)] = weights
+        return weights
 
     monkeypatch.setattr(OhmicSpectralDensity, "__call__", counting_j)
     monkeypatch.setattr(reservoir, "_quadrature_rule", recording_rule)
@@ -172,7 +172,7 @@ def test_quadrature_tables_live_for_one_run_and_equal_reservoirs_share_one(monke
         rules.clear()
         assert main(argv) == 0
         runs.append(dict(counts, rules=len(rules)))
-        assert counts["j"] == sum(rule.weights.shape[1] for rule in rules.values())
+        assert counts["j"] == sum(weights.shape[1] for weights in rules.values())
     assert runs[0] == runs[1]
     assert runs[0]["rules"] > 0
     capsys.readouterr()

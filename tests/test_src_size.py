@@ -1,4 +1,4 @@
-from src_size import KINDS, SRC, line_kinds, sizes
+from src_size import KINDS, SRC, line_kinds, main, sizes
 
 
 def test_each_line_is_one_kind():
@@ -24,3 +24,17 @@ def test_the_four_counts_sum_to_each_files_lines():
     for path in paths:
         assert sum(table[path.name].values()) == len(path.read_text().splitlines())
     assert table["total"] == {kind: sum(table[path.name][kind] for path in paths) for kind in KINDS}
+
+
+def test_main_counts_the_package_directory_it_is_given(tmp_path, capsys):
+    (tmp_path / "a.py").write_text('"""Doc."""\n\nx = 1  # one\n# two\n')
+    (tmp_path / "notes.txt").write_text("not a module\n")
+    assert main([str(tmp_path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert rows == ["| a.py | 4 | 1 | 1 | 1 | 1 |", "| total | 4 | 1 | 1 | 1 | 1 |"]
+    # without one it counts src/tridephase
+    assert main([]) == 0
+    total = sizes()["total"]
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"| total | {sum(total.values()):,} | " + " | ".join(f"{total[kind]:,}" for kind in KINDS) + " |"
+    )

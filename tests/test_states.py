@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from tridephase.exceptions import ParameterError
 from tridephase.linalg import hermitian_eigenvalues, purity
+from tridephase.measures import gmc_pure
 from tridephase.states import (
     assert_density_matrix,
     ghz_state,
@@ -71,6 +72,17 @@ def test_werner_rejects_bad_x():
 def test_werner_rejects_unnormalized_state():
     with pytest.raises(ParameterError):
         werner(2.0 * ghz_state(), 0.5)
+
+
+@pytest.mark.parametrize("psi", [np.full(8, np.nan), np.full(8, np.inf), [0, 0, 0, np.inf, 0, 0, 0, 0]],
+                         ids=["all_nan", "all_inf", "one_inf"])
+@pytest.mark.parametrize("build", [projector, lambda psi: werner(psi, 0.5), gmc_pure],
+                         ids=["projector", "werner", "gmc_pure"])
+def test_a_nan_or_infinite_pure_state_is_not_normalized(psi, build):
+    # |psi|^2 is NaN, which the norm check rejects before any warning (the
+    # suite makes a RuntimeWarning an error)
+    with pytest.raises(ParameterError, match=r"^pure state is not normalized: \|psi\|\^2 = nan$"):
+        build(psi)
 
 
 @given(seed=st.integers(0, 2**32 - 1), x=st.floats(0.0, 1.0))

@@ -14,6 +14,7 @@ import itertools
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -78,7 +79,7 @@ def preservation_time_zero_t(x: float, eta: float, omega_sq: float, omega_c: flo
     """Closed-form vanishing time of the zero-temperature GHZ-Werner GMC.
 
     (1/w_c) sqrt((4x / 3(1-x))^(1 / (2 eta Omega^2)) - 1); returns 0 for
-    x <= 3/7 and +inf for x = 1.
+    x <= 3/7, and +inf for x = 1 or where t_p is past the float range.
     """
     check_mixing(x)
     if not (eta > 0 and omega_sq > 0 and omega_c > 0):
@@ -88,7 +89,12 @@ def preservation_time_zero_t(x: float, eta: float, omega_sq: float, omega_c: flo
     ratio = 4.0 * x / (3.0 * (1.0 - x))
     if ratio <= 1.0:  # x <= 3/7
         return 0.0
-    return math.sqrt(ratio ** (1.0 / (2.0 * eta * omega_sq)) - 1.0) / omega_c
+    p = 1.0 / (2.0 * eta * omega_sq)
+    try:
+        return math.sqrt(ratio**p - 1.0) / omega_c
+    except OverflowError:  # so ratio^-p < 1e-308: t_p = ratio^(p/2) sqrt(1 - ratio^-p) / w_c
+        log_t = 0.5 * p * math.log(ratio) - math.log(omega_c)
+    return math.exp(log_t) if log_t <= math.log(sys.float_info.max) else math.inf
 
 
 def _itp(

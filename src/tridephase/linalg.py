@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -57,7 +58,8 @@ def hermiticity_defect(m):
     a = _as_square(m, stack=True)
     rows, cols = _pairs(a.shape[-1])
     upper, lower = a[..., rows, cols], a[..., cols, rows]  # fancy indexing: fresh copies
-    difference = np.subtract(upper, np.conjugate(lower, out=lower), out=upper)
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN defect, which the check rejects
+        difference = np.subtract(upper, np.conjugate(lower, out=lower), out=upper)
     return per_matrix(np.abs(difference).max(axis=-1), a)
 
 
@@ -155,10 +157,27 @@ def hermitian_eigenvalues(m) -> np.ndarray:
 
 
 def _subsystem_dims(dims, n: int) -> list[int]:
-    dims = [int(d) for d in dims]
-    if math.prod(dims) != n:
-        raise ShapeError(f"subsystem dimensions {dims} do not factor a {n}-dimensional matrix")
-    return dims
+    """dims, positive integers (`operator.index`) whose product is n, as a list of ints."""
+    try:
+        sizes = [operator.index(d) for d in dims]
+    except TypeError:
+        sizes = []
+    if not (sizes and min(sizes) > 0):
+        raise ShapeError(f"subsystem dimensions must be positive integers, got {dims!r}")
+    if math.prod(sizes) != n:
+        raise ShapeError(f"subsystem dimensions {sizes} do not factor a {n}-dimensional matrix")
+    return sizes
+
+
+def subsystem_index(k, count: int) -> int:
+    """k, an integer (`operator.index`), as the index of one of `count` subsystems."""
+    try:
+        index = operator.index(k)
+    except TypeError:
+        raise ShapeError(f"subsystem index must be an integer, got {k!r}") from None
+    if not 0 <= index < count:
+        raise ShapeError(f"subsystem index {index} out of range for {count} subsystems")
+    return index
 
 
 def partial_transpose(rho, dims, subsystem: int) -> np.ndarray:
@@ -170,8 +189,7 @@ def partial_transpose(rho, dims, subsystem: int) -> np.ndarray:
     """
     a = _as_square(rho, stack=True)
     dims = _subsystem_dims(dims, a.shape[-1])
-    if not 0 <= subsystem < len(dims):
-        raise ShapeError(f"subsystem index {subsystem} out of range for {len(dims)} subsystems")
+    subsystem = subsystem_index(subsystem, len(dims))
     lead = a.shape[:-2]
     n = len(dims)
     t = a.reshape(lead + tuple(dims + dims))
@@ -187,11 +205,9 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     """
     a = _as_square(rho)
     dims = _subsystem_dims(dims, a.shape[0])
-    keep_set = set(int(k) for k in keep)
+    keep_set = {subsystem_index(k, len(dims)) for k in keep}
     if not keep_set:
         raise ShapeError("must keep at least one subsystem")
-    if not keep_set <= set(range(len(dims))):
-        raise ShapeError(f"keep indices {sorted(keep_set)} out of range for {len(dims)} subsystems")
 
     t = a.reshape(dims + dims)
     n_left = len(dims)

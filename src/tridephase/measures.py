@@ -20,7 +20,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import ParameterError, ShapeError
-from .linalg import hermitian_eigenvalues, partial_trace, partial_transpose, per_matrix, purity
+from .linalg import (
+    hermitian_eigenvalues,
+    partial_trace,
+    partial_transpose,
+    per_matrix,
+    purity,
+    subsystem_index,
+)
 from .states import DIM, assert_density_matrix, check_mixing, projector
 
 QUBIT_DIMS = [2, 2, 2]
@@ -28,7 +35,6 @@ BIPARTITIONS = ("a_bc", "b_ac", "c_ab")  # the cut X|YZ of the partial transpose
 
 # Eigenvalues and matrix entries below this magnitude count as zero.
 ZERO_EIGENVALUE_TOL = 1e-12
-X_SHAPE_TOL = 1e-12
 
 
 class DensityStack:
@@ -64,6 +70,8 @@ class DensityStack:
 
     def negativities(self, subsystem: int) -> np.ndarray:
         """The (...) array of `negativity` on one cut, shared by every caller."""
+        # checked before the cache, where a key of 1.0 would find cut 1
+        subsystem = subsystem_index(subsystem, len(QUBIT_DIMS))
         if subsystem not in self._negativities:
             eigs = self.pt_eigenvalues(subsystem)
             # Eigenvalues ascend, so the negative ones lead each row, and there
@@ -110,8 +118,8 @@ def _modulus(z: np.ndarray) -> np.ndarray:
 def _check_x_shape(worst: float, where: tuple[int, int]) -> None:
     """The X-shape rule: `worst`, the largest off-X modulus (first, in row-major
     order, at element `where`; a NaN counts as the largest), must stay below
-    X_SHAPE_TOL."""
-    if worst >= X_SHAPE_TOL:
+    ZERO_EIGENVALUE_TOL."""
+    if worst >= ZERO_EIGENVALUE_TOL:
         raise ShapeError(f"matrix is not X-shaped: element {where} has modulus {worst:.3e}")
     if worst != worst:
         raise ShapeError(f"matrix is not X-shaped: element {where} has a NaN modulus")
@@ -119,9 +127,9 @@ def _check_x_shape(worst: float, where: tuple[int, int]) -> None:
 
 def _assert_x_shaped(rho: np.ndarray) -> None:
     # np.abs may differ from _modulus in the last bit, so it only screens:
-    # below X_SHAPE_TOL / 2 it passes every matrix, anything else (NaN
+    # below ZERO_EIGENVALUE_TOL / 2 it passes every matrix, anything else (NaN
     # included) is judged, and reported, by the moduli of _modulus
-    if (np.abs(rho[..., _OFF_X]) < X_SHAPE_TOL / 2).all():
+    if (np.abs(rho[..., _OFF_X]) < ZERO_EIGENVALUE_TOL / 2).all():
         return
     mags = np.where(_OFF_X, _modulus(rho), 0.0)
     first = int(np.argmax(mags))  # the first NaN, else the worst matrix's first largest entry

@@ -22,7 +22,7 @@ from .analysis import (
     preservation_time_zero_t,
 )
 from .evolution import dephasing_factors, evolve, gammas
-from .exceptions import ParameterError, TridephaseError
+from .exceptions import ParameterError
 from .measures import DensityStack, gmc_ghz_werner, gmc_x_state
 from .reservoir import ZERO_TEMPERATURE, GammaMethod, OhmicSpectralDensity, ReservoirSpec
 from .states import check_mixing, ghz_state, werner
@@ -78,11 +78,13 @@ def preservation_time_vs_closed_form() -> float:
     worst = 0.0
     for x in (0.5, 0.6, 0.7, 0.8, 0.9):
         for eta in (0.1, 0.2, 0.4):
-            for omega_sq in (1.0, 4.0, 12.0):
-                closed = preservation_time_zero_t(x, eta, omega_sq, 1.0)
+            for omega in (1.0, 2.0, math.sqrt(12.0)):
+                # one reservoir carries the total Omega^2 of the three qubits
+                res = ReservoirSpec(OhmicSpectralDensity(eta, 1.0), ZERO_TEMPERATURE, omega)
+                closed = preservation_time_zero_t(x, eta, omega**2, 1.0)
 
-                def curve(t, x=x, eta=eta, omega_sq=omega_sq):
-                    return gmc_ghz_werner(x, 2.0 * eta * omega_sq * math.log1p(t * t))
+                def curve(t, x=x, res=res, method=GammaMethod.ZERO_T_CLOSED_FORM):
+                    return gmc_ghz_werner(x, reservoir.gamma(res, t, method))
 
                 numeric = preservation_time_numeric(curve, 1e4)
                 worst = max(worst, abs(numeric - closed) / closed)
@@ -112,22 +114,16 @@ def sinh_residual() -> float:
     return worst
 
 
-def _outcome(fn, *args):
-    """fn(*args), or the text of the package error it raises."""
-    try:
-        return fn(*args)
-    except TridephaseError as exc:
-        return analysis._error_text(exc)
-
-
 def kernels_vs_pipeline() -> float:
     """Gamma-space kernels vs the matrix pipeline: worst |difference| over every
     (state, measure); inf where one raises and the other does not, or raises
     another text.
 
     40 random exact-Gamma reservoir sets and x, each over 61 times, both
-    Werner families and all six measures.  A measure that raises on the
-    stack is compared row by row.
+    Werner families and all six measures.  Both sides run as the sweep runs
+    them: each measure through `analysis._measure_curve`, which replays a
+    stack that raises row by row, and each kernel at d_X = exp(-Gamma_X)
+    from `gammas`, as `analysis._gamma_curve` takes it.
     """
     rng = np.random.default_rng(2021)
     times = np.linspace(0.0, 3.0, 61)
@@ -137,18 +133,18 @@ def kernels_vs_pipeline() -> float:
         eta, beta_a, k1, k2 = rng.uniform((0.05, 0.1, 0.5, 0.5), (0.5, 100.0, 16.0, 16.0)).tolist()
         reservoirs = make_reservoirs(eta, 1.0, beta_a, k1, k2, (1.5, 2.0, 2.5))
         factors = dephasing_factors(reservoirs, times, GammaMethod.EXACT)
-        damps = np.exp(-np.array(gammas(reservoirs, times.tolist(), GammaMethod.EXACT)))
+        gs = gammas(reservoirs, times.tolist(), GammaMethod.EXACT)
+        damps = np.array([math.exp(-g) for g in gs]).reshape(-1, 3).tolist()
         for state, psi in STATES.items():
-            stack = DensityStack(evolve(werner(psi(), x), factors))
+            evolved = evolve(werner(psi(), x), factors)
+            stack = DensityStack(evolved)
             for name, measure in MEASURES.items():
-                matrix = _outcome(measure, stack)
-                if isinstance(matrix, str):
-                    matrix = [_outcome(measure, row) for row in stack.rows()]
                 kernel = KERNELS[state, name]
-                closed = [_outcome(kernel, x, d) for d in damps.reshape(-1, 3).tolist()]
-                for a, b in zip(matrix, closed, strict=True):
-                    if isinstance(a, str) or isinstance(b, str):
-                        worst = worst if a == b else math.inf
+                matrix = zip(*analysis._measure_curve(measure, evolved, stack))
+                closed = zip(*analysis._measure_curve(lambda d: kernel(x, d), damps, None))
+                for (a, error_a), (b, error_b) in zip(matrix, closed, strict=True):
+                    if error_a or error_b:
+                        worst = worst if error_a == error_b else math.inf
                     else:
                         worst = max(worst, abs(a - b))
     return worst
@@ -195,10 +191,10 @@ def gmc_ghz_werner_low_t(
     checked by preservation_time_sinh_residual.  Cross-check only.
     """
     check_mixing(x)
-    reservoir._check_time(t)
+    t = reservoir._check_time(t)
     if t == 0.0:
         return math.inf if x > 0 else 0.0
-    log_bracket = math.log1p((omega_c * t) ** 2) - math.log(math.pi**2 * t * t)
+    log_bracket = reservoir._log1p_square(omega_c * t) - math.log(math.pi**2 * t * t)
     for beta in betas:
         log_bracket += 2.0 * _log_beta_sinh(beta, t)
     exponent = -2.0 * eta * omega_sq * log_bracket

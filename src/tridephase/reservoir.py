@@ -168,12 +168,11 @@ class ReservoirSpec:
         A cutoff that quadrature cannot take raises MethodError here, which
         caches nothing, so it raises again at every t, 0 included.
         """
-        omega_eps, cutoff = key = _quadrature_domain(self.spectral)
-        domain = _DOMAINS.get(key) or _DOMAINS.setdefault(key, _QuadratureDomain(omega_eps, cutoff))
+        domain = _quadrature_domain(self.spectral)
         # QUAD_EPSABS is an error budget for an integrand of order one; a weaker
         # one, 8 Omega^2 J(w)/w below 1 at the flat continuation (8 Omega^2 eta
         # for Ohmic), gets a budget that scales with it
-        weak = 8.0 * self.omega_qubit**2 * self.spectral(omega_eps) / omega_eps
+        weak = 8.0 * self.omega_qubit**2 * self.spectral(domain.omega_eps) / domain.omega_eps
         return _QuadraturePlan(domain, float(QUAD_EPSABS * min(1.0, weak)), {})
 
     @cached_property
@@ -188,11 +187,12 @@ class ReservoirSpec:
 
 
 class _QuadratureDomain:
-    """What every reservoir on one (omega_eps, cutoff) shares: the geometric
-    panel edges from omega_eps to the cutoff, the binades whose rules differ,
+    """What every reservoir on one (omega_eps, cutoff) shares: those two ends,
+    the geometric panel edges between them, the binades whose rules differ,
     and node_sets: binade -> integrate.NodeSet, filled by _node_set on first use."""
 
     def __init__(self, omega_eps: float, cutoff: float):
+        self.omega_eps, self.cutoff = omega_eps, cutoff
         decades = math.log10(cutoff / omega_eps)
         self.edges = np.geomspace(omega_eps, cutoff, math.ceil(_PANELS_PER_DECADE * decades) + 1)
         # below the first binade two periods at its top are wider than the
@@ -243,14 +243,32 @@ def _log_sinhc(z: float) -> float:
     return z + math.log(-math.expm1(-2.0 * z)) - math.log(2.0) - math.log(z)
 
 
-def _check_time(t: float) -> None:
-    if not 0.0 <= t < math.inf:
+def _log1p_square(x: float) -> float:
+    """ln(1 + x^2) for x >= 0, finite wherever ln x is: log1p(x x) while x x is
+    finite, and past that 2 ln x + log1p(x^-2), where x^-2 < 1e-308 adds nothing."""
+    square = x * x
+    return math.log1p(square) if square < math.inf else 2.0 * math.log(x)
+
+
+def _check_time(t) -> float:
+    """t as a float, if it is a number (not a string) that is finite and >= 0."""
+    try:
+        time = math.nan if isinstance(t, (str, bytes, bytearray)) else float(t)
+    except (TypeError, ValueError):  # not a number
+        time = math.nan
+    if not 0.0 <= time < math.inf:
         raise ParameterError(f"time must be finite and >= 0, got {t!r}")
+    return time
 
 
 def _time_array(t) -> np.ndarray:
-    """t, one time or a nonempty 1-d time array, as a float array."""
-    ts = np.asarray(t, dtype=float)
+    """t, one time or a nonempty 1-d time array of numbers, as a float array."""
+    ts = np.asarray(t)
+    if ts.dtype.kind in "SU":  # numpy would read "1" as 1.0
+        if ts.ndim == 0:
+            _check_time(t)  # one time: the text of its own rule
+        raise ParameterError(f"times must be numbers, not strings, got {t!r}")
+    ts = ts.astype(float, copy=False)
     if ts.ndim > 1:
         raise ParameterError(f"times must be a float or a 1-d array, got shape {ts.shape}")
     if ts.size == 0:
@@ -282,12 +300,12 @@ def gamma_low_t(res: ReservoirSpec, t: float) -> float:
     spectral = _require_ohmic(res, GammaMethod.LOW_T_CLOSED_FORM)
     if res.beta == ZERO_TEMPERATURE:
         raise MethodError("method low_t requires a finite inverse temperature")
-    _check_time(t)
+    t = _check_time(t)
     if t == 0.0 or spectral.eta == 0.0:
         return 0.0
     wct = spectral.omega_c * t
     z = math.pi * t / res.beta
-    return 2.0 * spectral.eta * res.omega_qubit**2 * (math.log1p(wct * wct) + 2.0 * _log_sinhc(z))
+    return 2.0 * spectral.eta * res.omega_qubit**2 * (_log1p_square(wct) + 2.0 * _log_sinhc(z))
 
 
 def _log_gamma_ratio(x: float, y: float) -> float:
@@ -303,11 +321,10 @@ def _log_gamma_ratio(x: float, y: float) -> float:
         return math.inf
     total = 0.0
     for k in range(_STIRLING_SHIFT):
-        q = y / (x + k)
-        total += 0.5 * math.log1p(q * q)
+        total += 0.5 * _log1p_square(y / (x + k))
     u = x + _STIRLING_SHIFT
     s = y / u
-    log_r = math.log1p(s * s)  # ln |u + iy|^2 - ln u^2
+    log_r = _log1p_square(s)  # ln |u + iy|^2 - ln u^2
     theta = math.atan(s)  # arg(u + iy)
     # Re[(u - 1/2) ln u - u] - Re[(w - 1/2) ln w - w] at w = u + iy
     total += u * (s * theta - 0.5 * log_r) + 0.25 * log_r
@@ -332,27 +349,28 @@ def gamma_exact(res: ReservoirSpec, t):
     """
     _require_ohmic(res, GammaMethod.EXACT)
     if type(t) is float or np.ndim(t) == 0:  # a Python float skips the array check
-        return _ohmic_gamma(res, float(t))
+        return _ohmic_gamma(res, t)
     return np.array([_ohmic_gamma(res, tv) for tv in _time_array(t).tolist()])
 
 
 def _ohmic_gamma(res: ReservoirSpec, t: float) -> float:
     """gamma_exact at one time; 0.0 at t = 0 even where 2 eta Omega^2 overflows,
     and 0.0 at eta = 0 even where the log terms overflow."""
-    _check_time(t)
+    t = _check_time(t)
     spectral = res.spectral
     if t == 0.0 or spectral.eta == 0.0:
         return 0.0
     wct = spectral.omega_c * t
-    value = 2.0 * spectral.eta * res.omega_qubit**2 * math.log1p(wct * wct)
+    value = 2.0 * spectral.eta * res.omega_qubit**2 * _log1p_square(wct)
     if res.beta == ZERO_TEMPERATURE:
         return value
     x = 1.0 + 1.0 / (res.beta * spectral.omega_c)
     return value + 8.0 * spectral.eta * res.omega_qubit**2 * _log_gamma_ratio(x, t / res.beta)
 
 
-def _quadrature_domain(spectral: SpectralDensity) -> tuple[float, float]:
-    """(omega_eps, cutoff), the least and the largest w whose square quadrature takes."""
+def _quadrature_domain(spectral: SpectralDensity) -> _QuadratureDomain:
+    """The shared domain of (omega_eps, cutoff), the least and the largest w
+    whose square quadrature takes; built if no live reservoir holds it."""
     cutoff = spectral.support_cutoff
     omega_eps = _OMEGA_EPS_FACTOR * cutoff / _CUTOFF_MULTIPLE
     if cutoff * cutoff == math.inf:
@@ -364,7 +382,8 @@ def _quadrature_domain(spectral: SpectralDensity) -> tuple[float, float]:
             f" (a cutoff above about {least:.3g})"
         )
     else:
-        return omega_eps, cutoff
+        key = (omega_eps, cutoff)
+        return _DOMAINS.get(key) or _DOMAINS.setdefault(key, _QuadratureDomain(*key))
     raise MethodError(
         f"quadrature needs a support cutoff {rule}, got {cutoff!r}"
         f" ({_CUTOFF_MULTIPLE:g} omega_c for an Ohmic density)"
@@ -381,9 +400,8 @@ def _node_set(domain: _QuadratureDomain, binade: int) -> integrate.NodeSet:
     integrand is continued flat, so [0, omega_eps] is one node at omega_eps
     that both rules weigh by omega_eps.
     """
-    edges = domain.edges
-    omega_eps, cutoff = float(edges[0]), float(edges[-1])
-    width = max(math.ldexp(4.0 * math.pi, -binade), cutoff / _PANEL_LIMIT)
+    edges, omega_eps = domain.edges, domain.omega_eps
+    width = max(math.ldexp(4.0 * math.pi, -binade), domain.cutoff / _PANEL_LIMIT)
     keep = edges >= width
     keep[::2] = True
     keep[-1] = True
@@ -507,9 +525,9 @@ def gamma(res: ReservoirSpec, t: float, method: GammaMethod) -> float:
     elif method is GammaMethod.LOW_T_CLOSED_FORM:
         value = gamma_low_t(res, t)
     elif method is GammaMethod.NUMERIC_QUADRATURE:
-        _check_time(t)  # each closed form checks t itself, after its method's rules
+        time = _check_time(t)  # each closed form checks t itself, after its method's rules
         plan = res._quadrature_plan  # MethodError on a cutoff quadrature cannot take
-        value = 0.0 if t == 0.0 else _gamma_quadrature(res, plan, t)
+        value = 0.0 if time == 0.0 else _gamma_quadrature(res, plan, time)
     elif method is GammaMethod.EXACT:
         value = gamma_exact(res, t)
     else:

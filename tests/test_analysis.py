@@ -2,6 +2,7 @@ import itertools
 import math
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -69,6 +70,36 @@ def test_preservation_time_zero_t_against_bisection_oracle():
     value = preservation_time_zero_t(0.8, 0.2, 12.0, 1.0)
     assert value == pytest.approx(0.6459782224702452, rel=1e-12)
     assert value == pytest.approx(bisect_zero_t_root(0.8, 0.2, 12.0), rel=1e-10)
+
+
+def mpmath_zero_t_preservation_time(x, eta, omega_sq, omega_c):
+    with mpmath.workdps(50):
+        x, eta, omega_sq, omega_c = map(mpmath.mpf, (x, eta, omega_sq, omega_c))
+        ratio = 4 * x / (3 * (1 - x))
+        return mpmath.sqrt(ratio ** (1 / (2 * eta * omega_sq)) - 1) / omega_c
+
+
+@pytest.mark.parametrize("x, eta, omega_sq, omega_c", [
+    (0.9, 1e-3, 1.0, 1.0),
+    (0.9, 1e-3, 1.0, 1e10),
+    (0.6, 1e-4, 4.0, 1.0),
+    (0.99, 1e-3, 2.0, 0.5),
+])
+def test_preservation_time_zero_t_where_the_direct_power_overflows(x, eta, omega_sq, omega_c):
+    ratio = 4.0 * x / (3.0 * (1.0 - x))
+    with pytest.raises(OverflowError):
+        ratio ** (1.0 / (2.0 * eta * omega_sq))
+    reference = mpmath_zero_t_preservation_time(x, eta, omega_sq, omega_c)
+    assert abs(preservation_time_zero_t(x, eta, omega_sq, omega_c) - reference) <= 1e-13 * reference
+
+
+def test_preservation_time_zero_t_is_inf_only_past_the_float_range():
+    assert preservation_time_zero_t(0.9, 1e-3, 1.0, 1.0) == pytest.approx(
+        6.2418239016399417e269, rel=1e-13
+    )
+    assert preservation_time_zero_t(0.9, 1e-3, 1.0, 1e-38) < math.inf
+    assert preservation_time_zero_t(0.9, 1e-3, 1.0, 1e-40) == math.inf
+    assert preservation_time_zero_t(0.9, 1e-4, 1.0, 1.0) == math.inf
 
 
 def test_preservation_time_numeric_constant_curve():

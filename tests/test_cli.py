@@ -140,6 +140,19 @@ def test_measure_rows_carry_an_overflowing_phase(capsys):
     assert err.startswith("error: config key 't_stop': phase 2 (Omega_A + Omega_B + Omega_C)")
 
 
+def test_exact_gamma_past_the_overflow_of_its_squares_gives_rows(capsys):
+    # ln(1 + (t / beta)^2) once overflowed at t / beta = 1e160: a NaN Gamma on every row
+    code, out, err = run(capsys, [
+        "measure", "--set", "method=exact", "--set", "beta_a=1", "--set", "t_stop=1e160",
+        "--set", "t_count=2", "--set", "x=0.9",
+    ])
+    assert (code, err) == (0, "")
+    rows = read_csv(out)
+    assert [(row["t"], row["value"], row["error"]) for row in rows] == [
+        ("0", "0.82499999999999984", ""), ("1e+160", "0", ""),
+    ]
+
+
 BAD_RUN_VALUES = {
     "x": (["x=[0.5,1.5]"], "mixing parameter must lie in [0, 1], got 1.5"),
     "eta": (["eta=[-1,0.2]"], "coupling constant eta must be >= 0, got -1.0"),

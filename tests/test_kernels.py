@@ -156,7 +156,7 @@ def test_w_gmc_names_the_largest_off_x_element(damps):
 
 
 def test_w_gmc_of_an_x_shaped_w_werner_state_is_zero():
-    # every off-X modulus (x/3) c_XY is below X_SHAPE_TOL
+    # every off-X modulus (x/3) c_XY is below ZERO_EIGENVALUE_TOL
     assert gmc_x_state(werner(w_state(), 1e-13)) == 0.0
     assert KERNELS["w", "gmc"](1e-13, [1.0, 1.0, 1.0]) == 0.0
 

@@ -358,6 +358,19 @@ def test_purity_rejects_bad_input():
         purity(np.eye(2))  # trace 2
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+@pytest.mark.parametrize("where", [(0, 7), (3, 3)], ids=["off_diagonal", "diagonal"])
+def test_an_infinite_entry_is_not_hermitian_and_warns_nothing(value, where):
+    # inf - conj(inf) is NaN; the suite turns a RuntimeWarning into an error
+    rho = werner(STATES["ghz"](), 0.8)
+    rho[where] = rho[where[::-1]] = value
+    for m in (rho, np.stack([rho, rho])):
+        with pytest.raises(HermiticityViolation, match=r"= nan > 1\.0e-10$"):
+            hermitian_eigenvalues(m)
+        with pytest.raises(HermiticityViolation, match=r"= nan > 1\.0e-10$"):
+            DensityStack(m)
+
+
 @pytest.mark.parametrize("shape", [(8, 8), (3, 8, 8)], ids=["matrix", "stack"])
 def test_nan_matrix_is_not_hermitian(shape):
     nan = np.full(shape, np.nan, dtype=complex)

@@ -89,7 +89,7 @@ def x_shape_outcome(check, rho):
 def whole_matrix_x_shape_check(rho):
     """The X-shape rule on every entry: the first largest off-X modulus of
     the stack (hypot, as Python's abs), with its element, must stay below
-    X_SHAPE_TOL; a NaN modulus is the largest, and a violation."""
+    ZERO_EIGENVALUE_TOL; a NaN modulus is the largest, and a violation."""
     off_x = ~(np.eye(8, dtype=bool) | np.eye(8, dtype=bool)[::-1])
     mags = np.where(off_x, np.hypot(rho.real, rho.imag), 0.0)
     first = int(np.argmax(mags))
@@ -97,7 +97,7 @@ def whole_matrix_x_shape_check(rho):
     where = tuple(int(i) for i in np.unravel_index(first, mags.shape)[-2:])
     if math.isnan(worst):
         raise ShapeError(f"matrix is not X-shaped: element {where} has a NaN modulus")
-    if worst >= measures.X_SHAPE_TOL:
+    if worst >= measures.ZERO_EIGENVALUE_TOL:
         raise ShapeError(f"matrix is not X-shaped: element {where} has modulus {worst:.3e}")
 
 
@@ -108,7 +108,7 @@ def with_entry(rho, i, j, z):
 
 
 def test_x_shape_check_keeps_the_whole_matrix_verdict_and_message():
-    tol = measures.X_SHAPE_TOL
+    tol = measures.ZERO_EIGENVALUE_TOL
     base = werner(ghz_state(), 0.8)
     above = with_entry(base, 1, 2, np.nextafter(tol, 1.0))
     nan = with_entry(base, 3, 5, complex(np.nan, 0.0))

@@ -106,7 +106,7 @@ def test_matrix_shapes():
         "expected a square matrix or a stack of them, got shape (3,)"
     )
     assert raised(ShapeError, lambda: partial_trace(np.eye(8) / 8, [2, 2, 2], [0, 3])) == (
-        "keep indices [0, 3] out of range for 3 subsystems"
+        "subsystem index 3 out of range for 3 subsystems"
     )
 
 

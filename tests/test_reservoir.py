@@ -478,11 +478,29 @@ def mpmath_exact(res, t, digits=40):
 @pytest.mark.parametrize("beta", [0.01, 0.1, 1.0, 10.0, 100.0, 1e3, 1e5])
 def test_exact_matches_mpmath(beta):
     # t / beta down to 1e-13: the direct loggamma difference in double
-    # precision loses every digit there, the cancellation-free form none
+    # precision loses every digit there, the cancellation-free form none;
+    # and up to 1e300, past t / beta of about 1.34e154, where (t / beta)^2
+    # overflows (it gave NaN there)
     res = ohmic(eta=0.2, beta=beta, omega=2.0)
-    for t in (1e-8, 1e-4, 0.01, 1.0, 30.0, 300.0):
+    large = [y * beta for y in (1e150, 1.4e154, 1e160, 1e200, 1e300)]
+    for t in (1e-8, 1e-4, 0.01, 1.0, 30.0, 300.0, *large):
         reference = mpmath_exact(res, t)
         assert abs(gamma_exact(res, t) - reference) <= 1e-13 * abs(reference), t
+
+
+@pytest.mark.parametrize("method", [
+    GammaMethod.ZERO_T_CLOSED_FORM, GammaMethod.LOW_T_CLOSED_FORM, GammaMethod.EXACT,
+], ids=lambda m: m.value)
+def test_every_closed_form_stays_finite_past_the_squares_overflow(method):
+    res = ohmic() if method is GammaMethod.ZERO_T_CLOSED_FORM else ohmic(beta=1.0)
+    values = [gamma(res, t, method) for t in (1e150, 1e154, 1.4e154, 1e200, 1e300)]
+    assert all(math.isfinite(v) for v in values) and values == sorted(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(0.0, 1.3407807929942596e154))
+def test_log1p_square_is_log1p_of_the_square_while_that_is_finite(x):
+    assert reservoir._log1p_square(x) == math.log1p(x * x)
 
 
 def test_exact_at_zero_temperature_is_zero_t_bit_for_bit():

@@ -7,6 +7,7 @@ its exact text, so moving the rule to its owner cannot change a message.
 import json
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from tridephase.reservoir import (
     ReservoirSpec,
     gamma,
     gamma_exact,
+    gamma_low_t,
     gamma_zero_t,
 )
 from tridephase.states import assert_density_matrix, ghz_state, werner
@@ -150,6 +152,100 @@ def test_subsystem_dimension_text_at_every_entry_point(entry, dims):
     with pytest.raises(ShapeError) as info:
         entry(np.eye(8) / 8, dims)
     assert str(info.value) == f"subsystem dimensions {dims} do not factor a 8-dimensional matrix"
+
+
+RHO = werner(ghz_state(), 0.8)
+
+
+@pytest.mark.parametrize("dims, shown", [
+    ([2.5, 2, 2], "[2.5, 2, 2]"), (["2", 2, 2], "['2', 2, 2]"), ([-2, -4], "[-2, -4]"), (8, "8"),
+])
+@pytest.mark.parametrize("entry", [
+    lambda dims: partial_transpose(RHO, dims, 0),
+    lambda dims: partial_trace(RHO, dims, [0]),
+], ids=["partial_transpose", "partial_trace"])
+def test_subsystem_dimensions_are_positive_integers_at_every_entry_point(entry, dims, shown):
+    with pytest.raises(ShapeError) as info:
+        entry(dims)
+    assert str(info.value) == f"subsystem dimensions must be positive integers, got {shown}"
+
+
+def stack_with_every_cut():
+    stack = DensityStack(RHO)
+    for subsystem in range(3):
+        negativity(stack, subsystem)
+    return stack
+
+
+SUBSYSTEM_INDEX_ENTRY_POINTS = {
+    "partial_transpose": lambda k: partial_transpose(RHO, [2, 2, 2], k),
+    "partial_trace": lambda k: partial_trace(RHO, [2, 2, 2], [0, k]),
+    "negativity": lambda k: negativity(RHO, k),
+    # a cut already computed is no excuse: 1.0 is not cut 1
+    "negativity_of_a_stack_with_every_cut": lambda k: negativity(stack_with_every_cut(), k),
+}
+
+
+@pytest.mark.parametrize("k, shown", [(1.0, "1.0"), (1.5, "1.5"), ("1", "'1'"), (None, "None")])
+@pytest.mark.parametrize("entry", sorted(SUBSYSTEM_INDEX_ENTRY_POINTS))
+def test_subsystem_index_is_an_integer_at_every_entry_point(entry, k, shown):
+    with pytest.raises(ShapeError) as info:
+        SUBSYSTEM_INDEX_ENTRY_POINTS[entry](k)
+    assert str(info.value) == f"subsystem index must be an integer, got {shown}"
+
+
+@pytest.mark.parametrize("k", [3, -1])
+@pytest.mark.parametrize("entry", sorted(SUBSYSTEM_INDEX_ENTRY_POINTS))
+def test_subsystem_index_range_text_at_every_entry_point(entry, k):
+    with pytest.raises(ShapeError) as info:
+        SUBSYSTEM_INDEX_ENTRY_POINTS[entry](k)
+    assert str(info.value) == f"subsystem index {k} out of range for 3 subsystems"
+
+
+def test_integer_dimensions_and_indices_of_any_type_keep_the_bits():
+    for dims, k in (((np.int64(2),) * 3, np.int64(1)), (np.array([2, 2, 2]), np.int32(1))):
+        assert partial_transpose(RHO, dims, k).tobytes() == partial_transpose(RHO, [2, 2, 2], 1).tobytes()
+        assert partial_trace(RHO, dims, [k]).tobytes() == partial_trace(RHO, [2, 2, 2], [1]).tobytes()
+        assert negativity(RHO, k) == negativity(RHO, 1)
+
+
+SCALAR_TIME_ENTRY_POINTS = {
+    **{f"gamma_{m.value}": lambda t, m=m: gamma(
+        COLD if m is GammaMethod.ZERO_T_CLOSED_FORM else WARM, t, m
+    ) for m in GammaMethod},
+    "gamma_zero_t": lambda t: gamma_zero_t(COLD, t),
+    "gamma_low_t": lambda t: gamma_low_t(WARM, t),
+    "gamma_exact": lambda t: gamma_exact(WARM, t),
+    "gmc_ghz_werner_low_t": TIME_ENTRY_POINTS["gmc_ghz_werner_low_t"],
+}
+
+
+@pytest.mark.parametrize("t, shown", [("1", "'1'"), (b"1", "b'1'"), (None, "None"), (1j, "1j")])
+@pytest.mark.parametrize("entry", sorted(SCALAR_TIME_ENTRY_POINTS))
+def test_a_time_that_is_not_a_number_has_one_text_at_every_entry_point(entry, t, shown):
+    # gamma_exact once read "1" as 1.0 where the other methods raised TypeError
+    with pytest.raises(ParameterError) as info:
+        SCALAR_TIME_ENTRY_POINTS[entry](t)
+    assert str(info.value) == f"time must be finite and >= 0, got {shown}"
+
+
+@pytest.mark.parametrize("entry", sorted(SCALAR_TIME_ENTRY_POINTS))
+def test_a_time_of_any_number_type_keeps_the_bits(entry):
+    want = SCALAR_TIME_ENTRY_POINTS[entry](2.0)
+    for t in (2, np.int64(2), np.float64(2.0), np.array(2.0), Fraction(2)):
+        assert SCALAR_TIME_ENTRY_POINTS[entry](t) == want, type(t)
+
+
+@pytest.mark.parametrize("times", [["0", "1"], [0.5, "1"], np.array(["0.5"])])
+@pytest.mark.parametrize("entry", sorted(TIME_ARRAY_ENTRY_POINTS))
+def test_a_time_array_of_strings_has_one_text_at_every_entry_point(entry, times):
+    with pytest.raises(ParameterError) as info:
+        TIME_ARRAY_ENTRY_POINTS[entry](times)
+    assert str(info.value) == f"times must be numbers, not strings, got {times!r}"
+    # one time that is a string is a time, with that rule's text
+    with pytest.raises(ParameterError) as info:
+        TIME_ARRAY_ENTRY_POINTS[entry]("1")
+    assert str(info.value) == "time must be finite and >= 0, got '1'"
 
 
 EMPTY_SHAPE_ENTRY_POINTS = {

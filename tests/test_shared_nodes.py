@@ -186,9 +186,10 @@ def test_one_composite_per_domain_and_binade_in_each_run(monkeypatch, capsys):
 
 def test_the_store_lets_go_of_a_domain_with_its_last_reservoir():
     grid = w2_grid(omega_c=1.37, t_count=7, include_timescales=False)
-    key = reservoir._quadrature_domain(OhmicSpectralDensity(0.326, 1.37))
     run_sweep(grid)
-    domain = reservoir._DOMAINS[key]
+    domain = reservoir._quadrature_domain(OhmicSpectralDensity(0.326, 1.37))
+    key = (domain.omega_eps, domain.cutoff)
+    assert reservoir._DOMAINS[key] is domain
     node_sets = list(domain.node_sets.values())
     assert node_sets and all(
         res._quadrature_plan.domain is domain

@@ -33,10 +33,11 @@ from .measures import (
     gmc_x_state,
     l1_coherence,
     negativity,
+    pt_spectra,
     tripartite_negativity,
 )
 from .reservoir import ZERO_TEMPERATURE, GammaMethod, OhmicSpectralDensity, ReservoirSpec, gamma
-from .states import check_mixing, ghz_state, w_state, werner
+from .states import check_mixing, ghz_state, projector, w_state, werner
 
 DEAD_THRESHOLD = ZERO_EIGENVALUE_TOL  # the measures' zero: a MARGINS entry dies with its measure
 ROOT_REL_TOL = 1e-9
@@ -54,6 +55,12 @@ MEASURES: dict[str, Callable[[np.ndarray], float]] = {
     # each reads `negativity` from this module when called
     **{f"negativity_{c}": lambda rho, q=q: negativity(rho, q) for q, c in enumerate(BIPARTITIONS)},
     "l1_coherence": l1_coherence,
+}
+
+# measure -> the cuts whose partial-transpose spectra it reads
+SPECTRAL_CUTS: dict[str, tuple[int, ...]] = {
+    "tripartite_negativity": (0, 1, 2),
+    **{f"negativity_{c}": (q,) for q, c in enumerate(BIPARTITIONS)},
 }
 
 STATES: dict[str, Callable[[], np.ndarray]] = {
@@ -605,7 +612,12 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     Each curve is one (T, 8, 8) stack, evolved from the grid's Werner state
     through the channel of its reservoir set; the channel of each distinct
     set is computed once, before the curves.  Each stack is validated once,
-    as a DensityStack that every measure shares.  Results are in the grid's
+    as a DensityStack that every measure shares.  When the grid asks for a
+    negativity, each set's channel also evolves the pure state E once, and
+    the partial-transpose spectra of the cuts asked for are taken of E
+    alone: F has a unit diagonal, so each stack is x E + (1 - x) I/8 and
+    its DensityStack reads each spectrum as x lam + (1 - x)/8, within
+    round-off of solving its own.  Results are in the grid's
     units: `parameters` as configured, and t_p, T_c and the
     freezing intervals in units of 1/omega_c.  The time lists of the grid
     are built once per call, for every curve.  The grid and every
@@ -637,6 +649,17 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
             channels[reservoirs] = dephasing_factors(reservoirs, times, grid.method)
         except Exception as exc:  # every curve of this reservoir set carries it
             channels[reservoirs] = _error_text(exc)
+    cuts = sorted({q for name in grid.measures for q in SPECTRAL_CUTS.get(name, ())})
+    spectra: dict[tuple, dict] = {}  # reservoir set -> cut -> spectrum of the evolved pure state
+    if cuts:
+        pure = projector(STATES[grid.state]())
+        for reservoirs, factors in channels.items():
+            if isinstance(factors, str):
+                continue
+            try:
+                spectra[reservoirs] = pt_spectra(evolve(pure, factors), cuts)
+            except Exception:  # not stored: each stack then solves its own spectra
+                pass
     for (x, rho0), (point, reservoirs) in itertools.product(
         zip(grid.xs, grid.initial_states), grid.reservoir_sets
     ):
@@ -646,8 +669,9 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
         evolved = None if isinstance(factors, str) else evolve(rho0, factors)
         checked = None
         if evolved is not None:
+            pure_spectra = spectra.get(reservoirs)
             try:  # once for every measure of this stack
-                checked = DensityStack(evolved)
+                checked = DensityStack(evolved, None if pure_spectra is None else (x, pure_spectra))
             except Exception:  # each measure replays the stack row by row
                 pass
 

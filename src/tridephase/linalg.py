@@ -201,11 +201,15 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     """Trace out every subsystem not listed in `keep`.
 
     The reduced matrix keeps the surviving subsystems in their original
-    tensor order.
+    tensor order.  `keep` is an iterable of subsystem indices.
     """
     a = _as_square(rho)
     dims = _subsystem_dims(dims, a.shape[0])
-    keep_set = {subsystem_index(k, len(dims)) for k in keep}
+    try:
+        kept = list(keep)
+    except TypeError:  # one index, or not indices at all
+        raise ShapeError(f"keep must be an iterable of subsystem indices, got {keep!r}") from None
+    keep_set = {subsystem_index(k, len(dims)) for k in kept}
     if not keep_set:
         raise ShapeError("must keep at least one subsystem")
 

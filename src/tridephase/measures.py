@@ -43,29 +43,46 @@ class DensityStack:
     Each cut's negativity is computed on first use and kept, read-only, so
     the measures called on one DensityStack share its validation and each
     partial-transpose spectrum is taken once.
+
+    A stack of Werner states x E + (1 - x) I/8 may be given
+    `werner=(x, spectra)`, where `spectra` maps cuts to the ascending
+    partial-transpose spectra of E (`pt_spectra`).  The partial transpose
+    is linear and leaves I fixed, so such a cut's spectrum is read as
+    x lam + (1 - x)/8, still ascending, instead of being solved from the
+    array (Vidal & Werner, PRA 65, 032314 (2002)); it agrees with the
+    solved spectrum to round-off.  Validation, every other measure and
+    `rows` read the array itself.
     """
 
-    def __init__(self, rho):
+    def __init__(self, rho, werner: tuple[float, dict[int, np.ndarray]] | None = None):
         # C order makes a stacked reduction sum each matrix as a single one
         # is summed, whatever the layout it came in (no copy when it is C already)
-        self._hold(np.ascontiguousarray(assert_density_matrix(rho)))
+        self._hold(np.ascontiguousarray(assert_density_matrix(rho)), werner)
 
-    def _hold(self, array: np.ndarray) -> None:
+    def _hold(self, array: np.ndarray, werner=None) -> None:
         """Set every field over `array`, which has passed validation."""
         self.array = array
+        self._werner = werner
         self._negativities: dict[int, np.ndarray] = {}
+
+    @classmethod
+    def _trusted(cls, array: np.ndarray) -> DensityStack:
+        """A DensityStack over `array` that skips validation: the caller vouches for it."""
+        stack = object.__new__(cls)
+        stack._hold(array)
+        return stack
 
     def rows(self) -> list[DensityStack]:
         """Each matrix of a stack as a DensityStack that shares this validation."""
-        rows = []
-        for matrix in self.array:
-            row = object.__new__(DensityStack)  # skips __init__: validated as part of this stack
-            row._hold(matrix)
-            rows.append(row)
-        return rows
+        return [DensityStack._trusted(matrix) for matrix in self.array]
 
     def pt_eigenvalues(self, subsystem: int) -> np.ndarray:
         """Ascending eigenvalues of the partial transpose on one qubit."""
+        if self._werner is not None:
+            x, spectra = self._werner
+            pure = spectra.get(subsystem_index(subsystem, len(QUBIT_DIMS)))
+            if pure is not None:
+                return x * pure + (1.0 - x) / DIM
         return hermitian_eigenvalues(partial_transpose(self.array, QUBIT_DIMS, subsystem))
 
     def negativities(self, subsystem: int) -> np.ndarray:
@@ -83,6 +100,17 @@ class DensityStack:
             values.setflags(write=False)  # returned to every measure of this stack
             self._negativities[subsystem] = values
         return self._negativities[subsystem]
+
+
+def pt_spectra(pure: np.ndarray, subsystems) -> dict[int, np.ndarray]:
+    """Cut -> ascending partial-transpose spectrum of `pure`, for each cut in `subsystems`.
+
+    `pure` is a stack of evolved pure states E, not validated here.  The
+    result is the `spectra` of `DensityStack(rho, werner=(x, spectra))` for
+    each Werner mixture rho of E, which is validated when it is built.
+    """
+    stack = DensityStack._trusted(pure)
+    return {subsystem: stack.pt_eigenvalues(subsystem) for subsystem in subsystems}
 
 
 def _checked(rho) -> DensityStack:

@@ -109,8 +109,8 @@ def sinh_residual() -> float:
             return gmc_ghz_werner_low_t(x, t, eta, omega_sq, 1.0, betas)
 
         t_p = preservation_time_numeric(curve, 10.0)
-        lhs, rhs = preservation_time_sinh_residual(t_p, x, eta, omega_sq, 1.0, betas)
-        worst = max(worst, abs(lhs / rhs - 1.0))
+        log_lhs, log_rhs = preservation_time_sinh_residual(t_p, x, eta, omega_sq, 1.0, betas)
+        worst = max(worst, abs(math.expm1(log_lhs - log_rhs)))  # |lhs/rhs - 1|
     return worst
 
 
@@ -219,12 +219,14 @@ def preservation_time_sinh_residual(
     omega_c: float,
     betas: tuple[float, float, float],
 ) -> tuple[float, float]:
-    """Both sides of the implicit sinh-product preservation-time relation.
+    """The natural logs of both sides of the implicit sinh-product preservation-time relation.
 
     lhs = (b_A b_B b_C sinh(pi t_p/b_A) sinh(pi t_p/b_B) sinh(pi t_p/b_C))^2
     rhs = pi^2 t_p^2 / (1 + (w_c t_p)^2) * (4x / 3(1-x))^(1 / (2 eta Omega^2))
 
     The vanishing time of gmc_ghz_werner_low_t solves lhs = rhs exactly.
+    Either side can pass the float range where its log does not (lhs at
+    t_p = 300 with b = 1, rhs at eta Omega^2 = 1e-3), so both are logs.
     """
     if not 0.0 < x < 1.0:
         raise ParameterError(f"mixing parameter must lie in (0, 1), got {x!r}")
@@ -233,12 +235,10 @@ def preservation_time_sinh_residual(
     log_lhs = 0.0
     for beta in betas:
         log_lhs += 2.0 * _log_beta_sinh(beta, t_p)
-    lhs = math.exp(log_lhs)
     ratio = 4.0 * x / (3.0 * (1.0 - x))
-    rhs = (
-        math.pi**2
-        * t_p**2
-        / (1.0 + (omega_c * t_p) ** 2)
-        * ratio ** (1.0 / (2.0 * eta * omega_sq))
+    log_rhs = (
+        2.0 * math.log(math.pi * t_p)
+        - reservoir._log1p_square(omega_c * t_p)
+        + math.log(ratio) / (2.0 * eta * omega_sq)
     )
-    return lhs, rhs
+    return log_lhs, log_rhs

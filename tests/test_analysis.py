@@ -27,7 +27,7 @@ from tridephase.analysis import (
 )
 from tridephase.exceptions import MethodError, NoCorrelationError, ParameterError
 from tridephase.measures import gmc_ghz_werner
-from tridephase.oracles import gmc_ghz_werner_low_t
+from tridephase.oracles import gmc_ghz_werner_low_t, preservation_time_sinh_residual
 from tridephase.reservoir import (
     ZERO_TEMPERATURE,
     GammaMethod,
@@ -187,6 +187,22 @@ def test_sinh_curve_monotone_and_rootable():
     vals = [curve(float(t)) for t in ts]
     finite = [v for v in vals if math.isfinite(v)]
     assert all(b <= a for a, b in zip(finite, finite[1:]))
+
+
+@pytest.mark.parametrize("t_p, eta", [(1.0, 1e-3), (300.0, 0.2)])
+def test_sinh_relation_sides_are_logs_where_the_sides_overflow(t_p, eta):
+    # at eta Omega^2 = 1e-3 rhs passes the float range, at t_p = 300 lhs does:
+    # both raised OverflowError when the sides were compared as values
+    x, omega_sq, omega_c, betas = 0.9, 1.0, 1.0, (1.0, 1.0, 1.0)
+    log_lhs, log_rhs = preservation_time_sinh_residual(t_p, x, eta, omega_sq, omega_c, betas)
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t_p)
+        lhs = mpmath.fprod(b * mpmath.sinh(mpmath.pi * t / b) for b in betas) ** 2
+        ratio = 4 * mpmath.mpf(x) / (3 * (1 - mpmath.mpf(x)))
+        rhs = (mpmath.pi * t) ** 2 / (1 + (omega_c * t) ** 2) * ratio ** (1 / (2 * eta * omega_sq))
+        assert max(lhs, rhs) > mpmath.mpf(2.0) ** 1024  # past the largest float
+        assert abs(log_lhs - float(mpmath.log(lhs))) <= 1e-14 * abs(log_lhs)
+        assert abs(log_rhs - float(mpmath.log(rhs))) <= 1e-14 * abs(log_rhs)
 
 
 def test_freezing_synthetic_staircase():

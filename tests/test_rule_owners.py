@@ -202,6 +202,14 @@ def test_subsystem_index_range_text_at_every_entry_point(entry, k):
     assert str(info.value) == f"subsystem index {k} out of range for 3 subsystems"
 
 
+@pytest.mark.parametrize("keep, shown", [(1, "1"), (1.5, "1.5"), (None, "None")])
+def test_kept_subsystems_that_are_not_an_iterable_raise_one_shape_error(keep, shown):
+    # an index on its own is not a collection of them: it used to raise a TypeError
+    with pytest.raises(ShapeError) as info:
+        partial_trace(RHO, [2, 2, 2], keep)
+    assert str(info.value) == f"keep must be an iterable of subsystem indices, got {shown}"
+
+
 def test_integer_dimensions_and_indices_of_any_type_keep_the_bits():
     for dims, k in (((np.int64(2),) * 3, np.int64(1)), (np.array([2, 2, 2]), np.int32(1))):
         assert partial_transpose(RHO, dims, k).tobytes() == partial_transpose(RHO, [2, 2, 2], 1).tobytes()

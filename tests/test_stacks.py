@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tridephase import analysis, linalg, measures
-from tridephase.analysis import MEASURES, STATES, SweepGrid, make_reservoirs, run_sweep
+from tridephase.analysis import (
+    MEASURES,
+    SPECTRAL_CUTS,
+    STATES,
+    SweepGrid,
+    make_reservoirs,
+    run_sweep,
+)
 from tridephase.evolution import dephasing_factors, evolve
 from tridephase.exceptions import HermiticityViolation, MethodError, ParameterError, ShapeError
 from tridephase.linalg import hermitian_eigenvalues, hermiticity_defect, partial_transpose
@@ -18,10 +25,11 @@ from tridephase.measures import (
     gmc_x_state,
     l1_coherence,
     negativity,
+    pt_spectra,
     tripartite_negativity,
 )
 from tridephase.reservoir import GammaMethod
-from tridephase.states import assert_density_matrix, ghz_state, w_state, werner
+from tridephase.states import assert_density_matrix, ghz_state, projector, w_state, werner
 
 OMEGA = 2.0
 OMEGA_SQS = (OMEGA**2,) * 3
@@ -83,6 +91,25 @@ def test_measure_stack_equals_single_matrices(key):
 def same_bits(a, b) -> bool:
     """Equal values, and no -0.0 where the other has 0.0."""
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# A sweep reads each negativity from its reservoir set's shifted spectra,
+# x lam(PT(E)) + (1 - x)/8, which agree with the spectra of the mixture's own
+# matrices to round-off
+SPECTRAL_TOL = 2e-15
+
+
+def sweep_agrees(name, got, want) -> bool:
+    """NaN where the other is NaN; elsewhere the same bits for gmc and
+    l1_coherence, and within SPECTRAL_TOL for a measure that reads
+    partial-transpose spectra."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    if got.shape != want.shape or not np.array_equal(np.isnan(got), np.isnan(want)):
+        return False
+    got, want = got[~np.isnan(got)], want[~np.isnan(want)]
+    if name not in analysis.SPECTRAL_CUTS:
+        return same_bits(got, want)
+    return bool(np.all(abs(got - want) <= SPECTRAL_TOL))
 
 
 @pytest.mark.parametrize("key", sorted(CURVES))
@@ -183,7 +210,7 @@ def reference_rows(grid):
                     value = MEASURES[name](evolve(rho0, factors))
                 except Exception as exc:
                     error = f"{type(exc).__name__}: {exc}"
-                rows.append((name, t, x, eta, beta_a, k1, k2, repr(value), error))
+                rows.append((name, t, x, eta, beta_a, k1, k2, value, error))
     return rows
 
 
@@ -203,11 +230,15 @@ def test_run_sweep_rows_equal_per_point_evaluation(state, xs, beta_as, method):
     curves = run_sweep(grid)
     got = [
         (c.name, t, c.parameters["x"], c.parameters["eta"], c.parameters["beta_a"],
-         c.parameters["k1"], c.parameters["k2"], repr(value), error)
+         c.parameters["k1"], c.parameters["k2"], value, error)
         for c in curves
         for t, value, error in zip(grid.times().tolist(), c.values, c.errors, strict=True)
     ]
-    assert got == reference_rows(grid)
+    want = reference_rows(grid)
+    assert len(got) == len(want)
+    for row, expected in zip(got, want):
+        assert row[:-2] == expected[:-2] and row[-1] == expected[-1], row
+        assert sweep_agrees(row[0], [row[-2]], [expected[-2]]), (row, expected)
 
 
 def test_sweep_grid_rejects_the_run_it_cannot_build():
@@ -297,10 +328,11 @@ def test_run_sweep_validates_each_stack_once_and_takes_each_spectrum_once(monkey
     curves = run_sweep(grid)
     assert all(error is None for curve in curves for error in curve.errors)
     stacks = len(grid.xs)  # one per (x, reservoir set)
+    sets = len(grid.reservoir_sets)  # each spectrum once, of the set's evolved pure state
     assert counts == {
         "assert_density_matrix": stacks,
-        "partial_transpose": 3 * stacks,
-        "hermitian_eigenvalues": 3 * stacks,
+        "partial_transpose": 3 * sets,
+        "hermitian_eigenvalues": 3 * sets,
     }
 
 
@@ -322,7 +354,7 @@ def test_run_sweep_values_equal_the_public_measures_on_the_evolved_stack():
     assert len(curves) == len(grid.xs) * len(public)
     for curve in curves:
         stack = evolve(werner(ghz_state(), curve.parameters["x"]), factors)
-        assert same_bits(curve.values, public[curve.name](stack)), curve.name
+        assert sweep_agrees(curve.name, curve.values, public[curve.name](stack)), curve.name
         assert curve.errors == [None] * grid.t_count
 
 
@@ -373,6 +405,115 @@ def test_measures_in_any_order_on_one_stack_equal_fresh_stacks(state, x, eta, be
             values[0] = 1.0
 
 
+def zero_rule(eigs: np.ndarray) -> list[float]:
+    """`negativity` of each row of ascending spectra, one eigenvalue at a time:
+    -2 times the running sum of those below -ZERO_EIGENVALUE_TOL, else 0.0."""
+    values = []
+    for row in eigs.tolist():
+        negative = [v for v in row if v < -measures.ZERO_EIGENVALUE_TOL]
+        total = 0.0
+        for v in negative:  # not sum(), which compensates from Python 3.12
+            total += v
+        values.append(-2.0 * total if negative else 0.0)
+    return values
+
+
+@pytest.mark.parametrize("state", sorted(STATES))
+def test_sweep_negativities_are_the_zero_rule_on_the_shifted_pure_spectra(state):
+    grid = SweepGrid(
+        xs=[0.0, 0.3, 0.7, 1.0], etas=[0.2, 40.0], beta_as=[100.0], k1s=[1.0], k2s=[16.0],
+        t_start=0.0, t_stop=30.0, t_count=13, omega_sqs=OMEGA_SQS,
+        measures=tuple(SPECTRAL_CUTS), method=GammaMethod.LOW_T_CLOSED_FORM, state=state,
+    )
+    curves = iter(run_sweep(grid))
+    pure0 = projector(STATES[state]())
+    for x, (_, reservoirs) in itertools.product(grid.xs, grid.reservoir_sets):
+        pure = evolve(pure0, dephasing_factors(reservoirs, grid.channel_times(), grid.method))
+        cuts = [
+            zero_rule(x * hermitian_eigenvalues(partial_transpose(pure, [2, 2, 2], q)) + (1 - x) / 8)
+            for q in range(3)
+        ]
+        f0, f1, f2 = np.array(cuts)
+        geometric = np.where((f0 == 0.0) | (f1 == 0.0) | (f2 == 0.0), 0.0, np.cbrt(f0 * f1 * f2))
+        for name in grid.measures:
+            curve = next(curves)
+            assert curve.parameters["x"] == x and curve.name == name
+            assert curve.errors == [None] * grid.t_count
+            want = geometric if name == "tripartite_negativity" else cuts[SPECTRAL_CUTS[name][0]]
+            assert same_bits(curve.values, want), name
+            if x == 0.0:
+                assert curve.values == [0.0] * grid.t_count
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    state=st.sampled_from(sorted(STATES)),
+    x=st.floats(0.0, 1.0),
+    eta=st.floats(0.0, 2.0),
+    beta_a=st.sampled_from([math.inf, 0.5, 150.0]),
+    omega_sqs=st.tuples(*[st.floats(0.25, 16.0)] * 3),
+)
+def test_shifted_pure_spectra_agree_with_the_public_measures(state, x, eta, beta_a, omega_sqs):
+    omegas = tuple(math.sqrt(v) for v in omega_sqs)
+    reservoirs = make_reservoirs(eta, 1.0, beta_a, 4.0, 16.0, omegas)
+    factors = dephasing_factors(reservoirs, np.linspace(0.0, 3.0, 13), GammaMethod.EXACT)
+    spectra = pt_spectra(evolve(projector(STATES[state]()), factors), range(3))
+    for mix in (x, 1.0, 0.0):
+        stack = evolve(werner(STATES[state](), mix), factors)
+        shifted, direct = DensityStack(stack, (mix, spectra)), DensityStack(stack)
+        for q in range(3):
+            gap = abs(shifted.pt_eigenvalues(q) - direct.pt_eigenvalues(q))
+            assert gap.max() <= SPECTRAL_TOL, (mix, q)
+        for name in SPECTRAL_CUTS:
+            got, want = PUBLIC_MEASURES[name](shifted), PUBLIC_MEASURES[name](stack)
+            if mix == 1.0:  # x lam + 0.0 is lam: the direct path's bits
+                assert same_bits(got, want), name
+            elif mix == 0.0:  # 0 lam + 1/8 is positive: no negativity
+                assert same_bits(got, np.zeros(stack.shape[0])), name
+            else:
+                assert abs(got - want).max() <= SPECTRAL_TOL, (mix, name)
+
+
+@pytest.mark.parametrize(
+    "measured, pure_states",
+    [(("gmc",), False), (("gmc", "negativity_b_ac", "l1_coherence"), True)],
+)
+def test_each_reservoir_set_evolves_its_pure_state_once_for_a_spectral_measure(
+    monkeypatch, measured, pure_states
+):
+    # W2's shape: one x per reservoir set; a grid without a spectral measure
+    # evolves, validates and solves what it did before pure states were shared
+    grid = SweepGrid(
+        xs=[0.8], etas=[0.2], beta_as=[0.5, 1000.0], k1s=[1.0, 4.0], k2s=[16.0],
+        t_start=0.0, t_stop=3.0, t_count=7, omega_sqs=OMEGA_SQS, measures=measured,
+        method=GammaMethod.NUMERIC_QUADRATURE, include_timescales=True,
+    )
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, names in (
+        (analysis, ("evolve", "projector", "pt_spectra")),
+        (measures, ("assert_density_matrix", "partial_transpose", "hermitian_eigenvalues")),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    curves = run_sweep(grid)
+    assert all(error is None for curve in curves for error in curve.errors)
+    stacks = sets = len(grid.reservoir_sets)
+    expected = {"evolve": stacks, "assert_density_matrix": stacks}
+    if pure_states:
+        expected = {
+            "evolve": stacks + sets, "assert_density_matrix": stacks, "projector": 1,
+            "pt_spectra": sets, "partial_transpose": sets, "hermitian_eigenvalues": sets,
+        }
+    assert counts == expected
+
+
 def test_a_stack_that_fails_validation_is_replayed_row_by_row(monkeypatch):
     grid = w1_like_grid()
     reference = run_sweep(grid)
@@ -392,7 +533,8 @@ def test_a_stack_that_fails_validation_is_replayed_row_by_row(monkeypatch):
         assert curve.errors == [text if i == bad_row else None for i in range(grid.t_count)]
         assert math.isnan(curve.values[bad_row])
         kept = [i for i in range(grid.t_count) if i != bad_row]
-        assert same_bits([curve.values[i] for i in kept], [ref.values[i] for i in kept])
+        got, want = ([c.values[i] for i in kept] for c in (curve, ref))
+        assert sweep_agrees(curve.name, got, want), curve.name
 
 
 def w_grid(t_count: int) -> SweepGrid:

@@ -30,10 +30,10 @@ from .measures import (
     ZERO_EIGENVALUE_TOL,
     DensityStack,
     Form,
+    PureSpectra,
     gmc_x_state,
     l1_coherence,
     negativity,
-    pt_spectra,
     tripartite_negativity,
 )
 from .reservoir import ZERO_TEMPERATURE, GammaMethod, OhmicSpectralDensity, ReservoirSpec, gamma
@@ -55,12 +55,6 @@ MEASURES: dict[str, Callable[[np.ndarray], float]] = {
     # each reads `negativity` from this module when called
     **{f"negativity_{c}": lambda rho, q=q: negativity(rho, q) for q, c in enumerate(BIPARTITIONS)},
     "l1_coherence": l1_coherence,
-}
-
-# measure -> the cuts whose partial-transpose spectra it reads
-SPECTRAL_CUTS: dict[str, tuple[int, ...]] = {
-    "tripartite_negativity": (0, 1, 2),
-    **{f"negativity_{c}": (q,) for q, c in enumerate(BIPARTITIONS)},
 }
 
 STATES: dict[str, Callable[[], np.ndarray]] = {
@@ -355,8 +349,9 @@ class SweepGrid:
     `omega_sqs` holds the squared splittings (Omega_A^2, Omega_B^2,
     Omega_C^2) of every run.
 
-    Construction checks the shape of each list field, each name (as a str
-    before it is hashed), every field's range and the channel's largest
+    Construction checks that each number is a real number and not a bool,
+    the shape of each list field, each name (as a str before it is
+    hashed), every field's range and the channel's largest
     phase (`evolution.check_phase`), then builds and keeps the run's
     `initial_states` and `reservoir_sets`, evaluating Gamma(0) with
     `method`, so a value the run cannot build raises here, with its owner's
@@ -380,6 +375,14 @@ class SweepGrid:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
+        values = [(name, getattr(self, name)) for name in ("omega_c", "t_start", "t_stop", "epsilon")]
+        for name in ("xs", "etas", "beta_as", "k1s", "k2s", "omega_sqs"):
+            entries = getattr(self, name)  # one that is not a list or tuple is rejected below
+            if isinstance(entries, (list, tuple)):
+                values += [(f"{name} entry", value) for value in entries]
+        for name, value in values:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ParameterError(f"{name} must be a real number, got {value!r}")
         if not self.omega_c > 0:
             raise ParameterError(f"omega_c must be positive, got {self.omega_c!r}")
         if self.omega_c == math.inf:
@@ -405,7 +408,7 @@ class SweepGrid:
             )
         for name, value in (("t_start", self.t_start), ("t_stop", self.t_stop)):
             _per_omega_c(name, value, self.omega_c)
-        if len(self.omega_sqs) != 3:
+        if not (isinstance(self.omega_sqs, (list, tuple)) and len(self.omega_sqs) == 3):
             raise ParameterError(f"omega_sqs must hold three values, got {self.omega_sqs!r}")
         for name, value in zip(("omega_sq_a", "omega_sq_b", "omega_sq_c"), self.omega_sqs):
             if not value > 0:  # NaN included
@@ -486,30 +489,30 @@ def make_reservoirs(
     """Three Ohmic reservoirs with beta_B = k1 beta_A, beta_C = k2 beta_A.
 
     beta_a is in units of 1/omega_c: beta_A = beta_a / omega_c.
-    beta_a = ZERO_TEMPERATURE (inf) puts all three at zero temperature and
-    leaves k1 and k2 unused.  Otherwise beta_a, k1 and k2 must be positive,
-    and so must beta_A, k1 beta_A and k2 beta_A after rounding: one that
-    underflows to 0 or overflows to inf is rejected by the name of its
-    factor, with beta_a quoted as given.  omegas must hold three splittings.
+    k1 and k2 must be positive at every temperature.  beta_a =
+    ZERO_TEMPERATURE (inf) puts all three at zero temperature, where k1 and
+    k2 scale nothing.  Otherwise beta_a must be positive, and so must
+    beta_A, k1 beta_A and k2 beta_A after rounding: one that underflows to 0
+    or overflows to inf is rejected by the name of its factor, with beta_a
+    quoted as given.  omegas must hold three splittings.
     """
     if len(omegas) != 3:
         raise ParameterError(f"make_reservoirs takes three splittings, got {omegas!r}")
     spectral = OhmicSpectralDensity(eta, omega_c)
-    if beta_a == ZERO_TEMPERATURE:
-        betas = (beta_a, beta_a, beta_a)
-    else:
+    betas = (beta_a, beta_a, beta_a)
+    if beta_a != ZERO_TEMPERATURE:
         if not beta_a > 0:
             raise ParameterError(f"beta_a must be positive, got {beta_a!r}")
         beta = _per_omega_c("beta_a", beta_a, omega_c)
         betas = (beta, k1 * beta, k2 * beta)
-        for key, k, product in (("k1", k1, betas[1]), ("k2", k2, betas[2])):
-            if not k > 0:
-                raise ParameterError(f"{key} must be positive, got {k!r}")
-            if not 0.0 < product < math.inf:
-                raise ParameterError(
-                    f"{key} * beta_a = {k!r} * {beta_a!r} rounds to {product!r}, "
-                    "not a positive finite inverse temperature"
-                )
+    for key, k, product in (("k1", k1, betas[1]), ("k2", k2, betas[2])):
+        if not k > 0:  # NaN included, at every temperature
+            raise ParameterError(f"{key} must be positive, got {k!r}")
+        if beta_a != ZERO_TEMPERATURE and not 0.0 < product < math.inf:
+            raise ParameterError(
+                f"{key} * beta_a = {k!r} * {beta_a!r} rounds to {product!r}, "
+                "not a positive finite inverse temperature"
+            )
     return tuple(
         ReservoirSpec(spectral, beta, omega) for beta, omega in zip(betas, omegas)
     )
@@ -612,13 +615,14 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     Each curve is one (T, 8, 8) stack, evolved from the grid's Werner state
     through the channel of its reservoir set; the channel of each distinct
     set is computed once, before the curves.  Each stack is validated once,
-    as a DensityStack that every measure shares.  When the grid asks for a
-    negativity, each set's channel also evolves the pure state E once, and
-    the partial-transpose spectra of the cuts asked for are taken of E
-    alone: F has a unit diagonal, so each stack is x E + (1 - x) I/8 and
-    its DensityStack reads each spectrum as x lam + (1 - x)/8, within
-    round-off of solving its own.  Results are in the grid's
-    units: `parameters` as configured, and t_p, T_c and the
+    as a DensityStack that every measure shares.  F has a unit diagonal,
+    so each stack is x E + (1 - x) I/8, E the pure state evolved through
+    its set's channel, and its DensityStack reads each partial-transpose
+    spectrum from the set's one `PureSpectra` table, as x lam + (1 - x)/8,
+    within round-off of solving its own.  The table solves a cut of E the
+    first time a measure reads it; a solve that raises makes the measure
+    replay the stack row by row, each row on its own spectra.  Results are
+    in the grid's units: `parameters` as configured, and t_p, T_c and the
     freezing intervals in units of 1/omega_c.  The time lists of the grid
     are built once per call, for every curve.  The grid and every
     root-finder evaluation read each Gamma from its reservoir's own
@@ -643,23 +647,15 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
         gammas(list(dict.fromkeys(itertools.chain(*sets))), ts, grid.method)
     except Exception:  # not stored: the channels below raise each set's own first failure
         pass
+    pure = projector(STATES[grid.state]())
     channels: dict[tuple, object] = {}  # reservoir set -> factors or the text of their error
+    spectra: dict[tuple, PureSpectra] = {}  # reservoir set -> its evolved pure state's spectra
     for reservoirs in sets:
         try:
-            channels[reservoirs] = dephasing_factors(reservoirs, times, grid.method)
+            factors = channels[reservoirs] = dephasing_factors(reservoirs, times, grid.method)
+            spectra[reservoirs] = PureSpectra(pure, factors)
         except Exception as exc:  # every curve of this reservoir set carries it
             channels[reservoirs] = _error_text(exc)
-    cuts = sorted({q for name in grid.measures for q in SPECTRAL_CUTS.get(name, ())})
-    spectra: dict[tuple, dict] = {}  # reservoir set -> cut -> spectrum of the evolved pure state
-    if cuts:
-        pure = projector(STATES[grid.state]())
-        for reservoirs, factors in channels.items():
-            if isinstance(factors, str):
-                continue
-            try:
-                spectra[reservoirs] = pt_spectra(evolve(pure, factors), cuts)
-            except Exception:  # not stored: each stack then solves its own spectra
-                pass
     for (x, rho0), (point, reservoirs) in itertools.product(
         zip(grid.xs, grid.initial_states), grid.reservoir_sets
     ):
@@ -669,9 +665,8 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
         evolved = None if isinstance(factors, str) else evolve(rho0, factors)
         checked = None
         if evolved is not None:
-            pure_spectra = spectra.get(reservoirs)
             try:  # once for every measure of this stack
-                checked = DensityStack(evolved, None if pure_spectra is None else (x, pure_spectra))
+                checked = DensityStack(evolved, (x, spectra[reservoirs]))
             except Exception:  # each measure replays the stack row by row
                 pass
 

@@ -45,16 +45,16 @@ class DensityStack:
     partial-transpose spectrum is taken once.
 
     A stack of Werner states x E + (1 - x) I/8 may be given
-    `werner=(x, spectra)`, where `spectra` maps cuts to the ascending
-    partial-transpose spectra of E (`pt_spectra`).  The partial transpose
-    is linear and leaves I fixed, so such a cut's spectrum is read as
-    x lam + (1 - x)/8, still ascending, instead of being solved from the
-    array (Vidal & Werner, PRA 65, 032314 (2002)); it agrees with the
-    solved spectrum to round-off.  Validation, every other measure and
-    `rows` read the array itself.
+    `werner=(x, spectra)`, where `spectra` is the `PureSpectra` of E.  The
+    partial transpose is linear and leaves I fixed, so each cut's spectrum
+    is read as x spectra[cut] + (1 - x)/8, still ascending, instead of being
+    solved from the array (Vidal & Werner, PRA 65, 032314 (2002)); it
+    agrees with the solved spectrum to round-off.  The measures alone
+    decide which cuts are read, and so solved.  Validation, every other
+    measure and `rows` read the array itself.
     """
 
-    def __init__(self, rho, werner: tuple[float, dict[int, np.ndarray]] | None = None):
+    def __init__(self, rho, werner: tuple[float, PureSpectra] | None = None):
         # C order makes a stacked reduction sum each matrix as a single one
         # is summed, whatever the layout it came in (no copy when it is C already)
         self._hold(np.ascontiguousarray(assert_density_matrix(rho)), werner)
@@ -80,9 +80,7 @@ class DensityStack:
         """Ascending eigenvalues of the partial transpose on one qubit."""
         if self._werner is not None:
             x, spectra = self._werner
-            pure = spectra.get(subsystem_index(subsystem, len(QUBIT_DIMS)))
-            if pure is not None:
-                return x * pure + (1.0 - x) / DIM
+            return x * spectra[subsystem_index(subsystem, len(QUBIT_DIMS))] + (1.0 - x) / DIM
         return hermitian_eigenvalues(partial_transpose(self.array, QUBIT_DIMS, subsystem))
 
     def negativities(self, subsystem: int) -> np.ndarray:
@@ -102,15 +100,21 @@ class DensityStack:
         return self._negativities[subsystem]
 
 
-def pt_spectra(pure: np.ndarray, subsystems) -> dict[int, np.ndarray]:
-    """Cut -> ascending partial-transpose spectrum of `pure`, for each cut in `subsystems`.
+class PureSpectra(dict):
+    """Cut -> ascending partial-transpose spectrum of the evolved pure state
+    E = pure * factors, the product `evolve` computes, each cut solved the
+    first time it is read.  E is formed for that solve, not validated and
+    not kept: one table serves every Werner mixture of E through
+    `DensityStack(rho, werner=(x, table))`, each of them validated."""
 
-    `pure` is a stack of evolved pure states E, not validated here.  The
-    result is the `spectra` of `DensityStack(rho, werner=(x, spectra))` for
-    each Werner mixture rho of E, which is validated when it is built.
-    """
-    stack = DensityStack._trusted(pure)
-    return {subsystem: stack.pt_eigenvalues(subsystem) for subsystem in subsystems}
+    def __init__(self, pure: np.ndarray, factors: np.ndarray):
+        super().__init__()
+        self._pure, self._factors = pure, factors
+
+    def __missing__(self, subsystem: int) -> np.ndarray:
+        pt = partial_transpose(self._pure * self._factors, QUBIT_DIMS, subsystem)
+        spectrum = self[subsystem] = hermitian_eigenvalues(pt)
+        return spectrum
 
 
 def _checked(rho) -> DensityStack:

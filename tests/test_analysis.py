@@ -482,8 +482,14 @@ def test_sweep_grid_rejects_every_value_the_run_cannot_build(changes, error, mes
 
 def test_make_reservoirs_zero_temperature():
     assert all(r.beta == ZERO_TEMPERATURE for r in gradient(math.inf, 1.0, 1.0))
-    # zero temperature leaves k1 and k2 unused
-    assert gradient(math.inf, 0.0, math.nan) == gradient(math.inf, 1.0, 1.0)
+    # zero temperature scales no beta by k1 or k2, but still rejects one that is not positive
+    assert gradient(math.inf, 4.0, 16.0) == gradient(math.inf, 1.0, 1.0)
+    for k1, k2, message in ((0.0, 1.0, "k1 must be positive, got 0.0"),
+                            (1.0, math.nan, "k2 must be positive, got nan"),
+                            (-3.0, 0.0, "k1 must be positive, got -3.0")):
+        with pytest.raises(ParameterError) as info:
+            gradient(math.inf, k1, k2)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("omegas", [(), (2.0,), (2.0, 2.0), (2.0, 2.0, 2.0, 2.0)])

@@ -96,6 +96,9 @@ UNDERFLOW = "k1 * beta_a = 1e-200 * 1e-200 rounds to 0.0, not a positive finite 
     pytest.param(["k2=0", "beta_a=1", "method=low_t"], "k2 must be positive, got 0.0",
                  id="k2_zero"),
     (["k1=1e-200", "beta_a=1e-200", "method=low_t"], UNDERFLOW),
+    # at the default zero temperature k1 and k2 scale no beta, but must still be positive
+    pytest.param(["k2=0"], "k2 must be positive, got 0.0", id="k2_zero_at_zero_t"),
+    pytest.param(["k1=-3"], "k1 must be positive, got -3.0", id="k1_negative_at_zero_t"),
 ])
 def test_evolve_bad_physical_input_is_a_config_error(capsys, settings, message):
     argv = ["evolve"]

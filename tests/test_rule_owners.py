@@ -336,6 +336,15 @@ MEASURE_NAMES = "['gmc', 'l1_coherence', 'negativity_a_bc', 'negativity_b_ac', "
     (dict(measures=("gmc", "bogus")), f"unknown measures ['bogus']; choose from {MEASURE_NAMES}"),
     (dict(state=["ghz"]), "unknown state ['ghz']; choose from ['ghz', 'w']"),
     (dict(omega_c=math.inf), "omega_c must be finite, got inf"),
+    # a number of the wrong type, a bool included, is named by its field
+    (dict(etas=["0.2"]), "etas entry must be a real number, got '0.2'"),
+    (dict(etas=[True]), "etas entry must be a real number, got True"),
+    (dict(k1s=["a"]), "k1s entry must be a real number, got 'a'"),
+    (dict(omega_sqs=("4", 4, 4)), "omega_sqs entry must be a real number, got '4'"),
+    (dict(t_stop="1"), "t_stop must be a real number, got '1'"),
+    (dict(omega_c=True), "omega_c must be a real number, got True"),
+    (dict(epsilon=None), "epsilon must be a real number, got None"),
+    (dict(omega_sqs=4.0), "omega_sqs must hold three values, got 4.0"),
 ])
 def test_grid_lists_and_names_are_checked_by_the_grid(changes, message):
     with pytest.raises(ParameterError) as info:

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from tridephase import analysis, linalg, measures
 from tridephase.analysis import (
     MEASURES,
-    SPECTRAL_CUTS,
     STATES,
     SweepGrid,
     make_reservoirs,
@@ -21,11 +20,12 @@ from tridephase.evolution import dephasing_factors, evolve
 from tridephase.exceptions import HermiticityViolation, MethodError, ParameterError, ShapeError
 from tridephase.linalg import hermitian_eigenvalues, hermiticity_defect, partial_transpose
 from tridephase.measures import (
+    BIPARTITIONS,
     DensityStack,
+    PureSpectra,
     gmc_x_state,
     l1_coherence,
     negativity,
-    pt_spectra,
     tripartite_negativity,
 )
 from tridephase.reservoir import GammaMethod
@@ -97,6 +97,7 @@ def same_bits(a, b) -> bool:
 # x lam(PT(E)) + (1 - x)/8, which agree with the spectra of the mixture's own
 # matrices to round-off
 SPECTRAL_TOL = 2e-15
+SPECTRAL = (*(f"negativity_{c}" for c in BIPARTITIONS), "tripartite_negativity")
 
 
 def sweep_agrees(name, got, want) -> bool:
@@ -107,7 +108,7 @@ def sweep_agrees(name, got, want) -> bool:
     if got.shape != want.shape or not np.array_equal(np.isnan(got), np.isnan(want)):
         return False
     got, want = got[~np.isnan(got)], want[~np.isnan(want)]
-    if name not in analysis.SPECTRAL_CUTS:
+    if name not in SPECTRAL:
         return same_bits(got, want)
     return bool(np.all(abs(got - want) <= SPECTRAL_TOL))
 
@@ -423,7 +424,7 @@ def test_sweep_negativities_are_the_zero_rule_on_the_shifted_pure_spectra(state)
     grid = SweepGrid(
         xs=[0.0, 0.3, 0.7, 1.0], etas=[0.2, 40.0], beta_as=[100.0], k1s=[1.0], k2s=[16.0],
         t_start=0.0, t_stop=30.0, t_count=13, omega_sqs=OMEGA_SQS,
-        measures=tuple(SPECTRAL_CUTS), method=GammaMethod.LOW_T_CLOSED_FORM, state=state,
+        measures=SPECTRAL, method=GammaMethod.LOW_T_CLOSED_FORM, state=state,
     )
     curves = iter(run_sweep(grid))
     pure0 = projector(STATES[state]())
@@ -435,12 +436,12 @@ def test_sweep_negativities_are_the_zero_rule_on_the_shifted_pure_spectra(state)
         ]
         f0, f1, f2 = np.array(cuts)
         geometric = np.where((f0 == 0.0) | (f1 == 0.0) | (f2 == 0.0), 0.0, np.cbrt(f0 * f1 * f2))
+        wanted = dict(zip(SPECTRAL, [*cuts, geometric]))
         for name in grid.measures:
             curve = next(curves)
             assert curve.parameters["x"] == x and curve.name == name
             assert curve.errors == [None] * grid.t_count
-            want = geometric if name == "tripartite_negativity" else cuts[SPECTRAL_CUTS[name][0]]
-            assert same_bits(curve.values, want), name
+            assert same_bits(curve.values, wanted[name]), name
             if x == 0.0:
                 assert curve.values == [0.0] * grid.t_count
 
@@ -457,14 +458,14 @@ def test_shifted_pure_spectra_agree_with_the_public_measures(state, x, eta, beta
     omegas = tuple(math.sqrt(v) for v in omega_sqs)
     reservoirs = make_reservoirs(eta, 1.0, beta_a, 4.0, 16.0, omegas)
     factors = dephasing_factors(reservoirs, np.linspace(0.0, 3.0, 13), GammaMethod.EXACT)
-    spectra = pt_spectra(evolve(projector(STATES[state]()), factors), range(3))
+    spectra = PureSpectra(projector(STATES[state]()), factors)
     for mix in (x, 1.0, 0.0):
         stack = evolve(werner(STATES[state](), mix), factors)
         shifted, direct = DensityStack(stack, (mix, spectra)), DensityStack(stack)
         for q in range(3):
             gap = abs(shifted.pt_eigenvalues(q) - direct.pt_eigenvalues(q))
             assert gap.max() <= SPECTRAL_TOL, (mix, q)
-        for name in SPECTRAL_CUTS:
+        for name in SPECTRAL:
             got, want = PUBLIC_MEASURES[name](shifted), PUBLIC_MEASURES[name](stack)
             if mix == 1.0:  # x lam + 0.0 is lam: the direct path's bits
                 assert same_bits(got, want), name
@@ -475,16 +476,18 @@ def test_shifted_pure_spectra_agree_with_the_public_measures(state, x, eta, beta
 
 
 @pytest.mark.parametrize(
-    "measured, pure_states",
-    [(("gmc",), False), (("gmc", "negativity_b_ac", "l1_coherence"), True)],
+    "measured, cuts",
+    [
+        (("gmc", "l1_coherence"), ()),
+        (("gmc", "negativity_b_ac", "l1_coherence"), (1,)),
+        (("negativity_c_ab", "tripartite_negativity"), (0, 1, 2)),
+    ],
 )
-def test_each_reservoir_set_evolves_its_pure_state_once_for_a_spectral_measure(
-    monkeypatch, measured, pure_states
-):
-    # W2's shape: one x per reservoir set; a grid without a spectral measure
-    # evolves, validates and solves what it did before pure states were shared
+def test_each_reservoir_set_solves_each_cut_its_measures_read_once(monkeypatch, measured, cuts):
+    # the two x of each reservoir set share its table, which solves only the
+    # cuts the grid's measures read: none for gmc and l1_coherence
     grid = SweepGrid(
-        xs=[0.8], etas=[0.2], beta_as=[0.5, 1000.0], k1s=[1.0, 4.0], k2s=[16.0],
+        xs=[0.3, 0.8], etas=[0.2], beta_as=[0.5, 1000.0], k1s=[1.0, 4.0], k2s=[16.0],
         t_start=0.0, t_stop=3.0, t_count=7, omega_sqs=OMEGA_SQS, measures=measured,
         method=GammaMethod.NUMERIC_QUADRATURE, include_timescales=True,
     )
@@ -493,25 +496,48 @@ def test_each_reservoir_set_evolves_its_pure_state_once_for_a_spectral_measure(
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             counts[name] += 1
+            if name == "partial_transpose":
+                counts[name, args[2]] += 1
             return fn(*args, **kwargs)
         return wrapper
 
     for module, names in (
-        (analysis, ("evolve", "projector", "pt_spectra")),
+        (analysis, ("evolve", "projector")),
         (measures, ("assert_density_matrix", "partial_transpose", "hermitian_eigenvalues")),
     ):
         for name in names:
             monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     curves = run_sweep(grid)
     assert all(error is None for curve in curves for error in curve.errors)
-    stacks = sets = len(grid.reservoir_sets)
-    expected = {"evolve": stacks, "assert_density_matrix": stacks}
-    if pure_states:
-        expected = {
-            "evolve": stacks + sets, "assert_density_matrix": stacks, "projector": 1,
-            "pt_spectra": sets, "partial_transpose": sets, "hermitian_eigenvalues": sets,
-        }
+    sets = len(grid.reservoir_sets)
+    stacks = len(grid.xs) * sets
+    expected = {"evolve": stacks, "assert_density_matrix": stacks, "projector": 1}
+    if cuts:
+        solves = len(cuts) * sets
+        expected |= {"partial_transpose": solves, "hermitian_eigenvalues": solves}
+        expected |= {("partial_transpose", q): sets for q in cuts}
     assert counts == expected
+
+
+def test_a_pure_state_solve_that_raises_replays_each_stack_on_its_own_spectra(monkeypatch):
+    # each row of the replay solves its own matrix's spectra, which are
+    # the bits of the public measures on the stack
+    grid = w1_like_grid()
+    reservoirs = make_reservoirs(0.2, 1.0, math.inf, 1.0, 1.0, grid.omegas())
+    factors = dephasing_factors(reservoirs, grid.channel_times(), grid.method)
+    solves = Counter()
+
+    def failing(table, subsystem):
+        solves[subsystem] += 1
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(PureSpectra, "__missing__", failing)
+    curves = run_sweep(grid)
+    assert set(solves) == {0, 1, 2}
+    for curve in curves:
+        stack = evolve(werner(ghz_state(), curve.parameters["x"]), factors)
+        assert same_bits(curve.values, PUBLIC_MEASURES[curve.name](stack)), curve.name
+        assert curve.errors == [None] * grid.t_count
 
 
 def test_a_stack_that_fails_validation_is_replayed_row_by_row(monkeypatch):

@@ -328,6 +328,12 @@ def freezing_intervals(ts: Sequence[float], values: Sequence[float]) -> list[tup
     return [(ts[a], ts[b]) for a, b in merged]
 
 
+def _check_real(name: str, value) -> None:
+    """Reject, under `name`, a value that is not a numbers.Real, or is a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a real number, got {value!r}")
+
+
 def _per_omega_c(name: str, value: float, omega_c: float) -> float:
     """value / omega_c, rejected under `name` if nonzero and it rounds to 0 or inf."""
     quotient = value / omega_c
@@ -355,7 +361,9 @@ class SweepGrid:
     phase (`evolution.check_phase`), then builds and keeps the run's
     `initial_states` and `reservoir_sets`, evaluating Gamma(0) with
     `method`, so a value the run cannot build raises here, with its owner's
-    message.
+    message.  The Werner states are validated once, as one (len(xs), 8, 8)
+    DensityStack, and `initial_states` are its rows, which share that
+    validation, so `evolve` solves nothing for them.
     """
 
     xs: Sequence[float]
@@ -381,8 +389,7 @@ class SweepGrid:
             if isinstance(entries, (list, tuple)):
                 values += [(f"{name} entry", value) for value in entries]
         for name, value in values:
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ParameterError(f"{name} must be a real number, got {value!r}")
+            _check_real(name, value)
         if not self.omega_c > 0:
             raise ParameterError(f"omega_c must be positive, got {self.omega_c!r}")
         if self.omega_c == math.inf:
@@ -421,10 +428,10 @@ class SweepGrid:
         self.initial_states, self.reservoir_sets  # every x is built before any reservoir
 
     @cached_property
-    def initial_states(self) -> tuple[np.ndarray, ...]:
-        """The Werner state of each x, in xs order."""
+    def initial_states(self) -> tuple[DensityStack, ...]:
+        """The Werner state of each x, in xs order: the rows of one DensityStack."""
         psi = STATES[self.state]()
-        return tuple(werner(psi, x) for x in self.xs)
+        return tuple(DensityStack(np.stack([werner(psi, x) for x in self.xs])).rows())
 
     @cached_property
     def reservoir_sets(self) -> tuple[tuple[tuple, tuple[ReservoirSpec, ...]], ...]:
@@ -494,10 +501,14 @@ def make_reservoirs(
     k2 scale nothing.  Otherwise beta_a must be positive, and so must
     beta_A, k1 beta_A and k2 beta_A after rounding: one that underflows to 0
     or overflows to inf is rejected by the name of its factor, with beta_a
-    quoted as given.  omegas must hold three splittings.
+    quoted as given.  omegas must hold three splittings.  eta, omega_c,
+    beta_a, k1 and k2 must each be a real number and not a bool.
     """
     if len(omegas) != 3:
         raise ParameterError(f"make_reservoirs takes three splittings, got {omegas!r}")
+    named = (("eta", eta), ("omega_c", omega_c), ("beta_a", beta_a), ("k1", k1), ("k2", k2))
+    for name, value in named:
+        _check_real(name, value)
     spectral = OhmicSpectralDensity(eta, omega_c)
     betas = (beta_a, beta_a, beta_a)
     if beta_a != ZERO_TEMPERATURE:
@@ -612,7 +623,8 @@ def _gamma_curve(
 def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     """Every measure's curve at every parameter tuple, in lexicographic order.
 
-    Each curve is one (T, 8, 8) stack, evolved from the grid's Werner state
+    Each curve is one (T, 8, 8) stack, evolved from the grid's Werner state,
+    a row of its validated stack that `evolve` does not validate again,
     through the channel of its reservoir set; the channel of each distinct
     set is computed once, before the curves.  Each stack is validated once,
     as a DensityStack that every measure shares.  F has a unit diagonal,

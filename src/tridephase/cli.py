@@ -298,18 +298,20 @@ def _curve_table(config: dict, args, per_time: bool, timescales: bool | None) ->
     def table(curve):
         parameters = curve.parameters
         heads = (stack_heads.setdefault(id(parameters), tuple(parameters.values())), (curve.name,))
-        cells = ()
+        cells, curve_error = (), ""
         if timescales:
             ts = curve.timescales
             cells = (ts.t_p, ts.t_c, ts.t_c_reached, len(ts.freezing))
+            curve_error = ts.error or ""
         if not per_time:
             intervals = "|".join(":".join(_float_texts(interval)) for interval in ts.freezing)
-            return heads, [], [[cell] for cell in (*cells, intervals, ts.error or "")], ()
+            return heads, [], [[cell] for cell in (*cells, intervals, curve_error)], ()
+        # a row with no error of its own carries its curve's time-scale error
         if any(curve.errors):  # an error is a nonempty text; its column follows the cells
-            errors = [error or "" for error in curve.errors]
+            errors = [error or curve_error for error in curve.errors]
             repeated = [[cell] * len(times) for cell in cells]
             return heads, [times, curve.values], [*repeated, errors], ()
-        return heads, [times, curve.values], [], (*cells, "")
+        return heads, [times, curve.values], [], (*cells, curve_error)
 
     _emit(fields, map(table, curves), args)
     return 0

@@ -96,6 +96,8 @@ def evolve(rho0: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """Apply the dephasing map; the diagonal is returned bit-for-bit unchanged.
 
     With (T, 8, 8) factors the result is the (T, 8, 8) stack of evolved
-    matrices.
+    matrices.  `rho0` is validated by `assert_density_matrix`, unless it
+    is a `DensityStack` (such as a row of `SweepGrid.initial_states`),
+    which was validated when it was built; the result is not validated.
     """
     return assert_density_matrix(rho0) * factors

@@ -65,8 +65,14 @@ def assert_density_matrix(rho) -> np.ndarray:
     Accepts one 8x8 matrix or a stack of shape (..., 8, 8).  Every matrix
     of a stack is checked, and the message reports the worst one.  A
     non-Hermitian matrix fails first, in hermitian_eigenvalues, with its
-    HermiticityViolation (a ParameterError).
+    HermiticityViolation (a ParameterError).  A `measures.DensityStack`
+    was validated when it was built: its array is returned as it is, and
+    nothing is solved.
     """
+    from .measures import DensityStack  # measures imports this module
+
+    if isinstance(rho, DensityStack):
+        return rho.array
     a = np.asarray(rho, dtype=complex)
     if a.shape[-2:] != (DIM, DIM):
         raise ParameterError(f"expected an {DIM}x{DIM} density matrix, got shape {a.shape}")

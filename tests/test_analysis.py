@@ -499,6 +499,21 @@ def test_make_reservoirs_takes_three_splittings(omegas):
         make_reservoirs(0.2, 1.0, 1.0, 1.0, 1.0, omegas)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0.2, 1, 1.0, "a", 1, (1, 1, 1)), "k1 must be a real number, got 'a'"),
+    ((0.2, 1, 1.0, 1, None, (1, 1, 1)), "k2 must be a real number, got None"),
+    ((0.2, 1, "1", 1, 1, (1, 1, 1)), "beta_a must be a real number, got '1'"),
+    (("0.2", 1, 1.0, 1, 1, (1, 1, 1)), "eta must be a real number, got '0.2'"),
+    ((0.2, "1", 1.0, 1, 1, (1, 1, 1)), "omega_c must be a real number, got '1'"),
+    ((0.2, 1, math.inf, True, 1, (1, 1, 1)), "k1 must be a real number, got True"),
+])
+def test_make_reservoirs_names_an_argument_that_is_not_a_number(args, message):
+    # the grid's own rule, so a direct call raises what SweepGrid raises, not a TypeError
+    with pytest.raises(ParameterError) as info:
+        make_reservoirs(*args)
+    assert str(info.value) == message
+
+
 def sampled(curve, ts):
     ts = [float(t) for t in ts]
     return ts, [curve(t) for t in ts]

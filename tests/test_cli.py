@@ -485,6 +485,20 @@ def test_sweep_timescale_columns_follow_their_curves(capsys):
             assert [row[c] for c in columns] == [ts[c] for c in columns]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_rows_carry_their_curves_timescale_error(capsys, fmt):
+    # gmc of x = 0.3 is 0 from the start: no row fails, the time scales do
+    settings = ["--set", "x=0.3", "--set", "t_count=2", "--format", fmt]
+    code, out, _ = run(capsys, ["sweep", "--set", "timescales=true", *settings])
+    assert code == 0
+    code, ts_out, _ = run(capsys, ["timescales", *settings])
+    assert code == 0
+    rows, ts_rows = (read_csv(text) if fmt == "csv" else json.loads(text) for text in (out, ts_out))
+    (ts_row,) = ts_rows
+    assert ts_row["error"] == "NoCorrelationError: measure starts at 0.0; no preservation time exists"
+    assert len(rows) == 2 and all(row["error"] == ts_row["error"] for row in rows)
+
+
 @pytest.mark.parametrize("command", ["evolve", "measure", "timescales", "sweep"])
 def test_time_grid_errors_name_their_keys(capsys, command):
     code, _, err = run(capsys, [command, "--set", "t_start=2", "--set", "t_stop=1"])

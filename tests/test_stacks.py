@@ -1,5 +1,6 @@
 """Stacked (T, 8, 8) evaluation equals stacking T single-matrix calls, bit for bit."""
 
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tridephase import analysis, linalg, measures
+from tridephase import analysis, linalg, measures, states
 from tridephase.analysis import (
     MEASURES,
     STATES,
@@ -312,6 +313,48 @@ def w1_like_grid() -> SweepGrid:
         t_start=0.0, t_stop=3.0, t_count=11, omega_sqs=OMEGA_SQS, measures=tuple(MEASURES),
         method=GammaMethod.ZERO_T_CLOSED_FORM,
     )
+
+
+def test_a_grid_validates_its_initial_states_once_as_one_stack(monkeypatch):
+    two_x = w1_like_grid()
+    solved = []
+    solve = states.hermitian_eigenvalues
+
+    def counting(a):
+        solved.append(np.shape(a))
+        return solve(a)
+
+    monkeypatch.setattr(states, "hermitian_eigenvalues", counting)
+    xs = [0.05, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9, 1.0]  # 8 x, as W1
+    grid = dataclasses.replace(two_x, xs=xs)
+    assert solved == [(8, 8, 8)]
+    for x, row in zip(xs, grid.initial_states, strict=True):
+        assert type(row) is DensityStack
+        assert row.array.tobytes() == werner(ghz_state(), x).tobytes()
+    # evolve solves nothing for a row: each (x, set) stack is validated once, on its own
+    solved.clear()
+    run_sweep(grid)
+    assert solved == [(grid.t_count, 8, 8)] * len(xs)
+
+
+def test_assert_density_matrix_returns_a_stacks_array_and_solves_nothing(monkeypatch):
+    stack = DensityStack(np.stack([werner(ghz_state(), x) for x in (0.2, 0.8)]))
+
+    def unreachable(a):
+        raise AssertionError("a DensityStack was validated again")
+
+    monkeypatch.setattr(states, "hermitian_eigenvalues", unreachable)
+    assert assert_density_matrix(stack) is stack.array
+    for row in stack.rows():
+        assert assert_density_matrix(row) is row.array
+
+
+@pytest.mark.parametrize("key", sorted(CURVES))
+def test_evolve_of_a_row_is_evolve_of_its_array(key):
+    rho0, factors, _ = stacked_and_singles(key)
+    (row,) = DensityStack(rho0[None]).rows()
+    assert evolve(row, factors).tobytes() == evolve(row.array, factors).tobytes()
+    assert evolve(row, factors).tobytes() == evolve(rho0, factors).tobytes()
 
 
 def test_run_sweep_validates_each_stack_once_and_takes_each_spectrum_once(monkeypatch):

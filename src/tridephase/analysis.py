@@ -183,6 +183,7 @@ def _sampled_curve(
     """The sampled curve, checked, from t = 0 to t_max: t = 0 and curve(0) go in
     front of samples that start later, to bracket a crossing before the first;
     without samples, the curve at 0 and at t_max 2^-k for k = 48 ... 0."""
+    _check_real("t_max", t_max)
     if not 0.0 < t_max < math.inf:
         raise ParameterError(f"t_max must be positive and finite, got {t_max!r}")
     if samples is None:
@@ -501,13 +502,14 @@ def make_reservoirs(
     k2 scale nothing.  Otherwise beta_a must be positive, and so must
     beta_A, k1 beta_A and k2 beta_A after rounding: one that underflows to 0
     or overflows to inf is rejected by the name of its factor, with beta_a
-    quoted as given.  omegas must hold three splittings.  eta, omega_c,
-    beta_a, k1 and k2 must each be a real number and not a bool.
+    quoted as given.  omegas must be a 1-d sequence of three splittings.
+    eta, omega_c, beta_a, k1, k2 and each splitting must be a real number
+    and not a bool; all of this is checked before anything is built.
     """
-    if len(omegas) != 3:
+    if getattr(omegas, "ndim", 1) != 1 or not hasattr(omegas, "__len__") or len(omegas) != 3:
         raise ParameterError(f"make_reservoirs takes three splittings, got {omegas!r}")
     named = (("eta", eta), ("omega_c", omega_c), ("beta_a", beta_a), ("k1", k1), ("k2", k2))
-    for name, value in named:
+    for name, value in (*named, *(("omegas entry", omega) for omega in omegas)):
         _check_real(name, value)
     spectral = OhmicSpectralDensity(eta, omega_c)
     betas = (beta_a, beta_a, beta_a)
@@ -533,25 +535,35 @@ def _error_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _measure_curve(
-    fn: Callable, stack: np.ndarray, checked: DensityStack | None
-) -> tuple[list, list]:
+def _sweep_stack(rho0, x: float, channel: PureSpectra) -> DensityStack | np.ndarray:
+    """The stack of rho0, the Werner state of x, evolved through the channel of
+    `channel.factors`: validated once, as a DensityStack that reads each
+    partial-transpose spectrum from `channel`, or the raw array where
+    validation raises."""
+    evolved = evolve(rho0, channel.factors)
+    try:
+        return DensityStack(evolved, (x, channel))
+    except Exception:  # each measure replays the raw array, matrix by matrix
+        return evolved
+
+
+def _measure_curve(fn: Callable, stack: DensityStack | Sequence) -> tuple[list, list]:
     """Values and per-row errors (None when fine) of one measure over a stack.
 
-    The measure is called on `checked`, the stack's DensityStack.  When
-    that call raises, the measure is replayed on each of its rows, which
-    share its validation; when there is none (the stack failed validation),
-    on each raw matrix, validated on its own.  Every row carries the value
-    or the error of its own matrix.
+    A DensityStack is measured whole; when that call raises, the measure is
+    replayed on each of its `rows()`, which share its validation.  Any other
+    sequence is evaluated entry by entry: the raw array of a stack that
+    failed validation, each matrix validated on its own, or the times of a
+    kernel's curve.  Each row carries its own value or error.
     """
-    if checked is not None:
+    if isinstance(stack, DensityStack):
         try:
-            values = fn(checked).tolist()
+            values = fn(stack).tolist()
             return values, [None] * len(values)
         except Exception:  # replayed below, one row at a time
-            pass
+            stack = stack.rows()
     values, errors = [], []
-    for rho in stack if checked is None else checked.rows():
+    for rho in stack:
         try:
             values.append(fn(rho))
             errors.append(None)
@@ -623,19 +635,21 @@ def _gamma_curve(
 def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     """Every measure's curve at every parameter tuple, in lexicographic order.
 
-    Each curve is one (T, 8, 8) stack, evolved from the grid's Werner state,
-    a row of its validated stack that `evolve` does not validate again,
-    through the channel of its reservoir set; the channel of each distinct
-    set is computed once, before the curves.  Each stack is validated once,
-    as a DensityStack that every measure shares.  F has a unit diagonal,
-    so each stack is x E + (1 - x) I/8, E the pure state evolved through
-    its set's channel, and its DensityStack reads each partial-transpose
-    spectrum from the set's one `PureSpectra` table, as x lam + (1 - x)/8,
-    within round-off of solving its own.  The table solves a cut of E the
-    first time a measure reads it; a solve that raises makes the measure
-    replay the stack row by row, each row on its own spectra.  Results are
-    in the grid's units: `parameters` as configured, and t_p, T_c and the
-    freezing intervals in units of 1/omega_c.  The time lists of the grid
+    Each curve is one (T, 8, 8) stack, built by `_sweep_stack` from the
+    grid's Werner state, a row of its validated stack that `evolve` does
+    not validate again, and its reservoir set's channel.  The channel of
+    each distinct set is computed once, before the curves, and kept as the
+    set's one `PureSpectra` table, which holds its factors, or as the text
+    of its error.  Each stack is validated once, as a DensityStack that
+    every measure shares.  F has a unit diagonal, so each stack is
+    x E + (1 - x) I/8, E the pure state evolved through its set's channel,
+    and its DensityStack reads each partial-transpose spectrum from the
+    set's table, as x lam + (1 - x)/8, within round-off of solving its
+    own.  The table solves a cut of E the first time a measure reads it;
+    a solve that raises makes the measure replay the stack row by row,
+    each row on its own spectra.  Results are in the grid's units:
+    `parameters` as configured, and t_p, T_c and the freezing intervals in
+    units of 1/omega_c.  The time lists of the grid
     are built once per call, for every curve.  The grid and every
     root-finder evaluation read each Gamma from its reservoir's own
     time -> Gamma table, which lasts as long as the grid.  A
@@ -660,12 +674,11 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     except Exception:  # not stored: the channels below raise each set's own first failure
         pass
     pure = projector(STATES[grid.state]())
-    channels: dict[tuple, object] = {}  # reservoir set -> factors or the text of their error
-    spectra: dict[tuple, PureSpectra] = {}  # reservoir set -> its evolved pure state's spectra
+    channels: dict[tuple, PureSpectra | str] = {}  # reservoir set -> its table, or its error
     for reservoirs in sets:
         try:
-            factors = channels[reservoirs] = dephasing_factors(reservoirs, times, grid.method)
-            spectra[reservoirs] = PureSpectra(pure, factors)
+            factors = dephasing_factors(reservoirs, times, grid.method)
+            channels[reservoirs] = PureSpectra(pure, factors)
         except Exception as exc:  # every curve of this reservoir set carries it
             channels[reservoirs] = _error_text(exc)
     for (x, rho0), (point, reservoirs) in itertools.product(
@@ -673,21 +686,13 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     ):
         label = (grid.state, x, *point, *grid.omega_sqs, grid.omega_c, grid.method.value)
         params = dict(zip(PARAM_FIELDS, label))
-        factors = channels[reservoirs]
-        evolved = None if isinstance(factors, str) else evolve(rho0, factors)
-        checked = None
-        if evolved is not None:
-            try:  # once for every measure of this stack
-                checked = DensityStack(evolved, (x, spectra[reservoirs]))
-            except Exception:  # each measure replays the stack row by row
-                pass
-
+        channel = channels[reservoirs]
+        stack = None if isinstance(channel, str) else _sweep_stack(rho0, x, channel)
         for name in grid.measures:
-            fn = MEASURES[name]
-            if evolved is None:
-                values, errors = [math.nan] * times.size, [factors] * times.size
+            if stack is None:
+                values, errors = [math.nan] * times.size, [channel] * times.size
             else:
-                values, errors = _measure_curve(fn, evolved, checked)
+                values, errors = _measure_curve(MEASURES[name], stack)
             timescales = None
             if grid.include_timescales:
                 margin, kernel = (

@@ -105,14 +105,16 @@ class PureSpectra(dict):
     E = pure * factors, the product `evolve` computes, each cut solved the
     first time it is read.  E is formed for that solve, not validated and
     not kept: one table serves every Werner mixture of E through
-    `DensityStack(rho, werner=(x, table))`, each of them validated."""
+    `DensityStack(rho, werner=(x, table))`, each of them validated.  The
+    table keeps its channel's `factors`, so it is all a sweep keeps of a
+    reservoir set's channel."""
 
     def __init__(self, pure: np.ndarray, factors: np.ndarray):
         super().__init__()
-        self._pure, self._factors = pure, factors
+        self._pure, self.factors = pure, factors
 
     def __missing__(self, subsystem: int) -> np.ndarray:
-        pt = partial_transpose(self._pure * self._factors, QUBIT_DIMS, subsystem)
+        pt = partial_transpose(self._pure * self.factors, QUBIT_DIMS, subsystem)
         spectrum = self[subsystem] = hermitian_eigenvalues(pt)
         return spectrum
 

@@ -21,11 +21,11 @@ from .analysis import (
     preservation_time_numeric,
     preservation_time_zero_t,
 )
-from .evolution import dephasing_factors, evolve, gammas
+from .evolution import dephasing_factors, evolve
 from .exceptions import ParameterError
-from .measures import DensityStack, gmc_ghz_werner, gmc_x_state
+from .measures import PureSpectra, gmc_ghz_werner, gmc_x_state
 from .reservoir import ZERO_TEMPERATURE, GammaMethod, OhmicSpectralDensity, ReservoirSpec
-from .states import check_mixing, ghz_state, werner
+from .states import check_mixing, ghz_state, projector, werner
 
 
 def quadrature_vs_zero_t() -> float:
@@ -120,28 +120,28 @@ def kernels_vs_pipeline() -> float:
     another text.
 
     40 random exact-Gamma reservoir sets and x, each over 61 times, both
-    Werner families and all six measures.  Both sides run as the sweep runs
-    them: each measure through `analysis._measure_curve`, which replays a
-    stack that raises row by row, and each kernel at d_X = exp(-Gamma_X)
-    from `gammas`, as `analysis._gamma_curve` takes it.
+    Werner families and all six measures.  Both sides are the sweep's own:
+    each stack is built by `analysis._sweep_stack` on its set's
+    `PureSpectra`, so its negativities read the shifted spectra the sweep
+    prints, and each measure runs through `analysis._measure_curve`, which
+    replays a stack that raises row by row; each kernel is the root
+    finders' curve, `analysis._gamma_curve`, replayed time by time.
     """
     rng = np.random.default_rng(2021)
-    times = np.linspace(0.0, 3.0, 61)
+    times, method = np.linspace(0.0, 3.0, 61), GammaMethod.EXACT
     worst = 0.0
     for _ in range(40):
         x = float(rng.uniform(0.0, 1.0))
         eta, beta_a, k1, k2 = rng.uniform((0.05, 0.1, 0.5, 0.5), (0.5, 100.0, 16.0, 16.0)).tolist()
         reservoirs = make_reservoirs(eta, 1.0, beta_a, k1, k2, (1.5, 2.0, 2.5))
-        factors = dephasing_factors(reservoirs, times, GammaMethod.EXACT)
-        gs = gammas(reservoirs, times.tolist(), GammaMethod.EXACT)
-        damps = np.array([math.exp(-g) for g in gs]).reshape(-1, 3).tolist()
+        factors = dephasing_factors(reservoirs, times, method)
         for state, psi in STATES.items():
-            evolved = evolve(werner(psi(), x), factors)
-            stack = DensityStack(evolved)
+            channel = PureSpectra(projector(psi()), factors)
+            stack = analysis._sweep_stack(werner(psi(), x), x, channel)
             for name, measure in MEASURES.items():
-                kernel = KERNELS[state, name]
-                matrix = zip(*analysis._measure_curve(measure, evolved, stack))
-                closed = zip(*analysis._measure_curve(lambda d: kernel(x, d), damps, None))
+                kernel = analysis._gamma_curve(KERNELS[state, name], x, reservoirs, method)
+                matrix = zip(*analysis._measure_curve(measure, stack))
+                closed = zip(*analysis._measure_curve(kernel, times.tolist()))
                 for (a, error_a), (b, error_b) in zip(matrix, closed, strict=True):
                     if error_a or error_b:
                         worst = worst if error_a == error_b else math.inf

@@ -506,12 +506,24 @@ def test_make_reservoirs_takes_three_splittings(omegas):
     (("0.2", 1, 1.0, 1, 1, (1, 1, 1)), "eta must be a real number, got '0.2'"),
     ((0.2, "1", 1.0, 1, 1, (1, 1, 1)), "omega_c must be a real number, got '1'"),
     ((0.2, 1, math.inf, True, 1, (1, 1, 1)), "k1 must be a real number, got True"),
+    # a value with no length, where len() raised a bare TypeError
+    ((0.2, 1, 1.0, 1, 1, 4.0), "make_reservoirs takes three splittings, got 4.0"),
+    ((0.2, 1, 1.0, 1, 1, (1, 1, "a")), "omegas entry must be a real number, got 'a'"),
+    ((0.2, 1, 1.0, 1, 1, (1, 1, None)), "omegas entry must be a real number, got None"),
+    # once built as the splitting True
+    ((0.2, 1, 1.0, 1, 1, (1, 1, True)), "omegas entry must be a real number, got True"),
 ])
 def test_make_reservoirs_names_an_argument_that_is_not_a_number(args, message):
     # the grid's own rule, so a direct call raises what SweepGrid raises, not a TypeError
     with pytest.raises(ParameterError) as info:
         make_reservoirs(*args)
     assert str(info.value) == message
+
+
+def test_make_reservoirs_takes_any_sequence_of_three_numbers():
+    want = make_reservoirs(0.2, 1.0, 1.0, 1.0, 1.0, (1.0, 2.0, 3.0))
+    for omegas in ([1, 2, 3], np.array([1.0, 2.0, 3.0]), range(1, 4), (1, np.float64(2.0), 3.0)):
+        assert make_reservoirs(0.2, 1.0, 1.0, 1.0, 1.0, omegas) == want, omegas
 
 
 def sampled(curve, ts):

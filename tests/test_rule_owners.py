@@ -14,7 +14,12 @@ import pytest
 
 import tridephase.linalg
 from tridephase import oracles
-from tridephase.analysis import SweepGrid, characteristic_time, preservation_time_zero_t
+from tridephase.analysis import (
+    SweepGrid,
+    characteristic_time,
+    preservation_time_numeric,
+    preservation_time_zero_t,
+)
 from tridephase.cli import main
 from tridephase.evolution import dephasing_factors, evolve
 from tridephase.exceptions import HermiticityViolation, ParameterError, ShapeError
@@ -141,6 +146,30 @@ def test_epsilon_text_at_every_entry_point(entry, epsilon, shown):
     with pytest.raises(ParameterError) as info:
         EPSILON_ENTRY_POINTS[entry](epsilon)
     assert str(info.value) == f"epsilon must lie in (0, 1), got {shown}"
+
+
+T_MAX_ENTRY_POINTS = {
+    "preservation_time_numeric": lambda t_max: preservation_time_numeric(lambda t: 1 - t, t_max),
+    "characteristic_time": lambda t_max: characteristic_time(lambda t: 1 - t, t_max),
+}
+
+
+@pytest.mark.parametrize(
+    "t_max, shown", [("1", "'1'"), (None, "None"), (True, "True"), (np.array(2.0), "array(2.)")]
+)
+@pytest.mark.parametrize("entry", sorted(T_MAX_ENTRY_POINTS))
+def test_a_t_max_that_is_not_a_number_has_one_text_at_every_entry_point(entry, t_max, shown):
+    # "1" and None raised a bare TypeError from <, and True ran as 1.0
+    with pytest.raises(ParameterError) as info:
+        T_MAX_ENTRY_POINTS[entry](t_max)
+    assert str(info.value) == f"t_max must be a real number, got {shown}"
+
+
+@pytest.mark.parametrize("entry", sorted(T_MAX_ENTRY_POINTS))
+def test_a_t_max_of_any_real_type_keeps_the_bits(entry):
+    want = T_MAX_ENTRY_POINTS[entry](2.0)
+    for t_max in (2, np.int64(2), np.float64(2.0), Fraction(2)):
+        assert T_MAX_ENTRY_POINTS[entry](t_max) == want, type(t_max)
 
 
 @pytest.mark.parametrize("dims", [[2, 2], [2, 3, 2], [8, 2]])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tridephase import analysis, linalg, measures, states
+from tridephase import analysis, linalg, measures, oracles, states
 from tridephase.analysis import (
     MEASURES,
     STATES,
@@ -596,6 +596,15 @@ def test_a_stack_that_fails_validation_is_replayed_row_by_row(monkeypatch):
         return stack
 
     monkeypatch.setattr(analysis, "evolve", evolve_with_a_bad_row)
+    ((_, reservoirs),) = grid.reservoir_sets
+    factors = dephasing_factors(reservoirs, grid.channel_times(), grid.method)
+    channel = PureSpectra(projector(ghz_state()), factors)
+    for x, rho0 in zip(grid.xs, grid.initial_states):
+        # the raw array, which no measure reads through the set's spectra
+        raw = analysis._sweep_stack(rho0, x, channel)
+        assert type(raw) is np.ndarray
+        assert np.array_equal(raw, evolve_with_a_bad_row(rho0, factors))
+    assert channel == {}
     curves = run_sweep(grid)
     text = "ParameterError: density matrix has negative eigenvalue -1.000e-01"
     for ref, curve in zip(reference, curves, strict=True):
@@ -604,6 +613,25 @@ def test_a_stack_that_fails_validation_is_replayed_row_by_row(monkeypatch):
         kept = [i for i in range(grid.t_count) if i != bad_row]
         got, want = ([c.values[i] for i in kept] for c in (curve, ref))
         assert sweep_agrees(curve.name, got, want), curve.name
+        # each kept row is its own matrix's measure, validated on its own
+        raw = evolve_with_a_bad_row(werner(ghz_state(), curve.parameters["x"]), factors)
+        alone = [PUBLIC_MEASURES[curve.name](raw[i]) for i in kept]
+        assert same_bits(got, alone), curve.name
+
+
+def test_the_kernels_oracle_measures_the_sweeps_shifted_spectra(monkeypatch):
+    # a Werner shift that drops (1 - x)/8 moves every negativity the sweep
+    # prints; the oracle builds its stacks as the sweep does, so it sees that
+    pt_eigenvalues = DensityStack.pt_eigenvalues
+
+    def unshifted(stack, subsystem):
+        if stack._werner is None:
+            return pt_eigenvalues(stack, subsystem)
+        x, spectra = stack._werner
+        return x * spectra[subsystem]
+
+    monkeypatch.setattr(DensityStack, "pt_eigenvalues", unshifted)
+    assert oracles.kernels_vs_pipeline() >= 1e-14
 
 
 def w_grid(t_count: int) -> SweepGrid:

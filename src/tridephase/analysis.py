@@ -15,6 +15,7 @@ import math
 import numbers
 import operator
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -82,6 +83,8 @@ def preservation_time_zero_t(x: float, eta: float, omega_sq: float, omega_c: flo
     (1/w_c) sqrt((4x / 3(1-x))^(1 / (2 eta Omega^2)) - 1); returns 0 for
     x <= 3/7, and +inf for x = 1 or where t_p is past the float range.
     """
+    for name, value in (("x", x), ("eta", eta), ("omega_sq", omega_sq), ("omega_c", omega_c)):
+        _check_real(name, value)
     check_mixing(x)
     if not (eta > 0 and omega_sq > 0 and omega_c > 0):
         raise ParameterError("eta, omega_sq and omega_c must be positive")
@@ -105,7 +108,10 @@ def _itp(
     lo: tuple[float, float],
     hi: tuple[float, float],
 ) -> float:
-    """Midpoint of [lo, hi] after shrinking it until hi - lo <= ROOT_REL_TOL * hi.
+    """Midpoint of [lo, hi] after shrinking it until hi - lo <= ROOT_REL_TOL * hi,
+    or until no float lies between them, as below about 5e-315, where
+    ROOT_REL_TOL * hi is less than the spacing of the subnormal floats and the
+    first rule is never met.
 
     `lo` and `hi` are (t, curve(t)) pairs; the curve is alive at lo and not
     alive at hi, and each step keeps the part where that still holds.  A
@@ -122,14 +128,19 @@ def _itp(
     (a, fa), (b, fb) = lo, hi
     fa, fb = fa - level, fb - level
     width = b - a
-    j = 0
+    # 0.99 width and kappa1 once, and 0.5^j by halving from 1, which is exact:
+    # each step computes r_j and delta with the same operations as written out
+    reach, kappa1, shrink = 0.99 * width, 0.2 / width, 1.0
     while b - a > ROOT_REL_TOL * b:
+        gap = b - a
         mid = 0.5 * (a + b)
-        radius = 0.99 * width * 0.5**j - 0.5 * (b - a)
+        if not a < mid < b:  # a and b are neighbouring subnormal floats
+            break
+        radius = reach * shrink - 0.5 * gap
         # fa >= 0 >= fb and fa > fb put falsi in [a, b]; a NaN value gives the midpoint
-        falsi = a + (b - a) * (fa / (fa - fb))
+        falsi = a + gap * (fa / (fa - fb))
         sigma = math.copysign(1.0, mid - falsi)
-        delta = max(0.2 / width * (b - a) ** 2, 0.25 * ROOT_REL_TOL * b)
+        delta = max(kappa1 * gap**2, 0.25 * ROOT_REL_TOL * b)
         t = falsi + sigma * delta if delta <= abs(mid - falsi) else mid
         if not abs(t - mid) <= radius:
             t = mid - sigma * radius
@@ -138,32 +149,45 @@ def _itp(
             a, fa = t, v - level
         else:
             b, fb = t, v - level
-        j += 1
+        shrink *= 0.5
     return 0.5 * (a + b)
 
 
 def _check_samples(ts: list[float], vs: list[float], quantity: str) -> None:
     """Reject times that go backwards (equal neighbours pass: linspace can repeat
     a time on a tiny range), a curve that does not start above 0, NaN included,
-    and a NaN value after the start, which no crossing search can place."""
-    if not all(map(operator.le, ts, ts[1:])):  # NaN included
+    and a NaN value after the start, which no crossing search can place.
+
+    Each list is scanned element by element only when a screen fails: times
+    in order with no NaN sort to themselves and sum to a number (inf, where
+    the sum overflows), and values sum to NaN only where one is NaN or
+    infinities of both signs meet.
+    """
+    total = sum(ts)
+    if total != total or sorted(ts) != ts:  # a NaN, or a time that goes backwards
         i = next(i for i in range(len(ts) - 1) if not ts[i] <= ts[i + 1])
         raise ParameterError(f"sample times must not decrease, got {ts[i + 1]!r} after {ts[i]!r}")
     if not vs[0] > 0.0:  # NaN included
         raise NoCorrelationError(f"measure starts at {vs[0]!r}; no {quantity} exists")
-    nan_at = next(itertools.compress(ts, map(math.isnan, vs)), None)
-    if nan_at is not None:
-        raise ParameterError(f"sample value at t = {nan_at!r} is NaN")
+    total = sum(vs)
+    if total != total:
+        nan_at = next(itertools.compress(ts, map(math.isnan, vs)), None)
+        if nan_at is not None:
+            raise ParameterError(f"sample value at t = {nan_at!r} is NaN")
 
 
 def _sample_lists(ts: Sequence, vs: Sequence) -> tuple[list, list]:
     """ts and vs as Python float lists, by the input rule of every sampled curve:
-    1-d (read as `ndim`, so an array costs no numpy call) and of one nonzero
-    length, with finite times from t >= 0; `_check_samples` checks the rest."""
+    1-d (read as `ndim`, so an array costs no numpy call) sequences of real
+    numbers, not strings, of one nonzero length, with finite times from
+    t >= 0; `_check_samples` checks the rest.  Each is read through a typed
+    array('d'), which rejects an entry that is not a real number; bytes,
+    which it would read as raw doubles, are no sequence of numbers."""
     flat = getattr(ts, "ndim", 1) == getattr(vs, "ndim", 1) == 1
+    raw = isinstance(ts, (bytes, bytearray)) or isinstance(vs, (bytes, bytearray))
     try:
-        ts, vs = (list(map(float, ts)), list(map(float, vs))) if flat else ([], [])
-    except TypeError:  # a nested list, or not a sequence
+        ts, vs = ([], []) if raw or not flat else (array("d", ts).tolist(), array("d", vs).tolist())
+    except TypeError:  # a nested list, an entry that is not a real number, or not a sequence
         ts, vs = [], []
     if not ts or len(ts) != len(vs):
         raise ParameterError("samples must be matching nonempty 1-d time and value sequences")
@@ -229,11 +253,14 @@ def preservation_time_numeric(
     def alive(v: float) -> bool:
         return v > DEAD_THRESHOLD
 
-    i = max(k for k, v in enumerate(vs) if alive(v))
+    i = len(vs) - 2  # the last sample alive, from the end: vs[0] is alive
+    while not vs[i] > DEAD_THRESHOLD:
+        i -= 1
     return _itp(measure_curve, alive, DEAD_THRESHOLD, (ts[i], vs[i]), (ts[i + 1], vs[i + 1]))
 
 
 def _check_epsilon(epsilon: float) -> None:
+    _check_real("epsilon", epsilon)
     if not 0.0 < epsilon < 1.0:  # NaN included
         raise ParameterError(f"epsilon must lie in (0, 1), got {epsilon!r}")
 
@@ -266,7 +293,9 @@ def characteristic_time(
 
     if alive(vs[-1]):
         return CharacteristicTime(t_max, False)
-    i = next(k for k, v in enumerate(vs) if not alive(v))
+    i = 0  # the first sample below the target: vs[-1] is
+    while vs[i] >= target:
+        i += 1
     t_c = _itp(measure_curve, alive, target, (ts[i - 1], vs[i - 1]), (ts[i], vs[i]))
     return CharacteristicTime(t_c, True)
 
@@ -294,31 +323,32 @@ def freezing_intervals(ts: Sequence[float], values: Sequence[float]) -> list[tup
     tol = FREEZE_VALUE_TOL * vs[0]
     floor = FREEZE_VALUE_FLOOR * vs[0]
 
-    starts = [0]  # a run ends before the first value off its entry value by more than tol
-    for i in range(1, len(ts)):
-        if not abs(vs[i] - vs[starts[-1]]) <= tol:
+    # a run ends before the first value off its entry value by more than tol
+    starts, entry = [0], vs[0]
+    for i, v in enumerate(vs[1:], 1):
+        if not -tol <= v - entry <= tol:  # abs(v - entry) <= tol, without a call
             starts.append(i)
-    runs = [(a, b - 1) for a, b in zip(starts, [*starts[1:], len(ts)])]  # [start, end] inclusive
+            entry = v
+    ends = [*starts[1:], len(vs)]  # run k holds the samples from starts[k] up to ends[k], excluded
 
-    def span(run: tuple[int, int]) -> float:
-        return ts[run[1]] - ts[run[0]]
+    def span(k: int) -> float:
+        return ts[ends[k] - 1] - ts[starts[k]]
 
-    def stands_out(pos: int) -> bool:
-        neighbours = [
-            runs[j]
-            for j in (pos - 1, pos + 1)
-            if 0 <= j < len(runs) and vs[runs[j][0]] >= floor
-        ]
-        if not neighbours:
-            return True
-        return any(span(runs[pos]) >= FREEZE_SPAN_RATIO * span(nb) for nb in neighbours)
+    def stands_out(k: int) -> bool:
+        bordered = False  # by a run that starts above the floor
+        for j in (k - 1, k + 1):
+            if 0 <= j < len(starts) and vs[starts[j]] >= floor:
+                if span(k) >= FREEZE_SPAN_RATIO * span(j):
+                    return True
+                bordered = True
+        return not bordered
 
     qualifying = [
-        (a, b)
-        for pos, (a, b) in enumerate(runs)
-        if b - a + 1 >= FREEZE_MIN_POINTS
-        and min(vs[a : b + 1]) >= floor
-        and stands_out(pos)
+        (starts[k], ends[k] - 1)
+        for k, length in enumerate(map(operator.sub, ends, starts))
+        if length >= FREEZE_MIN_POINTS
+        and min(vs[starts[k] : ends[k]]) >= floor
+        and stands_out(k)
     ]
     merged: list[list[int]] = []
     for a, b in qualifying:
@@ -585,7 +615,9 @@ def _timescales(
     """t_p, T_c and freezing of one curve sampled at `times`, in units of 1/omega_c.
 
     `times` are the grid's channel times, and `grid_time` maps each to its
-    grid.times() value.
+    grid.times() value.  Each reader converts its samples whole where they
+    come as array('d') (`_sample_lists`), and entry by entry otherwise, so
+    `run_sweep` passes its times as one and the values are made one here.
 
     The root finders and the freezing detection run on the channel times, as
     plain lists: t_p on the curve's margin and T_c on its kernel, with t = 0
@@ -597,9 +629,10 @@ def _timescales(
     failed root search all end here, as the error of the curve's time scales
     (the first row error wins).
     """
-    error = next((e for e in errors if e is not None), None)
+    error = next(filter(None, errors), None)  # an error is a nonempty text
     if error is None:
         try:
+            values = array("d", values)
             samples = (times, values)
             if times[0] > 0.0:
                 samples = ([0.0, *times], [kernel(0.0), *values])
@@ -625,9 +658,10 @@ def _gamma_curve(
     method: GammaMethod,
 ) -> Callable[[float], float]:
     """t -> form(x, d), d_X = exp(-Gamma_X(t)) with each Gamma from `gammas`."""
+    exp = math.exp  # read from the closure at each step, not looked up in math
 
     def curve(t: float) -> float:
-        return form(x, [math.exp(-g) for g in gammas(reservoirs, (t,), method)])
+        return form(x, [exp(-g) for g in gammas(reservoirs, (t,), method)])
 
     return curve
 
@@ -667,6 +701,7 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
     times = grid.channel_times()
     ts = times.tolist()
     grid_time = dict(zip(ts, grid.times().tolist()))
+    sample_times = array("d", ts)
     curves: list[CurveResult] = []
     sets = dict.fromkeys(reservoirs for _, reservoirs in grid.reservoir_sets)
     try:  # every reservoir at once, so those on one quadrature domain share each sin^2 block
@@ -699,6 +734,8 @@ def run_sweep(grid: SweepGrid) -> list[CurveResult]:
                     _gamma_curve(forms[grid.state, name], x, reservoirs, grid.method)
                     for forms in (MARGINS, KERNELS)
                 )
-                timescales = _timescales(margin, kernel, grid, ts, grid_time, values, errors)
+                timescales = _timescales(
+                    margin, kernel, grid, sample_times, grid_time, values, errors
+                )
             curves.append(CurveResult(name, params, values, errors, timescales))
     return curves

@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from . import analysis, oracles
+from . import analysis
 from .analysis import PARAM_FIELDS, SweepGrid
 from .evolution import dephasing_factors, evolve
 from .exceptions import MethodError, ParameterError, TridephaseError
@@ -330,6 +330,8 @@ def cmd_sweep(config: dict, args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
+    from . import oracles  # here, so that no other command loads the oracle suite
+
     failures = 0
     for name, check, label, tolerance in oracles.SELFCHECKS:
         try:

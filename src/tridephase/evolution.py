@@ -44,12 +44,12 @@ def gammas(
     what is still missing, and the first failure in time-major order
     raises, as it would alone.
     """
-    tables = [res._gamma_tables[method] for res in reservoirs]
-    if method is GammaMethod.NUMERIC_QUADRATURE and len(times) > 1:
+    if len(times) > 1 and method is GammaMethod.NUMERIC_QUADRATURE:  # a root-finder step asks for one
         _fill_quadrature_tables(reservoirs, times)
     values = []
     for t in times:
-        for res, table in zip(reservoirs, tables):
+        for res in reservoirs:
+            table = res._gamma_tables[method]
             value = table.get(t)
             if value is None:
                 value = table[t] = gamma(res, t, method)

@@ -315,8 +315,11 @@ def _w_gmc(x: float, d: Sequence[float]) -> float:
     return 0.0
 
 
+_OTHER_QUBITS = ((1, 2), (0, 2), (0, 1))
+
+
 def _w_pt_eigenvalue(x: float, d: Sequence[float], subsystem: int) -> float:
-    y, z = (q for q in range(3) if q != subsystem)
+    y, z = _OTHER_QUBITS[subsystem]
     radius = math.hypot(d[subsystem] * d[y], d[subsystem] * d[z])
     return (1.0 - x) / 8.0 - x / 3.0 * radius
 

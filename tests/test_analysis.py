@@ -1036,3 +1036,227 @@ def test_freezing_intervals_make_no_numpy_call(monkeypatch, as_array):
     samples = (ts, values) if as_array else (ts.tolist(), values.tolist())
     monkeypatch.setattr(analysis, "np", NoNumpy())
     assert freezing_intervals(*samples) == expected and len(expected) == 2
+
+
+@pytest.mark.parametrize("ts, vs", [
+    (["0", "1", "2"], [1.0, 1.0, 1.0]),
+    ([0.0, 1.0, 2.0], ["1", "1", "1"]),
+    ([0.0, "1", 2.0], [1.0, 1.0, 1.0]),
+    (np.array(["0", "1", "2"]), [1.0, 1.0, 1.0]),
+    ([b"0", b"1", b"2"], [1.0, 1.0, 1.0]),
+    (bytes(24), [1.0, 1.0, 1.0]),  # three raw doubles to array('d'), three ints to iteration
+], ids=["string_times", "string_values", "one_string", "numpy_strings", "bytes_entries", "bytes"])
+@pytest.mark.parametrize("entry", sorted(SAMPLED_ENTRY_POINTS))
+def test_a_sample_that_is_not_a_real_number_is_rejected_at_every_entry_point(entry, ts, vs):
+    # float() read "1" as 1.0, so strings passed as samples
+    with pytest.raises(ParameterError) as info:
+        SAMPLED_ENTRY_POINTS[entry](ts, vs)
+    assert str(info.value) == "samples must be matching nonempty 1-d time and value sequences"
+
+
+def test_string_samples_no_longer_pass_as_numbers():
+    # freezing_intervals returned [] and t_p 0.99999999987 while strings were read through float()
+    with pytest.raises(ParameterError):
+        freezing_intervals(["0", "1", "2"], [1, 1, 1])
+    with pytest.raises(ParameterError):
+        preservation_time_numeric(lambda t: 1 - t, 2.0, samples=(["0", "1", "2"], ["1", "0", "-1"]))
+
+
+@pytest.mark.parametrize("entry", sorted(SAMPLED_ENTRY_POINTS))
+def test_samples_of_every_real_type_keep_the_bits(entry):
+    from array import array
+    from fractions import Fraction
+
+    ts, vs = [0.0, 0.5, 1.0, 1.5, 2.0], [1.0, 0.75, 0.5, 0.25, 0.0]
+    want = SAMPLED_ENTRY_POINTS[entry](ts, vs)
+    for cast in (tuple, np.array, lambda s: array("d", s), lambda s: [Fraction(v) for v in s],
+                 lambda s: [np.float64(v) for v in s]):
+        assert SAMPLED_ENTRY_POINTS[entry](cast(ts), cast(vs)) == want
+    assert SAMPLED_ENTRY_POINTS[entry](range(3), [2, 1, 0]) == SAMPLED_ENTRY_POINTS[entry](
+        [0.0, 1.0, 2.0], [2.0, 1.0, 0.0]
+    )
+
+
+def test_check_samples_names_the_first_nan_time_beside_infinities():
+    # the NaN screen is sum(vs), which inf beside -inf makes NaN on its own
+    ts = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    with pytest.raises(ParameterError, match=r"^sample value at t = 3\.0 is NaN$"):
+        analysis._check_samples(ts, [1.0, math.inf, -math.inf, math.nan, -math.inf, math.nan], "x")
+    with pytest.raises(ParameterError, match=r"^sample value at t = 2\.0 is NaN$"):
+        freezing_intervals(ts, [1.0, -math.inf, math.nan, math.inf, 1.0, 1.0])
+
+
+def test_check_samples_passes_inf_beside_minus_inf_without_a_nan():
+    ts = [0.0, 1.0, 2.0, 3.0]
+    assert analysis._check_samples(ts, [1.0, math.inf, -math.inf, 0.5], "x") is None
+    # times whose sum overflows to inf are still in order
+    assert analysis._check_samples([0.0, 1e308, 1.7e308, 1.7e308], [1.0] * 4, "x") is None
+    assert freezing_intervals(ts, [1.0, math.inf, -math.inf, 0.5]) == []
+
+
+@pytest.mark.parametrize("ts, shown", [
+    ([0.0, math.nan, 2.0], "got nan after 0.0"),
+    ([0.0, 1.0, math.inf, 2.0], "got 2.0 after inf"),
+    ([0.0, -math.inf, math.inf, 2.0], "got -inf after 0.0"),
+    ([0.0, 2.0, 1.0, 1.0], "got 1.0 after 2.0"),
+], ids=["nan", "inf", "both_infinities", "backwards"])
+def test_check_samples_names_the_first_time_out_of_order(ts, shown):
+    # times in order sort to themselves and sum to a number; these fail that screen
+    with pytest.raises(ParameterError, match=f"^sample times must not decrease, {shown}$"):
+        analysis._check_samples(ts, [1.0] * len(ts), "x")
+
+
+def curve_outcome(curve, t):
+    """repr of the curve's value at t (its bits), or its exception's type and text."""
+    try:
+        return repr(curve(t))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def curve_reservoirs(method):
+    beta_a = ZERO_TEMPERATURE if method is GammaMethod.ZERO_T_CLOSED_FORM else 2.0
+    return make_reservoirs(0.2, 1.0, beta_a, 4.0, 16.0, (2.0, 2.0, 2.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    method=st.sampled_from(list(GammaMethod)),
+    x=st.floats(0.0, 1.0),
+    t=st.one_of(st.just(0.0), st.floats(1e-6, 6.0)),
+)
+def test_the_root_finders_curve_is_the_form_of_its_gammas_bit_for_bit(method, x, t):
+    # the step as the root finders took it before it was trimmed: a list of
+    # exp(-Gamma) from a `gammas` call on reservoirs of their own
+    reservoirs = curve_reservoirs(method)
+    for key in sorted(KERNELS):
+        for forms in (MARGINS, KERNELS):
+            form = forms[key]
+            reference = lambda t: form(
+                x, [math.exp(-g) for g in evolution.gammas(curve_reservoirs(method), (t,), method)]
+            )
+            got = curve_outcome(analysis._gamma_curve(form, x, reservoirs, method), t)
+            assert got == curve_outcome(reference, t), (key, method)
+
+
+def reference_itp(curve, alive, level, lo, hi):
+    """`_itp` as first written: r_j and delta evaluated afresh at every step."""
+    (a, fa), (b, fb) = lo, hi
+    fa, fb = fa - level, fb - level
+    width = b - a
+    j = 0
+    while b - a > ROOT_REL_TOL * b:
+        mid = 0.5 * (a + b)
+        radius = 0.99 * width * 0.5**j - 0.5 * (b - a)
+        falsi = a + (b - a) * (fa / (fa - fb))
+        sigma = math.copysign(1.0, mid - falsi)
+        delta = max(0.2 / width * (b - a) ** 2, 0.25 * ROOT_REL_TOL * b)
+        t = falsi + sigma * delta if delta <= abs(mid - falsi) else mid
+        if not abs(t - mid) <= radius:
+            t = mid - sigma * radius
+        v = curve(t)
+        if alive(v):
+            a, fa = t, v - level
+        else:
+            b, fb = t, v - level
+        j += 1
+    return 0.5 * (a + b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lo=st.floats(0.0, 10.0),
+    width=st.floats(1e-6, 10.0),
+    rate=st.floats(0.01, 50.0),
+    root=st.floats(0.0, 1.0),
+    power=st.sampled_from([0.5, 1.0, 3.0]),
+)
+def test_itp_steps_keep_their_bits(lo, width, rate, root, power):
+    hi = lo + width
+    crossing = lo + root * width
+    curve = lambda t: math.copysign(abs(rate * (crossing - t)) ** power, crossing - t)
+    alive = lambda v: v > 0.0
+    assume(alive(curve(lo)) and not alive(curve(hi)))
+    steps = ([], [])
+    for trace, search in zip(steps, (analysis._itp, reference_itp)):
+        def traced(t, trace=trace):
+            trace.append(t)
+            if len(trace) >= 5000:
+                raise NoEnd
+            return curve(t)
+        try:
+            trace.append(search(traced, alive, 0.0, (lo, curve(lo)), (hi, curve(hi))))
+        except NoEnd:
+            # the first version never ends on a crossing below about 5e-315
+            assert search is reference_itp and crossing < 1e-314, (search, crossing)
+            return
+    assert repr(steps[0]) == repr(steps[1])
+
+
+class NoEnd(Exception):
+    """A search that has taken 5,000 steps; halving from 10 to the least
+    subnormal float takes about 1,080."""
+
+
+@pytest.mark.parametrize("finder", [
+    lambda curve: preservation_time_numeric(curve, 1.0),
+    lambda curve: characteristic_time(curve, 1.0).time,
+], ids=["preservation_time_numeric", "characteristic_time"])
+def test_a_crossing_at_a_subnormal_time_ends_the_search(finder):
+    # alive at t = 0 alone: the bracket halves from [0, 2^-48] to [0, 5e-324]
+    # in about 1,030 steps, where hi - lo never falls to ROOT_REL_TOL * hi,
+    # which rounds to 0; the search ran forever there
+    steps = []
+
+    def curve(t):
+        steps.append(t)
+        assert len(steps) < 2000, "the search does not end"
+        return 1.0 if t == 0.0 else 0.0
+
+    assert finder(curve) == 0.0
+
+
+def reference_freezing_runs(ts, vs):
+    """The qualifying runs of `freezing_intervals` as first written, on checked float lists."""
+    tol, floor = analysis.FREEZE_VALUE_TOL * vs[0], analysis.FREEZE_VALUE_FLOOR * vs[0]
+    starts = [0]
+    for i in range(1, len(ts)):
+        if not abs(vs[i] - vs[starts[-1]]) <= tol:
+            starts.append(i)
+    runs = [(a, b - 1) for a, b in zip(starts, [*starts[1:], len(ts)])]
+
+    def span(run):
+        return ts[run[1]] - ts[run[0]]
+
+    def stands_out(pos):
+        neighbours = [runs[j] for j in (pos - 1, pos + 1) if 0 <= j < len(runs) and vs[runs[j][0]] >= floor]
+        if not neighbours:
+            return True
+        return any(span(runs[pos]) >= analysis.FREEZE_SPAN_RATIO * span(nb) for nb in neighbours)
+
+    qualifying = [
+        (a, b) for pos, (a, b) in enumerate(runs)
+        if b - a + 1 >= analysis.FREEZE_MIN_POINTS and min(vs[a : b + 1]) >= floor and stands_out(pos)
+    ]
+    merged = []
+    for a, b in qualifying:
+        if merged and a == merged[-1][1] + 1:
+            merged[-1][1] = b
+        else:
+            merged.append([a, b])
+    return [(ts[a], ts[b]) for a, b in merged]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    steps=st.lists(
+        st.tuples(st.integers(1, 14), st.floats(0.0, 1.0), st.floats(0.0, 0.02)), min_size=1, max_size=12
+    ),
+    spacing=st.lists(st.floats(0.0, 2.0), min_size=200, max_size=200),
+)
+def test_freezing_intervals_keep_the_runs_as_first_written(steps, spacing):
+    # a staircase with jitter: plateaus of drawn lengths and levels, times with repeats
+    values = [1.0] + [level + jitter * (k % 3) for n, level, jitter in steps for k in range(n)]
+    ts = list(itertools.accumulate(spacing[: len(values)]))
+    ts = [t - ts[0] for t in ts]
+    assert freezing_intervals(ts, values) == reference_freezing_runs(ts, values)

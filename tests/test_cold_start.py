@@ -101,3 +101,30 @@ def test_reservoir_integrate_is_the_package_rule_and_each_gamma_calls_its_quad_o
         "        assert type(info['neval']) is int and info['neval'] > 21, t\n"
     )
     assert scipy_modules_after(code) == []
+
+
+def run_fresh(code: str) -> str:
+    """The standard output of `code` in a fresh interpreter with src/ on the path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    return proc.stdout
+
+
+def test_cli_import_leaves_the_oracle_suite_to_selfcheck():
+    # measure, timescales, sweep and evolve no longer compile and run tridephase.oracles
+    code = (
+        "import sys, tridephase.cli\n"
+        "print('tridephase.oracles' in sys.modules)\n"
+        "code = tridephase.cli.main(['measure', '--set', 't_count=3'])\n"
+        "print(code, 'tridephase.oracles' in sys.modules)\n"
+        "code = tridephase.cli.main(['selfcheck'])\n"
+        "print(code, 'tridephase.oracles' in sys.modules)\n"
+    )
+    lines = run_fresh(code).splitlines()
+    assert lines[0] == "False" and lines[-1] == "0 True"
+    assert "0 False" in lines  # after a measure run
+    checks = [line for line in lines if line.startswith(("PASS ", "FAIL "))]
+    assert len(checks) == 6 and all(line.startswith("PASS ") for line in checks), checks

@@ -561,3 +561,49 @@ def test_exact_requires_ohmic_and_valid_times():
         gamma_exact(ohmic(beta=2.0), np.array([0.5, -1.0]))
     with pytest.raises(ParameterError, match="1-d array"):
         gamma_exact(ohmic(beta=2.0), np.ones((2, 2)))
+
+
+def one_route_check_time(t):
+    """The time rule with every time read through float(), as it was written first."""
+    try:
+        time = math.nan if isinstance(t, (str, bytes, bytearray)) else float(t)
+    except (TypeError, ValueError):
+        time = math.nan
+    if not 0.0 <= time < math.inf:
+        raise ParameterError(f"time must be finite and >= 0, got {t!r}")
+    return time
+
+
+class RealTime(float):
+    """A float that is not of type float, so `_check_time` reads it through float()."""
+
+
+@pytest.mark.parametrize("t", [
+    1.5, 0.0, -0.0, 3, np.float64(2.5), np.int64(4), True, False, "1", b"1", None, [0.1],
+    math.nan, math.inf, -math.inf, -1.0, 1e308,
+    RealTime(1.5), RealTime(-0.0), RealTime(math.nan), RealTime(math.inf), RealTime(-1.0),
+], ids=repr)
+def test_check_time_gives_one_value_or_text_on_both_routes(t):
+    def outcome(rule):
+        try:
+            value = rule(t)
+        except ParameterError as exc:
+            return str(exc)
+        assert type(value) is float
+        return repr(value)  # -0.0 keeps its sign
+
+    assert outcome(reservoir._check_time) == outcome(one_route_check_time)
+    if isinstance(t, float):  # a float's value, or text, on the route of a float subclass too
+        twin = RealTime(t) if type(t) is float else float(t)
+        assert outcome(lambda _: reservoir._check_time(twin)) == outcome(
+            lambda _: one_route_check_time(twin)
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=st.floats(0.0, reservoir._SINHC_SERIES_BELOW, exclude_max=True))
+def test_log_sinhc_series_is_horners_loop_bit_for_bit(z):
+    w, total = z * z, 0.0
+    for coeff in reversed(reservoir._SINHC_COEFFS):
+        total = total * w + coeff
+    assert reservoir._log_sinhc(z) == total * w

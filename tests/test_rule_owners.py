@@ -148,6 +148,38 @@ def test_epsilon_text_at_every_entry_point(entry, epsilon, shown):
     assert str(info.value) == f"epsilon must lie in (0, 1), got {shown}"
 
 
+@pytest.mark.parametrize(
+    "epsilon, shown", [("0.5", "'0.5'"), (None, "None"), ([0.1], "[0.1]"), (True, "True")]
+)
+@pytest.mark.parametrize("entry", sorted(EPSILON_ENTRY_POINTS))
+def test_an_epsilon_that_is_not_a_number_has_one_text_at_every_entry_point(entry, epsilon, shown):
+    # characteristic_time raised a bare TypeError from <
+    with pytest.raises(ParameterError) as info:
+        EPSILON_ENTRY_POINTS[entry](epsilon)
+    assert str(info.value) == f"epsilon must be a real number, got {shown}"
+
+
+ZERO_T_ARGS = ("x", "eta", "omega_sq", "omega_c")
+
+
+@pytest.mark.parametrize("value, shown", [("0.8", "'0.8'"), (None, "None"), ([0.8], "[0.8]"), (True, "True")])
+@pytest.mark.parametrize("name", ZERO_T_ARGS)
+def test_preservation_time_zero_t_names_an_argument_that_is_not_a_number(name, value, shown):
+    # a string raised a bare TypeError, and x = True ran as x = 1 (t_p = inf)
+    args = dict(zip(ZERO_T_ARGS, (0.8, 0.2, 4.0, 1.0)), **{name: value})
+    with pytest.raises(ParameterError) as info:
+        preservation_time_zero_t(**args)
+    assert str(info.value) == f"{name} must be a real number, got {shown}"
+
+
+def test_preservation_time_zero_t_of_any_real_type_keeps_the_bits():
+    want = preservation_time_zero_t(0.75, 0.25, 4.0, 2.0)
+    for cast in (Fraction, np.float64):
+        assert preservation_time_zero_t(cast(0.75), cast(0.25), cast(4.0), cast(2.0)) == want
+    assert preservation_time_zero_t(0.75, 0.25, 4, 2) == want
+    assert preservation_time_zero_t(1, 0.25, 4.0, 2.0) == math.inf
+
+
 T_MAX_ENTRY_POINTS = {
     "preservation_time_numeric": lambda t_max: preservation_time_numeric(lambda t: 1 - t, t_max),
     "characteristic_time": lambda t_max: characteristic_time(lambda t: 1 - t, t_max),
